@@ -25,22 +25,15 @@ __all__ = ["SCALE", "ScaleConfig", "report", "fct_run", "FCT_SCHEMES",
 
 def bench_environment():
     """Machine/interpreter fingerprint stamped into benchmark JSON so a
-    result file (or the committed baseline) records where it came from —
-    including which kernel tier (``REPRO_KERNEL_TIER``) produced it."""
+    result file (or the committed baseline) records where it came
+    from."""
     import numpy
-
-    try:
-        from repro.core import kernels
-        kernel_tier = kernels.describe()
-    except Exception:  # repro not importable from this checkout layout
-        kernel_tier = None
 
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "system": platform.system(),
         "machine": platform.machine(),
-        "kernel_tier": kernel_tier,
     }
 
 

@@ -374,17 +374,11 @@ def profile_churn_iterate(n_flows, mode, seed=17, out=None):
     inside ``optimizer.iterate``/``normalize``), so the parent rows
     are context, not disjoint buckets.
     """
-    from repro.core import kernels as kernel_tiers
-
     out = out if out is not None else sys.stdout
     n_ops = max(10, min(40, _MODES[mode]["churn_ops"].get(n_flows, 20)))
     allocator, batches, churn = _churn_setup(n_flows, n_ops + 2, mode,
                                              seed)
     table = allocator.table
-    # Kernel rows carry the active tier so profiles captured under
-    # different REPRO_KERNEL_TIER settings stay distinguishable.
-    tier_tag = kernel_tiers.describe()
-    suffix = f"[{kernel_tiers.active().name}]"
 
     times, calls = {}, {}
 
@@ -401,12 +395,12 @@ def profile_churn_iterate(n_flows, mode, seed=17, out=None):
                 calls[label] = calls.get(label, 0) + 1
         setattr(obj, name, timed)
 
-    wrap(table, "_sync_csr", f"csr_sync{suffix}")
-    wrap(table, "price_sums", f"price_sums{suffix}")
-    wrap(table, "link_totals", f"link_totals{suffix}")
-    wrap(table, "link_totals2", f"link_totals2{suffix}")
-    wrap(table, "max_link_value", f"max_link_value{suffix}")
-    wrap(table, "apply_churn", f"churn_apply{suffix}")
+    wrap(table, "_sync_csr", "csr_sync")
+    wrap(table, "price_sums", "price_sums")
+    wrap(table, "link_totals", "link_totals")
+    wrap(table, "link_totals2", "link_totals2")
+    wrap(table, "max_link_value", "max_link_value")
+    wrap(table, "apply_churn", "churn_apply")
     wrap(allocator.optimizer, "iterate", "optimizer.iterate")
 
     # ``self.normalizer(...)`` resolves __call__ on the type, so wrap
@@ -430,10 +424,8 @@ def profile_churn_iterate(n_flows, mode, seed=17, out=None):
         allocator.iterate(1)
     wall = time.perf_counter() - t0
 
-    kernel_labels = tuple(
-        f"{name}{suffix}" for name in
-        ("csr_sync", "price_sums", "link_totals", "link_totals2",
-         "max_link_value", "churn_apply"))
+    kernel_labels = ("csr_sync", "price_sums", "link_totals",
+                     "link_totals2", "max_link_value", "churn_apply")
     phases = ("optimizer.iterate", "normalize")
     rows = []
     for label in kernel_labels + phases:
@@ -444,12 +436,12 @@ def profile_churn_iterate(n_flows, mode, seed=17, out=None):
                      f"{1000 * total / n_ops:.3f}",
                      f"{100 * total / wall:.1f}%"])
     accounted = sum(times.get(label, 0.0)
-                    for label in (f"churn_apply{suffix}",) + phases)
+                    for label in ("churn_apply",) + phases)
     rows.append(["other (threshold mask, ids, loop)", n_ops,
                  f"{1000 * (wall - accounted):.1f}",
                  f"{1000 * (wall - accounted) / n_ops:.3f}",
                  f"{100 * (wall - accounted) / wall:.1f}%"])
-    print(f"profile[kernel tier {tier_tag}]: {n_ops} ops of "
+    print(f"profile: {n_ops} ops of "
           f"churn({churn}) + iterate(1) at {n_flows} flows, "
           f"{1000 * wall / n_ops:.2f} ms/op "
           f"({n_ops / wall:.1f} ops/sec)", file=out)

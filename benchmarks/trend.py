@@ -83,10 +83,7 @@ def load_series(paths, mode="quick"):
 
     Accepts both raw harness payloads (``{"results": ...}``) and the
     committed baseline layout; files of other modes or unreadable
-    files are skipped (a trend tool should chart what it can).  Runs
-    recorded under a non-default kernel tier (``environment.
-    kernel_tier``) carry the tier in their label so artifacts from
-    different ``REPRO_KERNEL_TIER`` lanes stay distinguishable.
+    files are skipped (a trend tool should chart what it can).
     """
     series = []
     for path in paths:
@@ -95,21 +92,15 @@ def load_series(paths, mode="quick"):
         except (OSError, json.JSONDecodeError):
             continue
         if "modes" in payload:  # committed-baseline layout
-            entry = payload["modes"].get(mode, {})
-            results = entry.get("results")
-            environment = entry.get("environment") or {}
+            results = payload["modes"].get(mode, {}).get("results")
         elif payload.get("mode") == mode:
             results = payload.get("results")
-            environment = payload.get("environment") or {}
         else:
-            results, environment = None, {}
+            results = None
         if results is None or "calibration" not in results:
             continue
         match = _RUN_NUMBER.search(str(path))
         label = f"run {match.group(1)}" if match else path.stem
-        tier = environment.get("kernel_tier")
-        if tier:
-            label = f"{label} [{tier}]"
         series.append((label, relative_scores(results)))
     return series
 

@@ -23,13 +23,11 @@ when a wider route arrives).  One optimizer iteration is then a
 handful of vectorized operations over ``n x max-hops`` elements
 (fancy-indexed gathers, ``bincount`` segment scatters, column folds
 for per-flow sums/maxima), with no Python-level per-flow work.  The
-kernels themselves are dispatched through :mod:`repro.core.kernels`,
-which selects a numpy / threaded / compiled implementation tier at
-first use (``REPRO_KERNEL_TIER``) — all tiers share one canonical
-chunked reduction order, so the tier choice never changes a bit of
-output.  Flowlet churn — the common case in Flowtune — is O(route
-length) per event: adding appends a row; removal swaps the last row
-into the hole so the arrays stay dense.
+kernels themselves live in :mod:`repro.core.kernels`, which fixes one
+canonical chunked reduction order for every caller.  Flowlet churn —
+the common case in Flowtune — is O(route length) per event: adding
+appends a row; removal swaps the last row into the hole so the arrays
+stay dense.
 """
 
 from __future__ import annotations
@@ -441,7 +439,7 @@ class FlowTable:
         self._weights[block] = weights
         for column in self._columns:
             column._data[block] = column.default
-        kernels.active().min_link_value(
+        kernels.min_link_value(
             self._capacity_padded(), rows, gather,
             self._bottleneck._data[block])
         for j, flow_id in enumerate(ids):
@@ -648,17 +646,14 @@ class FlowTable:
         else:
             width = self._csr_width
             tail = min(n, self._csr_nrows)
-            kern = kernels.active()
             dirty = self._csr_dirty
             if dirty:
                 rows = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
                 rows = rows[rows < tail]
                 if len(rows):
-                    kern.patch_rows(self._csr_mat, self._routes, rows,
-                                    width)
+                    self._csr_mat[rows] = self._routes[rows, :width]
             if tail < n:
-                kern.copy_rows(self._csr_mat, self._routes, tail, n,
-                               width)
+                self._csr_mat[tail:n] = self._routes[tail:n, :width]
             self._csr_nnz = n * width
             self._csr_nrows = n
         self._csr_dirty.clear()
@@ -682,9 +677,7 @@ class FlowTable:
             self._csr_indices = np.empty(cap * width, dtype=np.int64)
             self._csr_mat = self._csr_indices.reshape(cap, width)
             self._kernel_buf = np.empty(cap * width)
-        if n:
-            kernels.active().copy_rows(self._csr_mat, routes, 0, n,
-                                       width)
+        self._csr_mat[:n] = routes[:n, :width]
         self._csr_nnz = n * width
         self._csr_nrows = n
         self._max_hops_seen = width
@@ -707,15 +700,14 @@ class FlowTable:
         ``prices`` has one entry per real link; slack slots gather the
         pad link's pinned 0.0.  The per-route fold is strictly
         left-to-right in hop order (trailing zeros are bitwise no-ops)
-        in every kernel tier, so the result is bit-for-bit the
-        sequential sum of each route, independent of slot width, tier
-        and thread count.
+        so the result is bit-for-bit the sequential sum of each route,
+        independent of slot width.
         """
         n = self._n
         if n == 0:
             return np.zeros(0, dtype=np.float64)
         _, indices, _ = self._route_index()
-        return kernels.active().price_sums(
+        return kernels.price_sums(
             self.pad(prices), indices, n, self._csr_width,
             self._kernel_buf)
 
@@ -725,18 +717,16 @@ class FlowTable:
         This computes aggregate link load when given rates, and the
         Hessian diagonal when given rate derivatives.  The scatter
         runs over the CSR link column (slack lands in the dropped pad
-        bin) via the canonical chunked reduction shared by every
-        kernel tier: per-link accumulation order is flow-position
-        order within each fixed-size chunk, partials folded in chunk
-        order, so the floats are identical across tiers and thread
-        counts (and, below one chunk, to the historical single-pass
-        scatter).
+        bin) via the canonical chunked reduction: per-link
+        accumulation order is flow-position order within each
+        fixed-size chunk, partials folded in chunk order (below one
+        chunk, a single-pass scatter).
         """
         n = self._n
         if n == 0:
             return np.zeros(self.links.n_links, dtype=np.float64)
         _, indices, _ = self._route_index()
-        totals = kernels.active().link_totals(
+        totals = kernels.link_totals(
             np.asarray(per_flow, dtype=np.float64), indices, n,
             self._csr_width, self.links.n_links + 1, self._kernel_buf)
         return totals[:-1]
@@ -759,7 +749,7 @@ class FlowTable:
             zeros = np.zeros(self.links.n_links, dtype=np.float64)
             return zeros, zeros.copy()
         _, indices, _ = self._route_index()
-        totals_a, totals_b = kernels.active().link_totals2(
+        totals_a, totals_b = kernels.link_totals2(
             np.asarray(a, dtype=np.float64),
             np.asarray(b, dtype=np.float64), indices, n,
             self._csr_width, self.links.n_links + 1, self._kernel_buf)
@@ -785,7 +775,7 @@ class FlowTable:
         _, indices, _ = self._route_index()
         if len(self._max_out) < n:
             self._max_out = np.empty(len(self._weights))
-        return kernels.active().max_link_value(
+        return kernels.max_link_value(
             self.pad(per_link, pad_value=-np.inf), indices, n,
             self._csr_width, self._kernel_buf, self._max_out[:n])
 
@@ -807,7 +797,7 @@ class FlowTable:
         n = self._n
         if self._capacity_dirty:
             if n:
-                kernels.active().min_link_value(
+                kernels.min_link_value(
                     self._capacity_padded(), self._routes[:n],
                     np.empty((n, self.max_route_len)),
                     self._bottleneck._data[:n])

@@ -28,7 +28,7 @@ swappable without touching the numerics:
 Because the data a socket frame carries is the byte-exact slice the
 shared-memory fabric would have read in place, and recv/apply order is
 fixed by the shared transfer plan, both fabrics reproduce the simulated
-engine's floats bit-for-bit (asserted to 1e-9 by the cross-backend
+engine's floats bit-for-bit (asserted bitwise by the cross-backend
 suite).  A key structural difference: the socket fabric needs **no
 step barrier at all** — the frames themselves carry the step-to-step
 data dependencies, so ``step_barrier`` is a documented no-op there.

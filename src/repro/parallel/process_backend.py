@@ -29,9 +29,9 @@ Because all backends and fabrics execute the same float operations in
 the same order (they share :func:`~repro.parallel.engine.ned_price_update`
 and the FlowTable gather/scatter kernels' reduction shapes — and a
 socket frame carries the byte-exact slice the shm fabric reads in
-place), the process backend is numerically equivalent to the simulated
-engine — and hence to single-core NED — up to float associativity; the
-cross-backend test suite asserts this for both fabrics, churn included.
+place), the process backend reproduces the simulated engine's floats;
+the cross-backend test suite asserts bitwise equality for both
+fabrics, churn included.
 
 Control flow: the parent drives workers over one fabric control
 channel per worker (a pipe for shm, a TCP connection for sockets) and
@@ -103,17 +103,13 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     Mirrors the simulated engine's use of ``FlowTable.price_sums`` /
     ``link_totals2`` — the same version-cached uniform-slot CSR view
     (slack slots carry the pad link, bitwise-neutral in every kernel)
-    dispatched through the same :mod:`repro.core.kernels` tier the
-    parent selected (``_kernel_tier`` ships in the worker consts), so
-    the floats come out identical *and* the steady-state allocation
+    through the same :mod:`repro.core.kernels` functions, so the
+    floats come out identical *and* the steady-state allocation
     profile matches the single-core kernels (only the small reduction
-    outputs are allocated per iteration).  All tiers share one
-    canonical chunked reduction order, so even a worker that had to
-    degrade (say a remote socket host without numba) stays bitwise
-    aligned with the parent.  The cell's CSR cache is rebuilt whole
-    whenever the published version moves (cells are 1/n_procs of the
-    population; the parent-side tables do the finer incremental
-    maintenance).
+    outputs are allocated per iteration).  The cell's CSR cache is
+    rebuilt whole whenever the published version moves (cells are
+    1/n_procs of the population; the parent-side tables do the finer
+    incremental maintenance).
     """
     n = int(fabric.counts[plan.row])
     load_row = fabric.load[plan.row]
@@ -141,17 +137,16 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     gather = consts["gather"]
     if len(gather) < nnz:
         gather = consts["gather"] = np.empty(max(nnz, 2 * len(gather)))
-    kern = kernels.active()
     scratch[:n_links] = fabric.prices[plan.row]
     scratch[n_links] = 0.0  # pad link: price zero
-    rho = kern.price_sums(scratch, indices, n, width, gather)
+    rho = kernels.price_sums(scratch, indices, n, width, gather)
     if plan.floor_version != version:
         plan.floor = utility.inverse_rate(plan.bottleneck[:n], weights)
         plan.floor_version = version
     rho = np.maximum(rho, plan.floor)
     rates = utility.rate(rho, weights)
     derivative = utility.rate_derivative(rho, weights)
-    totals_load, totals_hessian = kern.link_totals2(
+    totals_load, totals_hessian = kernels.link_totals2(
         rates, derivative, indices, n, width, n_links + 1, gather)
     load_row[:] = totals_load[:-1]
     hessian_row[:] = totals_hessian[:-1]
@@ -201,13 +196,6 @@ def _one_iteration(plans, fabric, consts):
 
 def worker_loop(endpoint, plans, consts):
     """Command loop of one worker process (any fabric)."""
-    # Adopt the parent's kernel tier (fork workers inherit the module
-    # state anyway; socket workers may boot on another host with a
-    # different environment).  Degradation is safe: tiers are bitwise
-    # identical, so a worker falling back stays aligned.
-    tier = consts.get("_kernel_tier")
-    if tier is not None:
-        kernels.select(tier)
     consts["scratch"] = np.empty(consts["n_links"] + 1, dtype=np.float64)
     consts["gather"] = np.empty(0, dtype=np.float64)
     try:
@@ -401,10 +389,6 @@ class ProcessBackend(ParallelBackend):
                 "agg_plan": agg_plans[w],
                 "dist_plan": dist_plans[w],
                 "price_plan": price_plans[w],
-                # Workers run the same kernel tier as the parent so
-                # simulated/shm/socket stay aligned (all tiers are
-                # bitwise-equal anyway; this keeps perf symmetric).
-                "_kernel_tier": kernels.active().name,
             }
             if state is None:
                 # Socket workers bootstrap over the wire: ship the

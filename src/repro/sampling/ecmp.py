@@ -56,7 +56,7 @@ import numpy.typing as npt
 
 from ..core.allocator import (AllocationResult, RateUpdate, _NO_UPDATES,
                               threshold_update_mask)
-from ..core.kernels import active as _active_kernels
+from ..core.kernels import max_link_value
 from ..core.network import LinkSet
 
 __all__ = ["EcmpScheduler", "EcmpAssigner"]
@@ -222,7 +222,7 @@ class EcmpScheduler:
         self._refreshed = False
         self._slot_rates: FloatArray = self._last
         # Refresh scratch, sized with the store: the flow-major gather
-        # buffer and per-row output the kernel tier writes into.
+        # buffer and per-row output the max kernel writes into.
         self._gather_buf: FloatArray = np.empty(cap * 1)
         self._worst: FloatArray = np.empty(cap)
         self._iterates = 0
@@ -467,13 +467,13 @@ class EcmpScheduler:
             avail = np.maximum(self.full_links.capacity - self._external,
                                self._avail_floor)
             np.divide(self._W, avail, out=self._ratio_padded[:-1])
-            # Per-slot worst contention via the kernel tier: chunked
+            # Per-slot worst contention via the shared kernel: chunked
             # take + column maxima over the used prefix of the store
             # (free rows below the high-water mark gather the -inf
             # pad, so they fall out at rate 0).
             top = self._top
             worst = self._worst[:top]
-            _active_kernels().max_link_value(
+            max_link_value(
                 self._ratio_padded, self._mat.reshape(-1), top,
                 self._width, self._gather_buf, worst)
             np.maximum(worst, _EPSILON, out=worst)

@@ -6,7 +6,7 @@ the priced :class:`~repro.core.allocator.FlowtuneAllocator` and
 leaves everything else to the :class:`~repro.sampling.EcmpScheduler`
 fair-share model.  The priced set is bounded by the traffic's elephant
 population, not by the total flow count — the scaling escape hatch
-the kernel tier cannot provide.
+faster kernels cannot provide.
 
 Composition rules:
 

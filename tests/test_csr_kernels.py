@@ -8,9 +8,13 @@ rewrite safe:
 * every kernel matches a straight padded-matrix reference **bitwise**
   (the reference reduces each row left-to-right, the order the CSR
   kernels guarantee; pads contribute +0.0 / the dropped pad bin /
-  ``-inf``, all bitwise no-ops) — and it matches under **every
-  available kernel tier** (``numpy``/``threads``/``compiled``), so
-  the tiers are bitwise-interchangeable by transitivity;
+  ``-inf``, all bitwise no-ops);
+* above one chunk, the kernels in :mod:`repro.core.kernels` match a
+  naive reference of the canonical chunked reduction **bitwise**
+  (``BLOCK_ROWS`` is monkeypatched small so a few hundred rows span
+  many chunks), on the calling thread and nowhere else, and the
+  process backend's workers stay bitwise-aligned with the simulated
+  engine there;
 * the index is maintained incrementally under arbitrary churn —
   batched adds/removes, swap-remove holes, hop-count mixing, storage
   regrowth, capacity refresh — and can never be observed stale,
@@ -18,6 +22,8 @@ rewrite safe:
   keyed on it.
 """
 
+import multiprocessing
+import threading
 import warnings
 
 import numpy as np
@@ -34,45 +40,52 @@ from repro.topology import TwoTierClos
 # ----------------------------------------------------------------------
 # padded-matrix reference kernels (left-to-right per-row reduction)
 # ----------------------------------------------------------------------
+def ref_fold_rows(fold, gathered):
+    """Left-to-right column fold of a gathered ``(n, width)`` block."""
+    out = gathered[:, 0].copy()
+    for hop in range(1, gathered.shape[1]):
+        fold(out, gathered[:, hop], out=out)
+    return out
+
+
 def ref_price_sums(table, prices):
     if table.n_flows == 0:
         return np.zeros(0)
-    gathered = table.pad(prices)[table.routes]
-    out = gathered[:, 0].copy()
-    for hop in range(1, table.max_route_len):
-        out += gathered[:, hop]
-    return out
+    return ref_fold_rows(np.add, table.pad(prices)[table.routes])
+
+
+def ref_chunked_totals(values, indices, n, width, minlength, block):
+    """One ``bincount`` per ``block``-row chunk, partials summed in
+    ascending chunk order — the canonical reduction, spelled naively."""
+    total = None
+    for r0 in range(0, n, block):
+        r1 = min(n, r0 + block)
+        part = np.bincount(indices[r0 * width: r1 * width],
+                           weights=np.repeat(values[r0:r1], width),
+                           minlength=minlength)
+        total = part if total is None else total + part
+    return total
 
 
 def ref_link_totals(table, per_flow):
     n_links = table.links.n_links
     if table.n_flows == 0:
         return np.zeros(n_links)
-    weights = np.repeat(np.asarray(per_flow, dtype=np.float64),
-                        table.max_route_len)
-    return np.bincount(table.routes.reshape(-1), weights=weights,
-                       minlength=n_links + 1)[:-1]
+    return ref_chunked_totals(
+        np.asarray(per_flow, dtype=np.float64), table.routes.reshape(-1),
+        table.n_flows, table.max_route_len, n_links + 1,
+        kernels.BLOCK_ROWS)[:-1]
 
 
 def ref_max_link_value(table, per_link):
     if table.n_flows == 0:
         return np.zeros(0)
-    gathered = table.pad(per_link, pad_value=-np.inf)[table.routes]
-    out = gathered[:, 0].copy()
-    for hop in range(1, table.max_route_len):
-        np.maximum(out, gathered[:, hop], out=out)
-    return out
-
-
-def available_tier_names():
-    return tuple(name for name, ok
-                 in sorted(kernels.available_tiers().items()) if ok)
+    return ref_fold_rows(
+        np.maximum, table.pad(per_link, pad_value=-np.inf)[table.routes])
 
 
 def assert_kernels_match(table, rng):
-    """All four kernels bitwise-equal their padded references, under
-    every available tier — numpy == threads == compiled bitwise, by
-    transitivity through the shared reference."""
+    """All four kernels bitwise-equal their padded references."""
     prices = rng.random(table.links.n_links)
     per_flow = rng.random(table.n_flows)
     per_link = rng.random(table.links.n_links)
@@ -80,21 +93,14 @@ def assert_kernels_match(table, rng):
     want_totals = ref_link_totals(table, per_flow)
     want_totals_b = ref_link_totals(table, 2.0 * per_flow)
     want_max = ref_max_link_value(table, per_link)
-    for tier in available_tier_names():
-        with kernels.use(tier):
-            np.testing.assert_array_equal(
-                table.price_sums(prices), want_prices, err_msg=tier)
-            np.testing.assert_array_equal(
-                table.link_totals(per_flow), want_totals, err_msg=tier)
-            np.testing.assert_array_equal(
-                table.max_link_value(per_link).copy(), want_max,
-                err_msg=tier)
-            totals_a, totals_b = table.link_totals2(per_flow,
-                                                    2.0 * per_flow)
-            np.testing.assert_array_equal(totals_a, want_totals,
-                                          err_msg=tier)
-            np.testing.assert_array_equal(totals_b, want_totals_b,
-                                          err_msg=tier)
+    np.testing.assert_array_equal(table.price_sums(prices), want_prices)
+    np.testing.assert_array_equal(table.link_totals(per_flow),
+                                  want_totals)
+    np.testing.assert_array_equal(table.max_link_value(per_link),
+                                  want_max)
+    totals_a, totals_b = table.link_totals2(per_flow, 2.0 * per_flow)
+    np.testing.assert_array_equal(totals_a, want_totals)
+    np.testing.assert_array_equal(totals_b, want_totals_b)
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +201,132 @@ class TestCsrPaddedEquivalence:
         totals_a, totals_b = table.link_totals2(np.array([]),
                                                 np.array([]))
         assert totals_a.shape == (5,) and totals_b.shape == (5,)
+
+
+# ----------------------------------------------------------------------
+# the canonical chunk grid
+# ----------------------------------------------------------------------
+class TestChunkSpans:
+    def test_covers_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+        spans = kernels.chunk_spans(40)
+        assert spans[0][0] == 0 and spans[-1][1] == 40
+        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
+            assert a1 == b0 and a0 < a1
+        assert all(r0 % 7 == 0 for r0, _ in spans)
+
+    def test_small_n_is_one_span(self):
+        assert kernels.chunk_spans(100) == [(0, 100)]
+
+    def test_empty(self):
+        assert kernels.chunk_spans(0) == []
+
+
+# ----------------------------------------------------------------------
+# multi-chunk: kernels == naive chunked reference, bitwise
+# ----------------------------------------------------------------------
+class TestMultiChunkBitwise:
+    """With BLOCK_ROWS shrunk, a few hundred rows span many chunks —
+    the regime where the partial-fold order decides the last bit."""
+
+    BLOCK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
+
+    def case(self, seed=3, n=500, width=3, n_links=64):
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(0, n_links + 1,
+                               size=n * width).astype(np.int64)
+        padded = np.append(rng.random(n_links), 0.0)
+        values_a = rng.random(n)
+        values_b = rng.random(n)
+        buf = np.empty(n * width)
+        return indices, padded, values_a, values_b, buf, n, width, n_links
+
+    def test_all_kernels_match_chunked_reference(self):
+        indices, padded, va, vb, buf, n, width, n_links = self.case()
+        gathered = padded[indices.reshape(n, width)]
+        np.testing.assert_array_equal(
+            kernels.price_sums(padded, indices, n, width, buf),
+            ref_fold_rows(np.add, gathered))
+        np.testing.assert_array_equal(
+            kernels.max_link_value(padded, indices, n, width, buf,
+                                   np.empty(n)),
+            ref_fold_rows(np.maximum, gathered))
+        want_a = ref_chunked_totals(va, indices, n, width, n_links + 1,
+                                    self.BLOCK)
+        want_b = ref_chunked_totals(vb, indices, n, width, n_links + 1,
+                                    self.BLOCK)
+        np.testing.assert_array_equal(
+            kernels.link_totals(va, indices, n, width, n_links + 1, buf),
+            want_a)
+        got_a, got_b = kernels.link_totals2(va, vb, indices, n, width,
+                                            n_links + 1, buf)
+        np.testing.assert_array_equal(got_a, want_a)
+        np.testing.assert_array_equal(got_b, want_b)
+        # The chunk grid is load-bearing: a single whole-table bincount
+        # rounds differently somewhere on this input.
+        assert np.any(want_a != ref_chunked_totals(
+            va, indices, n, width, n_links + 1, n))
+
+    def test_min_link_value_matches_reference(self):
+        rng = np.random.default_rng(9)
+        n, width, n_links = 200, 4, 32
+        rows = rng.integers(0, n_links + 1, size=(n, width))
+        padded = np.append(rng.random(n_links), np.inf)
+        got = kernels.min_link_value(padded, rows, np.empty((n, width)),
+                                     np.empty(n))
+        np.testing.assert_array_equal(
+            got, ref_fold_rows(np.minimum, padded[rows]))
+
+    def test_kernels_start_no_thread(self):
+        """One path, on the calling thread: a multi-chunk table runs
+        every kernel without spawning helpers."""
+        rng = np.random.default_rng(4)
+        table = FlowTable(LinkSet(np.full(12, 10.0)), max_route_len=4)
+        before = threading.active_count()
+        table.apply_churn(starts=[
+            (i, rng.integers(0, 12, int(rng.integers(1, 5))))
+            for i in range(10 * self.BLOCK)])
+        assert len(kernels.chunk_spans(table.n_flows)) > 1
+        assert_kernels_match(table, rng)
+        table.refresh_capacity()
+        table.bottleneck_capacity()
+        assert threading.active_count() == before
+
+    def test_describe_is_numpy(self):
+        assert kernels.describe() == "numpy"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process backend needs the fork start method")
+    def test_process_backend_matches_simulated_multi_chunk(self):
+        """Forked workers run the same chunk grid as the parent, so
+        every cell's multi-chunk scatter lands on the same bits."""
+        from repro.parallel import MulticoreNedEngine
+
+        topology = TwoTierClos(n_racks=4, hosts_per_rack=4, n_spines=2)
+        rng = np.random.default_rng(0)
+        starts = []
+        for i in range(120):
+            src = int(rng.integers(topology.n_hosts))
+            dst = int(rng.integers(topology.n_hosts - 1))
+            dst += dst >= src
+            starts.append((i, src, dst))
+
+        simulated = MulticoreNedEngine(topology, 2)
+        simulated.apply_churn(starts=starts)
+        assert all(cell.table.n_flows > self.BLOCK
+                   for cell in simulated.processors.values())
+        simulated.iterate(10)
+        with MulticoreNedEngine(topology, 2, backend="process",
+                                n_workers=2) as engine:
+            engine.apply_churn(starts=starts)
+            engine.iterate(10)
+            rates = engine.rates()
+        assert rates == simulated.rates()
 
 
 # ----------------------------------------------------------------------

@@ -705,11 +705,6 @@ class TestLocalCluster:
         with LocalCluster(topology, 2, n_hosts=2) as engine:
             engine.apply_churn(starts=starts)
             engine.iterate(6)
-            rates = engine.rates()
-            expected = simulated.rates()
-            assert rates.keys() == expected.keys()
-            for flow_id, rate in rates.items():
-                assert rate == pytest.approx(expected[flow_id], rel=1e-9)
-            np.testing.assert_allclose(engine.global_prices(),
-                                       simulated.global_prices(),
-                                       rtol=1e-9)
+            assert engine.rates() == simulated.rates()
+            np.testing.assert_array_equal(engine.global_prices(),
+                                          simulated.global_prices())

@@ -93,7 +93,7 @@ class TestDeterminism:
         assert "FL-DET003" in codes(diags)
 
     def test_bincount_inside_kernels_is_silent(self, tmp_path):
-        diags = lint(tmp_path, {"repro/core/kernels/scatter.py": """
+        diags = lint(tmp_path, {"repro/core/kernels.py": """
             import numpy as np
 
             def f(idx, w):
@@ -625,14 +625,15 @@ class TestCommittedTree:
             assert "TODO" not in entry["justification"]
 
     def test_violation_is_caught_end_to_end(self, tmp_path, capsys):
-        """Dropping a reduceat into a copy of the kernels package (and
+        """Dropping a reduceat into a copy of the kernel module (and
         a pickle import into the service) must fail the lane."""
-        kernels_dst = tmp_path / "repro/core/kernels"
-        shutil.copytree(REPO_ROOT / "src/repro/core/kernels", kernels_dst)
-        (kernels_dst / "evil.py").write_text(
-            "import numpy as np\n\n"
-            "def f(a, idx):\n"
-            "    return np.add.reduceat(a, idx)\n")
+        core_dst = tmp_path / "repro/core"
+        core_dst.mkdir(parents=True)
+        kernels_src = (REPO_ROOT / "src/repro/core/kernels.py").read_text()
+        (core_dst / "kernels.py").write_text(
+            kernels_src
+            + "\n\ndef evil(a, idx):\n"
+              "    return np.add.reduceat(a, idx)\n")
         service_dst = tmp_path / "repro/service"
         service_dst.mkdir(parents=True)
         (service_dst / "evil.py").write_text("import pickle\n")

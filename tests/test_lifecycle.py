@@ -176,41 +176,3 @@ def test_shared_arena_context_manager_releases_segments():
     assert shm_names() <= before, "leaked /dev/shm segments"
     # close() after __exit__ must be a no-op, not an error.
     arena.close()
-
-
-def test_threads_tier_close_idempotent_and_rebuilds(monkeypatch):
-    """ThreadsTier.close() joins the fan-out helpers; the tier stays
-    usable afterwards by lazily rebuilding the pool."""
-    import numpy as np
-
-    from repro.core.kernels import _base, _threads
-
-    # Small chunks so a 64-row table spans several chunks and the
-    # fan-out pool actually spins up.
-    monkeypatch.setattr(_base, "BLOCK_ROWS", 8)
-    tier = _threads.ThreadsTier(n_threads=2)
-    n, width = 64, 2
-    padded = np.arange(n * width, dtype=np.float64)
-    indices = np.arange(n * width, dtype=np.int64) % (n * width)
-    buf = np.empty(n * width)
-    expected = tier.price_sums(padded, indices, n, width, buf)
-    assert tier._pool is not None, "pool never spun up"
-    # Only this tier's helpers — other suites may hold a live global
-    # tier whose pool legitimately outlives this test.
-    own_helpers = set(tier._pool._threads)
-
-    tier.close()
-    tier.close()
-    deadline = time.monotonic() + 5.0
-    helpers = set()
-    while time.monotonic() < deadline:
-        helpers = {t for t in own_helpers if t.is_alive()}
-        if not helpers:
-            break
-        time.sleep(0.02)
-    assert not helpers, f"fan-out helpers survived close(): {helpers}"
-
-    # A closed tier transparently rebuilds its pool on next use.
-    out2 = tier.price_sums(padded, indices, n, width, buf)
-    assert np.array_equal(out2, expected)
-    tier.close()

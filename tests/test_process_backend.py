@@ -6,12 +6,12 @@ The simulated engine asserts that in one process; this suite closes
 the loop for the real worker-process backend — over **both
 coordination fabrics**: shared memory (sense-reversing barrier, data
 read in place) and sockets (LinkBlock slices as TCP frames, no shared
-state at all).  Same grids, same churn schedules, same floats (up to
-float associativity — in practice the fabrics ship byte-exact slices
-through the very same kernels, so the tolerance is loose cover for an
-exact match), across worker counts that do and don't divide the grid
-evenly, before and after mid-run churn batches, and across the
-shared-buffer re-allocation (regrow → re-attach / re-snapshot) path.
+state at all).  Same grids, same churn schedules, same floats —
+asserted bitwise: the fabrics ship byte-exact slices through the very
+same kernels in the same reduction order — across worker counts that
+do and don't divide the grid evenly, before and after mid-run churn
+batches, and across the shared-buffer re-allocation (regrow →
+re-attach / re-snapshot) path.
 The socket cases double as the fast-lane multi-host smoke: nothing in
 the worker protocol assumes a shared machine.
 """
@@ -29,8 +29,6 @@ from repro.topology import TwoTierClos
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="process backend needs the fork start method")
-
-RTOL = 1e-9
 
 
 def clos_for_blocks(n_blocks, racks_per_block=2, hosts_per_rack=4):
@@ -103,13 +101,10 @@ class TestCrossBackendEquivalence:
                                 n_workers=n_workers,
                                 fabric=fabric) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 15)
-            assert r_proc.keys() == r_sim.keys()
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(r_sim[flow_id], rel=RTOL)
-            np.testing.assert_allclose(p_proc, p_sim, rtol=RTOL)
+            assert r_proc == r_sim
+            np.testing.assert_array_equal(p_proc, p_sim)
             expected = single_core_rates(engine)
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(expected[flow_id], rel=RTOL)
+            assert r_proc == expected
 
     @pytest.mark.parametrize("n_blocks,n_workers,seed,fabric", [
         (2, 2, 1, "shm"),
@@ -128,10 +123,8 @@ class TestCrossBackendEquivalence:
                                 n_workers=n_workers,
                                 fabric=fabric) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 4)
-            assert r_proc.keys() == r_sim.keys()
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(r_sim[flow_id], rel=RTOL)
-            np.testing.assert_allclose(p_proc, p_sim, rtol=RTOL)
+            assert r_proc == r_sim
+            np.testing.assert_array_equal(p_proc, p_sim)
 
     @pytest.mark.parametrize("fabric", ["shm", "socket"])
     def test_refresh_capacity_stays_equivalent(self, fabric):
@@ -151,12 +144,9 @@ class TestCrossBackendEquivalence:
                 target.refresh_capacity()
                 target.iterate(5)
             r_sim, r_proc = simulated.rates(), engine.rates()
-            assert r_proc.keys() == r_sim.keys()
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(r_sim[flow_id], rel=RTOL)
-            np.testing.assert_allclose(engine.global_prices(),
-                                       simulated.global_prices(),
-                                       rtol=RTOL)
+            assert r_proc == r_sim
+            np.testing.assert_array_equal(engine.global_prices(),
+                                          simulated.global_prices())
 
     @pytest.mark.parametrize("fabric", ["shm", "socket"])
     def test_dead_worker_raises_instead_of_hanging(self, fabric):
@@ -199,8 +189,7 @@ class TestCrossBackendEquivalence:
                        for p in engine.processors.values()) \
                 > initial_capacity
             expected = single_core_rates(engine)
-            for flow_id, rate in engine.rates().items():
-                assert rate == pytest.approx(expected[flow_id], rel=RTOL)
+            assert engine.rates() == expected
 
     def test_small_socket_buffers_cannot_deadlock_a_step(self):
         """The socket-fabric deadlock regression: ``SO_SNDBUF`` /
@@ -208,7 +197,7 @@ class TestCrossBackendEquivalence:
         a 16-block grid.  The sendall-first protocol this repo used to
         ship wedges here — each worker blocked writing before reading
         anything — so completion itself is the assertion, plus the
-        usual 1e-9 equivalence to the simulated engine through mid-run
+        usual bitwise equivalence to the simulated engine through mid-run
         churn."""
         sockbuf = 2048
         # One direction's in-flight bytes are bounded by the sender's
@@ -243,10 +232,8 @@ class TestCrossBackendEquivalence:
             assert worst * 2 * links * 8 > 1.5 * in_flight, \
                 "test premise broken: step traffic fits the buffers"
             r_proc, p_proc = run_schedule(engine, batches, 3)
-            assert r_proc.keys() == r_sim.keys()
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(r_sim[flow_id], rel=RTOL)
-            np.testing.assert_allclose(p_proc, p_sim, rtol=RTOL)
+            assert r_proc == r_sim
+            np.testing.assert_array_equal(p_proc, p_sim)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n_workers,fabric", [
@@ -263,13 +250,10 @@ class TestCrossBackendEquivalence:
                                 n_workers=n_workers,
                                 fabric=fabric) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 3)
-            assert r_proc.keys() == r_sim.keys()
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(r_sim[flow_id], rel=RTOL)
-            np.testing.assert_allclose(p_proc, p_sim, rtol=RTOL)
+            assert r_proc == r_sim
+            np.testing.assert_array_equal(p_proc, p_sim)
             expected = single_core_rates(engine)
-            for flow_id, rate in r_proc.items():
-                assert rate == pytest.approx(expected[flow_id], rel=RTOL)
+            assert r_proc == expected
 
 
 class TestProcessBackendMechanics:
@@ -365,9 +349,7 @@ class TestEngineApplyChurn:
         batched.iterate(5)
         sequential.iterate(5)
         r_batched, r_sequential = batched.rates(), sequential.rates()
-        assert r_batched.keys() == r_sequential.keys()
-        for flow_id, rate in r_batched.items():
-            assert rate == pytest.approx(r_sequential[flow_id], rel=RTOL)
+        assert r_batched == r_sequential
 
     def test_restart_id_in_both_lists(self):
         topology = clos_for_blocks(2)

@@ -7,7 +7,7 @@ contracts at lint time, before any test runs:
 ``FL-DET``
     Determinism of the kernel hot path: no order-unstable reductions
     (``np.add.reduceat``), no float accumulation driven by set
-    iteration, no ``bincount`` scatters bypassing the tier dispatcher.
+    iteration, no ``bincount`` scatters bypassing the kernel module.
 ``FL-LIFE``
     Resource lifecycle: classes that construct sockets, shared memory,
     threads, or child processes must carry the repo's close/context-

@@ -62,7 +62,7 @@ class Module:
         return tuple(self.rel.split("/"))
 
     def in_pkg(self, *suffixes: str) -> bool:
-        """True when any ``suffix`` ("repro/core/kernels") appears as a
+        """True when any ``suffix`` ("repro/core/kernels.py") appears as a
         contiguous run of this module's path parts."""
         parts = self.parts
         for suffix in suffixes:

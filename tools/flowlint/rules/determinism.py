@@ -1,10 +1,9 @@
 """FL-DET — determinism of the kernel hot path.
 
-The bitwise-equality contract (numpy == threads == compiled, any
-thread count, any machine) rests on the canonical chunked reduction in
-``repro/core/kernels/_base.py``: accumulation order must depend only
-on ``n`` and ``BLOCK_ROWS``.  These rules flag the constructs that
-silently break that:
+The bitwise-equality contract (every backend, any machine) rests on
+the canonical chunked reduction in ``repro/core/kernels.py``:
+accumulation order must depend only on ``n`` and ``BLOCK_ROWS``.
+These rules flag the constructs that silently break that:
 
 FL-DET001
     ``np.add.reduceat`` / ``ufunc.at`` reductions — their accumulation
@@ -14,8 +13,8 @@ FL-DET002
     with hash seeding and insertion history, so ``sum`` over a set of
     floats is run-to-run unstable.
 FL-DET003
-    ``np.bincount`` scatters outside ``repro/core/kernels/`` — every
-    hot-path scatter must go through the tier dispatcher so all tiers
+    ``np.bincount`` scatters outside ``repro/core/kernels.py`` — every
+    hot-path scatter must go through the kernel module so all callers
     replay the same canonical chunk fold.
 """
 
@@ -29,11 +28,11 @@ from ._util import call_name
 RULES = {
     "FL-DET001": "order-unstable ufunc reduction (reduceat / ufunc.at)",
     "FL-DET002": "set iteration feeding float accumulation",
-    "FL-DET003": "bincount scatter bypassing the kernel tier dispatcher",
+    "FL-DET003": "bincount scatter bypassing the kernel module",
 }
 
 _SCOPE = ("repro/core",)
-_KERNEL_PKG = "repro/core/kernels"
+_KERNEL_MODULE = "repro/core/kernels.py"
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -68,28 +67,29 @@ def check(project: Project) -> list[Diagnostic]:
 
 def _check_module(module: Module) -> list[Diagnostic]:
     diags = []
-    in_kernels = module.in_pkg(_KERNEL_PKG)
+    in_kernels = module.in_pkg(_KERNEL_MODULE)
     for node in ast.walk(module.tree):
         # FL-DET001 — reduceat / ufunc.at anywhere under core.
         if isinstance(node, ast.Attribute) and node.attr == "reduceat":
             diags.append(Diagnostic(
                 "FL-DET001", module.rel, node.lineno,
                 "reduceat accumulation order is not the canonical chunk "
-                "fold; use the tier dispatcher's scatter kernels"))
+                "fold; use the repro.core.kernels scatter kernels"))
         if isinstance(node, ast.Call):
             name = call_name(node) or ""
             if name.endswith("add.at") or name.endswith("subtract.at"):
                 diags.append(Diagnostic(
                     "FL-DET001", module.rel, node.lineno,
                     f"in-place ufunc scatter `{name}` has unspecified "
-                    "accumulation order; use the tier dispatcher"))
-            # FL-DET003 — bincount outside the kernels package.
+                    "accumulation order; use repro.core.kernels"))
+            # FL-DET003 — bincount outside the kernel module.
             if not in_kernels and (name == "bincount"
                                    or name.endswith(".bincount")):
                 diags.append(Diagnostic(
                     "FL-DET003", module.rel, node.lineno,
-                    "bincount scatter outside repro/core/kernels/ "
-                    "bypasses the tier dispatcher (bitwise contract)"))
+                    "bincount scatter outside repro/core/kernels.py "
+                    "bypasses the canonical chunk fold (bitwise "
+                    "contract)"))
             # FL-DET002 (sum form) — sum() over a set expression.
             if name == "sum" and node.args and _is_set_expr(node.args[0]):
                 diags.append(Diagnostic(
