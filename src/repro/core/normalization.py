@@ -75,8 +75,10 @@ def f_norm(table: FlowTable, rates: npt.ArrayLike,
     if len(rates) == 0:
         return rates.copy()
     ratios = link_ratios(table, rates, link_load=link_load)
+    # The table's reusable reduction buffer: clamp it in place, and
+    # return a fresh array (callers keep the result past the next call).
     per_flow_worst = table.max_link_value(ratios)
-    per_flow_worst = np.maximum(per_flow_worst, _EPSILON)
+    np.maximum(per_flow_worst, _EPSILON, out=per_flow_worst)
     if not allow_scale_up:
         np.maximum(per_flow_worst, 1.0, out=per_flow_worst)
     return rates / per_flow_worst

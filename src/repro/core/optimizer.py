@@ -60,9 +60,13 @@ class PriceOptimizer:
         #: Hessian astronomically steep while G stays bounded, and
         #: Newton steps stall.
         self.cap_rates = bool(cap_rates)
-        self._cap_cache_version = -1
-        self._cap_cache = None
-        self._price_at_cap_cache = None
+        # U'(cap) per flow, NaN until computed.  A flow's bottleneck
+        # and weight never change while it lives and the table carries
+        # column entries through swap-removes, so only rows new since
+        # the last call are evaluated; a capacity refresh voids all.
+        self._price_at_cap = table.add_column(default=np.nan)
+        self._caps_version = -1
+        self._caps_capacity_version = table.capacity_version
         # Within one (rate + price) iteration the prices don't change
         # between the Equation-3 rate update and the Equation-4 price
         # update, so the per-flow price sums are computed once and
@@ -75,22 +79,28 @@ class PriceOptimizer:
         # same rates (see link_load_for).
         self._load_memo = None
 
-    def _rate_caps(self):
-        if self._cap_cache_version != self.table.version:
-            self._cap_cache = self.table.bottleneck_capacity()
-            self._price_at_cap_cache = self.utility.inverse_rate(
-                self._cap_cache, self.table.weights)
-            self._cap_cache_version = self.table.version
-        return self._cap_cache
+    def _cap_prices(self):
+        """Per-flow price sum at which Equation 3 hits the flow's cap."""
+        table = self.table
+        price_at_cap = self._price_at_cap.data
+        if self._caps_version != table.version:
+            if self._caps_capacity_version != table.capacity_version:
+                price_at_cap[:] = np.nan
+                self._caps_capacity_version = table.capacity_version
+            new = np.flatnonzero(np.isnan(price_at_cap))
+            if len(new):
+                price_at_cap[new] = self.utility.inverse_rate(
+                    table.bottleneck_capacity()[new], table.weights[new])
+            self._caps_version = table.version
+        return price_at_cap
 
     def refresh_capacity(self):
         """Re-read link capacities after an external change (§7).
 
         Subclasses with capacity-derived state (NED's idle prices)
-        extend this; the base invalidates the per-flow cap cache and
-        the table's incremental bottleneck-capacity column.
+        extend this; the base refreshes the table, whose
+        ``capacity_version`` voids the per-flow cap prices here.
         """
-        self._cap_cache_version = -1
         self.table.refresh_capacity()
 
     def effective_price_sums(self, prices=None):
@@ -108,8 +118,7 @@ class PriceOptimizer:
             prices = self.prices
         rho = self.table.price_sums(prices)
         if self.cap_rates and len(rho):
-            self._rate_caps()  # refresh cache
-            rho = np.maximum(rho, self._price_at_cap_cache)
+            np.maximum(rho, self._cap_prices(), out=rho)
         if use_memo:
             self._rho_memo = rho
         return rho

@@ -46,6 +46,14 @@ def _f64(values: Any) -> FloatArray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _clamped(price_sum: ArrayOrFloat, weight: ArrayOrFloat) -> FloatArray:
+    """``max(price_sum, MIN_PRICE_SUM)`` in a fresh float64 array of the
+    result's broadcast shape: the one buffer the hot-path methods then
+    finish in place (0-d for scalar operands, as before)."""
+    out = np.empty(np.broadcast(price_sum, weight).shape)
+    return np.maximum(price_sum, MIN_PRICE_SUM, out=out)
+
+
 class Utility:
     """Base class for NUM utility functions.
 
@@ -96,13 +104,17 @@ class LogUtility(Utility):
 
     def rate(self, price_sum: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
              ) -> FloatArray:
-        rho = np.maximum(_f64(price_sum), MIN_PRICE_SUM)
-        return _f64(weight / rho)
+        rho = _clamped(price_sum, weight)
+        return np.divide(weight, rho, out=rho)
 
     def rate_derivative(self, price_sum: ArrayOrFloat,
                         weight: ArrayOrFloat = 1.0) -> FloatArray:
-        rho = np.maximum(_f64(price_sum), MIN_PRICE_SUM)
-        return _f64(-weight / (rho * rho))
+        # -w / rho**2 on one buffer; -(w / d) and (-w) / d are the
+        # same float (rounding is sign-symmetric).
+        rho = _clamped(price_sum, weight)
+        np.multiply(rho, rho, out=rho)
+        np.divide(weight, rho, out=rho)
+        return np.negative(rho, out=rho)
 
     def inverse_rate(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
                      ) -> FloatArray:

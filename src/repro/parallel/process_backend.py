@@ -104,9 +104,8 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     ``link_totals2`` — the same version-cached uniform-slot CSR view
     (slack slots carry the pad link, bitwise-neutral in every kernel)
     through the same :mod:`repro.core.kernels` functions, so the
-    floats come out identical *and* the steady-state allocation
-    profile matches the single-core kernels (only the small reduction
-    outputs are allocated per iteration).  The cell's CSR cache is
+    floats come out identical (the kernels carry no scratch state, so
+    a worker holds none for them either).  The cell's CSR cache is
     rebuilt whole whenever the published version moves (cells are
     1/n_procs of the population; the parent-side tables do the finer
     incremental maintenance).
@@ -133,13 +132,9 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
         plan.csr_version = version
     indices = plan.csr_indices
     width = plan.csr_width
-    nnz = len(indices)
-    gather = consts["gather"]
-    if len(gather) < nnz:
-        gather = consts["gather"] = np.empty(max(nnz, 2 * len(gather)))
     scratch[:n_links] = fabric.prices[plan.row]
     scratch[n_links] = 0.0  # pad link: price zero
-    rho = kernels.price_sums(scratch, indices, n, width, gather)
+    rho = kernels.price_sums(scratch, indices, n, width)
     if plan.floor_version != version:
         plan.floor = utility.inverse_rate(plan.bottleneck[:n], weights)
         plan.floor_version = version
@@ -147,7 +142,7 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     rates = utility.rate(rho, weights)
     derivative = utility.rate_derivative(rho, weights)
     totals_load, totals_hessian = kernels.link_totals2(
-        rates, derivative, indices, n, width, n_links + 1, gather)
+        rates, derivative, indices, n, width, n_links + 1)
     load_row[:] = totals_load[:-1]
     hessian_row[:] = totals_hessian[:-1]
 
@@ -197,7 +192,6 @@ def _one_iteration(plans, fabric, consts):
 def worker_loop(endpoint, plans, consts):
     """Command loop of one worker process (any fabric)."""
     consts["scratch"] = np.empty(consts["n_links"] + 1, dtype=np.float64)
-    consts["gather"] = np.empty(0, dtype=np.float64)
     try:
         while True:
             message = endpoint.recv_command()

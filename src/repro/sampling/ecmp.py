@@ -32,11 +32,11 @@ elephants:
   to their path bottleneck.  Mice are latency-bound, not rate-bound
   (RepFlow's argument), so a slightly stale share costs them little.
 
-Results are :class:`_LazySlotResult`: the per-flow notification list
-(``updates``) is materialized O(changed) at iterate time, while the
-full id/rate vectors are gathered only if someone reads them — like
-the base class they are live views, to be consumed before further
-churn.
+Results are :class:`_LazySlotResult`: the notifications
+(``update_arrays`` / ``updates``) are gathered O(changed), while the
+full id and rate vectors are gathered only if someone reads them, each
+on its own — like the base class they are live views, to be consumed
+before further churn.
 
 Path assignment itself lives in :class:`EcmpAssigner`: a stable hash
 onto the candidate path list the Clos topologies expose
@@ -54,7 +54,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from ..core.allocator import (AllocationResult, RateUpdate, _NO_UPDATES,
+from ..core.allocator import (AllocationResult, _NO_UPDATES,
                               threshold_update_mask)
 from ..core.kernels import max_link_value
 from ..core.network import LinkSet
@@ -75,15 +75,17 @@ _W_REBUILD_EVERY = 256
 class _LazySlotResult(AllocationResult):
     """Slot-store allocation result with O(changed) notifications.
 
-    ``updates`` is built from the update slots captured at iterate
-    time; the full ``rate_vector`` / id column are gathered from the
-    store only on first access (``__getattr__`` fires exactly when the
-    base-class slot is still unset).  Like the base class these lazy
-    views snapshot the store at first access: consume the result
-    before applying further churn.
+    ``update_arrays`` reads the update slots captured at iterate time
+    straight from the store; the dense ``rate_vector`` /
+    ``update_indices`` / id column are each gathered only on first
+    access (``__getattr__`` fires exactly when the base-class slot is
+    still unset), so a reader of the rates never pays for the 100k
+    object-pointer id gather.  Like the base class these lazy views
+    snapshot the store at first access: consume the result before
+    applying further churn.
     """
 
-    __slots__ = ("_store", "_update_slots", "_update_mask")
+    __slots__ = ("_store", "_update_slots", "_update_mask", "_active")
 
     def __init__(self, store: "EcmpScheduler",
                  update_slots: npt.NDArray[np.intp] | None,
@@ -94,6 +96,7 @@ class _LazySlotResult(AllocationResult):
         # is the expensive part); the slot list is derived on demand.
         self._update_slots = update_slots
         self._update_mask = update_mask
+        self._active: npt.NDArray[np.intp] | None = None
         self._updates = None
         self._rates_dict = None
         self._flow_ids = None
@@ -106,25 +109,27 @@ class _LazySlotResult(AllocationResult):
 
     def __getattr__(self, name: str) -> Any:
         # Only ever reached for the three lazily-gathered base slots
-        # (set once here, so each materializes at most once).
-        if name in ("_ids", "rate_vector", "update_indices"):
-            ids, rates, update_idx = self._store._materialize(self._slots())
-            self._ids = ids
-            self.rate_vector = rates
-            self.update_indices = update_idx
-            return getattr(self, name)
-        raise AttributeError(name)
+        # (each set once here, so each materializes at most once).
+        store = self._store
+        active = self._active
+        if active is None:
+            active = self._active = np.flatnonzero(store._active)
+        if name == "_ids":
+            value = store._ids[active]
+        elif name == "rate_vector":
+            value = store._slot_rates[active]
+        elif name == "update_indices":
+            value = np.searchsorted(active, self._slots())
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
-    @property
-    def updates(self) -> list[RateUpdate]:
-        if self._updates is None:
-            store = self._store
-            slots = self._slots()
-            self._updates = [
-                RateUpdate(flow_id, rate) for flow_id, rate in
-                zip(store._ids[slots].tolist(),
-                    store._last[slots].tolist())]
-        return self._updates
+    def update_arrays(self) -> tuple[npt.NDArray[Any], FloatArray]:
+        # A notified flow's rate is its ``last`` entry by construction.
+        store = self._store
+        slots = self._slots()
+        return store._ids[slots], store._last[slots]
 
 
 class EcmpScheduler:
@@ -221,9 +226,8 @@ class EcmpScheduler:
         self._ratio_padded: FloatArray = np.full(links.n_links + 1, -np.inf)
         self._refreshed = False
         self._slot_rates: FloatArray = self._last
-        # Refresh scratch, sized with the store: the flow-major gather
-        # buffer and per-row output the max kernel writes into.
-        self._gather_buf: FloatArray = np.empty(cap * 1)
+        # Refresh scratch, sized with the store: the per-row output
+        # the max kernel writes into.
         self._worst: FloatArray = np.empty(cap)
         self._iterates = 0
         self._churn_batches = 0
@@ -406,7 +410,6 @@ class EcmpScheduler:
         mat[:, : self._width] = self._mat
         self._mat = mat
         self._width = width
-        self._gather_buf = np.empty(self._cap * width)
 
     def _grow(self, need: int) -> None:
         new_cap = max(2 * self._cap, need)
@@ -424,7 +427,6 @@ class EcmpScheduler:
         self._ids = ids
         self._free.extend(range(new_cap - 1, self._cap - 1, -1))
         self._cap = new_cap
-        self._gather_buf = np.empty(new_cap * self._width)
         self._worst = np.empty(new_cap)
 
     def _rebuild_w(self) -> None:
@@ -475,7 +477,7 @@ class EcmpScheduler:
             worst = self._worst[:top]
             max_link_value(
                 self._ratio_padded, self._mat.reshape(-1), top,
-                self._width, self._gather_buf, worst)
+                self._width, worst)
             np.maximum(worst, _EPSILON, out=worst)
             rates = self._w[:top] / worst
             changed = threshold_update_mask(
@@ -507,17 +509,6 @@ class EcmpScheduler:
             self._slot_rates = self._last
         self._new_slots.clear()
         return _LazySlotResult(self, update_slots)
-
-    def _materialize(self, update_slots: npt.NDArray[np.intp],
-                     ) -> tuple[npt.NDArray[Any], FloatArray,
-                                npt.NDArray[np.intp]]:
-        """Gather the store into dense (ids, rates, update_indices) —
-        the O(n) tail the lazy result defers until someone reads it."""
-        active = np.flatnonzero(self._active)
-        ids = self._ids[active]
-        rates = self._slot_rates[active]
-        update_idx = np.searchsorted(active, update_slots)
-        return ids, rates, update_idx
 
     def current_rates(self) -> dict[Any, float]:
         """Latest *notified* rate per flow (what endpoints believe)."""

@@ -27,8 +27,8 @@ Composition rules:
 * Results merge priced-first: ``rate_vector[:n_priced]`` aligns with
   the priced table, the rest with the mice store, and both halves run
   the identical §6.4 threshold filter.  The merge is lazy — the
-  notification list concatenates O(changed), the full vectors are
-  stitched only if read.
+  notifications concatenate O(changed), each full vector is stitched
+  only if read.
 * The two stores *are* the membership record: a flow is active iff it
   sits in exactly one of them, and every churn path purges its
   detector counters (:meth:`ElephantDetector.forget_many`), so
@@ -49,8 +49,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from ..core.allocator import (AllocationResult, FlowtuneAllocator,
-                              RateUpdate)
+from ..core.allocator import AllocationResult, FlowtuneAllocator
 from ..core.ned import NedOptimizer
 from ..core.network import LinkSet
 from ..core.normalization import Normalizer
@@ -70,12 +69,13 @@ _MIN_PRICED_FRACTION = 0.01
 class _MergedResult(AllocationResult):
     """Priced-first concatenation of the two halves' results.
 
-    ``updates`` is the O(changed) concatenation of both halves'
-    notification lists; the dense id/rate vectors are stitched only on
-    first access (``__getattr__`` fires exactly when the base-class
-    slot is still unset).  Lazy views snapshot the halves at first
-    access — consume the result before applying further churn, as
-    every driver in this repo does within its tick.
+    ``update_arrays`` is the O(changed) concatenation of both halves'
+    notifications; the dense id column, ``rate_vector`` and
+    ``update_indices`` are each stitched only on first access
+    (``__getattr__`` fires exactly when the base-class slot is still
+    unset).  Lazy views snapshot the halves at first access — consume
+    the result before applying further churn, as every driver in this
+    repo does within its tick.
     """
 
     __slots__ = ("_priced", "_mice")
@@ -89,25 +89,24 @@ class _MergedResult(AllocationResult):
         self._flow_ids = None
 
     def __getattr__(self, name: str) -> Any:
-        if name in ("_ids", "rate_vector", "update_indices"):
-            priced, mice = self._priced, self._mice
-            priced_rates = np.asarray(priced.rate_vector, dtype=np.float64)
-            n_priced = len(priced_rates)
-            self._ids = np.concatenate(
-                (np.asarray(priced._ids, dtype=object), mice._ids))
-            self.rate_vector = np.concatenate(
-                (priced_rates,
-                 np.asarray(mice.rate_vector, dtype=np.float64)))
-            self.update_indices = np.concatenate(
-                (priced.update_indices, mice.update_indices + n_priced))
-            return getattr(self, name)
-        raise AttributeError(name)
+        # Each of the three base slots is stitched (and set) on its own.
+        if name not in ("_ids", "rate_vector", "update_indices"):
+            raise AttributeError(name)
+        head = getattr(self._priced, name)
+        tail = getattr(self._mice, name)
+        if name == "update_indices":
+            tail = tail + len(self._priced.rate_vector)
+        elif name == "rate_vector":
+            head = np.asarray(head, dtype=np.float64)
+        value = np.concatenate((head, tail))
+        setattr(self, name, value)
+        return value
 
-    @property
-    def updates(self) -> list[RateUpdate]:
-        if self._updates is None:
-            self._updates = self._priced.updates + self._mice.updates
-        return self._updates
+    def update_arrays(self) -> tuple[npt.NDArray[Any], FloatArray]:
+        priced_ids, priced_rates = self._priced.update_arrays()
+        mice_ids, mice_rates = self._mice.update_arrays()
+        return (np.concatenate((priced_ids, mice_ids)),
+                np.concatenate((priced_rates, mice_rates)))
 
 
 class SampledAllocator:

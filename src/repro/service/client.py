@@ -405,11 +405,11 @@ class FlowtuneClient:
                     f"rate-update sequence skew: frame chains on "
                     f"{base_seq}, last applied is {self._last_seq}")
             self._last_seq = self._applied_seq = seq
-            for fid, rate in zip(fids.tolist(), rates.tolist()):
-                self._rates[fid] = rate
-                if fid in self._journal_live:
-                    self._acked.add(fid)
-                updates.append((fid, rate))
+            fid_list = fids.tolist()
+            pairs = list(zip(fid_list, rates.tolist()))
+            self._rates.update(pairs)
+            self._acked.update(self._journal_live.keys() & fid_list)
+            updates.extend(pairs)
         elif kind == wire.SNAPSHOT:
             seq, fids, rates = body
             self._last_seq = self._applied_seq = seq

@@ -61,6 +61,8 @@ from collections import deque
 from collections.abc import Sequence
 from typing import Any
 
+import numpy as np
+
 from ..core.allocator import ChurnQueue
 from ..sampling import make_scheduler
 from ..parallel.fabric import _TOKEN_LEN
@@ -883,27 +885,29 @@ class FlowtuneService:
     def _push_updates(self, result, skip=()):
         """Group threshold-crossing updates per client and send each
         client one delta frame chained on its session's sequence
-        number.  ``skip`` clients get a SNAPSHOT this cycle instead."""
-        per_client = {}
-        for (client_id, fid), rate in result.updates:
-            per_client.setdefault(client_id, ([], []))
-            per_client[client_id][0].append(fid)
-            per_client[client_id][1].append(rate)
-        if not per_client:
+        number.  ``skip`` clients get a SNAPSHOT this cycle instead.
+
+        Works on the result's ``(ids, rates)`` arrays: a stable sort on
+        the client half of the ``(client_id, fid)`` ids makes each
+        client's updates one slice, in their original order."""
+        ids, rates = result.update_arrays()
+        if not len(ids):
             return
-        by_id = {c.session.client_id: c for c in self._clients.values()
-                 if c.helloed and c.session is not None}
-        for client_id, (fids, rates) in per_client.items():
-            client = by_id.get(client_id)
+        keys = np.array(ids.tolist(), dtype=np.uint64)
+        order = np.argsort(keys[:, 0], kind="stable")
+        owners, fids, rates = keys[order, 0], keys[order, 1], rates[order]
+        cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(owners)]):
+            session = self._sessions.get(int(owners[lo]))
+            client = session.client if session is not None else None
             if client is None or client in skip:
                 continue
-            session = client.session
             base = session.seq
             session.seq = base + 1
             self.stats["paper_bytes_out"] += wire.paper_wire_bytes(
-                wire.RATES, len(fids))
+                wire.RATES, hi - lo)
             self._send(client, wire.encode_rates(base, session.seq,
-                                                 fids, rates))
+                                                 fids[lo:hi], rates[lo:hi]))
 
     def _send_snapshot(self, client, rates):
         session = client.session

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (FlowtuneAllocator, GradientOptimizer, LinkSet,
-                        NullNormalizer, UNormalizer)
+                        NullNormalizer, UNormalizer, threshold_update_mask)
 
 
 def make_allocator(**kwargs):
@@ -111,6 +111,54 @@ class TestThreshold:
         allocator.flowlet_start("b", [0])
         result = allocator.iterate(1)
         assert {u.flow_id for u in result.updates} == {"a", "b"}
+
+
+def reference_update_mask(rate_vec, last, pending, threshold):
+    """The §6.4 filter spelled term by term (the form the vectorized
+    mask replaced); same in-place effects on ``last`` / ``pending``."""
+    is_new = np.isnan(last) | pending
+    went_positive = (last <= 0.0) & (rate_vec > 0.0)
+    moved = np.abs(rate_vec - last) > threshold * last
+    changed = is_new | went_positive | ((last > 0.0) & moved)
+    np.copyto(last, rate_vec, where=changed)
+    pending[changed] = False
+    return changed
+
+
+class TestThresholdMaskReference:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("block", [16384, 7])
+    def test_mask_and_side_effects_equal_the_reference(
+            self, seed, threshold, block, monkeypatch):
+        # The mask walks the kernels' row-chunk grid; 7 makes 400 rows
+        # span many chunks with a ragged tail.
+        monkeypatch.setattr("repro.core.kernels.BLOCK_ROWS", block)
+        rng = np.random.default_rng(seed)
+        n = 400
+        special = np.array([np.nan, 0.0, -0.0, -1.5, 1e-300])
+        last = np.where(rng.random(n) < 0.3, rng.choice(special, n),
+                        rng.random(n) * 10)
+        nudge = 1 + threshold * rng.choice([0.0, 0.5, 1.0, 1.5, -1.5], n)
+        rates = np.where(rng.random(n) < 0.2,
+                         rng.choice([0.0, -2.0, 3.0], n),
+                         np.nan_to_num(last) * nudge)
+        pending = rng.random(n) < 0.1
+        want_last, want_pending = last.copy(), pending.copy()
+        want = reference_update_mask(rates, want_last, want_pending,
+                                     threshold)
+        got = threshold_update_mask(rates, last, pending, threshold)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(last, want_last)
+        np.testing.assert_array_equal(pending, want_pending)
+
+    def test_quiet_call_leaves_columns_untouched(self):
+        last = np.array([1.0, 2.0, 0.0])
+        pending = np.zeros(3, dtype=bool)
+        changed = threshold_update_mask(np.array([1.005, 1.99, 0.0]),
+                                        last, pending, 0.01)
+        assert not changed.any()
+        assert last.tolist() == [1.0, 2.0, 0.0]
 
 
 class TestNotificationEdgeCases:

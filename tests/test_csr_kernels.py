@@ -242,17 +242,16 @@ class TestMultiChunkBitwise:
         padded = np.append(rng.random(n_links), 0.0)
         values_a = rng.random(n)
         values_b = rng.random(n)
-        buf = np.empty(n * width)
-        return indices, padded, values_a, values_b, buf, n, width, n_links
+        return indices, padded, values_a, values_b, n, width, n_links
 
     def test_all_kernels_match_chunked_reference(self):
-        indices, padded, va, vb, buf, n, width, n_links = self.case()
+        indices, padded, va, vb, n, width, n_links = self.case()
         gathered = padded[indices.reshape(n, width)]
         np.testing.assert_array_equal(
-            kernels.price_sums(padded, indices, n, width, buf),
+            kernels.price_sums(padded, indices, n, width),
             ref_fold_rows(np.add, gathered))
         np.testing.assert_array_equal(
-            kernels.max_link_value(padded, indices, n, width, buf,
+            kernels.max_link_value(padded, indices, n, width,
                                    np.empty(n)),
             ref_fold_rows(np.maximum, gathered))
         want_a = ref_chunked_totals(va, indices, n, width, n_links + 1,
@@ -260,10 +259,10 @@ class TestMultiChunkBitwise:
         want_b = ref_chunked_totals(vb, indices, n, width, n_links + 1,
                                     self.BLOCK)
         np.testing.assert_array_equal(
-            kernels.link_totals(va, indices, n, width, n_links + 1, buf),
+            kernels.link_totals(va, indices, n, width, n_links + 1),
             want_a)
         got_a, got_b = kernels.link_totals2(va, vb, indices, n, width,
-                                            n_links + 1, buf)
+                                            n_links + 1)
         np.testing.assert_array_equal(got_a, want_a)
         np.testing.assert_array_equal(got_b, want_b)
         # The chunk grid is load-bearing: a single whole-table bincount
@@ -276,10 +275,37 @@ class TestMultiChunkBitwise:
         n, width, n_links = 200, 4, 32
         rows = rng.integers(0, n_links + 1, size=(n, width))
         padded = np.append(rng.random(n_links), np.inf)
-        got = kernels.min_link_value(padded, rows, np.empty((n, width)),
-                                     np.empty(n))
+        got = kernels.min_link_value(padded, rows, np.empty(n))
         np.testing.assert_array_equal(
             got, ref_fold_rows(np.minimum, padded[rows]))
+
+    @pytest.mark.parametrize("bad", [65, 10**6, -66])
+    def test_gathers_reject_an_out_of_range_slot(self, bad):
+        """Every chunk's gather is bounds-checked: a slot index past
+        the pad entry (or below ``-len``) raises, never reads."""
+        indices, padded, _, _, n, width, n_links = self.case()
+        assert len(padded) == n_links + 1 == 65
+        indices[n * width - 2] = bad   # in the last chunk
+        with pytest.raises(IndexError):
+            kernels.price_sums(padded, indices, n, width)
+        with pytest.raises(IndexError):
+            kernels.max_link_value(padded, indices, n, width, np.empty(n))
+        with pytest.raises(IndexError):
+            kernels.min_link_value(padded, indices.reshape(n, width),
+                                   np.empty(n))
+
+    def test_one_slot_per_row(self):
+        """Width 1 (a fresh ECMP store, single-hop tables): the fold
+        has no second column to start from."""
+        indices, padded, va, _, n, _, n_links = self.case(width=1)
+        np.testing.assert_array_equal(
+            kernels.price_sums(padded, indices, n, 1), padded[indices])
+        np.testing.assert_array_equal(
+            kernels.max_link_value(padded, indices, n, 1, np.empty(n)),
+            padded[indices])
+        np.testing.assert_array_equal(
+            kernels.link_totals(va, indices, n, 1, n_links + 1),
+            ref_chunked_totals(va, indices, n, 1, n_links + 1, self.BLOCK))
 
     def test_kernels_start_no_thread(self):
         """One path, on the calling thread: a multi-chunk table runs

@@ -205,3 +205,79 @@ class TestFgm:
         table = n_flows_one_link(3)
         opt = FgmOptimizer(table)
         assert np.all(opt._lipschitz_weights() > 0)
+
+
+class TestIncrementalCapPrices:
+    """The per-flow cap price ``U'(bottleneck)`` is evaluated only for
+    rows new since the last read; after any churn program it must be
+    exactly what a whole-table recompute gives."""
+
+    @staticmethod
+    def check(opt):
+        table = opt.table
+        # With all-zero prices the clamped price sums *are* the caps.
+        got = opt.effective_price_sums(np.zeros(table.links.n_links))
+        want = np.asarray(opt.utility.inverse_rate(
+            table.bottleneck_capacity(), table.weights))
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_full_recompute_after_every_step(self, data):
+        n_links = data.draw(st.integers(2, 8), label="n_links")
+        seed = data.draw(st.integers(0, 2**31), label="seed")
+        utility = data.draw(st.sampled_from(
+            [None, AlphaFairUtility(2.0)]), label="utility")
+        rng = np.random.default_rng(seed)
+        table = FlowTable(LinkSet(rng.random(n_links) * 10 + 0.1),
+                          max_route_len=4)
+        opt = NedOptimizer(table, utility=utility)
+
+        def start(flow_id):
+            return (flow_id, rng.integers(0, n_links, int(rng.integers(1, 5))),
+                    float(rng.random() * 3 + 0.1))
+
+        next_id = 0
+        ops = data.draw(st.lists(st.sampled_from(
+            ["batch", "restart", "remove_last", "remove", "refresh",
+             "table_refresh", "iterate", "grow"]), min_size=1, max_size=14),
+            label="ops")
+        for op in ["batch"] + ops:
+            alive = table.flow_ids()
+            if op == "batch":
+                k = int(rng.integers(1, 12))
+                ends = [fid for fid in alive if rng.random() < 0.3]
+                table.apply_churn(
+                    starts=[start(next_id + j) for j in range(k)], ends=ends)
+                next_id += k
+            elif op == "restart" and alive:
+                # a live id ended and started in one batch: new route,
+                # new weight, fresh column state
+                victim = alive[int(rng.integers(len(alive)))]
+                table.apply_churn(starts=[start(victim)], ends=[victim])
+            elif op == "remove_last" and alive:
+                table.remove_flow(alive[-1])   # no row moves into the hole
+            elif op == "remove" and alive:
+                table.remove_flow(alive[int(rng.integers(len(alive)))])
+            elif op == "refresh":
+                table.links.capacity[:] = rng.random(n_links) * 10 + 0.1
+                opt.refresh_capacity()
+            elif op == "table_refresh":
+                table.links.capacity[:] = rng.random(n_links) * 10 + 0.1
+                table.refresh_capacity()
+            elif op == "iterate":
+                opt.iterate(2)
+            elif op == "grow":
+                table.reserve(len(table._weights) + 1)
+            # Not after every step: several churn events must also be
+            # able to pile up between two reads.
+            if rng.random() < 0.7:
+                self.check(opt)
+        self.check(opt)
+
+    def test_solving_a_clone_leaves_the_live_table_alone(self):
+        table = n_flows_one_link(3)
+        columns = len(table._columns)
+        solve_to_optimal(table.clone(), tol=1e-6)
+        assert len(table._columns) == columns
+

@@ -194,6 +194,109 @@ class TestSchedulerProtocol:
                            optimizer_cls=NedOptimizer)
 
 
+def _slot_is_set(result, name):
+    """Whether a lazy result slot has materialized (hasattr would
+    trigger the materialization it is asking about)."""
+    try:
+        object.__getattribute__(result, name)
+    except AttributeError:
+        return False
+    return True
+
+
+def _churned(mode, tuple_ids=False):
+    """A scheduler of ``mode`` a few steps into a small churn program
+    (mixed priced/mice population in sampled mode)."""
+    name = (lambda i: ("c", i)) if tuple_ids else (lambda i: i)
+    kwargs = ({"promote_bytes": 100.0, "mice_refresh": 2}
+              if mode == "sampled" else {})
+    alloc = make_scheduler(make_links(), mode=mode, **kwargs)
+    alloc.apply_churn(starts=[(name(i), np.array([i % N_LINKS,
+                                                  (i + 1) % N_LINKS]))
+                              for i in range(12)])
+    alloc.report_usage(name(3), 1e6)
+    alloc.iterate(1)
+    alloc.apply_churn(ends=[name(0), name(7)],
+                      starts=[(name(20), np.array([2])),
+                              (name(21), np.array([4, 5]))])
+    return alloc
+
+
+class TestResultArrays:
+    """``update_arrays`` and the split lazy slots of the three result
+    classes."""
+
+    @pytest.mark.parametrize("mode", ["ecmp", "sampled"])
+    def test_rate_reads_do_not_build_the_id_column(self, mode):
+        result = _churned(mode).iterate(1)
+        twin = _churned(mode).iterate(1)
+        rates = result.rate_vector
+        picked = rates[result.update_indices]
+        assert not _slot_is_set(result, "_ids")
+        # The id-side views still render what they always did, whatever
+        # was read first (the twin reads them in the opposite order).
+        assert result.flow_ids == twin.flow_ids
+        assert result.updates == twin.updates
+        assert result.rates == twin.rates
+        np.testing.assert_array_equal(twin.rate_vector, rates)
+        np.testing.assert_array_equal(twin.update_indices,
+                                      result.update_indices)
+        assert result.rates == dict(zip(result.flow_ids, rates.tolist()))
+        assert result.updates == [
+            (result.flow_ids[i], rate) for i, rate in
+            zip(result.update_indices.tolist(), picked.tolist())]
+
+    @pytest.mark.parametrize("mode", ["ecmp", "sampled"])
+    def test_each_slot_materializes_once(self, mode):
+        result = _churned(mode).iterate(1)
+        for name in ("update_indices", "rate_vector", "_ids"):
+            assert not _slot_is_set(result, name)
+            first = getattr(result, name)
+            assert getattr(result, name) is first
+
+    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
+    @pytest.mark.parametrize("tuple_ids", [False, True])
+    def test_update_arrays_equal_updates(self, mode, tuple_ids):
+        alloc = _churned(mode, tuple_ids)
+        for _ in range(6):  # refresh and paced iterates, then quiet ones
+            result = alloc.iterate(1)
+            ids, rates = result.update_arrays()
+            assert ids.dtype == object and ids.ndim == 1
+            assert rates.dtype == np.float64
+            assert list(zip(ids.tolist(), rates.tolist())) == \
+                [(u.flow_id, u.rate) for u in result.updates]
+            assert len(ids) == len(result.update_indices)
+            np.testing.assert_array_equal(
+                rates, np.asarray(result.rate_vector)[result.update_indices])
+
+    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
+    def test_update_arrays_with_no_updates(self, mode):
+        alloc = _churned(mode)
+        for _ in range(200):
+            result = alloc.iterate(1)
+            if not len(result.update_indices):
+                break
+        ids, rates = result.update_arrays()
+        assert ids.shape == rates.shape == (0,)
+        assert result.updates == []
+        empty = make_scheduler(make_links(), mode=mode).iterate(1)
+        assert [len(part) for part in empty.update_arrays()] == [0, 0]
+
+    def test_update_arrays_over_list_backed_ids(self):
+        from repro.core.allocator import AllocationResult
+        result = AllocationResult(
+            flow_ids=[("a", 1), ("b", 2), ("c", 3)],
+            rate_vector=np.array([1.0, 2.0, 3.0]),
+            update_indices=np.array([2, 0]))
+        ids, rates = result.update_arrays()
+        assert ids.tolist() == [("c", 3), ("a", 1)]
+        assert rates.tolist() == [3.0, 1.0]
+        assert result.updates == [(("c", 3), 3.0), (("a", 1), 1.0)]
+        assert result.flow_ids == [("a", 1), ("b", 2), ("c", 3)]
+        assert result.rates == {("a", 1): 1.0, ("b", 2): 2.0,
+                                ("c", 3): 3.0}
+
+
 class TestEcmpAssigner:
     @pytest.mark.parametrize("topology", [
         TwoTierClos(n_racks=3, hosts_per_rack=4, n_spines=2),

@@ -8,6 +8,7 @@ pushes, the auth/validation/dead-client drop paths, and a real
 two-process run via ``python -m repro.service``.
 """
 
+import socket
 import struct
 import time
 
@@ -221,8 +222,9 @@ class TestChurnQueue:
 class TestServiceInProcess:
     def test_manual_mode_equals_in_process_allocator(self, topo):
         """The acceptance bar: same churn trace + same iterate counts
-        over the wire converge to the in-process rates within 1e-9
-        (they agree bitwise: both run the identical float pipeline)."""
+        over the wire converge to the in-process rates exactly (both
+        run the identical float pipeline, and the wire carries raw
+        float64)."""
         first, second_starts, second_ends = triangle_churn(topo)
         ref = FlowtuneAllocator(topo.link_set())
         with FlowtuneService(topo, mode="manual") as svc:
@@ -233,7 +235,7 @@ class TestServiceInProcess:
                 expected = ref.iterate(50).rates
                 assert snap.keys() == expected.keys()
                 for fid, rate in expected.items():
-                    assert abs(snap[fid] - rate) < 1e-9
+                    assert snap[fid] == rate
 
                 cli.apply_churn(starts=second_starts, ends=second_ends)
                 snap = cli.step(30)
@@ -241,7 +243,7 @@ class TestServiceInProcess:
                 expected = ref.iterate(30).rates
                 assert snap.keys() == expected.keys()
                 for fid, rate in expected.items():
-                    assert abs(snap[fid] - rate) < 1e-9
+                    assert snap[fid] == rate
 
     def test_auto_mode_pushes_rates(self, topo):
         with FlowtuneService(topo, mode="auto") as svc:
@@ -389,6 +391,96 @@ class TestServiceInProcess:
 # ----------------------------------------------------------------------
 # two-process (the deployment model, end to end)
 # ----------------------------------------------------------------------
+class TestPushUpdatesGrouping:
+    """``_push_updates`` on hand-built clients: the frames each client
+    gets are those of the per-update dict-of-lists grouping it
+    replaced, byte for byte."""
+
+    @staticmethod
+    def attach(svc, client_id, with_client=True):
+        from repro.service.server import _Client, _Session
+        session = _Session(client_id, nonce=0)
+        svc._sessions[client_id] = session
+        if not with_client:      # a session in its resume-grace window
+            return session, None
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        theirs.setblocking(False)
+        client = _Client(ours, None)
+        client.authed = client.helloed = True
+        client.session, session.client = session, client
+        svc._clients[ours] = client
+        return session, theirs
+
+    @staticmethod
+    def reference_frames(updates, seqs):
+        per_client = {}
+        for (client_id, fid), rate in updates:
+            per_client.setdefault(client_id, ([], []))
+            per_client[client_id][0].append(fid)
+            per_client[client_id][1].append(rate)
+        return {client_id: wire.encode_rates(seqs[client_id],
+                                             seqs[client_id] + 1,
+                                             fids, rates)
+                for client_id, (fids, rates) in per_client.items()}
+
+    @staticmethod
+    def received(sock):
+        try:
+            data = sock.recv(1 << 16)
+        except BlockingIOError:
+            return []
+        return [payload for _, payload in FrameBuffer().feed(data)]
+
+    def test_interleaved_clients_skip_and_drop(self, topo):
+        from repro.core.allocator import AllocationResult
+        rng = np.random.default_rng(5)
+        owners = rng.permutation(np.repeat([1, 2, 3, 4, 5], 7))
+        ids = [(int(owner), int(fid)) for owner, fid in
+               zip(owners, rng.integers(0, 2**63, len(owners)))]
+        ids[3] = (ids[3][0], 2**64 - 1)     # the wire's largest flow id
+        rates = rng.random(len(ids)) * 10
+        picked = rng.permutation(len(ids))[:28]
+        result = AllocationResult(flow_ids=ids, rate_vector=rates,
+                                  update_indices=picked)
+        svc = FlowtuneService(topo, mode="manual")
+        try:
+            sessions, peers = {}, {}
+            for client_id in (1, 2, 3, 4):
+                sessions[client_id], peers[client_id] = \
+                    self.attach(svc, client_id)
+            sessions[5], _ = self.attach(svc, 5, with_client=False)
+            for client_id, session in sessions.items():
+                session.seq = 10 * client_id
+            seqs = {cid: session.seq for cid, session in sessions.items()}
+            want = self.reference_frames(result.updates, seqs)
+            assert set(want) == {1, 2, 3, 4, 5}
+            skipped = sessions[2].client
+            dropped = sessions[3].client
+            peers[3].close()     # client 3's own send fails mid-push
+            svc._push_updates(result, skip={skipped})
+
+            assert self.received(peers[1]) == [want[1]]
+            assert self.received(peers[4]) == [want[4]]
+            assert self.received(peers[2]) == []
+            assert dropped.sock not in svc._clients
+            assert sessions[3].client is None
+            assert sessions[3].disconnected_at is not None
+            assert svc.stats["clients_dropped"] == 1
+            # chains advance only where a frame was rendered
+            assert {cid: s.seq - seqs[cid] for cid, s in sessions.items()} \
+                == {1: 1, 2: 0, 3: 1, 4: 1, 5: 0}
+            assert svc.stats["paper_bytes_out"] == sum(
+                wire.paper_wire_bytes(wire.RATES, int(np.sum(
+                    owners[picked] == client_id)))
+                for client_id in (1, 3, 4))
+            assert svc.stats["frames_out"] == 3
+        finally:
+            svc.close()
+            for peer in peers.values():
+                peer.close()
+
+
 class TestTwoProcess:
     def test_two_process_smoke(self, topo):
         """Spawn `python -m repro.service`, converge over the real
@@ -404,7 +496,7 @@ class TestTwoProcess:
                 expected = ref.iterate(40).rates
                 assert snap.keys() == expected.keys()
                 for fid, rate in expected.items():
-                    assert abs(snap[fid] - rate) < 1e-9
+                    assert snap[fid] == rate
                 cli.shutdown_service()
             handle.process.wait(timeout=10.0)
             assert handle.process.returncode == 0

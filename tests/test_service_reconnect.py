@@ -199,10 +199,13 @@ class TestBackpressure:
             with FlowtuneClient(svc.address, svc.token_hex) as survivor:
                 # A victim holding many flows (big push frames) that
                 # never reads, while the survivor churns shared links
-                # so everyone's rates keep moving.
-                for fid in range(150):
-                    victim.flowlet_start(fid, topo.route(fid % 4,
-                                                         4 + fid % 4))
+                # so everyone's rates keep moving.  One batch: the
+                # server may drop the victim as soon as the first push
+                # overflows, and a victim still sending single starts
+                # at that moment would raise out of its own send.
+                victim.apply_churn(starts=[
+                    (fid, topo.route(fid % 4, 4 + fid % 4))
+                    for fid in range(150)])
                 deadline = time.monotonic() + 30.0
                 fid = 1000
                 while (svc.stats["slow_readers_dropped"] == 0

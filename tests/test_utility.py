@@ -41,6 +41,45 @@ class TestLogUtility:
         assert np.isfinite(u.rate(np.array([0.0])))[0]
 
 
+class TestLogUtilityOperands:
+    """``rate`` / ``rate_derivative`` finish one buffer in place; what
+    they accept and return must not depend on that."""
+
+    CASES = [
+        (0.5, 2.0), (0.5, 2), (0, 1.0), (np.float64(0.25), 3.0),
+        (np.array(0.5), np.array(2.0)),
+        (np.array([0.5, 0.0, 4.0]), 2.0),
+        (0.5, np.array([1.0, 2.0, 3.0])),
+        (np.array([0.5, 0.0, 4.0]), np.array([1.0, 2.0, 3.0])),
+        ([0.5, 4.0], 1.0),
+        (np.array([[0.5], [2.0]]), np.array([1.0, 3.0])),
+        (np.array([0.5, 2.0], dtype=np.float32), 1.0),
+    ]
+
+    @pytest.mark.parametrize("price_sum, weight", CASES)
+    def test_scalars_zero_d_and_broadcast_operands(self, price_sum, weight):
+        u = LogUtility()
+        rho = np.maximum(np.asarray(price_sum, dtype=np.float64), 1e-9)
+        for got, want in ((u.rate(price_sum, weight), weight / rho),
+                          (u.rate_derivative(price_sum, weight),
+                           -weight / (rho * rho))):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == np.shape(want)
+            np.testing.assert_array_equal(got, want)
+
+    def test_operands_are_not_written(self):
+        u = LogUtility()
+        rho = np.array([0.0, 0.5, 4.0])
+        weights = np.array([1.0, 2.0, 3.0])
+        keep = rho.copy(), weights.copy()
+        first = u.rate(rho, weights)
+        second = u.rate_derivative(rho, weights)
+        np.testing.assert_array_equal(rho, keep[0])
+        np.testing.assert_array_equal(weights, keep[1])
+        assert not np.shares_memory(first, rho)
+        assert not np.shares_memory(second, first)
+
+
 class TestAlphaFairUtility:
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
