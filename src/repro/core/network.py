@@ -32,8 +32,9 @@ stay dense.
 
 from __future__ import annotations
 
+import collections
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -48,12 +49,108 @@ IntArray = npt.NDArray[np.int64]
 AllocatorFn = Callable[[str, tuple[int, ...], Any], npt.NDArray[Any]]
 
 _INITIAL_CAPACITY = 64
+_V = TypeVar("_V")
+_BAD_ROUTE = "route must be a non-empty 1-D sequence of links"
 
 
 def _numpy_allocator(tag: str, shape: tuple[int, ...],
                      dtype: Any) -> npt.NDArray[Any]:
     """Default storage: ordinary process-local numpy arrays."""
     return np.empty(shape, dtype=dtype)
+
+
+def _lookup_ends(ids: list[Hashable],
+                 index_of: dict[Hashable, _V]) -> list[_V]:
+    """``index_of`` values of a batch of ending flow ids, at C speed.
+
+    The one ends validation of every scheduler: an unknown or repeated
+    id raises ``KeyError`` naming the first offender in batch order
+    (found by a scalar pass only then); the caller has applied nothing.
+    """
+    try:
+        found = list(map(index_of.__getitem__, ids))
+        if len(set(ids)) == len(ids):
+            return found
+    except KeyError:
+        pass
+    seen: set[Hashable] = set()
+    for flow_id in ids:
+        if flow_id not in index_of or flow_id in seen:
+            break
+        seen.add(flow_id)
+    raise KeyError(f"flow {flow_id!r} is not active")
+
+
+def _pack_starts(starts: list[tuple[Any, ...]],
+                 index_of: dict[Hashable, Any], max_route_len: int,
+                 n_links: int) -> tuple[list[Hashable], IntArray,
+                                        IntArray, FloatArray | None]:
+    """Validate a non-empty ``(flow_id, route[, weight])`` batch and
+    turn it into columns ``(ids, lengths, flat, weights)``.
+
+    ``flat`` is the int64 concatenation of the routes, ``lengths``
+    their hop counts, ``weights`` is ``None`` when every weight is the
+    default 1.0.  The one starts parser of :class:`FlowTable` and the
+    ECMP slot store: ids must be unique and absent from ``index_of``
+    (``KeyError`` naming the first offender in batch order), routes
+    non-empty, 1-D, at most ``max_route_len`` hops over links
+    ``[0, n_links)``, weights positive (``ValueError``).  Every check
+    is one pass over a column; a scalar loop runs only to unpack a
+    mixed 2-/3-tuple batch and to name an offending id.
+    """
+    k = len(starts)
+    ids: list[Hashable]
+    weights: FloatArray | None = None
+    try:
+        # Column-wise unpack; the unpacking targets check every start's
+        # shape on the way.  (``zip(*starts)`` would allocate one
+        # GC-tracked iterator per start: past 700 of them every batch
+        # pays for garbage collections.)
+        if len(starts[0]) == 2:
+            ids = [flow_id for flow_id, _ in starts]
+            routes = [route for _, route in starts]
+        else:
+            ids = [flow_id for flow_id, _, _ in starts]
+            routes = [route for _, route, _ in starts]
+            weights = np.fromiter((weight for _, _, weight in starts),
+                                  dtype=np.float64, count=k)
+    except ValueError:  # mixed shapes; a start of neither raises below
+        ids, routes, weights = [], [], np.ones(k)
+        for j, start in enumerate(starts):
+            if len(start) == 3:
+                flow_id, route, weights[j] = start
+            else:
+                flow_id, route = start
+            ids.append(flow_id)
+            routes.append(route)
+    # keys().isdisjoint iterates the *batch* (hash probes into the
+    # index) — set(ids).isdisjoint(index_of) would walk every active
+    # flow instead.
+    if len(set(ids)) != k or not index_of.keys().isdisjoint(ids):
+        seen: set[Hashable] = set()
+        for flow_id in ids:
+            if flow_id in seen or flow_id in index_of:
+                raise KeyError(f"flow {flow_id!r} is already active")
+            seen.add(flow_id)
+    try:
+        lengths = np.fromiter(map(len, routes), dtype=np.int64, count=k)
+    except TypeError:
+        raise ValueError(_BAD_ROUTE) from None
+    if lengths.min() < 1:
+        raise ValueError(_BAD_ROUTE)
+    widest = int(lengths.max())
+    if widest > max_route_len:
+        raise ValueError(
+            f"route has {widest} hops; table supports {max_route_len}")
+    flat = np.concatenate(routes)
+    if flat.ndim != 1 or len(flat) != int(lengths.sum()):
+        raise ValueError(_BAD_ROUTE)
+    flat = flat.astype(np.int64, copy=False)
+    if flat.min() < 0 or flat.max() >= n_links:
+        raise ValueError("route contains an unknown link index")
+    if weights is not None and not np.all(weights > 0):
+        raise ValueError("flow weight must be positive")
+    return ids, lengths, flat, weights
 
 
 class FlowColumn:
@@ -161,11 +258,11 @@ class FlowTable:
         #: incremented by :meth:`refresh_capacity` only; lets optimizers
         #: keep capacity-derived per-flow columns across churn.
         self.capacity_version = 0
-        # Opt-in dirty-row log (see start_change_log): the set of
-        # positional rows whose routes/weights/bottleneck changed since
-        # the last consume_changes().  ``None`` (the default) records
-        # nothing, so the common case pays one attribute check per
-        # churn call.
+        # Opt-in dirty-row log (see start_change_log): index arrays of
+        # the positional rows whose routes/weights/bottleneck changed
+        # since the last consume_changes(), one per churn call.
+        # ``None`` (the default) records nothing, so the common case
+        # pays one attribute check per churn call.
         self._change_log = None
         self._change_all = False
         # Derived CSR route index (see _route_index): private-heap
@@ -185,20 +282,22 @@ class FlowTable:
         self._csr_indices = np.empty(0, dtype=np.int64)
         self._csr_mat = self._csr_indices.reshape(0, 1)
         self._max_out = np.empty(_INITIAL_CAPACITY)
-        # Batched-start scratch (apply_churn): the left-pack mask and
-        # the default-weights vector are reused across batches (grown
-        # geometrically) instead of reallocated per call, and the
-        # pad()-extended capacity vector is cached until
-        # refresh_capacity invalidates it.
+        # Batched-start scratch (_insert): the left-pack mask is reused
+        # across batches (grown geometrically) instead of reallocated
+        # per call, and the pad()-extended capacity vector is cached
+        # until refresh_capacity invalidates it.
         self._start_mask = np.empty((0, self.max_route_len), dtype=bool)
-        self._start_weights = np.empty(0)
         self._padded_capacity = None
+        # Rows below _csr_nrows are in sync except the holes logged in
+        # _csr_dirty (index arrays, one per removal); every removal
+        # lowers it to the new flow count, so rows added since are the
+        # contiguous block [_csr_nrows, n) and need no logging.
         self._csr_nrows = 0
         self._csr_nnz = 0
         self._max_hops_seen = 0  # running max; only rebuilds can lower
         self._csr_version = -1   # never synced; forces a first build
         self._csr_full = True    # full rebuild required (also on grow)
-        self._csr_dirty = set()  # rows whose routes changed since sync
+        self._csr_dirty = []
         # Per-flow bottleneck capacity, maintained incrementally:
         # O(route length) on add, O(1) swap on remove, full recompute
         # deferred until the first read after link capacities change
@@ -222,16 +321,16 @@ class FlowTable:
     # churn
     # ------------------------------------------------------------------
     def _check_new_flow(self, flow_id, route):
-        """Scalar admission checks shared by :meth:`add_flow` and the
-        batched :meth:`apply_churn`; returns the route as an array.
+        """Scalar admission checks of :meth:`add_flow` (a batch goes
+        through :func:`_pack_starts`); returns the route as an array.
         Link-index range and weight positivity are checked by the
-        caller (per-flow here, vectorized over the batch there).
+        caller.
         """
         if flow_id in self._index_of:
             raise KeyError(f"flow {flow_id!r} is already active")
         route = np.asarray(route, dtype=np.int64)
         if route.ndim != 1 or len(route) == 0:
-            raise ValueError("route must be a non-empty 1-D sequence of links")
+            raise ValueError(_BAD_ROUTE)
         if len(route) > self.max_route_len:
             raise ValueError(
                 f"route has {len(route)} hops; table supports {self.max_route_len}"
@@ -263,8 +362,7 @@ class FlowTable:
             column._data[idx] = column.default
         self._bottleneck._data[idx] = self._capacity_padded()[route].min()
         if self._change_log is not None:
-            self._change_log.add(idx)
-        self._csr_dirty.add(idx)
+            self._change_log.append(np.array((idx,)))
         if len(route) > self._max_hops_seen:
             self._max_hops_seen = len(route)
         self._n += 1
@@ -283,59 +381,75 @@ class FlowTable:
             self._index_of[moved_id] = idx
             for column in self._columns:
                 column._data[idx] = column._data[last]
-            if self._change_log is not None:
-                self._change_log.add(idx)
-            self._csr_dirty.add(idx)
+            self._log_holes(np.array((idx,)))
         self._ids[last] = None
         self._routes[last, :] = self.pad_link
-        self._n -= 1
+        self._n = last
+        if self._csr_nrows > last:
+            self._csr_nrows = last
         self.version += 1
         return idx
+
+    def _log_holes(self, holes):
+        """Record rows a removal refilled (an int64 index array)."""
+        if not self._csr_full:  # a pending rebuild covers every row
+            self._csr_dirty.append(holes)
+        if self._change_log is not None:
+            self._change_log.append(holes)
 
     def remove_flows(self, flow_ids: Iterable[Hashable]) -> None:
         """Batched removal: the vectorized mirror of the batched add.
 
-        Validates the whole batch up front (an unknown or duplicated id
-        raises ``KeyError`` with *no* flow removed), then *simulates*
-        the per-id swap-remove chain with O(batch) dict bookkeeping —
-        no array writes — and applies the net movement as one
-        fancy-indexed gather per array.  The resulting positional
-        layout is exactly what sequential :meth:`remove_flow` calls in
-        the same order would produce (a property the drivers rely on
-        for cross-revision rate comparisons), every registered
-        :class:`FlowColumn` entry moves with its flow, and the whole
-        batch costs one version bump.
+        Validates the whole batch up front at C speed (an unknown or
+        duplicated id raises ``KeyError`` naming the first offender in
+        batch order, with *no* flow removed) and lands in exactly the
+        positional layout sequential :meth:`remove_flow` calls in the
+        same order would produce (a property the drivers rely on for
+        cross-revision rate comparisons).  Step ``i`` of that chain
+        removes row ``r_i`` while the last slot is ``l_i = n - 1 - i``;
+        it is *tangled* with another step only if ``r_i`` lies in the
+        doomed tail (``r_i >= n - k``) or ``l_i`` is itself a removed
+        row.  Every other step is exactly "row ``l_i`` moves into hole
+        ``r_i``" and is computed as array arithmetic; only the tangled
+        steps (none under FIFO churn, about ``2k/n`` of a random
+        batch) replay the swap chain with dict bookkeeping.  The net
+        movement is applied as one fancy-indexed gather per array, ids
+        included; every registered :class:`FlowColumn` entry moves
+        with its flow, and the whole batch costs one version bump.
         """
         ids = list(flow_ids)
-        if not ids:
+        k = len(ids)
+        if not k:
             return
         index_of = self._index_of
-        seen = set()
-        for flow_id in ids:
-            if flow_id not in index_of or flow_id in seen:
-                raise KeyError(f"flow {flow_id!r} is not active")
-            seen.add(flow_id)
-        # Simulate the swap chain: ``content`` maps slot -> original
-        # row now occupying it (only for moved rows), ``slot_of`` maps
-        # a moved original row -> its current slot.
-        content = {}
-        slot_of = {}
+        holes = np.fromiter(_lookup_ends(ids, index_of), dtype=np.int64,
+                            count=k)
         n = self._n
-        for flow_id in ids:
-            row = index_of[flow_id]
-            slot = slot_of.pop(row, row)
-            last = n - 1
-            last_row = content.pop(last, last)
-            if slot != last:
-                content[slot] = last_row
-                slot_of[last_row] = slot
-            n -= 1
-        new_n = n
-        if content:
-            holes = np.fromiter(content.keys(), dtype=np.int64,
-                                count=len(content))
-            movers = np.fromiter(content.values(), dtype=np.int64,
-                                 count=len(content))
+        new_n = n - k
+        movers = np.arange(n - 1, new_n - 1, -1)
+        if holes.max() >= new_n:
+            tangled = holes >= new_n
+            tangled[n - 1 - holes[tangled]] = True
+            # ``content`` maps slot -> original row now occupying it
+            # (only for moved rows), ``slot_of`` a moved original row
+            # -> its current slot.  Untangled steps share no key with
+            # these, so the replay can skip them.
+            content: dict[int, int] = {}
+            slot_of: dict[int, int] = {}
+            for row, last in zip(holes[tangled].tolist(),
+                                 movers[tangled].tolist()):
+                slot = slot_of.pop(row, row)
+                last_row = content.pop(last, last)
+                if slot != last:
+                    content[slot] = last_row
+                    slot_of[last_row] = slot
+            simple = ~tangled
+            holes = np.concatenate((holes[simple], np.fromiter(
+                content.keys(), dtype=np.int64, count=len(content))))
+            movers = np.concatenate((movers[simple], np.fromiter(
+                content.values(), dtype=np.int64, count=len(content))))
+        collections.deque(map(index_of.__delitem__, ids), maxlen=0)
+        if len(holes):
             # Sources are original tail rows (>= new_n), destinations
             # are final slots (< new_n): disjoint, so one gather per
             # array is safe.
@@ -343,20 +457,15 @@ class FlowTable:
             self._weights[holes] = self._weights[movers]
             for column in self._columns:
                 column._data[holes] = column._data[movers]
-            hole_list = holes.tolist()
-            if self._change_log is not None:
-                self._change_log.update(hole_list)
-            self._csr_dirty.update(hole_list)
-        for flow_id in ids:
-            del index_of[flow_id]
-        if content:
-            for hole, mover in zip(hole_list, movers.tolist()):
-                moved_id = self._ids[mover]
-                self._ids[hole] = moved_id
-                index_of[moved_id] = hole
-        self._ids[new_n: self._n] = None
-        self._routes[new_n: self._n] = self.pad_link
+            moved_ids = self._ids[movers]
+            self._ids[holes] = moved_ids
+            index_of.update(zip(moved_ids.tolist(), holes.tolist()))
+            self._log_holes(holes)
+        self._ids[new_n:n] = None
+        self._routes[new_n:n] = self.pad_link
         self._n = new_n
+        if self._csr_nrows > new_n:
+            self._csr_nrows = new_n
         self.version += 1
 
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
@@ -367,66 +476,28 @@ class FlowTable:
         ``(flow_id, route)`` or ``(flow_id, route, weight)`` tuples.
         Removing first means an id appearing in both is restarted
         (fresh column state), matching flowlet end-then-start.  The
-        adds are validated as one vectorized batch and inserted with a
-        handful of slice assignments (one capacity check, one version
-        bump), which is how the simulation and real-time drivers
-        amortize bookkeeping across many flowlet events per allocator
-        tick.  Removals go through the batched :meth:`remove_flows`
-        (validated atomically) and are applied before the starts are
-        validated, so a bad start leaves the ends done and no start
-        applied.
+        tuple form is a thin adaptor: :func:`_pack_starts` validates
+        the batch and turns it into columns (column-wise unpack, one
+        vectorized pass per check), and the columnar insert writes
+        them with a handful of slice assignments (one capacity check,
+        one version bump), which is how the simulation and real-time
+        drivers amortize bookkeeping across many flowlet events per
+        allocator tick.  Removals go through the batched
+        :meth:`remove_flows` (validated atomically) and are applied
+        before the starts are validated, so a bad start leaves the
+        ends done and no start applied.
         """
         self.remove_flows(ends)
         starts = list(starts)
-        if not starts:
-            return
-        k = len(starts)
-        weights, mask = self._start_scratch(k)
-        weights[:] = 1.0
-        ids = []
-        routes_seq = []
-        for j, start in enumerate(starts):
-            if len(start) == 3:
-                flow_id, route, weights[j] = start
-            else:
-                flow_id, route = start
-            ids.append(flow_id)
-            routes_seq.append(route)
-        # Validation is one vectorized pass over the whole batch; the
-        # per-id Python loop above only unpacks tuples.  Error cases
-        # fall back to the scalar checks so messages stay per-flow.
-        index_of = self._index_of
-        # keys().isdisjoint iterates the *batch* (hash probes into the
-        # table) — set(ids).isdisjoint(index_of) would walk every
-        # active flow instead.
-        if len(set(ids)) != k or not index_of.keys().isdisjoint(ids):
-            seen = set()
-            for flow_id in ids:
-                if flow_id in seen or flow_id in index_of:
-                    raise KeyError(f"flow {flow_id!r} is already active")
-                seen.add(flow_id)
-        try:
-            lengths = np.fromiter(map(len, routes_seq), dtype=np.int64,
-                                  count=k)
-        except TypeError:
-            raise ValueError(
-                "route must be a non-empty 1-D sequence of links") from None
-        if lengths.min() < 1:
-            raise ValueError("route must be a non-empty 1-D sequence of links")
-        widest = int(lengths.max())
-        if widest > self.max_route_len:
-            raise ValueError(
-                f"route has {widest} hops; table supports {self.max_route_len}"
-            )
-        flat = np.concatenate(routes_seq)
-        if flat.ndim != 1 or len(flat) != int(lengths.sum()):
-            raise ValueError("route must be a non-empty 1-D sequence of links")
-        flat = flat.astype(np.int64, copy=False)
-        if flat.min() < 0 or flat.max() >= self.links.n_links:
-            raise ValueError("route contains an unknown link index")
-        if not np.all(weights > 0):
-            raise ValueError("flow weight must be positive")
+        if starts:
+            self._insert(*_pack_starts(starts, self._index_of,
+                                       self.max_route_len,
+                                       self.links.n_links))
 
+    def _insert(self, ids, lengths, flat, weights):
+        """Columnar insert of an already-validated batch (the columns
+        :func:`_pack_starts` returns) as rows ``[n, n + k)``."""
+        k = len(lengths)
         self.reserve(self._n + k)
         n0 = self._n
         block = slice(n0, n0 + k)
@@ -434,23 +505,24 @@ class FlowTable:
         rows[:] = self.pad_link
         # Left-packed scatter: row-major order of the mask matches the
         # concatenation order of the batch's routes.
+        if len(self._start_mask) < k:
+            self._start_mask = np.empty((max(64, 2 * k), self.max_route_len),
+                                        dtype=bool)
+        mask = self._start_mask[:k]
         np.less(self._col_offsets, lengths[:, None], out=mask)
         rows[mask] = flat
-        self._weights[block] = weights
+        self._weights[block] = 1.0 if weights is None else weights
         for column in self._columns:
             column._data[block] = column.default
         kernels.min_link_value(
             self._capacity_padded(), rows, self._bottleneck._data[block])
-        for j, flow_id in enumerate(ids):
-            # Per-element stores: slice-assigning a list of e.g. tuple
-            # ids would make numpy broadcast them as nested sequences.
-            self._ids[n0 + j] = flow_id
-        index_of.update(zip(ids, range(n0, n0 + k)))
+        # fromiter keeps tuple ids scalar — a slice-assign of a list
+        # would make numpy broadcast them as nested sequences.
+        self._ids[block] = np.fromiter(ids, dtype=object, count=k)
+        self._index_of.update(zip(ids, range(n0, n0 + k)))
         if self._change_log is not None:
-            self._change_log.update(range(n0, n0 + k))
-        self._csr_dirty.update(range(n0, min(n0 + k, self._csr_nrows)))
-        if widest > self._max_hops_seen:
-            self._max_hops_seen = widest
+            self._change_log.append(np.arange(n0, n0 + k))
+        self._max_hops_seen = max(self._max_hops_seen, int(lengths.max()))
         self._n += k
         self.version += 1
 
@@ -458,16 +530,6 @@ class FlowTable:
         """Pre-grow storage to hold ``n_flows`` without reallocation."""
         while len(self._weights) < n_flows:
             self._grow()
-
-    def _start_scratch(self, k):
-        """Per-batch views of the reusable apply_churn scratch arrays:
-        ``(weights, mask)``, each with ``k`` rows."""
-        if len(self._start_weights) < k:
-            cap = max(64, 2 * k)
-            self._start_mask = np.empty((cap, self.max_route_len),
-                                        dtype=bool)
-            self._start_weights = np.empty(cap)
-        return self._start_weights[:k], self._start_mask[:k]
 
     def _capacity_padded(self):
         """The pad()-extended capacity vector (``+inf`` pad), cached
@@ -494,14 +556,17 @@ class FlowTable:
         shrank) are conveyed by ``n_flows``, not logged.  Call again to
         reset after publishing a full snapshot.
         """
-        self._change_log = set()
+        self._change_log = []
         self._change_all = False
 
     def consume_changes(self) -> tuple[IntArray, bool]:
         """Drain the dirty-row log: ``(rows, all_changed)``.
 
-        ``rows`` is a sorted int64 array of logged positions still in
-        range (stale tail entries from shrinks are dropped);
+        ``rows`` is a sorted, duplicate-free int64 array of logged
+        positions still in range (stale tail entries from shrinks are
+        dropped).  Churn appends one index array per call (the holes a
+        removal refilled, the row block an add wrote), so draining is
+        one ``np.unique`` over their concatenation;
         ``all_changed`` is True when a whole-table invalidation
         happened (:meth:`refresh_capacity` rewrites every bottleneck
         entry) and the consumer should fall back to a full snapshot.
@@ -512,8 +577,10 @@ class FlowTable:
             raise RuntimeError("change tracking is off; call "
                                "start_change_log() first")
         all_changed = self._change_all
-        rows = np.array(sorted(i for i in log if i < self._n),
-                        dtype=np.int64)
+        rows = np.empty(0, dtype=np.int64)
+        if log:
+            rows = np.unique(np.concatenate(log))
+            rows = rows[rows < self._n]
         log.clear()
         self._change_all = False
         return rows, all_changed
@@ -643,10 +710,9 @@ class FlowTable:
             self._rebuild_csr()
         else:
             width = self._csr_width
-            tail = min(n, self._csr_nrows)
-            dirty = self._csr_dirty
-            if dirty:
-                rows = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            tail = self._csr_nrows
+            if self._csr_dirty:
+                rows = np.concatenate(self._csr_dirty)
                 rows = rows[rows < tail]
                 if len(rows):
                     self._csr_mat[rows] = self._routes[rows, :width]
@@ -804,20 +870,16 @@ class FlowTable:
     def clone(self) -> FlowTable:
         """Deep copy with the same flows in the same positional order
         (used to solve for the optimum without disturbing the live
-        allocator state).  The whole population rides one batched
-        :meth:`apply_churn` — one validation pass, one slice insert —
-        instead of the per-flow ``add_flow`` loop it replaced.
+        allocator state).  The population is already validated and
+        columnar, so it goes straight into the columnar insert.
         """
         copy = FlowTable(self.links, max_route_len=self.max_route_len)
         n = self._n
-        if n == 0:
-            return copy
-        routes = self._routes
-        lengths = np.sum(routes[:n] != self.pad_link, axis=1).tolist()
-        weights = self._weights[:n].tolist()
-        copy.apply_churn(starts=[
-            (flow_id, routes[i, : lengths[i]], weights[i])
-            for i, flow_id in enumerate(self._ids[:n])])
+        if n:
+            routes = self._routes[:n]
+            real = routes != self.pad_link
+            copy._insert(self._ids[:n].tolist(), real.sum(axis=1),
+                         routes[real], self._weights[:n])
         return copy
 
     def __repr__(self):  # pragma: no cover - debugging aid

@@ -43,7 +43,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.ned import NedOptimizer
-from ..core.network import FlowTable
+from ..core.network import FlowTable, _lookup_ends
 from ..core.utility import LogUtility, Utility
 from ..topology.graph import Topology
 from .aggregation import (aggregation_schedule, distribution_schedule,
@@ -240,11 +240,8 @@ class MulticoreNedEngine:
         its capacity triggers a (rare) re-attach message.
         """
         ends = list(ends)
-        ending = set()
-        for flow_id in ends:
-            if flow_id not in self._flow_home or flow_id in ending:
-                raise KeyError(f"flow {flow_id!r} is not active")
-            ending.add(flow_id)
+        end_cells = _lookup_ends(ends, self._flow_home)
+        ending = set(ends)
         starts_by_cell = {}
         new_ids = set()
         for start in starts:
@@ -267,8 +264,8 @@ class MulticoreNedEngine:
                 (flow_id, route, weight))
         # Batch validated; now mutate.
         ends_by_cell = {}
-        for flow_id in ends:
-            cell = self._flow_home.pop(flow_id)
+        for flow_id, cell in zip(ends, end_cells):
+            del self._flow_home[flow_id]
             ends_by_cell.setdefault(cell, []).append(flow_id)
         for cell, cell_ends in ends_by_cell.items():
             self.processors[cell].table.remove_flows(cell_ends)

@@ -46,7 +46,6 @@ onto the candidate path list the Clos topologies expose
 from __future__ import annotations
 
 import collections
-import operator
 import zlib
 from collections.abc import Hashable, Iterable
 from typing import Any
@@ -57,7 +56,7 @@ import numpy.typing as npt
 from ..core.allocator import (AllocationResult, _NO_UPDATES,
                               threshold_update_mask)
 from ..core.kernels import max_link_value
-from ..core.network import LinkSet
+from ..core.network import LinkSet, _lookup_ends, _pack_starts
 
 __all__ = ["EcmpScheduler", "EcmpAssigner"]
 
@@ -267,25 +266,12 @@ class EcmpScheduler:
             self._rebuild_w()
 
     def _apply_ends(self, ends: list[Hashable]) -> None:
-        # Validate the whole batch before touching the index: the
-        # itemgetter lookup is a C-speed pass that raises on the first
-        # unknown id with nothing applied, and the dup check catches
-        # an id listed twice.  Only then are the keys deleted (also at
-        # C speed — ``map`` over the bound ``__delitem__``).
+        # The whole batch is validated before the index is touched (a
+        # C-speed pass; an unknown or repeated id raises with nothing
+        # applied).  Only then are the keys deleted, also at C speed —
+        # ``map`` over the bound ``__delitem__``.
         slot_of = self._slot_of
-        if len(ends) > 1 and len(set(ends)) != len(ends):
-            seen: set[Hashable] = set()
-            for flow_id in ends:
-                if flow_id in seen:
-                    raise KeyError(f"flow {flow_id!r} is not active")
-                seen.add(flow_id)
-        try:
-            if len(ends) == 1:
-                slots = [slot_of[ends[0]]]
-            else:
-                slots = list(operator.itemgetter(*ends)(slot_of))
-        except KeyError as exc:
-            raise KeyError(f"flow {exc.args[0]!r} is not active") from None
+        slots = _lookup_ends(ends, slot_of)
         collections.deque(map(slot_of.__delitem__, ends), maxlen=0)
         rows = np.asarray(slots, dtype=np.intp)
         mat = self._mat[rows]
@@ -306,68 +292,16 @@ class EcmpScheduler:
     def _apply_starts(self, starts: list[tuple[Any, ...]]) -> None:
         k = len(starts)
         slot_of = self._slot_of
-        # Columnar unpack when the batch is shape-uniform (the usual
-        # case); the scalar loop only runs for mixed 2-/3-tuple
-        # batches.  ``weights is None`` means "all ones" and lets the
-        # scatters below skip the weight expansion entirely.
-        weights: FloatArray | None
-        shapes = set(map(len, starts))
-        if shapes == {2}:
-            ids, routes_seq = zip(*starts)
-            weights = None
-        elif shapes == {3}:
-            ids, routes_seq, wcol = zip(*starts)
-            weights = np.asarray(wcol, dtype=np.float64)
-        else:
-            ids_l: list[Hashable] = []
-            routes_l: list[Any] = []
-            weights = np.ones(k)
-            for j, start in enumerate(starts):
-                if len(start) == 3:
-                    flow_id, route, weights[j] = start
-                else:
-                    flow_id, route = start
-                ids_l.append(flow_id)
-                routes_l.append(route)
-            ids, routes_seq = tuple(ids_l), tuple(routes_l)
-        if len(set(ids)) != k or not slot_of.keys().isdisjoint(ids):
-            seen: set[Hashable] = set()
-            for flow_id in ids:
-                if flow_id in seen or flow_id in slot_of:
-                    raise KeyError(f"flow {flow_id!r} is already active")
-                seen.add(flow_id)
-        try:
-            lengths = np.fromiter(map(len, routes_seq), dtype=np.int64,
-                                  count=k)
-        except TypeError:
-            raise ValueError(
-                "route must be a non-empty 1-D sequence of links") from None
+        # ``weights is None`` means "all ones" and lets the scatters
+        # below skip the weight expansion entirely.
+        ids, lengths, flat, weights = _pack_starts(
+            starts, slot_of, self._max_route_len, self.full_links.n_links)
         widest = int(lengths.max())
-        if lengths.min() < 1:
-            raise ValueError("route must be a non-empty 1-D sequence of links")
-        if widest > self._max_route_len:
-            raise ValueError(f"route has {widest} hops; table supports "
-                             f"{self._max_route_len}")
         arr: IntArray | None = None
-        if int(lengths.min()) == widest:
-            # Uniform-width batch: routes stack straight into the row
-            # block, no concatenate and no padded scatter.
-            stacked = np.asarray(routes_seq, dtype=np.int64)
-            if stacked.ndim != 2:
-                raise ValueError(
-                    "route must be a non-empty 1-D sequence of links")
-            arr = stacked
-            flat = arr.reshape(-1)
-        else:
-            flat = np.concatenate(routes_seq)
-            if flat.ndim != 1 or len(flat) != int(lengths.sum()):
-                raise ValueError(
-                    "route must be a non-empty 1-D sequence of links")
-            flat = flat.astype(np.int64, copy=False)
-        if flat.min() < 0 or flat.max() >= self.full_links.n_links:
-            raise ValueError("route contains an unknown link index")
-        if weights is not None and not np.all(weights > 0):
-            raise ValueError("flow weight must be positive")
+        if len(flat) == k * widest:
+            # Uniform-width batch: the flat routes are the row block,
+            # no padded scatter.
+            arr = flat.reshape(k, widest)
         # Validation done — allocate rows and fill.
         if widest > self._width:
             self._widen(widest)

@@ -221,18 +221,22 @@ class SampledAllocator:
             priced_table = self._priced_table
             pending = self._pending_set
             priced_ends: list[Hashable] = []
+            bad = len(ends) > 1 and len(set(ends)) != len(ends)
             for flow_id in ends:
                 if flow_id in mice_index:
                     mice_ends.append(flow_id)
                 elif flow_id in priced_table and flow_id not in pending:
                     priced_ends.append(flow_id)
                 else:
-                    raise KeyError(f"unknown flow id {flow_id!r}")
-            if len(ends) > 1 and len(set(ends)) != len(ends):
+                    bad = True
+                    break
+            if bad:
+                # Name the first unknown or repeated id in batch order,
+                # like the flow table and the ECMP store do.
                 seen: set[Hashable] = set()
                 for flow_id in ends:
-                    if flow_id in seen:
-                        raise KeyError(f"unknown flow id {flow_id!r}")
+                    if flow_id in seen or flow_id not in self:
+                        raise KeyError(f"flow {flow_id!r} is not active")
                     seen.add(flow_id)
             if priced_ends:
                 # Deferred: flushed in one batch with the next
@@ -241,6 +245,7 @@ class SampledAllocator:
                 # the pending set.
                 self._pending_priced_ends.extend(priced_ends)
                 pending.update(priced_ends)
+        clash: list[Hashable] = []  # first start that is already active
         if starts:
             ids = [start[0] for start in starts]
             priced_index = self._priced_table._index_of
@@ -258,15 +263,18 @@ class SampledAllocator:
                                 and flow_id not in ended)
                             or (flow_id in priced_index
                                 and flow_id not in pending)):
-                        raise ValueError(
-                            f"flow id {flow_id!r} already active")
+                        clash.append(flow_id)
+                        break
                     seen.add(flow_id)
         if mice_ends or starts:
             # One batched call: the mice store applies ends first,
             # then validates starts — so a bad route leaves the ends
-            # applied and no start applied (the restart contract).
+            # applied and no start applied (the restart contract); a
+            # start that is already active is withheld here and raised
+            # below, once the ends are in.
             try:
-                self.mice.apply_churn(starts=starts, ends=mice_ends)
+                self.mice.apply_churn(starts=() if clash else starts,
+                                      ends=mice_ends)
             finally:
                 # Ends are purged even when a start is rejected — the
                 # ends half of the batch has been applied by then.
@@ -274,6 +282,8 @@ class SampledAllocator:
                     self.detector.forget_many(ends)
         elif ends:
             self.detector.forget_many(ends)
+        if clash:
+            raise KeyError(f"flow {clash[0]!r} is already active")
 
     # ------------------------------------------------------------------
     # the usage stream -> detector

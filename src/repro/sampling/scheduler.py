@@ -41,6 +41,15 @@ class RateScheduler(Protocol):
     (every flow priced), :class:`~repro.sampling.EcmpScheduler` (no
     flow priced), :class:`~repro.sampling.SampledAllocator` (detected
     elephants priced, mice on ECMP).
+
+    All three share one churn error contract.  ``apply_churn`` removes
+    ``ends`` first: an unknown or repeated id raises
+    ``KeyError("flow … is not active")`` with nothing applied.  Then
+    ``starts``: an id that is repeated or still active raises
+    ``KeyError("flow … is already active")``, a bad route or weight
+    ``ValueError``, with the ends applied and no start applied.  Either
+    message names the first offender in batch order, and an id listed
+    in both halves is restarted.
     """
 
     #: Whether the scheme consumes :meth:`report_usage`.

@@ -423,3 +423,218 @@ class TestFlowIdArray:
         for i in range(200):  # far past _INITIAL_CAPACITY
             table.add_flow(i, [i % 6])
         assert table.flow_id_array().tolist() == list(range(200))
+
+
+# ----------------------------------------------------------------------
+# batched churn == sequential churn, swap chain included
+# ----------------------------------------------------------------------
+ID_KINDS = {
+    "int": lambda i: i,
+    "tuple": lambda i: (i % 3, i),          # (client, fid)
+    "u64": lambda i: 2**64 - 1 - i,
+}
+
+
+def victim_positions(order, n, k, rng):
+    """``k`` row positions of an ``n``-row table, in an order that
+    exercises one shape of the swap chain."""
+    k = min(k, n)
+    if order == "all":                      # k == n
+        return rng.permutation(n).tolist()
+    if order == "tail_asc":                 # every victim in the tail
+        return list(range(n - k, n))
+    if order == "tail_desc":
+        return list(range(n - 1, n - k - 1, -1))
+    if order == "head_then_tail":
+        # Row 0's tail slot n-1 is the next victim, whose tail slot is
+        # the one after: one hole refilled k-1 times, a chain.
+        return [0] + list(range(n - 1, n - k, -1))
+    if order == "interleaved":              # low rows and tail rows
+        low, high = list(range(k)), list(range(n - 1, n - 1 - k, -1))
+        mixed = [p for pair in zip(low, high) for p in pair]
+        return list(dict.fromkeys(mixed))[:k]
+    return rng.choice(n, size=k, replace=False).tolist()
+
+
+class ChurnTwins:
+    """A batched table and a twin driven one flow at a time."""
+
+    def __init__(self, id_kind, max_route_len=4):
+        self.make_id = ID_KINDS[id_kind]
+        self.tables = [make_table(max_route_len=max_route_len)
+                       for _ in range(2)]
+        self.columns = [(t.add_column(default=-1.0),
+                         t.add_column(default=True, dtype=bool))
+                        for t in self.tables]
+        for table in self.tables:
+            table.start_change_log()
+        self.counter = 0
+
+    def new_starts(self, count, shape, rng):
+        starts = []
+        for j in range(count):
+            route = rng.integers(0, 6, size=int(rng.integers(1, 5)))
+            route = (route, route.tolist(), tuple(route.tolist()))[j % 3]
+            weight = float(rng.integers(1, 9)) / 2
+            with_weight = shape == "3" or (shape == "mixed" and j % 2)
+            starts.append((self.make_id(self.counter), route)
+                          + ((weight,) if with_weight else ()))
+            self.counter += 1
+        return starts
+
+    def step(self, starts, ends, as_generator=False):
+        batched, twin = self.tables
+        if as_generator:
+            batched.apply_churn(starts=(s for s in starts),
+                                ends=(e for e in ends))
+        elif starts:
+            batched.apply_churn(starts=starts, ends=ends)
+        else:
+            batched.remove_flows(ends)
+        for flow_id in ends:
+            twin.remove_flow(flow_id)
+        for start in starts:
+            twin.add_flow(*start)
+        # give the new flows distinguishable column state
+        for table, (floats, flags) in zip(self.tables, self.columns):
+            for j, start in enumerate(starts):
+                row = table.index_of(start[0])
+                floats.data[row] = float(self.counter * 100 + j)
+                flags.data[row] = bool(j % 2)
+
+    def check(self, sync=True, drain=True):
+        batched, twin = self.tables
+        assert batched.flow_ids() == twin.flow_ids()
+        assert batched.flow_id_array().tolist() == twin.flow_ids()
+        assert np.array_equal(batched.routes, twin.routes)
+        assert np.array_equal(batched.weights, twin.weights)
+        for mine, theirs in zip(batched._columns, twin._columns):
+            assert np.array_equal(mine.data, theirs.data)
+        assert batched._index_of == twin._index_of
+        assert [batched.index_of(i) for i in batched.flow_ids()] == \
+            list(range(batched.n_flows))
+        assert batched._ids[batched.n_flows:].tolist() == \
+            [None] * (len(batched._ids) - batched.n_flows)
+        if drain:
+            rows_b, all_b = batched.consume_changes()
+            rows_t, all_t = twin.consume_changes()
+            assert rows_b.dtype == np.int64
+            assert rows_b.tolist() == rows_t.tolist() and all_b == all_t
+        if sync:
+            n = batched.n_flows
+            for table in self.tables:
+                indptr, indices, nnz = table._route_index()
+                width = table._csr_width
+                assert nnz == n * width
+                assert np.array_equal(indices[:nnz].reshape(n, width),
+                                      table.routes[:, :width])
+                assert np.array_equal(indptr[: n + 1],
+                                      np.arange(n + 1) * width)
+            assert batched._csr_width == twin._csr_width
+            prices = np.arange(1.0, 7.0)
+            assert np.array_equal(batched.price_sums(prices),
+                                  twin.price_sums(prices))
+
+
+ORDERS = ("random", "all", "tail_asc", "tail_desc", "head_then_tail",
+          "interleaved")
+
+
+class TestBatchedEqualsSequential:
+    @pytest.mark.parametrize("id_kind", sorted(ID_KINDS))
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
+    def test_named_victim_orders(self, order, k, id_kind):
+        twins = ChurnTwins(id_kind)
+        rng = np.random.default_rng(k)
+        twins.step(twins.new_starts(12, "mixed", rng), [])
+        twins.check()
+        ids = twins.tables[0].flow_ids()
+        ends = [ids[p] for p in victim_positions(order, 12, k, rng)]
+        twins.step([], ends)
+        twins.check()
+
+    def test_range_and_generator_inputs(self):
+        twins = ChurnTwins("int")
+        rng = np.random.default_rng(0)
+        twins.step(twins.new_starts(30, "2", rng), [])
+        twins.step([], range(20, 30))              # the whole tail
+        twins.step(twins.new_starts(5, "3", rng), range(0, 8),
+                   as_generator=True)
+        twins.check()
+        twins.tables[0].apply_churn(ends=iter(()), starts=iter(()))
+        twins.check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_churn_program(self, data):
+        """Random programs of batches: victim order, batch sizes, start
+        shapes, restarts, and how often the route index and the change
+        log are brought up to date are all drawn."""
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        twins = ChurnTwins(data.draw(st.sampled_from(sorted(ID_KINDS))))
+        twins.step(twins.new_starts(data.draw(st.integers(1, 40)),
+                                    "mixed", rng), [])
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            ids = twins.tables[0].flow_ids()
+            n = len(ids)
+            order = data.draw(st.sampled_from(ORDERS))
+            k = data.draw(st.integers(0, n))
+            ends = ([ids[p] for p in victim_positions(order, n, k, rng)]
+                    if k else [])
+            starts = twins.new_starts(
+                data.draw(st.integers(0, 70 if n > 30 else 12)),
+                data.draw(st.sampled_from(["2", "3", "mixed"])), rng)
+            if ends and data.draw(st.booleans(), label="restart"):
+                starts.append((ends[len(ends) // 2], [1, 2]))
+            twins.step(starts, ends,
+                       as_generator=data.draw(st.booleans()))
+            twins.check(sync=data.draw(st.booleans(), label="sync"),
+                        drain=data.draw(st.booleans(), label="drain"))
+        twins.check()
+
+    def test_errors_name_the_first_offender_and_apply_nothing(self):
+        twins = ChurnTwins("tuple")
+        rng = np.random.default_rng(1)
+        twins.step(twins.new_starts(20, "mixed", rng), [])
+        twins.check()
+        batched = twins.tables[0]
+        ids = batched.flow_ids()
+        ghost = (9, 99)
+        version = batched.version
+        for ends, offender in (([ids[0], ghost, ids[0]], ghost),
+                               ([ids[3], ids[4], ids[3], ghost], ids[3]),
+                               ([ghost], ghost), ([ids[9], ids[9]], ids[9])):
+            for call in (batched.remove_flows,
+                         lambda e: batched.apply_churn(
+                             starts=[((7, 7), [0])], ends=e)):
+                with pytest.raises(KeyError) as err:
+                    call(ends)
+                assert err.value.args == (
+                    f"flow {offender!r} is not active",)
+                assert batched.version == version
+                twins.check()
+        # A bad start: the ends are done, no start is.
+        fresh = [((5, 50), [0]), ((5, 51), [1, 2], 2.0)]
+        live = ids[0]                   # the victims come off the tail
+        for bad, error, text in (
+                ([((5, 52), [3]), (live, [0])], KeyError,
+                 f"flow {live!r} is already active"),
+                ([((5, 53), [3]), ((5, 53), [4])], KeyError,
+                 "flow (5, 53) is already active"),
+                ([((5, 54), [])], ValueError, "non-empty 1-D"),
+                ([((5, 54), 7)], ValueError, "non-empty 1-D"),
+                ([((5, 54), [[0, 1]])], ValueError, ""),  # numpy's text
+                ([((5, 54), [0, 1, 2, 3, 4])], ValueError, "5 hops"),
+                ([((5, 54), [6])], ValueError, "unknown link"),
+                ([((5, 54), [-1])], ValueError, "unknown link"),
+                ([((5, 54), [0], 0.0)], ValueError, "weight must be"),
+                ([((5, 54), [0], 1.0, 2.0)], ValueError, "unpack"),
+                ([((5, 54),)], ValueError, "unpack")):
+            victim = batched.flow_ids()[-1]
+            with pytest.raises(error) as err:
+                batched.apply_churn(starts=fresh + bad, ends=[victim])
+            assert text in str(err.value.args[0])
+            twins.tables[1].remove_flow(victim)
+            twins.check()

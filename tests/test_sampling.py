@@ -183,6 +183,48 @@ class TestSchedulerProtocol:
         assert alloc.n_flows == 0
         assert alloc.wants_usage == (mode == "sampled")
 
+    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
+    def test_churn_error_contract(self, mode):
+        """One error type, message and applied-state per bad batch,
+        whichever scheme is behind the facade (in sampled mode flow 0
+        is priced, the rest are mice)."""
+        alloc = make_scheduler(make_links(), mode=mode)
+        alloc.apply_churn(starts=[(i, np.array([i, i + 1]))
+                                  for i in range(4)])
+        if mode == "sampled":
+            alloc.report_usage(0, 4.0 * (1 << 20))
+            alloc.iterate(1)
+            assert alloc.n_priced == 1
+
+        def live():
+            return [i for i in range(10) if i in alloc]
+
+        # Bad ends: the first offender in batch order, nothing applied.
+        for ends, offender in (([0, 9, 1], 9), ([1, 0, 1, 9], 1),
+                               ([9, 0, 0], 9)):
+            with pytest.raises(KeyError) as err:
+                alloc.apply_churn(starts=[(5, np.array([0]))], ends=ends)
+            assert err.value.args == (f"flow {offender!r} is not active",)
+            assert live() == [0, 1, 2, 3] and alloc.n_flows == 4
+        # Bad starts: ends applied, no start applied.
+        for starts, ends, offender, left in (
+                ([(5, [0]), (2, [1])], [0], 2, [1, 2, 3]),
+                ([(5, [0]), (5, [1])], [1], 5, [2, 3]),
+                ([(3, [0]), (2, [0])], [2], 3, [3])):
+            with pytest.raises(KeyError) as err:
+                alloc.apply_churn(starts=starts, ends=ends)
+            assert err.value.args == (
+                f"flow {offender!r} is already active",)
+            assert live() == left and alloc.n_flows == len(left)
+        with pytest.raises(ValueError, match="unknown link"):
+            alloc.apply_churn(starts=[(6, [0]), (7, [N_LINKS])], ends=[3])
+        assert live() == [] and alloc.n_flows == 0
+        # An id in both halves is restarted.
+        alloc.apply_churn(starts=[(0, [0]), (1, [1])])
+        alloc.apply_churn(starts=[(0, [2, 3]), (8, [4])], ends=[0])
+        assert live() == [0, 1, 8]
+        assert len(alloc.iterate(1).rate_vector) == 3
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler mode"):
             make_scheduler(make_links(), mode="pfabric")
