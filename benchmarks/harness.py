@@ -64,11 +64,7 @@ _MODES = {
               "fluid_ops": 20,
               "speedup_flows": 4_096, "speedup_ops": 6,
               "speedup_workers": (1, 2, 4),
-              "socket_workers": (1, 2),
               "barrier_steps": 300,
-              # I/O ping-pong over threads needs a long enough window
-              # that scheduler bursts average out (~0.2s per repeat).
-              "frame_batch_steps": 3_000,
               "service_flows": 1_000,
               "service_arrivals": 150,
               "service_rate_per_sec": 150.0,
@@ -86,11 +82,12 @@ _MODES = {
                            1_000_000: 6},
              "multicore_ops": 40,
              "fluid_ops": 50,
-             "speedup_flows": 32_768, "speedup_ops": 12,
+             # The regime where the process backend pays: two shm
+             # workers read 1.8-1.9x single-core NED at 262k flows on
+             # a 2-vCPU host (benchmarks/results/parallel-speedup-*.txt).
+             "speedup_flows": 262_144, "speedup_ops": 12,
              "speedup_workers": (1, 2, 4, 8, 16),
-             "socket_workers": (1, 2, 4),
              "barrier_steps": 1_200,
-             "frame_batch_steps": 8_000,
              "service_flows": 1_000,
              "service_arrivals": 400,
              "service_rate_per_sec": 250.0,
@@ -107,7 +104,7 @@ _MODES = {
 #: regression gate: their scores depend on the host's core count (the
 #: calibration kernel is single-threaded, so normalization cannot make
 #: real-parallelism numbers portable between a laptop and a CI runner).
-UNGATED = frozenset({"parallel_speedup", "parallel_speedup_socket"})
+UNGATED = frozenset({"parallel_speedup"})
 
 #: Benchmarks too heavy for smoke runs: default quick runs (and the
 #: quick baseline the smoke gate compares against) skip them; full
@@ -512,21 +509,17 @@ def bench_fluid_ticks(mode, seed=5, ticks_per_op=20):
 # ----------------------------------------------------------------------
 # real parallel speedup: worker-process backend vs single-core NED
 # ----------------------------------------------------------------------
-def bench_parallel_speedup(mode, n_blocks=4, seed=11, fabric="shm",
-                           workers_key="speedup_workers"):
+def bench_parallel_speedup(mode, n_blocks=4, seed=11):
     """Measured wall-clock speedup of the worker-process NED backend.
 
     Times one full parallel iteration on a ``n_blocks x n_blocks``
     (default 16-FlowBlock) grid at several worker counts against
     single-core NED over the *same* flows, in real processes — the
-    §6.1 experiment measured instead of modeled.  ``fabric`` selects
-    the coordination layer: ``"shm"`` (shared memory, sense-reversing
-    barrier) or ``"socket"`` (TCP frames — the multi-host transport,
-    measured here over loopback).  ``ops_per_sec`` is the 8-worker
-    rate (or the largest measured pool when the mode stops earlier).
-    In the gate these benchmarks are informational only (see
-    ``UNGATED``): speedup is a property of the host's core count as
-    much as of the code.
+    §6.1 experiment measured instead of modeled.  ``ops_per_sec`` is
+    the 8-worker rate (or the largest measured pool when the mode
+    stops earlier).  In the gate this benchmark is informational only
+    (see ``UNGATED``): speedup is a property of the host's core count
+    as much as of the code.
     """
     from repro.core.ned import NedOptimizer
     from repro.core.network import FlowTable
@@ -554,9 +547,9 @@ def bench_parallel_speedup(mode, n_blocks=4, seed=11, fabric="shm",
 
     per_worker_ops = {}
     reserve = max(64, n_flows // 4)
-    for n_workers in config[workers_key]:
+    for n_workers in config["speedup_workers"]:
         with MulticoreNedEngine(topology, n_blocks, backend="process",
-                                n_workers=n_workers, fabric=fabric,
+                                n_workers=n_workers,
                                 reserve_per_block=reserve) as engine:
             engine.apply_churn(starts=flows)
             engine.iterate(3)
@@ -564,7 +557,7 @@ def bench_parallel_speedup(mode, n_blocks=4, seed=11, fabric="shm",
                 lambda _: engine.iterate(1), n_ops, config["repeats"])
 
     target = per_worker_ops.get(
-        "8", per_worker_ops[str(max(config[workers_key]))])
+        "8", per_worker_ops[str(max(config["speedup_workers"]))])
     return {
         "ops_per_sec": target,
         "single_core_ops_per_sec": single_ops,
@@ -572,30 +565,24 @@ def bench_parallel_speedup(mode, n_blocks=4, seed=11, fabric="shm",
         "speedup_vs_single_core": {
             w: ops / single_ops for w, ops in per_worker_ops.items()},
         "params": {"n_blocks": n_blocks, "n_flows": n_flows,
-                   "n_ops": n_ops, "seed": seed, "fabric": fabric,
+                   "n_ops": n_ops, "seed": seed,
                    "cpu_count": os.cpu_count()},
     }
 
 
 # ----------------------------------------------------------------------
-# fabric step-synchronization cost
+# worker-pool step-synchronization cost
 # ----------------------------------------------------------------------
 def bench_barrier_step(mode, n_workers=16):
-    """Per-step cost of the fabric barrier on the 16-worker grid.
+    """Per-step cost of the worker pool's barrier on the 16-worker grid.
 
-    One op is one full barrier round across all workers.  Measures the
-    shm fabric's sense-reversing flag-array barrier (``ops_per_sec``,
-    gated) next to the ``multiprocessing.Barrier`` it replaced
-    (``mp_barrier_ops_per_sec``, recorded so the speedup claim stays
-    auditable) — the ROADMAP's "shrink the small-grid constant term"
-    item, measured.
-
-    The barrier mode is pinned to ``"block"`` so the gated score
-    always measures the same code path: the auto-selected mode flips
-    to pure spinning on hosts with >= 16 cores, which would make the
-    baseline compare different algorithms across machines (the
-    engine still auto-selects at run time; the spin path's
-    correctness is covered by the fabric test suite).
+    One op is one full :class:`~repro.parallel.SenseReversingBarrier`
+    round across all workers (gated).  The barrier mode is pinned to
+    ``"block"`` so the gated score always measures the same code path:
+    the auto-selected mode flips to pure spinning on hosts with >= 16
+    cores, which would make the baseline compare different algorithms
+    across machines (the engine still auto-selects at run time; the
+    spin path's correctness is covered by ``tests/test_shm.py``).
     """
     from repro.parallel import measure_barrier_rate
 
@@ -604,164 +591,14 @@ def bench_barrier_step(mode, n_workers=16):
     # Best-of-repeats, like every other benchmark: a 16-process
     # barrier sweep is hostage to scheduler bursts on shared hosts,
     # and one clean window is what the gate should compare.
-    sense = max(measure_barrier_rate("sense", n_workers, n_steps,
+    sense = max(measure_barrier_rate(n_workers, n_steps,
                                      barrier_mode="block")
                 for _ in range(repeats))
-    mp_rate = max(measure_barrier_rate("mp", n_workers, n_steps)
-                  for _ in range(repeats))
     return {
         "ops_per_sec": sense,
-        "mp_barrier_ops_per_sec": mp_rate,
-        "speedup_vs_mp_barrier": sense / mp_rate,
         "params": {"n_workers": n_workers, "n_steps": n_steps,
                    "barrier_mode": "block",
                    "cpu_count": os.cpu_count()},
-    }
-
-
-# ----------------------------------------------------------------------
-# socket-fabric step exchange: per-peer batching vs per-frame sendall
-# ----------------------------------------------------------------------
-class _CountingSock:
-    """Socket proxy counting send/recv syscalls (selectors-compatible)."""
-
-    def __init__(self, sock):
-        self._sock = sock
-        self.send_calls = 0
-        self.recv_calls = 0
-
-    def send(self, data):
-        self.send_calls += 1
-        return self._sock.send(data)
-
-    def sendmsg(self, buffers):
-        self.send_calls += 1
-        return self._sock.sendmsg(buffers)
-
-    def recv_into(self, buf, nbytes=0):
-        self.recv_calls += 1
-        return self._sock.recv_into(buf, nbytes)
-
-    def fileno(self):
-        return self._sock.fileno()
-
-
-def bench_socket_frame_batch(mode, n_transfers=8, slice_len=260):
-    """One op = one schedule step's LinkBlock slices exchanged both
-    ways between two workers over a socketpair.
-
-    Measures the shipped protocol — ``n_transfers`` slices coalesced
-    into one :class:`~repro.parallel.fabric.PeerBatch` frame per peer,
-    driven by the nonblocking ``exchange_batches`` loop — against the
-    per-frame blocking ``send_frame``/``recv_frame`` protocol it
-    replaced, with send/recv syscalls counted on one side.  The
-    defaults mirror a 16-block grid at 2 workers: ~4 aggregation
-    transfers per direction per step (x2 arrays), 260-entry
-    LinkBlocks.  ``ops_per_sec`` (gated) is the batched steps/sec;
-    the per-frame figures are recorded alongside so the syscall
-    reduction stays auditable in ``BENCH_hotpath.json``.  The counted
-    figures are **send/recv syscalls only** — the batched loop also
-    spends ~3 selector ops (register/select/unregister) per step,
-    which the blocking per-frame path does not.
-    """
-    import socket as socketlib
-    import threading
-
-    from repro.parallel.fabric import (PeerBatch, RecvBatch, TAG_DATA,
-                                       exchange_batches, recv_frame,
-                                       send_frame)
-
-    config = _MODES[mode]
-    n_steps = config["frame_batch_steps"]
-    repeats = config["repeats"]
-    total_floats = n_transfers * slice_len
-    slices = [np.arange(slice_len, dtype=np.float64) + t
-              for t in range(n_transfers)]
-
-    def run_batched():
-        import selectors
-
-        a, b = socketlib.socketpair()
-        counted = _CountingSock(a)
-        for sock in (a, b):
-            sock.setblocking(False)
-        done = threading.Event()
-
-        def drive(sock, selector):
-            # Mirrors _SocketEndpoint.step_exchange: reusable batch
-            # buffers and a long-lived selector per worker.
-            out, inc = PeerBatch(), RecvBatch()
-            for _ in range(n_steps):
-                payload = out.stage(total_floats)
-                for t, part in enumerate(slices):
-                    payload[t * slice_len: (t + 1) * slice_len] = part
-                inc.stage(8 * total_floats)
-                exchange_batches({0: sock}, {0: out}, {0: inc},
-                                 timeout=120.0, selector=selector)
-
-        def peer_side():
-            with selectors.DefaultSelector() as selector:
-                drive(b, selector)
-            done.set()
-
-        thread = threading.Thread(target=peer_side, daemon=True)
-        thread.start()
-        start = time.perf_counter()
-        with selectors.DefaultSelector() as selector:
-            drive(counted, selector)
-        elapsed = time.perf_counter() - start
-        thread.join(timeout=120.0)
-        assert done.is_set(), "batched exchange wedged"
-        a.close()
-        b.close()
-        syscalls = (counted.send_calls + counted.recv_calls) / n_steps
-        return n_steps / elapsed, syscalls
-
-    def run_per_frame():
-        """The replaced protocol: every transfer its own blocking
-        frame, all sends issued before any read (safe here only
-        because the traffic fits default socket buffers)."""
-        a, b = socketlib.socketpair()
-        counted = _CountingSock(a)
-        done = threading.Event()
-
-        def peer_side():
-            for _ in range(n_steps):
-                for part in slices:
-                    send_frame(b, TAG_DATA, part)
-                for _ in range(n_transfers):
-                    recv_frame(b, expect=TAG_DATA)
-            done.set()
-
-        thread = threading.Thread(target=peer_side, daemon=True)
-        thread.start()
-        start = time.perf_counter()
-        for _ in range(n_steps):
-            for part in slices:
-                send_frame(counted, TAG_DATA, part)
-            for _ in range(n_transfers):
-                recv_frame(counted, expect=TAG_DATA)
-        elapsed = time.perf_counter() - start
-        thread.join(timeout=120.0)
-        assert done.is_set(), "per-frame exchange wedged"
-        a.close()
-        b.close()
-        syscalls = (counted.send_calls + counted.recv_calls) / n_steps
-        return n_steps / elapsed, syscalls
-
-    batched = [run_batched() for _ in range(repeats)]
-    per_frame = [run_per_frame() for _ in range(repeats)]
-    batched_ops = max(rate for rate, _ in batched)
-    per_frame_ops = max(rate for rate, _ in per_frame)
-    return {
-        "ops_per_sec": batched_ops,
-        "per_frame_ops_per_sec": per_frame_ops,
-        "speedup_vs_per_frame": batched_ops / per_frame_ops,
-        "send_recv_syscalls_per_step": batched[0][1],
-        "per_frame_send_recv_syscalls_per_step": per_frame[0][1],
-        "params": {"n_transfers": n_transfers, "slice_len": slice_len,
-                   "n_steps": n_steps,
-                   "payload_bytes_per_step": 8 * total_floats},
     }
 
 
@@ -1065,12 +902,9 @@ BENCHMARKS = {
     "multicore_16proc": lambda mode: bench_multicore(mode),
     "fluid_ticks": lambda mode: bench_fluid_ticks(mode),
     "barrier_step": lambda mode: bench_barrier_step(mode),
-    "socket_frame_batch": lambda mode: bench_socket_frame_batch(mode),
     "service_latency": lambda mode: bench_service_latency(mode),
     "service_fanout": lambda mode: bench_service_fanout(mode),
     "parallel_speedup": lambda mode: bench_parallel_speedup(mode),
-    "parallel_speedup_socket": lambda mode: bench_parallel_speedup(
-        mode, fabric="socket", workers_key="socket_workers"),
 }
 
 

@@ -16,10 +16,9 @@ covers the common workflows::
     alloc.flowlet_start(0, topo.route(0, 9))
     print(alloc.iterate(50).rates)
 
-Every resource-owning object here (:class:`MulticoreNedEngine`, the
-fabrics, :class:`LocalCluster`, :class:`FlowtuneService`,
-:class:`FlowtuneClient`) is a context manager with an idempotent
-``close()``.
+Every resource-owning object here (:class:`MulticoreNedEngine`,
+:class:`FlowtuneService`, :class:`FlowtuneClient`) is a context manager
+with an idempotent ``close()``.
 
 Subpackages hold the deeper surface:
 
@@ -30,9 +29,12 @@ Subpackages hold the deeper surface:
     ``RateScheduler`` protocol / ``make_scheduler`` factory that
     unify full Flowtune, sampled Flowtune and pure ECMP.
 ``repro.parallel``
-    The FlowBlock/LinkBlock multicore partitioning (§5).
+    The FlowBlock/LinkBlock multicore partitioning (§5): the simulated
+    engine and the shared-memory worker-process backend.
 ``repro.service``
     The always-on allocator service and its wire schema.
+``repro.net``
+    The length-prefixed TCP framing the service's two ends share.
 ``repro.topology``
     Two- and three-tier Clos topologies and routing.
 ``repro.workloads``
@@ -57,9 +59,10 @@ __version__ = "1.1.0"
 from .core import (AllocationResult, AlphaFairUtility, ChurnQueue,
                    FlowtuneAllocator, FlowTable, FNormalizer, LinkSet,
                    LogUtility, NedOptimizer, RateUpdate, UNormalizer)
-# the multicore engine and its fabrics
-from .parallel import (FabricError, LocalCluster, MulticoreNedEngine,
-                       SharedMemoryFabric, SocketFabric)
+# the transport error the service client raises
+from .net import FabricError
+# the multicore engine
+from .parallel import MulticoreNedEngine
 # the sampling front-end and the scheduler protocol
 from .sampling import (EcmpScheduler, ElephantDetector, RateScheduler,
                        SampledAllocator, make_scheduler)
@@ -76,13 +79,13 @@ __all__ = [
     "FlowTable", "LinkSet", "NedOptimizer",
     "FNormalizer", "UNormalizer", "LogUtility", "AlphaFairUtility",
     # parallel
-    "MulticoreNedEngine", "LocalCluster",
-    "SharedMemoryFabric", "SocketFabric", "FabricError",
+    "MulticoreNedEngine",
     # sampling
     "RateScheduler", "SampledAllocator", "EcmpScheduler",
     "ElephantDetector", "make_scheduler",
     # service
     "FlowtuneService", "FlowtuneClient", "ServiceError", "spawn_service",
+    "FabricError",
     # topology
     "TwoTierClos", "ThreeTierClos", "Topology", "paper_topology",
 ]

@@ -9,9 +9,9 @@ which lets us store all routes in a single padded integer matrix:
 * unused hops point at a *virtual pad link* (index ``n_links``) whose
   price is pinned to zero and whose capacity is infinite.
 
-The padded matrix is the *storage and wire* format — simple, fixed
-stride, shm-/delta-codec-friendly — but it is not what the NUM kernels
-iterate over.  Typical Clos routes are at most half ``max_route_len``
+The padded matrix is the *storage* format — simple, fixed stride,
+shareable with worker processes through shared memory — but it is not
+what the NUM kernels iterate over.  Typical Clos routes are at most half ``max_route_len``
 hops, so a padded gather spends roughly half its work multiplying
 pads.  The kernels therefore run on a derived **CSR route index**
 (``indptr`` + flat ``indices`` + the matching flow-row id per slot)
@@ -258,17 +258,10 @@ class FlowTable:
         #: incremented by :meth:`refresh_capacity` only; lets optimizers
         #: keep capacity-derived per-flow columns across churn.
         self.capacity_version = 0
-        # Opt-in dirty-row log (see start_change_log): index arrays of
-        # the positional rows whose routes/weights/bottleneck changed
-        # since the last consume_changes(), one per churn call.
-        # ``None`` (the default) records nothing, so the common case
-        # pays one attribute check per churn call.
-        self._change_log = None
-        self._change_all = False
         # Derived CSR route index (see _route_index): private-heap
         # state rebuilt incrementally from _csr_dirty when ``version``
         # moves, never routed through the allocator hook — the padded
-        # matrix stays the storage/wire format.  Slots are uniform at
+        # matrix stays the storage format.  Slots are uniform at
         # the running-max hop count (variable-width slots shift on
         # every hop-count change a swap-remove drags in, degenerating
         # to whole-suffix rebuilds under mixed-length churn; uniform
@@ -361,8 +354,6 @@ class FlowTable:
         for column in self._columns:
             column._data[idx] = column.default
         self._bottleneck._data[idx] = self._capacity_padded()[route].min()
-        if self._change_log is not None:
-            self._change_log.append(np.array((idx,)))
         if len(route) > self._max_hops_seen:
             self._max_hops_seen = len(route)
         self._n += 1
@@ -394,8 +385,6 @@ class FlowTable:
         """Record rows a removal refilled (an int64 index array)."""
         if not self._csr_full:  # a pending rebuild covers every row
             self._csr_dirty.append(holes)
-        if self._change_log is not None:
-            self._change_log.append(holes)
 
     def remove_flows(self, flow_ids: Iterable[Hashable]) -> None:
         """Batched removal: the vectorized mirror of the batched add.
@@ -520,8 +509,6 @@ class FlowTable:
         # would make numpy broadcast them as nested sequences.
         self._ids[block] = np.fromiter(ids, dtype=object, count=k)
         self._index_of.update(zip(ids, range(n0, n0 + k)))
-        if self._change_log is not None:
-            self._change_log.append(np.arange(n0, n0 + k))
         self._max_hops_seen = max(self._max_hops_seen, int(lengths.max()))
         self._n += k
         self.version += 1
@@ -542,49 +529,6 @@ class FlowTable:
             self._padded_capacity = padded
         return padded
 
-    # ------------------------------------------------------------------
-    # dirty-row tracking (delta-encoded churn publication)
-    # ------------------------------------------------------------------
-    def start_change_log(self) -> None:
-        """Begin (or reset) dirty-row tracking.
-
-        Afterwards every churn event records which positional rows it
-        touched, so a consumer that mirrors this table remotely (the
-        socket fabric's delta-encoded churn frames) can ship only the
-        changed rows plus the new flow count instead of a whole-cell
-        snapshot.  Rows that merely fell off the tail (the count
-        shrank) are conveyed by ``n_flows``, not logged.  Call again to
-        reset after publishing a full snapshot.
-        """
-        self._change_log = []
-        self._change_all = False
-
-    def consume_changes(self) -> tuple[IntArray, bool]:
-        """Drain the dirty-row log: ``(rows, all_changed)``.
-
-        ``rows`` is a sorted, duplicate-free int64 array of logged
-        positions still in range (stale tail entries from shrinks are
-        dropped).  Churn appends one index array per call (the holes a
-        removal refilled, the row block an add wrote), so draining is
-        one ``np.unique`` over their concatenation;
-        ``all_changed`` is True when a whole-table invalidation
-        happened (:meth:`refresh_capacity` rewrites every bottleneck
-        entry) and the consumer should fall back to a full snapshot.
-        Requires :meth:`start_change_log`; resets the log.
-        """
-        log = self._change_log
-        if log is None:
-            raise RuntimeError("change tracking is off; call "
-                               "start_change_log() first")
-        all_changed = self._change_all
-        rows = np.empty(0, dtype=np.int64)
-        if log:
-            rows = np.unique(np.concatenate(log))
-            rows = rows[rows < self._n]
-        log.clear()
-        self._change_all = False
-        return rows, all_changed
-
     def refresh_capacity(self) -> None:
         """Mark capacity-derived per-flow caches stale after link
         capacities were changed in place (§7 external traffic).
@@ -597,8 +541,6 @@ class FlowTable:
         """
         self._capacity_dirty = True
         self._padded_capacity = None
-        if self._change_log is not None:
-            self._change_all = True  # bottleneck changes for every flow
         # Routes are untouched, so the CSR route index stays valid; the
         # version bump makes the next _route_index() a cheap no-op sync.
         self.version += 1

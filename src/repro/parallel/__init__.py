@@ -4,22 +4,17 @@ from .aggregation import (Transfer, aggregation_schedule,
                           distribution_schedule, final_down_holder,
                           final_up_holder)
 from .blocks import BlockPartition
-from .cost_model import (CLOCK_GHZ, FABRIC_COSTS, PAPER_TABLE, BenchConfig,
-                         CostModel, FabricStepCosts, PaperRow, cpu_of,
-                         fabric_iteration_us, fit_cost_model, step_breakdown)
+from .cost_model import (CLOCK_GHZ, PAPER_TABLE, BenchConfig, CostModel,
+                         PaperRow, cpu_of, fit_cost_model, step_breakdown)
 from .engine import (IterationStats, MulticoreNedEngine, ParallelBackend,
                      SimulatedBackend, ned_price_update)
-from .fabric import (FabricError, LocalCluster, SenseReversingBarrier,
-                     SharedMemoryFabric, SocketFabric, measure_barrier_rate)
-from .shm import SharedArena
+from .shm import SenseReversingBarrier, SharedArena, measure_barrier_rate
 
 __all__ = ["BlockPartition", "MulticoreNedEngine", "IterationStats",
            "ParallelBackend", "SimulatedBackend", "SharedArena",
-           "ned_price_update",
-           "FabricError", "LocalCluster", "SenseReversingBarrier",
-           "SharedMemoryFabric", "SocketFabric", "measure_barrier_rate",
+           "ned_price_update", "SenseReversingBarrier",
+           "measure_barrier_rate",
            "Transfer", "aggregation_schedule", "distribution_schedule",
            "final_up_holder", "final_down_holder", "BenchConfig",
-           "CostModel", "FabricStepCosts", "FABRIC_COSTS",
-           "fabric_iteration_us", "PaperRow", "PAPER_TABLE",
+           "CostModel", "PaperRow", "PAPER_TABLE",
            "fit_cost_model", "cpu_of", "step_breakdown", "CLOCK_GHZ"]

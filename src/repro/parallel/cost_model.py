@@ -35,9 +35,7 @@ from scipy.optimize import nnls
 from .aggregation import aggregation_schedule
 
 __all__ = ["PAPER_TABLE", "PaperRow", "BenchConfig", "cpu_of",
-           "step_breakdown", "CostModel", "fit_cost_model",
-           "CLOCK_GHZ", "FabricStepCosts", "FABRIC_COSTS",
-           "fabric_iteration_us"]
+           "step_breakdown", "CostModel", "fit_cost_model", "CLOCK_GHZ"]
 
 #: E7-8870 nominal clock used by the paper to convert cycles to time.
 CLOCK_GHZ = 2.4
@@ -174,87 +172,6 @@ class CostModel:
         second of allocator work, as §6.1 reports (e.g. "4 cores
         allocate 15.36 Tbit/s" = 384 nodes x 40 Gbit/s)."""
         return config.nodes * link_gbps / 1e3
-
-
-@dataclass(frozen=True)
-class FabricStepCosts:
-    """Measured per-step coordination costs of one fabric (µs).
-
-    The §6.1 model above calibrates *cycles* against the paper's
-    Nehalem numbers; this dataclass carries the analogous constants
-    for our own fabrics, measured on real hardware by the harness's
-    ``barrier_step`` / ``socket_frame_batch`` benchmarks, so
-    iteration-time estimates can be compared *across fabrics* before
-    committing to a deployment:
-
-    * ``barrier_us`` — one ``step_barrier()`` round across all
-      workers.  Zero for the socket fabric: its frames carry the
-      step-to-step data dependencies, so steps need no barrier.
-    * ``per_batch_us`` — fixed cost of one **per-peer batch**.  The
-      socket fabric coalesces everything a worker owes one peer
-      within a step into a single frame, so its fixed syscall +
-      framing overhead is paid once per communicating pair per step,
-      not once per LinkBlock hand-off; for the shm fabric a "batch"
-      is one in-place fancy-indexed read, so the term stays
-      per-transfer there.
-    * ``per_entry_us`` — marginal cost per link entry moved (a copied
-      float64 for shm, a serialized+parsed one for sockets).
-    """
-
-    name: str
-    barrier_us: float
-    per_batch_us: float
-    per_entry_us: float
-
-    def step_us(self, n_batches, n_entries):
-        """Cost of one schedule step moving the given traffic."""
-        return (self.barrier_us + n_batches * self.per_batch_us
-                + n_entries * self.per_entry_us)
-
-
-#: Default constants, measured on the dev container (single-core, so
-#: shm barrier numbers reflect the blocking fallback path; on a
-#: dedicated-core host the spin path is an order of magnitude lower).
-#: Re-measure with ``benchmarks/harness.py --only barrier_step`` (and
-#: ``--only socket_frame_batch``) when the estimates matter on new
-#: hardware.
-FABRIC_COSTS = {
-    "shm": FabricStepCosts("shm", barrier_us=80.0, per_batch_us=2.0,
-                           per_entry_us=0.002),
-    "socket": FabricStepCosts("socket", barrier_us=0.0,
-                              per_batch_us=40.0, per_entry_us=0.02),
-}
-
-
-def fabric_iteration_us(config: BenchConfig, fabric="shm", costs=None,
-                        n_workers=None):
-    """Estimated per-iteration coordination time (µs) for one fabric.
-
-    Counts the fig. 3 schedule exactly as the engine executes it: each
-    of the ``log2 n`` aggregation steps and ``log2 n`` distribution
-    steps moves ``2n`` LinkBlock transfers of ``links_per_block``
-    entries; synchronization points are one barrier per step plus the
-    post-rate and post-price-update barriers.  For the socket fabric
-    the per-step fixed term counts **peer batches**, not transfers:
-    with ``n_workers`` processes sharing the grid (default: one per
-    core, the paper's regime), a step's transfers coalesce into at
-    most ``n_workers * (n_workers - 1)`` pair frames.  Only
-    coordination is modeled — the Equation-3/4 arithmetic is
-    fabric-independent and already covered by :class:`CostModel`.
-    """
-    c = costs if costs is not None else FABRIC_COSTS[fabric]
-    n = config.grid_side
-    steps = int(np.log2(n)) if n > 1 else 0
-    per_step_transfers = 2 * n
-    per_step_entries = per_step_transfers * config.links_per_block
-    if c.name == "socket":
-        w = int(n_workers) if n_workers is not None else config.cores
-        per_step_batches = min(per_step_transfers, w * max(w - 1, 0))
-    else:
-        per_step_batches = per_step_transfers
-    sync_only = 2 * c.barrier_us  # post-rate + post-price barriers
-    return sync_only + 2 * steps * c.step_us(per_step_batches,
-                                             per_step_entries)
 
 
 def fit_cost_model(rows=None, hosts_per_rack=HOSTS_PER_RACK,

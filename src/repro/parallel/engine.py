@@ -25,12 +25,10 @@ Execution is pluggable behind :class:`ParallelBackend`:
   process, exactly as described above — fast to construct, counts the
   §6.1 work/communication stats, no real parallelism;
 * ``backend="process"`` runs the same phase structure on a persistent
-  pool of **worker processes** (see
-  :mod:`repro.parallel.process_backend`), measuring *actual* parallel
-  speedup instead of modeling it.  All coordination goes through a
-  pluggable fabric (:mod:`repro.parallel.fabric`): ``fabric="shm"``
-  (shared memory + a sense-reversing flag-array barrier, default) or
-  ``fabric="socket"`` (TCP length-prefixed frames, multi-host capable).
+  pool of **worker processes** on one host (see
+  :mod:`repro.parallel.process_backend`): shared memory plus a
+  sense-reversing flag-array barrier, measuring *actual* parallel
+  speedup instead of modeling it.
 """
 
 from __future__ import annotations
@@ -163,9 +161,8 @@ class MulticoreNedEngine:
     def __init__(self, topology: Topology, n_blocks: int,
                  utility: Utility | None = None, gamma: float = 1.0,
                  max_route_len: int = 8, backend: str = "simulated",
-                 n_workers: int | None = None, reserve_per_block: int = 0,
-                 fabric: str = "shm",
-                 fabric_options: dict | None = None) -> None:
+                 n_workers: int | None = None,
+                 reserve_per_block: int = 0) -> None:
         self.partition = BlockPartition(topology, n_blocks)
         self.links = topology.link_set()
         self.utility = utility if utility is not None else LogUtility()
@@ -194,13 +191,12 @@ class MulticoreNedEngine:
             self.backend = SimulatedBackend(self)
         elif backend == "process":
             from .process_backend import ProcessBackend
-            # The backend allocates the coordination state through the
-            # chosen fabric and populates ``self.processors`` with
-            # fabric-backed tables/price rows.
+            # The backend allocates the shared-memory state and
+            # populates ``self.processors`` with shm-backed tables and
+            # price rows.
             self.backend = ProcessBackend(
                 self, n_workers=n_workers,
-                reserve_per_block=reserve_per_block,
-                fabric=fabric, fabric_options=fabric_options)
+                reserve_per_block=reserve_per_block)
         else:
             raise ValueError(f"unknown backend {backend!r}; "
                              "choose 'simulated' or 'process'")
@@ -305,10 +301,10 @@ class MulticoreNedEngine:
         return stats
 
     def close(self) -> None:
-        """Shut down the backend (worker pool, shared memory, sockets);
-        no-op for the simulated backend.  Idempotent, and safe to call
-        even if backend construction failed partway or a worker died
-        mid-run — the fabric tears down every segment and socket it
+        """Shut down the backend (worker pool, shared memory); no-op
+        for the simulated backend.  Idempotent, and safe to call even
+        if backend construction failed partway or a worker died mid-run
+        — the backend tears down every process and segment it
         allocated.  The engine is unusable afterwards if the backend
         held real resources."""
         backend = getattr(self, "backend", None)

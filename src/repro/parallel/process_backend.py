@@ -2,78 +2,74 @@
 
 Where :class:`~repro.parallel.engine.SimulatedBackend` time-slices the
 ``n x n`` processor grid inside one Python process, this backend runs
-it on a persistent pool of **real worker processes**:
+it on a persistent pool of **real worker processes** on one host:
 
 * each worker owns one or more FlowBlocks (grid cells, assigned
   round-robin so worker counts that don't divide the grid still work);
-* all inter-worker coordination — step synchronization, LinkBlock
-  hand-offs of load/Hessian/price rows, churn/version/capacity
-  broadcast — goes through a pluggable **fabric**
-  (:mod:`repro.parallel.fabric`): ``fabric="shm"`` keeps every hot
-  array in ``multiprocessing.shared_memory`` and synchronizes steps
-  with a sense-reversing flag-array barrier; ``fabric="socket"`` keeps
-  worker state private and moves the same LinkBlock slices as
-  length-prefixed TCP frames — one batched payload per peer per step,
-  driven by a nonblocking send/recv loop — which is multi-host capable
-  and deadlock-free regardless of OS socket buffer sizes;
+* every hot array lives in one :class:`~repro.parallel.shm.SharedArena`:
+  per-cell ``FlowTable`` columns (through the table's allocator hook),
+  the price/load/Hessian matrices one row per grid cell, the per-cell
+  count/version vectors and the capacity/idle-price vectors.  Workers
+  inherit the mappings over ``fork``, so churn reaches them when the
+  parent refreshes the count/version vectors before an iterate; only
+  a cell outgrowing its arrays re-attaches by segment name;
 * one iteration follows the exact phase structure of the simulated
   engine: local Equation-3 rate work, the fig. 3 diagonal aggregation
   schedule, the Equation-4 price update on the authoritative diagonal
   holders, and the reverse distribution schedule.  Within a step every
-  transfer touches a disjoint LinkBlock slice, so workers apply their
-  steps' transfers concurrently without locks; between steps the shm
-  fabric barriers while the socket fabric's frames carry the
-  dependencies themselves.
+  transfer touches a disjoint LinkBlock slice, so each worker applies
+  the transfers whose destination it owns by reading the source rows
+  in place, without locks; a
+  :class:`~repro.parallel.shm.SenseReversingBarrier` round closes
+  every step.
 
-Because all backends and fabrics execute the same float operations in
-the same order (they share :func:`~repro.parallel.engine.ned_price_update`
-and the FlowTable gather/scatter kernels' reduction shapes — and a
-socket frame carries the byte-exact slice the shm fabric reads in
-place), the process backend reproduces the simulated engine's floats;
-the cross-backend test suite asserts bitwise equality for both
-fabrics, churn included.
+Because both backends execute the same float operations in the same
+order (they share :func:`~repro.parallel.engine.ned_price_update` and
+the :mod:`repro.core.kernels` gather/scatter reductions), the process
+backend reproduces the simulated engine's floats; the cross-backend
+test suite asserts bitwise equality, churn included.
 
-Control flow: the parent drives workers over one fabric control
-channel per worker (a pipe for shm, a TCP connection for sockets) and
-the workers' per-iteration exchanges stay entirely among themselves.
-The shm fabric requires the ``fork`` start method (Linux); the socket
-fabric can also boot workers from scratch over the wire (see
-:class:`~repro.parallel.fabric.LocalCluster`).
+Control flow: the parent drives each worker over a pipe (iterate,
+re-attach, stop); the workers' per-iteration exchanges stay entirely
+in shared memory.  Needs the ``fork`` start method (Linux).
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import time
 import traceback
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..core import kernels
 from ..core.network import FlowTable
-from .engine import ParallelBackend, _Processor, ned_price_update
+from ..net import FabricError
+from .aggregation import final_down_holder, final_up_holder
 from .cost_model import cpu_of
-from .fabric import FABRICS, FabricError
-from .shm import attach
+from .engine import ParallelBackend, _Processor, ned_price_update
+from .shm import SenseReversingBarrier, SharedArena, attach
 
-__all__ = ["ProcessBackend", "CellPlan", "worker_loop"]
+__all__ = ["ProcessBackend"]
 
 
 class CellPlan:
     """Worker-side handle on one owned grid cell's flow state.
 
-    Under the shm fabric the arrays are shared-memory views inherited
-    over ``fork``; under the socket fabric they are private arrays
-    installed by churn frames.  The CSR route-index cache mirrors
-    ``FlowTable._route_index`` — derived, worker-private, keyed on the
-    cell's published version — so the worker kernels iterate the same
-    pad-free view the single-process kernels do.
+    The arrays are shared-memory views inherited over ``fork``.  The
+    CSR route-index cache mirrors ``FlowTable._route_index`` — derived,
+    worker-private, keyed on the cell's published version — so the
+    worker kernels iterate the same pad-free view the single-process
+    kernels do.
     """
 
     __slots__ = ("row", "routes", "weights", "bottleneck", "floor",
                  "floor_version", "csr_indices", "csr_width",
                  "csr_version", "_keepalive")
 
-    def __init__(self, row, routes=None, weights=None, bottleneck=None):
+    def __init__(self, row, routes, weights, bottleneck):
         self.row = row
         self.routes = routes
         self.weights = weights
@@ -97,7 +93,7 @@ class CellPlan:
         self._keepalive = keepalive
 
 
-def _compute_cell_rates(plan, fabric, consts, scratch):
+def _compute_cell_rates(plan, shared, consts, scratch):
     """Phase 1 for one cell: Equation-3 rates and G/H partials.
 
     Mirrors the simulated engine's use of ``FlowTable.price_sums`` /
@@ -110,9 +106,9 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     1/n_procs of the population; the parent-side tables do the finer
     incremental maintenance).
     """
-    n = int(fabric.counts[plan.row])
-    load_row = fabric.load[plan.row]
-    hessian_row = fabric.hessian[plan.row]
+    n = int(shared.counts[plan.row])
+    load_row = shared.load[plan.row]
+    hessian_row = shared.hessian[plan.row]
     if n == 0:
         load_row[:] = 0.0
         hessian_row[:] = 0.0
@@ -120,7 +116,7 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     n_links = consts["n_links"]
     utility = consts["utility"]
     weights = plan.weights[:n]
-    version = int(fabric.versions[plan.row])
+    version = int(shared.versions[plan.row])
     if plan.csr_version != version:
         routes = plan.routes[:n]
         width = routes.shape[1]
@@ -132,7 +128,7 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
         plan.csr_version = version
     indices = plan.csr_indices
     width = plan.csr_width
-    scratch[:n_links] = fabric.prices[plan.row]
+    scratch[:n_links] = shared.prices[plan.row]
     scratch[n_links] = 0.0  # pad link: price zero
     rho = kernels.price_sums(scratch, indices, n, width)
     if plan.floor_version != version:
@@ -147,54 +143,46 @@ def _compute_cell_rates(plan, fabric, consts, scratch):
     hessian_row[:] = totals_hessian[:-1]
 
 
-def _one_iteration(plans, fabric, consts):
+def _one_iteration(plans, shared, barrier, consts):
     """One full engine iteration from a single worker's point of view.
 
-    The loop is fabric-neutral: each schedule step hands the fabric
-    its **per-peer frame groups** (every transfer this worker owes
-    each peer, in plan order) plus the ordered receive list, and
-    ``step_exchange`` returns the gathered parts aligned with the
-    receives — an in-place shared-memory read for the shm fabric, one
-    batched nonblocking frame per peer pair for the socket fabric.
-    ``step_barrier`` closes each step (a sense-reversing barrier
-    round, or nothing — socket frames already carry the step-to-step
-    dependencies).  Transfers within a step touch disjoint LinkBlock
-    slices, so the float reduction order is identical across fabrics
-    and matches the simulated engine's phase structure exactly.
+    Each schedule step lists the transfers whose destination this
+    worker owns as ``(dst_row, src_row, link_idx)``; the source row is
+    read straight out of shared memory.  Transfers within a step touch
+    disjoint LinkBlock slices, so no peer writes what this worker
+    reads, and the float reduction order matches the simulated
+    engine's phase structure exactly.  A barrier round closes every
+    step.
     """
-    scratch = consts["scratch"]
     for plan in plans:
-        _compute_cell_rates(plan, fabric, consts, scratch)
-    fabric.step_barrier()
+        _compute_cell_rates(plan, shared, consts, consts["scratch"])
+    barrier.wait()
 
-    load, hessian = fabric.load, fabric.hessian
-    for send_groups, recvs in consts["agg_plan"]:
-        for dst_row, idx, (load_part, hessian_part) in \
-                fabric.step_exchange("agg", send_groups, recvs):
-            load[dst_row, idx] += load_part
-            hessian[dst_row, idx] += hessian_part
-        fabric.step_barrier()
+    load, hessian, prices = shared.load, shared.hessian, shared.prices
+    for step in consts["agg_plan"]:
+        for dst_row, src_row, idx in step:
+            load[dst_row, idx] += load[src_row, idx]
+            hessian[dst_row, idx] += hessian[src_row, idx]
+        barrier.wait()
 
-    prices = fabric.prices
     for row, idx in consts["price_plan"]:
         ned_price_update(prices[row], load[row], hessian[row], idx,
-                         fabric.capacity, fabric.idle_price,
+                         shared.capacity, shared.idle_price,
                          consts["gamma"])
-    fabric.step_barrier()
+    barrier.wait()
 
-    for send_groups, recvs in consts["dist_plan"]:
-        for dst_row, idx, (prices_part,) in \
-                fabric.step_exchange("dist", send_groups, recvs):
-            prices[dst_row, idx] = prices_part
-        fabric.step_barrier()
+    for step in consts["dist_plan"]:
+        for dst_row, src_row, idx in step:
+            prices[dst_row, idx] = prices[src_row, idx]
+        barrier.wait()
 
 
-def worker_loop(endpoint, plans, consts):
-    """Command loop of one worker process (any fabric)."""
+def _worker_loop(conn, barrier, shared, plans, consts):
+    """Command loop of one worker process."""
     consts["scratch"] = np.empty(consts["n_links"] + 1, dtype=np.float64)
     try:
         while True:
-            message = endpoint.recv_command()
+            message = conn.recv()
             command = message[0]
             if command == "stop":
                 break
@@ -203,68 +191,55 @@ def worker_loop(endpoint, plans, consts):
                 for plan in plans:
                     if plan.row == row:
                         plan.rebind(manifest)
-            elif command == "churn":
-                endpoint.apply_churn(message[1], plans)
             elif command == "iterate":
                 for _ in range(message[1]):
-                    _one_iteration(plans, endpoint, consts)
-                endpoint.send_reply(("done", endpoint.done_payload(plans)))
+                    _one_iteration(plans, shared, barrier, consts)
+                conn.send(("done",))
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown command {command!r}")
     except Exception:  # noqa: BLE001 - forwarded to the parent
-        endpoint.abort()  # unblock peers; they error out and report too
+        barrier.abort()  # unblock peers; they error out and report too
         try:
-            endpoint.send_reply(("error", traceback.format_exc()))
+            conn.send(("error", traceback.format_exc()))
         except Exception:  # pragma: no cover - parent already gone
             pass
-    finally:
-        endpoint.shutdown()
 
 
 class ProcessBackend(ParallelBackend):
-    """Persistent worker pool coordinated through a pluggable fabric.
+    """Persistent worker pool over one shared-memory arena.
 
     Parameters
     ----------
     engine:
         The owning :class:`~repro.parallel.engine.MulticoreNedEngine`;
-        its ``processors`` dict is populated here with fabric-backed
+        its ``processors`` dict is populated here with shm-backed
         tables and price rows.
     n_workers:
         Worker processes; defaults to ``min(grid cells, cpu_count)``.
         Clamped to the number of grid cells.
     reserve_per_block:
         Pre-grow each FlowBlock's table to this many flows so steady
-        churn never triggers a re-allocate + re-attach (shm fabric).
+        churn never triggers a re-allocate + re-attach.
     timeout:
-        Seconds to wait for a worker's iteration acknowledgement
-        before declaring the pool wedged.
-    fabric:
-        ``"shm"`` (shared memory + sense-reversing barrier, default)
-        or ``"socket"`` (TCP frames, multi-host capable).
-    fabric_options:
-        Extra keyword arguments for the fabric constructor (e.g.
-        ``launcher="subprocess"`` or ``barrier_mode="block"``).
+        Seconds to wait for a worker's iteration acknowledgement (and
+        for a barrier round) before declaring the pool wedged.
     """
 
     name = "process"
 
     def __init__(self, engine, n_workers=None, reserve_per_block=0,
-                 timeout=600.0, fabric="shm", fabric_options=None):
-        if fabric not in FABRICS:
-            raise ValueError(f"unknown fabric {fabric!r}; choose from "
-                             f"{sorted(FABRICS)}")
-        options = dict(fabric_options or {})
-        options.setdefault("timeout", timeout)
+                 timeout=600.0):
         try:
-            self.fabric = FABRICS[fabric](**options)
-        except FabricError as exc:
-            raise RuntimeError(
-                f"backend='process' fabric={fabric!r}: {exc}") from exc
+            self._ctx = mp.get_context("fork")
+        except ValueError as exc:  # pragma: no cover - non-POSIX
+            raise RuntimeError("backend='process' needs the fork start "
+                               "method (POSIX)") from exc
         self.engine = engine
-        # Timeout enforcement lives in the fabric; mirror its effective
-        # value (fabric_options may override the backend argument).
-        self.timeout = self.fabric.timeout
+        self.timeout = float(timeout)
+        self._arena = SharedArena()
+        self._workers = []
+        self._conns = []
+        self._barrier = None
         self._closed = False
         try:
             self._setup(engine, n_workers, reserve_per_block)
@@ -282,69 +257,56 @@ class ProcessBackend(ParallelBackend):
         self.n_workers = max(1, min(int(n_workers), n_procs))
 
         self._cells = partition.grid_cells()
-        self._row_of = {cell: i for i, cell in enumerate(self._cells)}
+        row_of = {cell: i for i, cell in enumerate(self._cells)}
         # Round-robin cell ownership: worker w owns rows w, w+W, ...
-        self._owner_of_row = [i % self.n_workers for i in range(n_procs)]
+        owner = self._owner_of_row = [i % self.n_workers
+                                      for i in range(n_procs)]
 
-        state = self.fabric.alloc_state(n_procs, n_links,
-                                        engine.links.capacity,
-                                        engine._idle_price)
-        if state is not None:
-            # Capacity-derived constants live in shared memory so the
-            # §7 path (engine.refresh_capacity after an in-place
-            # capacity change) reaches workers; the engine's idle-price
-            # vector is re-pointed at the shared copy so its in-place
-            # refresh is worker-visible with no extra message.
-            engine._idle_price = state["idle_price"]
+        arena = self._arena
+        shared = self._shared = SimpleNamespace(
+            prices=arena.full("prices", (n_procs, n_links), 1.0),
+            load=arena.zeros("load", (n_procs, n_links)),
+            hessian=arena.zeros("hessian", (n_procs, n_links)),
+            counts=arena.zeros("counts", (n_procs,), np.int64),
+            versions=arena.zeros("versions", (n_procs,), np.int64),
+            capacity=arena.allocate("capacity", (n_links,), np.float64),
+            idle_price=arena.allocate("idle_price", (n_links,), np.float64))
+        shared.capacity[:] = engine.links.capacity
+        shared.idle_price[:] = engine._idle_price
+        # The §7 path (engine.refresh_capacity after an in-place
+        # capacity change) must reach workers: the engine's idle-price
+        # vector is re-pointed at the shared copy so its in-place
+        # refresh is worker-visible with no extra message.
+        engine._idle_price = shared.idle_price
 
         engine.processors = {}
         for i, cell in enumerate(self._cells):
             table = FlowTable(engine.links,
                               max_route_len=engine.max_route_len,
-                              allocator=self.fabric.table_allocator(i))
+                              allocator=arena.allocator(f"cell{i}"))
             if reserve_per_block:
                 table.reserve(int(reserve_per_block))
             engine.processors[cell] = _Processor(
                 cell, engine.links, engine.max_route_len,
-                table=table, prices=self.fabric.processor_prices(i))
-
-        # Fabric-neutral transfer plans.  Within each fig. 3 step a
-        # worker stages every slice it owns whose destination lives
-        # elsewhere — grouped **per destination peer**, so the socket
-        # fabric frames one batched payload per pair — then gathers +
-        # applies every transfer whose destination it owns.  Both
-        # sides of a pair derive the batch layout from this same plan
-        # (the per-peer group order here is the step's transfer order
-        # filtered to that pair on both ends), so frames carry no
-        # per-slice metadata.
-        owner = self._owner_of_row
-        row_of = self._row_of
+                table=table, prices=shared.prices[i])
 
         def split(steps):
+            """Per worker, per step: the transfers it receives."""
             per_worker = [[] for _ in range(self.n_workers)]
             for step in steps:
-                sends = [{} for _ in range(self.n_workers)]
                 recvs = [[] for _ in range(self.n_workers)]
                 for t in step:
-                    src_row = row_of[t.src]
                     dst_row = row_of[t.dst]
-                    idx = partition.link_block(t.block, t.upward)
-                    src_owner = owner[src_row]
-                    dst_owner = owner[dst_row]
-                    if src_owner != dst_owner:
-                        sends[src_owner].setdefault(dst_owner, []) \
-                            .append((src_row, idx))
-                    recvs[dst_owner].append((src_owner, dst_row, src_row,
-                                             idx))
+                    recvs[owner[dst_row]].append(
+                        (dst_row, row_of[t.src],
+                         partition.link_block(t.block, t.upward)))
                 for w in range(self.n_workers):
-                    send_groups = sorted(sends[w].items())
-                    per_worker[w].append((send_groups, recvs[w]))
+                    per_worker[w].append(recvs[w])
             return per_worker
 
         agg_plans = split(engine._agg_steps)
         dist_plans = split(engine._dist_steps)
 
-        from .aggregation import final_down_holder, final_up_holder
         price_plans = [[] for _ in range(self.n_workers)]
         for block in range(n):
             for holder, idx in (
@@ -367,15 +329,22 @@ class ProcessBackend(ParallelBackend):
         self._per_iteration = (messages, inter_cpu, entries,
                                len(engine._agg_steps))
 
-        per_worker = []
+        # Each cell's array capacity as the workers will inherit it:
+        # _sync re-attaches a worker whenever the parent's table has
+        # re-allocated past this since.
+        self._capacity_seen = [len(engine.processors[cell].table._weights)
+                               for cell in self._cells]
+        phases, arrive, gates = SenseReversingBarrier.alloc(
+            arena, self._ctx, self.n_workers)
+        self._barrier = SenseReversingBarrier(
+            phases, arrive, gates, 0, self.n_workers, timeout=self.timeout)
         for w in range(self.n_workers):
-            plans = [CellPlan(i,
-                              engine.processors[cell].table._routes,
-                              engine.processors[cell].table._weights,
-                              engine.processors[cell].table
-                              ._bottleneck._data)
-                     for i, cell in enumerate(self._cells)
-                     if owner[i] == w]
+            plans = []
+            for i, cell in enumerate(self._cells):
+                if owner[i] == w:
+                    table = engine.processors[cell].table
+                    plans.append(CellPlan(i, table._routes, table._weights,
+                                          table._bottleneck._data))
             consts = {
                 "n_links": n_links,
                 "utility": engine.utility,
@@ -384,44 +353,76 @@ class ProcessBackend(ParallelBackend):
                 "dist_plan": dist_plans[w],
                 "price_plan": price_plans[w],
             }
-            if state is None:
-                # Socket workers bootstrap over the wire: ship the
-                # shapes and capacity constants alongside the plans.
-                consts["_n_procs"] = n_procs
-                consts["_capacity"] = np.array(engine.links.capacity)
-                consts["_idle_price"] = np.array(engine._idle_price)
-            per_worker.append((plans, consts))
-        self.fabric.launch(worker_loop, per_worker)
+            parent_conn, child_conn = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=_worker_loop,
+                args=(child_conn, self._barrier.for_worker(w), shared,
+                      plans, consts),
+                daemon=True, name=f"ned-worker-{w}")
+            process.start()
+            child_conn.close()
+            self._conns.append(parent_conn)
+            self._workers.append(process)
 
     # ------------------------------------------------------------------
-    # churn synchronization
+    # parent-side operations
     # ------------------------------------------------------------------
     def _sync(self):
-        """Hand every cell's table to the fabric, which publishes the
-        churn its workers need: the shm fabric refreshes the shared
-        count/version vectors and re-attaches regrown cells, the
-        socket fabric frames snapshots of cells whose version moved.
-        Each fabric keeps its own dirty-tracking — the backend stays
-        fabric-neutral."""
-        self.fabric.sync_churn(
-            [(i, self.engine.processors[cell].table)
-             for i, cell in enumerate(self._cells)],
-            self._owner_of_row)
+        """Publish per-cell flow counts/versions; re-attach any cell
+        whose shared arrays were re-allocated (table growth) since the
+        owning worker last mapped them."""
+        counts, versions = self._shared.counts, self._shared.versions
+        for row, cell in enumerate(self._cells):
+            table = self.engine.processors[cell].table
+            # Flush the lazily-recomputed bottleneck column into the
+            # shared array (O(1) unless refresh_capacity marked it
+            # dirty) — workers read the raw column, not the property.
+            table.bottleneck_capacity()
+            counts[row] = table.n_flows
+            versions[row] = table.version
+            capacity = len(table._weights)
+            if capacity != self._capacity_seen[row]:
+                self._send(self._owner_of_row[row],
+                           ("reattach", row,
+                            self._arena.manifest(f"cell{row}")))
+                self._capacity_seen[row] = capacity
+
+    def _send(self, worker, message):
+        try:
+            self._conns[worker].send(message)
+        except (BrokenPipeError, OSError) as exc:
+            raise FabricError(f"worker {worker} is dead") from exc
+
+    def _iterate(self, n):
+        for w in range(len(self._conns)):
+            self._send(w, ("iterate", n))
+        errors = []
+        # One shared deadline across workers: a wedged pool fails after
+        # ~timeout total, not n_workers x timeout.
+        deadline = time.monotonic() + self.timeout
+        for w, conn in enumerate(self._conns):
+            if not conn.poll(max(0.05, deadline - time.monotonic())):
+                raise FabricError(f"worker {w} did not finish within "
+                                  f"{self.timeout:.0f}s")
+            try:
+                message = conn.recv()
+            except (EOFError, OSError) as exc:
+                # Worker died without replying (killed, segfault).
+                raise FabricError(
+                    f"worker {w} died mid-iteration") from exc
+            if message[0] == "error":
+                errors.append(f"worker {w}:\n{message[1]}")
+        if errors:
+            raise FabricError("worker iteration failed\n" + "\n".join(errors))
 
     # ------------------------------------------------------------------
     # ParallelBackend interface
     # ------------------------------------------------------------------
     def refresh_capacity(self):
-        """Republish the capacity vector to workers.  Under shm the
-        idle-price vector is the engine's own (shared) array, already
-        refreshed in place by ``engine.refresh_capacity``; under
-        sockets both vectors ship with the next churn frame."""
-        self.fabric.refresh_capacity(self.engine.links.capacity,
-                                     self.engine._idle_price)
-
-    @property
-    def _workers(self):
-        return self.fabric.workers
+        """Republish the capacity vector to workers.  The idle-price
+        vector is the engine's own (shared) array, already refreshed in
+        place by ``engine.refresh_capacity``."""
+        self._shared.capacity[:] = self.engine.links.capacity
 
     def run(self, n, stats):
         if self._closed:
@@ -429,19 +430,14 @@ class ProcessBackend(ParallelBackend):
         n = int(n)
         try:
             # A dead worker can surface during the churn publish (a
-            # reattach or snapshot send hits a broken channel) just as
-            # during the iteration itself — both paths tear the pool
-            # down eagerly so peers unwedge and resources release.
+            # reattach hits a broken pipe) just as during the iteration
+            # itself — both paths tear the pool down eagerly so peers
+            # unwedge and resources release.
             self._sync()
-            row_prices = self.fabric.iterate(n)
+            self._iterate(n)
         except FabricError as exc:
             self.close()
             raise RuntimeError(str(exc)) from exc
-        if row_prices:
-            # Socket fabric: the authoritative price rows come back
-            # with the acknowledgements (shared memory needs no copy).
-            for row, vector in row_prices.items():
-                self.engine.processors[self._cells[row]].prices[:] = vector
         messages, inter_cpu, entries, agg_steps = self._per_iteration
         stats.messages += n * messages
         stats.inter_cpu_messages += n * inter_cpu
@@ -457,7 +453,33 @@ class ProcessBackend(ParallelBackend):
         if self._closed:
             return
         self._closed = True
-        self.fabric.close()
+        # Unwedge any worker blocked at a phase barrier (a peer died
+        # mid-iteration): aborting makes their wait raise, which they
+        # report and then exit.  Harmless when workers are idle.
+        if self._barrier is not None:
+            try:
+                self._barrier.abort()
+            except Exception:  # pragma: no cover - defensive
+                pass
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        for process in self._workers:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - wedged worker
+                process.terminate()
+                process.join(timeout=5.0)
+        for conn in self._conns:
+            conn.close()
+        self._arena.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def __del__(self):  # pragma: no cover - safety net
         try:

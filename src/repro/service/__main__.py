@@ -5,9 +5,9 @@ Run on any machine the clients can reach::
     REPRO_SERVICE_TOKEN=<32 hex chars> \\
         python -m repro.service --host 0.0.0.0 --port 9930
 
-Like the socket-fabric worker, the process carries no pre-shared
-state beyond the token (never passed on the command line, where it
-would leak via ``ps``).  Once listening it prints one line —
+The process carries no pre-shared state beyond the token (never
+passed on the command line, where it would leak via ``ps``).  Once
+listening it prints one line —
 ``SERVICE-READY <host> <port>`` — so spawners can scrape the bound
 ephemeral port, then serves until killed or sent a SHUTDOWN frame.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from ..parallel.socket_worker import parse_token
+from ..net import parse_token
 from ..topology import TwoTierClos
 from .server import FlowtuneService
 

@@ -1,6 +1,6 @@
 """Client for the always-on allocator service.
 
-Connects with the fabric's retrying connector, presents the raw token,
+Connects with :func:`repro.net.connect_retry`, presents the raw token,
 performs the HELLO/WELCOME version handshake, then speaks
 :mod:`repro.service.wire` frames.  Receives are pumped through a
 :class:`~repro.service.wire.FrameBuffer` so a timeout mid-frame never
@@ -47,7 +47,7 @@ from typing import Any
 
 import numpy.typing as npt
 
-from ..parallel.fabric import FabricError, connect_retry, send_frame
+from ..net import FabricError, connect_retry, send_frame
 from . import wire
 from .wire import TAG_SERVICE, FrameBuffer, ServiceError, WireError
 

@@ -1,11 +1,10 @@
 """The always-on allocator service.
 
-A single-threaded ``selectors`` loop (the socket fabric's idiom) owns
-a rate scheduler (any :func:`repro.make_scheduler` mode — full
-Flowtune by default) and serves many clients over
-TCP: clients authenticate with a raw 16-byte token (checked before any
-frame is parsed, exactly like the fabric's worker handshake), then
-exchange :mod:`repro.service.wire` frames over the fabric's
+A single-threaded ``selectors`` loop owns a rate scheduler (any
+:func:`repro.make_scheduler` mode — full Flowtune by default) and
+serves many clients over TCP: clients authenticate with a raw 16-byte
+token (checked before any frame is parsed), then exchange
+:mod:`repro.service.wire` frames over :mod:`repro.net`'s
 length-prefixed framing.  Flowlet starts/ends/usage land in a
 coalescing :class:`~repro.core.ChurnQueue`; the NUM loop runs in an
 adaptive duty cycle — flat-out while churn is pending, at a
@@ -52,7 +51,6 @@ import os
 import secrets
 import selectors
 import socket as socketlib
-import struct
 import subprocess
 import sys
 import threading
@@ -64,15 +62,14 @@ from typing import Any
 import numpy as np
 
 from ..core.allocator import ChurnQueue
+from ..net import _TOKEN_LEN, FRAME_HEADER
 from ..sampling import make_scheduler
-from ..parallel.fabric import _TOKEN_LEN
 from . import wire
 from .wire import TAG_SERVICE, FrameBuffer, WireError
 
 __all__ = ["FlowtuneService", "spawn_service", "ServiceHandle"]
 
 _RECV_CHUNK = 1 << 16
-_FRAME_HEADER = struct.Struct("!II")
 
 
 def _as_token(token):
@@ -543,7 +540,7 @@ class FlowtuneService:
             return None
         presented = bytes(client.token_buf[:_TOKEN_LEN])
         if not secrets.compare_digest(presented, self._token):
-            # Same policy as the fabric: close without a hint.
+            # Close without a hint: a prober learns nothing.
             self._drop_client(client, session_action="keep")
             return None
         client.authed = True
@@ -601,7 +598,7 @@ class FlowtuneService:
             return False
         if not client.outbox:
             client.outbox_since = time.monotonic()
-        client.outbox += _FRAME_HEADER.pack(len(payload), TAG_SERVICE)
+        client.outbox += FRAME_HEADER.pack(len(payload), TAG_SERVICE)
         client.outbox += payload
         # Stats go up *before* the flush: the send syscall yields the
         # GIL, and a test thread woken by the arriving frame must

@@ -1,7 +1,7 @@
 """Binary wire schema for the always-on allocator service.
 
-One frame = the socket fabric's length-prefixed ``!II`` framing
-(:mod:`repro.parallel.fabric`) carrying tag :data:`TAG_SERVICE`, whose
+One frame = the length-prefixed ``!II`` framing of :mod:`repro.net`
+carrying tag :data:`TAG_SERVICE`, whose
 payload is a 2-byte ``(version, kind)`` header followed by a
 fixed-layout body.  Nothing here is pickled: every field is a struct
 or a big-endian numpy column, so a hostile or version-skewed peer can
@@ -13,9 +13,9 @@ update); :func:`paper_wire_bytes` maps a batch of them onto the
 paper's §6.2 byte accounting so the service's traffic counters stay
 comparable with the fluid-overhead experiments.
 
-Rate updates are delta-encoded the way PR 4's dirty-row codec ships
-LinkBlock cells: each ``RATES`` frame carries only the flows whose
-rate crossed the §6.4 threshold, chained by ``(base_seq, seq)`` —
+Rate updates are delta-encoded: each ``RATES`` frame carries only the
+flows whose rate crossed the §6.4 threshold, chained by
+``(base_seq, seq)`` —
 the receiver rejects a frame whose ``base_seq`` does not match the
 last sequence it applied (version-skew rejection), and a ``SNAPSHOT``
 frame restarts the chain from scratch.
@@ -45,6 +45,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..control.messages import PAYLOAD_BYTES, MessageType, batched_wire_bytes
+from ..net import FRAME_HEADER
 
 __all__ = [
     "WIRE_VERSION", "TAG_SERVICE", "WireError", "ServiceError",
@@ -63,9 +64,8 @@ __all__ = [
 #: kinds added.
 WIRE_VERSION = 2
 
-#: Frame tag for service payloads — distinct from the fabric's
-#: TAG_CTRL (pickled) and TAG_DATA (raw float64) so a service frame
-#: accidentally routed into a fabric endpoint fails loudly.
+#: Frame tag for service payloads; both ends drop a connection that
+#: sends any other tag.
 TAG_SERVICE = 3
 
 #: Sanity bound on one frame's payload (a 1M-flow START batch is
@@ -347,14 +347,11 @@ def decode_message(payload: bytes | bytearray | memoryview,
 
 
 # incremental framing ---------------------------------------------------
-_FRAME_HEADER = struct.Struct("!II")  # fabric's length + tag
-
-
 class FrameBuffer:
-    """Incremental reassembly of the fabric's ``!II``-framed stream.
+    """Incremental reassembly of a :mod:`repro.net`-framed stream.
 
-    The fabric's blocking :func:`~repro.parallel.fabric.recv_frame`
-    would lose partially-read bytes on a timeout, desynchronizing the
+    The blocking :func:`repro.net.recv_frame` would lose partially-read
+    bytes on a timeout, desynchronizing the
     stream; the service's selectors loop instead feeds whatever
     ``recv`` returned into this buffer and only acts on *complete*
     frames, so a slow peer can never corrupt framing.
@@ -369,17 +366,17 @@ class FrameBuffer:
         payload)`` frames it unlocked (possibly empty)."""
         self._buf += data
         frames: list[tuple[int, bytes]] = []
-        while len(self._buf) >= _FRAME_HEADER.size:
-            length, tag = _FRAME_HEADER.unpack_from(self._buf)
+        while len(self._buf) >= FRAME_HEADER.size:
+            length, tag = FRAME_HEADER.unpack_from(self._buf)
             if length > self._max:
                 raise WireError(f"frame of {length} bytes exceeds the "
                                 f"{self._max}-byte bound (stream "
                                 "desynchronized?)")
-            if len(self._buf) < _FRAME_HEADER.size + length:
+            if len(self._buf) < FRAME_HEADER.size + length:
                 break
-            payload = bytes(self._buf[_FRAME_HEADER.size:
-                                      _FRAME_HEADER.size + length])
-            del self._buf[:_FRAME_HEADER.size + length]
+            payload = bytes(self._buf[FRAME_HEADER.size:
+                                      FRAME_HEADER.size + length])
+            del self._buf[:FRAME_HEADER.size + length]
             frames.append((tag, payload))
         return frames
 

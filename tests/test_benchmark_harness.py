@@ -151,42 +151,25 @@ class TestCiLaneSurface:
         assert "ms/op" in out
 
 
-class TestFabricBenchmarks:
+class TestWorkerPoolBenchmarks:
     def test_new_benchmarks_are_registered(self):
-        assert {"barrier_step", "parallel_speedup_socket"} \
+        assert {"barrier_step", "parallel_speedup"} \
             <= set(harness.BENCHMARKS)
 
-    def test_barrier_step_is_gated_and_socket_speedup_is_not(self):
+    def test_barrier_step_is_gated_and_parallel_speedup_is_not(self):
         results = {
             "calibration": {"ops_per_sec": 100.0},
             "barrier_step": {"ops_per_sec": 400.0},
             "parallel_speedup": {"ops_per_sec": 10.0},
-            "parallel_speedup_socket": {"ops_per_sec": 5.0},
         }
         scores = harness.relative_scores(results)
         assert scores == {"barrier_step": pytest.approx(4.0)}
+        assert harness.UNGATED == {"parallel_speedup"}
 
-    def test_barrier_step_runs_and_reports_the_mp_comparison(self):
+    def test_barrier_step_runs(self):
         result = harness.bench_barrier_step("quick", n_workers=2)
         assert result["ops_per_sec"] > 0
-        assert result["mp_barrier_ops_per_sec"] > 0
-        assert result["speedup_vs_mp_barrier"] == pytest.approx(
-            result["ops_per_sec"] / result["mp_barrier_ops_per_sec"])
-
-    def test_socket_frame_batch_is_registered_and_gated(self):
-        assert "socket_frame_batch" in harness.BENCHMARKS
-        assert "socket_frame_batch" not in harness.UNGATED
-
-    def test_socket_frame_batch_coalesces_syscalls(self):
-        """The tentpole claim in miniature: the batched step exchange
-        must issue strictly fewer syscalls per step than per-frame
-        sendall/recv, and the per-frame comparison ships alongside."""
-        result = harness.bench_socket_frame_batch(
-            "quick", n_transfers=4, slice_len=64)
-        assert result["ops_per_sec"] > 0
-        assert result["per_frame_ops_per_sec"] > 0
-        assert result["send_recv_syscalls_per_step"] \
-            < result["per_frame_send_recv_syscalls_per_step"]
+        assert result["params"]["barrier_mode"] == "block"
 
 
 class TestTrend:

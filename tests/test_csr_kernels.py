@@ -400,21 +400,6 @@ class TestCsrStaleness:
         assert_kernels_match(table, rng)  # ...until the next read
         assert table._csr_version == table.version
 
-    def test_change_log_consumers_do_not_race_the_index(self):
-        """The socket fabric's opt-in change log and the CSR dirty log
-        are independent: draining one must not starve the other."""
-        rng = np.random.default_rng(5)
-        table = FlowTable(LinkSet(np.full(6, 10.0)))
-        table.start_change_log()
-        table.apply_churn(starts=[(i, [i % 6]) for i in range(20)])
-        table.price_sums(np.zeros(6))
-        rows, all_changed = table.consume_changes()
-        assert len(rows) == 20 and not all_changed
-        table.apply_churn(ends=[0, 5], starts=[(100, [1, 2, 3])])
-        rows, _ = table.consume_changes()
-        assert len(rows) > 0
-        assert_kernels_match(table, rng)
-
 
 # ----------------------------------------------------------------------
 # clone: one batched apply_churn, positionally identical

@@ -225,11 +225,77 @@ class TestWire:
         """})
         assert "FL-WIRE001" in codes(diags)
 
-    def test_pickle_elsewhere_is_silent(self, tmp_path):
+    def test_pickle_under_parallel_fires(self, tmp_path):
         diags = lint(tmp_path, {"repro/parallel/other.py": """
             import pickle
         """})
+        assert "FL-WIRE001" in codes(diags)
+
+    def test_pickle_outside_repro_is_silent(self, tmp_path):
+        diags = lint(tmp_path, {"benchmarks/cache.py": """
+            import pickle
+        """})
         assert "FL-WIRE001" not in codes(diags)
+
+    def test_pickle_under_core_fires(self, tmp_path):
+        diags = lint(tmp_path, {"repro/core/cache.py": """
+            import pickle
+        """})
+        assert "FL-WIRE001" in codes(diags)
+
+    def test_from_pickle_import_in_net_fires(self, tmp_path):
+        diags = lint(tmp_path, {"repro/net.py": """
+            from pickle import dumps
+        """})
+        assert "FL-WIRE001" in codes(diags)
+
+    def test_pack_arity_mismatch_in_net_fires(self, tmp_path):
+        """``repro/net.py`` holds the service's framing, so it is in
+        the wire scan group."""
+        diags = lint(tmp_path, {"repro/net.py": """
+            import struct
+
+            FRAME_HEADER = struct.Struct("!II")
+
+            def send(length):
+                return FRAME_HEADER.pack(length)
+
+            def recv(buf):
+                length, tag = FRAME_HEADER.unpack(buf)
+                return length, tag
+        """})
+        assert "FL-WIRE002" in codes(diags)
+
+    def test_format_paired_between_net_and_service_is_silent(
+            self, tmp_path):
+        diags = lint(tmp_path, {
+            "repro/net.py": """
+                import struct
+
+                FRAME_HEADER = struct.Struct("!II")
+
+                def header(length, tag):
+                    return FRAME_HEADER.pack(length, tag)
+            """,
+            "repro/service/wire.py": """
+                from ..net import FRAME_HEADER
+
+                def parse(buf):
+                    length, tag = FRAME_HEADER.unpack_from(buf)
+                    return length, tag
+            """})
+        assert "FL-WIRE004" not in codes(diags)
+
+    def test_one_sided_format_outside_the_group_is_silent(self, tmp_path):
+        diags = lint(tmp_path, {"repro/parallel/codec.py": """
+            import struct
+
+            _HDR = struct.Struct("!II")
+
+            def encode(a, b):
+                return _HDR.pack(a, b)
+        """})
+        assert "FL-WIRE004" not in codes(diags)
 
     def test_pack_arity_mismatch_fires(self, tmp_path):
         diags = lint(tmp_path, {"repro/service/codec.py": """

@@ -1,13 +1,12 @@
 """Uniform resource lifecycle across the public API.
 
 Every resource-owning object in the top-level namespace —
-:class:`MulticoreNedEngine`, the fabrics behind its process backend,
-:class:`LocalCluster`, :class:`FlowtuneService`,
-:class:`FlowtuneClient` — promises the same contract: usable as a
-context manager, idempotent ``close()``, and *nothing leaked* after
-the ``with`` block — no ``/dev/shm`` segments, no socket fds, no
-child processes, no threads.  One shared harness asserts exactly that
-for each of them.
+:class:`MulticoreNedEngine` (and the worker pool behind its process
+backend), :class:`FlowtuneService`, :class:`FlowtuneClient` — promises
+the same contract: usable as a context manager, idempotent
+``close()``, and *nothing leaked* after the ``with`` block — no
+``/dev/shm`` segments, no socket fds, no child processes, no threads.
+One shared harness asserts exactly that for each of them.
 """
 
 import multiprocessing
@@ -17,8 +16,8 @@ import time
 
 import pytest
 
-from repro import (FlowtuneClient, FlowtuneService, LocalCluster,
-                   MulticoreNedEngine, TwoTierClos)
+from repro import (FlowtuneClient, FlowtuneService, MulticoreNedEngine,
+                   TwoTierClos)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -87,24 +86,40 @@ def _use_engine(engine):
 
 
 def run_engine_shm():
-    with MulticoreNedEngine(topo(), 2, backend="process", n_workers=2,
-                            fabric="shm") as engine:
+    with MulticoreNedEngine(topo(), 2, backend="process",
+                            n_workers=2) as engine:
         _use_engine(engine)
         return engine
 
 
-def run_engine_socket():
-    with MulticoreNedEngine(topo(), 2, backend="process", n_workers=2,
-                            fabric="socket") as engine:
+def run_engine_shm_uneven():
+    with MulticoreNedEngine(topo(), 2, backend="process",
+                            n_workers=3) as engine:
         _use_engine(engine)
         return engine
 
 
-def run_local_cluster():
-    cluster = LocalCluster(topo(), 2, n_hosts=2)
-    with cluster as engine:
+def run_engine_shm_regrow():
+    """Table growth supersedes segments; the old ones must go too."""
+    t = topo()
+    with MulticoreNedEngine(t, 2, backend="process",
+                            n_workers=2) as engine:
         _use_engine(engine)
-    return cluster
+        engine.apply_churn(starts=[(i, i % t.n_hosts, (i + 1) % t.n_hosts)
+                                   for i in range(1, 400)])
+        engine.iterate(1)
+        return engine
+
+
+def run_engine_shm_dead_worker():
+    with MulticoreNedEngine(topo(), 2, backend="process",
+                            n_workers=2) as engine:
+        _use_engine(engine)
+        engine.backend._workers[1].terminate()
+        engine.backend._workers[1].join(5.0)
+        with pytest.raises(RuntimeError):
+            engine.iterate(1)
+        return engine
 
 
 def run_service_and_client():
@@ -118,9 +133,10 @@ def run_service_and_client():
 
 COMPONENTS = {
     "engine-shm": run_engine_shm,
-    "engine-socket": run_engine_socket,
+    "engine-shm-uneven": run_engine_shm_uneven,
+    "engine-shm-regrow": run_engine_shm_regrow,
+    "engine-shm-dead-worker": run_engine_shm_dead_worker,
     "service-client": run_service_and_client,
-    "local-cluster": pytest.param(run_local_cluster, marks=pytest.mark.slow),
 }
 
 

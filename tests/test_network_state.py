@@ -466,8 +466,6 @@ class ChurnTwins:
         self.columns = [(t.add_column(default=-1.0),
                          t.add_column(default=True, dtype=bool))
                         for t in self.tables]
-        for table in self.tables:
-            table.start_change_log()
         self.counter = 0
 
     def new_starts(self, count, shape, rng):
@@ -502,7 +500,7 @@ class ChurnTwins:
                 floats.data[row] = float(self.counter * 100 + j)
                 flags.data[row] = bool(j % 2)
 
-    def check(self, sync=True, drain=True):
+    def check(self, sync=True):
         batched, twin = self.tables
         assert batched.flow_ids() == twin.flow_ids()
         assert batched.flow_id_array().tolist() == twin.flow_ids()
@@ -515,11 +513,6 @@ class ChurnTwins:
             list(range(batched.n_flows))
         assert batched._ids[batched.n_flows:].tolist() == \
             [None] * (len(batched._ids) - batched.n_flows)
-        if drain:
-            rows_b, all_b = batched.consume_changes()
-            rows_t, all_t = twin.consume_changes()
-            assert rows_b.dtype == np.int64
-            assert rows_b.tolist() == rows_t.tolist() and all_b == all_t
         if sync:
             n = batched.n_flows
             for table in self.tables:
@@ -569,8 +562,8 @@ class TestBatchedEqualsSequential:
     @given(data=st.data())
     def test_churn_program(self, data):
         """Random programs of batches: victim order, batch sizes, start
-        shapes, restarts, and how often the route index and the change
-        log are brought up to date are all drawn."""
+        shapes, restarts, and how often the route index is brought up
+        to date are all drawn."""
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         twins = ChurnTwins(data.draw(st.sampled_from(sorted(ID_KINDS))))
@@ -590,8 +583,7 @@ class TestBatchedEqualsSequential:
                 starts.append((ends[len(ends) // 2], [1, 2]))
             twins.step(starts, ends,
                        as_generator=data.draw(st.booleans()))
-            twins.check(sync=data.draw(st.booleans(), label="sync"),
-                        drain=data.draw(st.booleans(), label="drain"))
+            twins.check(sync=data.draw(st.booleans(), label="sync"))
         twins.check()
 
     def test_errors_name_the_first_offender_and_apply_nothing(self):

@@ -3,17 +3,13 @@
 The §5 design claim is that the FlowBlock/LinkBlock partitioning makes
 the parallel allocator *numerically equivalent* to single-core NED.
 The simulated engine asserts that in one process; this suite closes
-the loop for the real worker-process backend — over **both
-coordination fabrics**: shared memory (sense-reversing barrier, data
-read in place) and sockets (LinkBlock slices as TCP frames, no shared
-state at all).  Same grids, same churn schedules, same floats —
-asserted bitwise: the fabrics ship byte-exact slices through the very
-same kernels in the same reduction order — across worker counts that
-do and don't divide the grid evenly, before and after mid-run churn
-batches, and across the shared-buffer re-allocation (regrow →
-re-attach / re-snapshot) path.
-The socket cases double as the fast-lane multi-host smoke: nothing in
-the worker protocol assumes a shared machine.
+the loop for the real worker-process backend (shared memory, a
+sense-reversing barrier, LinkBlock rows read in place).  Same grids,
+same churn schedules, same floats — asserted bitwise: the workers run
+the very same kernels in the same reduction order — across worker
+counts that do and don't divide the grid evenly, before and after
+mid-run churn batches, and across the shared-buffer re-allocation
+(regrow → re-attach) path.
 """
 
 import multiprocessing
@@ -82,62 +78,59 @@ def single_core_rates(engine):
 class TestCrossBackendEquivalence:
     """The headline suite: process == simulated == single-core NED."""
 
-    @pytest.mark.parametrize("n_blocks,n_workers,fabric", [
-        (2, 1, "shm"),
-        (2, 2, "shm"),
-        (2, 3, "shm"),   # does not divide the 4-cell grid
-        (2, 4, "shm"),
-        (2, 2, "socket"),
-        (2, 3, "socket"),  # uneven ownership over TCP frames
+    @pytest.mark.parametrize("n_blocks,n_workers", [
+        (1, 1),   # one cell: no aggregation steps at all
+        (2, 1),
+        (2, 2),
+        (2, 3),   # does not divide the 4-cell grid
+        (2, 4),
+        (4, 3),   # 16 cells, uneven ownership
     ])
     def test_static_flows_match_simulated_and_single_core(
-            self, n_blocks, n_workers, fabric):
+            self, n_blocks, n_workers):
         topology = clos_for_blocks(n_blocks)
         batches = [(random_starts(topology, np.random.default_rng(0),
                                   range(60)), [])]
         simulated = MulticoreNedEngine(topology, n_blocks)
         r_sim, p_sim = run_schedule(simulated, batches, 15)
         with MulticoreNedEngine(topology, n_blocks, backend="process",
-                                n_workers=n_workers,
-                                fabric=fabric) as engine:
+                                n_workers=n_workers) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 15)
             assert r_proc == r_sim
             np.testing.assert_array_equal(p_proc, p_sim)
             expected = single_core_rates(engine)
             assert r_proc == expected
 
-    @pytest.mark.parametrize("n_blocks,n_workers,seed,fabric", [
-        (2, 2, 1, "shm"),
-        (2, 3, 2, "shm"),
-        (2, 2, 1, "socket"),
-        (2, 3, 2, "socket"),
+    @pytest.mark.parametrize("n_blocks,n_workers,seed", [
+        (2, 1, 3),
+        (2, 2, 1),
+        (2, 3, 2),
+        (2, 4, 4),
+        (4, 3, 5),
     ])
-    def test_mid_run_churn_batches_match(self, n_blocks, n_workers, seed,
-                                         fabric):
+    def test_mid_run_churn_batches_match(self, n_blocks, n_workers, seed):
         topology = clos_for_blocks(n_blocks)
         batches = churn_schedule(topology, seed, rounds=5, burst=25,
                                  n_initial=40)
         simulated = MulticoreNedEngine(topology, n_blocks)
         r_sim, p_sim = run_schedule(simulated, batches, 4)
         with MulticoreNedEngine(topology, n_blocks, backend="process",
-                                n_workers=n_workers,
-                                fabric=fabric) as engine:
+                                n_workers=n_workers) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 4)
             assert r_proc == r_sim
             np.testing.assert_array_equal(p_proc, p_sim)
 
-    @pytest.mark.parametrize("fabric", ["shm", "socket"])
-    def test_refresh_capacity_stays_equivalent(self, fabric):
+    def test_refresh_capacity_stays_equivalent(self):
         """§7 path: in-place capacity changes must reach workers —
         the bottleneck column is flushed and the capacity/idle-price
-        vectors republished (in place for shm, framed for sockets)."""
+        vectors republished in shared memory."""
         topology = clos_for_blocks(2)
         batches = [(random_starts(topology, np.random.default_rng(2),
                                   range(50)), [])]
         simulated = MulticoreNedEngine(topology, 2)
         run_schedule(simulated, batches, 5)
         with MulticoreNedEngine(topology, 2, backend="process",
-                                n_workers=2, fabric=fabric) as engine:
+                                n_workers=2) as engine:
             run_schedule(engine, batches, 5)
             for target in (simulated, engine):
                 target.links.capacity *= 0.5
@@ -148,11 +141,10 @@ class TestCrossBackendEquivalence:
             np.testing.assert_array_equal(engine.global_prices(),
                                           simulated.global_prices())
 
-    @pytest.mark.parametrize("fabric", ["shm", "socket"])
-    def test_dead_worker_raises_instead_of_hanging(self, fabric):
+    def test_dead_worker_raises_instead_of_hanging(self):
         topology = clos_for_blocks(2)
         engine = MulticoreNedEngine(topology, 2, backend="process",
-                                    n_workers=2, fabric=fabric)
+                                    n_workers=2)
         try:
             engine.add_flow(0, 0, topology.n_hosts - 1)
             engine.iterate(1)
@@ -168,15 +160,13 @@ class TestCrossBackendEquivalence:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("fabric", ["shm", "socket"])
-    def test_regrow_reattaches_shared_buffers(self, fabric):
+    def test_regrow_reattaches_shared_buffers(self):
         """Bursts past the initial 64-slot capacity re-allocate a
-        block's arrays; shm workers must follow via re-attach, socket
-        workers via a fresh cell snapshot."""
+        block's arrays; workers must follow via re-attach."""
         topology = clos_for_blocks(2)
         rng = np.random.default_rng(9)
         with MulticoreNedEngine(topology, 2, backend="process",
-                                n_workers=2, fabric=fabric) as engine:
+                                n_workers=2) as engine:
             engine.apply_churn(
                 starts=random_starts(topology, rng, range(30)))
             engine.iterate(3)
@@ -191,55 +181,61 @@ class TestCrossBackendEquivalence:
             expected = single_core_rates(engine)
             assert engine.rates() == expected
 
-    def test_small_socket_buffers_cannot_deadlock_a_step(self):
-        """The socket-fabric deadlock regression: ``SO_SNDBUF`` /
-        ``SO_RCVBUF`` clamped far below one step's per-pair traffic on
-        a 16-block grid.  The sendall-first protocol this repo used to
-        ship wedges here — each worker blocked writing before reading
-        anything — so completion itself is the assertion, plus the
-        usual bitwise equivalence to the simulated engine through mid-run
-        churn."""
-        sockbuf = 2048
-        # One direction's in-flight bytes are bounded by the sender's
-        # send buffer plus the receiver's receive buffer; Linux doubles
-        # the setsockopt request but also enforces floors (4608 snd /
-        # 2304 rcv), so this is what the clamped mesh can absorb.
-        in_flight = max(2 * sockbuf, 4608) + max(2 * sockbuf, 2304)
-        topology = clos_for_blocks(4, racks_per_block=2,
-                                   hosts_per_rack=128)
-        batches = churn_schedule(topology, seed=6, rounds=2, burst=30,
-                                 n_initial=60)
-        simulated = MulticoreNedEngine(topology, 4)
+    def test_regrow_under_uneven_workers_matches_simulated(self):
+        """Re-attach lands on the right owner when ownership is
+        round-robin over a worker count that does not divide the grid."""
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(11)
+        batches = [(random_starts(topology, rng, range(20)), []),
+                   (random_starts(topology, rng, range(100, 600)),
+                    list(range(0, 20, 2)))]
+        simulated = MulticoreNedEngine(topology, 2)
         r_sim, p_sim = run_schedule(simulated, batches, 3)
-        with MulticoreNedEngine(
-                topology, 4, backend="process", n_workers=2,
-                fabric="socket",
-                fabric_options={"sockbuf": sockbuf,
-                                "timeout": 120.0}) as engine:
-            # The premise: one step's batched traffic between the two
-            # workers really exceeds what the clamped mesh can hold.
-            row_of = engine.backend._row_of
-            owner = engine.backend._owner_of_row
-            links = engine.partition.links_per_block
-            worst = 0
-            for step in engine._agg_steps:
-                counts = {}
-                for t in step:
-                    pair = (owner[row_of[t.src]], owner[row_of[t.dst]])
-                    if pair[0] != pair[1]:
-                        counts[pair] = counts.get(pair, 0) + 1
-                worst = max(worst, max(counts.values(), default=0))
-            assert worst * 2 * links * 8 > 1.5 * in_flight, \
-                "test premise broken: step traffic fits the buffers"
+        with MulticoreNedEngine(topology, 2, backend="process",
+                                n_workers=3) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 3)
             assert r_proc == r_sim
             np.testing.assert_array_equal(p_proc, p_sim)
 
+    def test_weighted_flows_match_simulated(self):
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(12)
+        starts = [(flow_id, src, dst, float(rng.choice([0.5, 1.0, 4.0])))
+                  for flow_id, src, dst
+                  in random_starts(topology, rng, range(60))]
+        simulated = MulticoreNedEngine(topology, 2)
+        r_sim, p_sim = run_schedule(simulated, [(starts, [])], 10)
+        with MulticoreNedEngine(topology, 2, backend="process",
+                                n_workers=2) as engine:
+            r_proc, p_proc = run_schedule(engine, [(starts, [])], 10)
+            assert r_proc == r_sim
+            np.testing.assert_array_equal(p_proc, p_sim)
+            assert r_proc == single_core_rates(engine)
+
+    def test_emptied_cells_then_refilled_stay_equivalent(self):
+        """Every cell drains to zero flows (the workers' empty-cell
+        path) and then refills."""
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(13)
+        first = random_starts(topology, rng, range(40))
+        batches = [(first, []),
+                   ([], [flow_id for flow_id, _, _ in first]),
+                   (random_starts(topology, rng, range(40, 90)), [])]
+        simulated = MulticoreNedEngine(topology, 2)
+        with MulticoreNedEngine(topology, 2, backend="process",
+                                n_workers=2) as engine:
+            for starts, ends in batches:
+                for target in (simulated, engine):
+                    target.apply_churn(starts=starts, ends=ends)
+                    target.iterate(4)
+                assert engine.rates() == simulated.rates()
+                np.testing.assert_array_equal(engine.global_prices(),
+                                              simulated.global_prices())
+            assert engine.n_flows == 50
+
     @pytest.mark.slow
-    @pytest.mark.parametrize("n_workers,fabric", [
-        (4, "shm"), (5, "shm"), (16, "shm"), (4, "socket"),
-    ])
-    def test_larger_grid_under_churn(self, n_workers, fabric):
+    @pytest.mark.parametrize("n_workers", [4, 5, 16])
+    def test_larger_grid_under_churn(self, n_workers):
         """16-cell grid, worker counts below/at/not dividing it."""
         topology = clos_for_blocks(4)
         batches = churn_schedule(topology, seed=3, rounds=4, burst=60,
@@ -247,8 +243,7 @@ class TestCrossBackendEquivalence:
         simulated = MulticoreNedEngine(topology, 4)
         r_sim, p_sim = run_schedule(simulated, batches, 3)
         with MulticoreNedEngine(topology, 4, backend="process",
-                                n_workers=n_workers,
-                                fabric=fabric) as engine:
+                                n_workers=n_workers) as engine:
             r_proc, p_proc = run_schedule(engine, batches, 3)
             assert r_proc == r_sim
             np.testing.assert_array_equal(p_proc, p_sim)
@@ -257,14 +252,13 @@ class TestCrossBackendEquivalence:
 
 
 class TestProcessBackendMechanics:
-    @pytest.mark.parametrize("fabric", ["shm", "socket"])
-    def test_stats_match_simulated_engine(self, fabric):
+    def test_stats_match_simulated_engine(self):
         topology = clos_for_blocks(4)
         simulated = MulticoreNedEngine(topology, 4)
         simulated.add_flow(0, 0, topology.n_hosts - 1)
         s_sim = simulated.iterate(2)
         with MulticoreNedEngine(topology, 4, backend="process",
-                                n_workers=2, fabric=fabric) as engine:
+                                n_workers=2) as engine:
             engine.add_flow(0, 0, topology.n_hosts - 1)
             s_proc = engine.iterate(2)
         for field in ("messages", "inter_cpu_messages",
@@ -300,11 +294,6 @@ class TestProcessBackendMechanics:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             MulticoreNedEngine(clos_for_blocks(2), 2, backend="threads")
-
-    def test_unknown_fabric_rejected(self):
-        with pytest.raises(ValueError):
-            MulticoreNedEngine(clos_for_blocks(2), 2, backend="process",
-                               fabric="carrier-pigeon")
 
     def test_reserve_per_block_avoids_regrow(self):
         topology = clos_for_blocks(2)

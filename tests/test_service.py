@@ -18,7 +18,7 @@ import pytest
 from repro import (FlowtuneAllocator, FlowtuneClient, FlowtuneService,
                    TwoTierClos)
 from repro.core.allocator import ChurnQueue
-from repro.parallel.fabric import FabricError, _connect_retry, send_frame
+from repro.net import FabricError, connect_retry, send_frame
 from repro.service import ServiceError, WireError, spawn_service
 from repro.service import wire
 from repro.service.wire import TAG_SERVICE, FrameBuffer
@@ -297,7 +297,7 @@ class TestServiceInProcess:
         """A frame that fails to decode closes the connection — the
         stream can't be trusted after it."""
         with FlowtuneService(topo, mode="manual") as svc:
-            sock = _connect_retry(svc.address)
+            sock = connect_retry(svc.address)
             try:
                 sock.sendall(bytes.fromhex(svc.token_hex))
                 send_frame(sock, TAG_SERVICE, b"\xff\xff garbage")
@@ -315,7 +315,7 @@ class TestServiceInProcess:
 
     def test_wrong_wire_version_rejected(self, topo):
         with FlowtuneService(topo, mode="manual") as svc:
-            sock = _connect_retry(svc.address)
+            sock = connect_retry(svc.address)
             try:
                 sock.sendall(bytes.fromhex(svc.token_hex))
                 skewed = bytearray(wire.encode_hello())
@@ -369,7 +369,7 @@ class TestServiceInProcess:
     def test_non_service_tag_rejected(self, topo):
         with FlowtuneService(topo, mode="manual") as svc:
             with FlowtuneClient(svc.address, svc.token_hex) as cli:
-                send_frame(cli._sock, 1, b"\x80\x04N.")  # TAG_CTRL pickle
+                send_frame(cli._sock, 1, b"\x80\x04N.")  # a pickle, tag 1
                 deadline = time.monotonic() + 10.0
                 with pytest.raises((FabricError, ServiceError)):
                     while time.monotonic() < deadline:

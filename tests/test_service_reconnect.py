@@ -22,7 +22,7 @@ import pytest
 
 from repro import (FlowtuneAllocator, FlowtuneClient, FlowtuneService,
                    TwoTierClos)
-from repro.parallel.fabric import FabricError
+from repro.net import FabricError
 from repro.service import ServiceError, spawn_service
 
 

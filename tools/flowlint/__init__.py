@@ -17,7 +17,7 @@ contracts at lint time, before any test runs:
     their pack arguments and unpack targets, every packed format must
     have a decode counterpart in the wire scan group, declared size
     constants must match ``calcsize``, and ``pickle`` never appears
-    under ``repro/service/``.
+    under ``repro/``.
 ``FL-LOCK``
     Concurrency discipline: state shared between the selectors loop
     and client threads stays under its owning lock; no blocking calls

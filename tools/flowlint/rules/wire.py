@@ -1,13 +1,14 @@
-"""FL-WIRE — wire-format safety for the service codec and the fabric.
+"""FL-WIRE — wire-format safety for the service codec and its framing.
 
 The service speaks a fixed-layout versioned codec (``service/wire.py``)
-over the fabric's length+tag framing (``parallel/fabric.py``); both
-sides of every format must agree *statically*.  Rules:
+over the length+tag framing of ``repro/net.py``; both sides of every
+format must agree *statically*.  Rules:
 
 FL-WIRE001
-    No ``pickle`` anywhere under ``repro/service/`` — the service wire
-    path is fixed-layout by design (untrusted peers hold the token,
-    not arbitrary code execution).
+    No ``pickle`` anywhere under ``repro/`` — every byte the program
+    exchanges between processes is a fixed layout by design (a peer
+    holding the token gets a ``WireError`` at worst, never arbitrary
+    code execution).
 FL-WIRE002
     ``pack``/``pack_into`` argument count must match the format
     string's value count.
@@ -32,7 +33,7 @@ from ..engine import Diagnostic, Module, Project
 from ._util import call_name
 
 RULES = {
-    "FL-WIRE001": "pickle import under repro/service/",
+    "FL-WIRE001": "pickle import under repro/",
     "FL-WIRE002": "struct.pack argument count != format value count",
     "FL-WIRE003": "unpack target count != format value count",
     "FL-WIRE004": "format packed without a decode counterpart (or v.v.)",
@@ -40,8 +41,8 @@ RULES = {
 }
 
 #: Modules whose structs form one cross-checked codec group.
-_GROUP = ("repro/service", "repro/parallel/fabric.py")
-_SERVICE = ("repro/service",)
+_GROUP = ("repro/service", "repro/net.py")
+_NO_PICKLE = ("repro",)
 
 
 def _format_value_count(fmt: str) -> int | None:
@@ -97,8 +98,8 @@ def check(project: Project) -> list[Diagnostic]:
     unpacked: dict[str, tuple[str, int]] = {}  # fmt -> first unpack site
 
     for module in project.modules:
-        # FL-WIRE001 — pickle under repro/service/.
-        if module.in_pkg(*_SERVICE):
+        # FL-WIRE001 — pickle under repro/.
+        if module.in_pkg(*_NO_PICKLE):
             diags.extend(_check_pickle(module))
         if module.rel not in group_rels:
             continue
@@ -130,14 +131,14 @@ def _check_pickle(module: Module) -> list[Diagnostic]:
                 if alias.name.split(".")[0] == "pickle":
                     diags.append(Diagnostic(
                         "FL-WIRE001", module.rel, node.lineno,
-                        "pickle under repro/service/: the service wire "
-                        "path is fixed-layout by design"))
+                        "pickle under repro/: every cross-process "
+                        "byte is fixed-layout by design"))
         elif isinstance(node, ast.ImportFrom):
             if (node.module or "").split(".")[0] == "pickle":
                 diags.append(Diagnostic(
                     "FL-WIRE001", module.rel, node.lineno,
-                    "pickle under repro/service/: the service wire "
-                    "path is fixed-layout by design"))
+                    "pickle under repro/: every cross-process "
+                    "byte is fixed-layout by design"))
     return diags
 
 
