@@ -1,11 +1,9 @@
 """Shared benchmark table rendering.
 
-One renderer, three consumers: the harness's console comparison, the
-``$GITHUB_STEP_SUMMARY`` markdown tables the perf CI lanes emit (so a
-drifting-but-passing run is visible in the run page without
-downloading the artifact), and :mod:`trend`'s cross-run drift table.
-Keeping the formatting here means a column added to one view shows up
-everywhere the same way.
+One renderer for the ``$GITHUB_STEP_SUMMARY`` markdown tables the CI
+lanes emit (the harness's score table and flowlint's findings), so a
+run's numbers are visible in the run page without downloading the
+artifact.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .aggregation import aggregation_schedule
 
@@ -178,8 +177,11 @@ def fit_cost_model(rows=None, hosts_per_rack=HOSTS_PER_RACK,
                    n_spines=N_SPINES):
     """Least-squares calibration against the §6.1 table.
 
-    Returns ``(model, configs, predictions)``.
+    Returns ``(model, configs, predictions)``.  Needs scipy, which is
+    imported here so that ``import repro`` does not.
     """
+    from scipy.optimize import nnls
+
     rows = rows if rows is not None else PAPER_TABLE
     configs = [BenchConfig.from_row(r.cores, r.nodes, r.flows,
                                     hosts_per_rack, n_spines)

@@ -52,7 +52,11 @@ def main(argv=None):
     parser.add_argument("--gamma", type=float, default=1.0)
     parser.add_argument("--threshold", type=float, default=0.01)
     parser.add_argument("--iters-per-cycle", type=int, default=1)
-    parser.add_argument("--min-cycle", type=float, default=0.0005)
+    parser.add_argument("--min-cycle", type=float, default=0.0005,
+                        help="minimum seconds between convergence cycles; "
+                             "the epoll selector rounds the wait up to a "
+                             "whole millisecond, so the default 0.0005 "
+                             "paces cycles ~1.2 ms apart")
     parser.add_argument("--resume-grace", type=float, default=2.0,
                         help="seconds a dropped client's flows stay "
                              "alive awaiting a RESUME (0 disables "

@@ -157,7 +157,11 @@ class FlowtuneService:
         Duty-cycle shape: iterations per allocation, minimum seconds
         between allocations while rates are still moving, the blocking
         ``select`` timeout once converged, and how many consecutive
-        zero-update cycles count as converged.
+        zero-update cycles count as converged.  ``min_cycle`` is a
+        floor, not the pace: ``selectors.EpollSelector`` rounds its
+        timeout up to a whole millisecond, so at the default 0.5 ms
+        the measured gap between convergence cycles is 1.16-1.22 ms
+        (``benchmarks/results/service-steadiness-*.txt``).
     token:
         16 raw bytes, their hex form, or ``None`` to generate one
         (read it back from :attr:`token_hex`).

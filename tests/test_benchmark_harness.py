@@ -1,13 +1,16 @@
-"""Fast-lane smoke tests for the hot-path benchmark harness.
+"""Fast-lane smoke tests for the benchmark tooling.
 
 These do not gate performance (the bench-smoke CI lane does); they
-assert the harness *machinery* works: the new end-to-end fluid
-tick-rate benchmark runs and emits a positive score, results land in
-the JSON schema the trend tooling reads, and the gate's ungated set
-keeps core-count-dependent benchmarks out of the comparison.
+assert the machinery works: the harness's benchmarks run and emit a
+positive score in the JSON schema, the gate's ungated set stays out of
+the comparison and matches the committed baseline, and the paired
+scripts under ``benchmarks/results`` run.
 """
 
+import ast
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +20,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import harness  # noqa: E402
+import report  # noqa: E402
+from _common import bench_environment  # noqa: E402
 
 
 class TestHarnessSmoke:
@@ -53,7 +58,8 @@ class TestHarnessSmoke:
         rows, regressions = harness.compare(results, results,
                                             tolerance=0.3)
         assert regressions == []
-        assert all(name != "parallel_speedup" for name, *_ in rows)
+        status = {row[0]: row[5] for row in rows}
+        assert status == {"fluid_ticks": "ok", "parallel_speedup": "ungated"}
 
     def test_missing_gated_benchmark_counts_as_regression(self):
         baseline = {
@@ -63,10 +69,6 @@ class TestHarnessSmoke:
         current = {"calibration": {"ops_per_sec": 100.0}}
         _, regressions = harness.compare(current, baseline, tolerance=0.3)
         assert regressions == ["fluid_ticks"]
-
-
-import report  # noqa: E402
-import trend  # noqa: E402
 
 
 class TestReportRenderer:
@@ -99,7 +101,7 @@ class TestCiLaneSurface:
     """The harness features the CI lanes lean on."""
 
     def test_only_accepts_multiple_names_in_one_flag(self, tmp_path):
-        """bench-multicore passes `--only a b c` — one flag, three
+        """bench-multicore passes `--only a b` — one flag, several
         benchmarks (extend keeps repeated --only working too)."""
         output = tmp_path / "bench.json"
         code = harness.main([
@@ -107,9 +109,8 @@ class TestCiLaneSurface:
             "--output", str(output)])
         assert code == 0
         results = json.loads(output.read_text())["results"]
-        assert {"calibration", "fluid_ticks",
-                "iterate_churn_1k"} <= set(results)
-        assert "iterate_churn_10k" not in results
+        assert set(results) == {"calibration", "fluid_ticks",
+                                "iterate_churn_1k"}
 
     def test_step_summary_table_lands_in_the_run_page(self, tmp_path,
                                                       monkeypatch):
@@ -134,21 +135,26 @@ class TestCiLaneSurface:
             "calibration": {"ops_per_sec": 100.0},
             "fluid_ticks": {"ops_per_sec": 100.0},
         }
-        summary = harness.step_summary_markdown(results, baseline,
-                                                0.30, "quick")
+        rows, _ = harness.compare(results, baseline, 0.30)
+        summary = report.format_table(harness.HEADERS, rows, markdown=True)
         assert "0.7000" in summary          # floor = 1.0 * (1 - 0.30)
         assert "-20.0%" in summary          # 0.8 vs baseline 1.0
         assert "4w=2.10x" in summary        # §6.1 speedups surfaced
         assert "new" in summary
 
-    def test_profile_mode_prints_kernel_breakdown(self, capsys):
-        code = harness.profile_churn_iterate(1_000, "quick")
-        assert code == 0
-        out = capsys.readouterr().out
-        for label in ("csr_sync", "price_sums", "link_totals2",
-                      "max_link_value", "churn_apply"):
-            assert label in out
-        assert "ms/op" in out
+    def test_only_with_an_unknown_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            harness.main(["--quick", "--only", "iterate_churn_100k"])
+        assert exit_info.value.code == 2
+        assert "unknown benchmark(s): ['iterate_churn_100k']" \
+            in capsys.readouterr().err
+
+    def test_check_without_a_baseline_of_the_mode_fails(self, tmp_path):
+        code = harness.main([
+            "--quick", "--only", "multicore_16proc", "--check",
+            "--baseline", str(tmp_path / "missing.json"),
+            "--output", str(tmp_path / "bench.json")])
+        assert code == 1
 
 
 class TestWorkerPoolBenchmarks:
@@ -164,76 +170,99 @@ class TestWorkerPoolBenchmarks:
         }
         scores = harness.relative_scores(results)
         assert scores == {"barrier_step": pytest.approx(4.0)}
-        assert harness.UNGATED == {"parallel_speedup"}
+        assert harness.UNGATED == {"parallel_speedup", "service_fanout"}
 
     def test_barrier_step_runs(self):
         result = harness.bench_barrier_step("quick", n_workers=2)
         assert result["ops_per_sec"] > 0
         assert result["params"]["barrier_mode"] == "block"
 
+    def test_multicore_16proc_runs(self):
+        result = harness.bench_multicore("quick")
+        assert result["ops_per_sec"] > 0
+        assert result["params"]["n_processors"] == 16
 
-class TestTrend:
-    def artifact(self, tmp_path, run, scores, mode="quick"):
-        directory = tmp_path / f"bench-hotpath-{run}-1"
-        directory.mkdir()
-        results = {name: {"ops_per_sec": ops}
-                   for name, ops in scores.items()}
-        (directory / "BENCH_hotpath.json").write_text(json.dumps(
-            {"schema": 2, "mode": mode, "results": results}))
-        return directory
 
-    def test_series_ordered_by_run_number_and_normalized(self, tmp_path):
-        # Written out of order; run number must win over mtime.
-        self.artifact(tmp_path, 12, {"calibration": 100.0,
-                                     "fluid_ticks": 80.0})
-        self.artifact(tmp_path, 3, {"calibration": 200.0,
-                                    "fluid_ticks": 100.0})
-        series = trend.load_series(trend.discover([str(tmp_path)]))
-        assert [label for label, _ in series] == ["run 3", "run 12"]
-        assert series[0][1]["fluid_ticks"] == pytest.approx(0.5)
-        assert series[1][1]["fluid_ticks"] == pytest.approx(0.8)
+class TestCommittedBaseline:
+    def test_gated_names_match_the_registry_in_each_mode(self):
+        """A gated benchmark missing from the baseline would read "new"
+        forever; a stale one would fail every full run as MISSING."""
+        baseline = json.loads(harness.DEFAULT_BASELINE.read_text())
+        gated = set(harness.BENCHMARKS) - harness.UNGATED - {"calibration"}
+        expected = {"quick": gated - harness.FULL_ONLY, "full": gated}
+        assert {mode: set(harness.relative_scores(entry["results"]))
+                for mode, entry in baseline["modes"].items()} == expected
 
-    def test_run_numbers_sort_numerically_across_digit_boundaries(
-            self, tmp_path):
-        for run in (99, 105):
-            self.artifact(tmp_path, run, {"calibration": 100.0,
-                                          "fluid_ticks": float(run)})
-        series = trend.load_series(trend.discover([str(tmp_path)]))
-        assert [label for label, _ in series] == ["run 99", "run 105"]
-        assert trend.run_number("bench-hotpath-105-1") \
-            > trend.run_number("bench-hotpath-99-2")
+    def test_bench_environment_records_where_a_result_came_from(self):
+        assert set(bench_environment()) == {"python", "numpy", "system",
+                                            "machine"}
 
-    def test_other_modes_and_junk_files_are_skipped(self, tmp_path):
-        self.artifact(tmp_path, 1, {"calibration": 1.0}, mode="full")
-        (tmp_path / "junk.json").write_text("{not json")
-        assert trend.load_series(trend.discover([str(tmp_path)])) == []
 
-    def test_committed_baseline_layout_is_accepted(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"schema": 2, "modes": {
-            "quick": {"results": {
-                "calibration": {"ops_per_sec": 100.0},
-                "fluid_ticks": {"ops_per_sec": 25.0}}}}}))
-        series = trend.load_series([baseline])
-        assert series == [("baseline", {"fluid_ticks": pytest.approx(0.25)})]
+def rebinding_lines(source):
+    """Lines of ``source`` that ``setattr``/``delattr`` or store an
+    attribute on anything but ``self`` or a module it imports from
+    outside ``repro``: the ways a script could monkeypatch the program
+    it measures."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if not alias.name.startswith("repro")}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, (ast.Store, ast.Del))):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name)
+                    and (root.id == "self" or root.id in modules)):
+                lines.append(node.lineno)
+    return lines
 
-    def test_render_flags_scores_below_the_gate_floor(self, tmp_path):
-        import io
-        series = [("run 1", {"fluid_ticks": 1.0}),
-                  ("run 2", {"fluid_ticks": 0.5})]
-        out = io.StringIO()
-        breaching = trend.render(series, {"fluid_ticks": 1.0},
-                                 tolerance=0.3, out=out)
-        assert breaching == ["fluid_ticks"]
-        assert "fluid_ticks" in out.getvalue()
 
-    def test_main_end_to_end(self, tmp_path, capsys):
-        self.artifact(tmp_path, 1, {"calibration": 100.0,
-                                    "fluid_ticks": 50.0})
-        self.artifact(tmp_path, 2, {"calibration": 100.0,
-                                    "fluid_ticks": 60.0})
-        code = trend.main([str(tmp_path),
-                           "--baseline", str(tmp_path / "missing.json")])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "fluid_ticks" in captured and "run 1 .. run 2" in captured
+class TestMeasuresOnlyThroughThePublicSurface:
+    def test_the_scan_sees_a_rebinding(self):
+        assert rebinding_lines(
+            "setattr(table, 'price_sums', timed)\n"
+            "allocator.normalizer = timed\n"
+            "import _common\n_common.X = 1\nself.y = 2\n") == [1, 2]
+
+    def test_no_benchmark_script_rebinds_a_repro_attribute(self):
+        scripts = sorted((REPO_ROOT / "benchmarks").glob("*.py")) \
+            + sorted((REPO_ROOT / "benchmarks" / "results").glob("*.py"))
+        found = {path.name: rebinding_lines(path.read_text())
+                 for path in scripts}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+class TestResultsScripts:
+    @pytest.mark.skipif(shutil.which("git") is None
+                        or not (REPO_ROOT / ".git").exists(),
+                        reason="needs git and a git checkout")
+    def test_pairs_src_tree_is_the_committed_src_tree(self, tmp_path):
+        """On a clean checkout the candidate key pairs.py computes is
+        ``git rev-parse HEAD:src``."""
+        clone = tmp_path / "clone"
+        subprocess.run(["git", "clone", "-q", str(REPO_ROOT), str(clone)],
+                       check=True)
+        committed = subprocess.run(
+            ["git", "rev-parse", "HEAD:src"], cwd=clone, check=True,
+            stdout=subprocess.PIPE, text=True).stdout.strip()
+        computed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, 'benchmarks/results'); "
+             "import pairs; print(pairs.src_tree())"],
+            cwd=clone, check=True, stdout=subprocess.PIPE,
+            text=True).stdout.strip()
+        assert computed == committed[:7]
+
+    def test_parallel_speedup_small_run(self):
+        result = subprocess.run(
+            [sys.executable, "benchmarks/results/parallel_speedup.py",
+             "--flows", "4096", "--rounds", "2", "--sides", "ned,shm1"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=180)
+        assert result.returncode == 0, result.stderr
+        assert "shm1" in result.stdout and "speedup" in result.stdout

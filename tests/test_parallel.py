@@ -1,5 +1,10 @@
 """§5 multicore machinery: partitioning, schedule, engine, cost model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,3 +195,31 @@ class TestCostModel:
     def test_config_rejects_non_square_cores(self):
         with pytest.raises(ValueError):
             BenchConfig.from_row(6, 384, 100)
+
+
+class TestScipyIsOptional:
+    """scipy is only the cost-model fit's dependency: ``import repro``
+    (every service child pays it) must work without it."""
+
+    @staticmethod
+    def _run_without_scipy(code):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nsys.modules['scipy'] = None\n" + code],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    def test_import_repro_without_scipy(self):
+        result = self._run_without_scipy("import repro, repro.parallel")
+        assert result.returncode == 0, result.stderr
+
+    def test_fit_cost_model_raises_import_error_without_scipy(self):
+        result = self._run_without_scipy(
+            "from repro.parallel import fit_cost_model\n"
+            "try:\n"
+            "    fit_cost_model()\n"
+            "except ImportError:\n"
+            "    sys.exit(3)\n")
+        assert result.returncode == 3, result.stderr
