@@ -2,24 +2,27 @@
 
 Attached to every spine over dedicated 40 Gbit/s links (§6.2).  All
 control traffic traverses the network and is only *applied* once its
-bytes arrive — the paper's ns2 fidelity requirement.  Every
-``allocator_period`` (10 µs):
+bytes arrive — the paper's ns2 fidelity requirement.  Notifications
+enter the service's intake, a :class:`~repro.core.allocator.ChurnQueue`
+keyed ``(host_id, flow_id)``.  Every ``allocator_period`` (10 µs) the
+queue is drained into one ``apply_churn``, one NED iteration runs,
+F-NORM normalizes, the threshold filter picks the flows to notify, and
+the service's :func:`~repro.core.allocator.group_by_owner` batches the
+updates into one frame per server (6 bytes per update, §6.2), sent
+unreliably — rates are soft-state.
 
-1. buffered, deduplicated notifications are applied to the embedded
-   :class:`~repro.core.allocator.FlowtuneAllocator` (flowlet start/end);
-2. one NED iteration runs, F-NORM normalizes, and the threshold filter
-   picks the flows whose endpoints must hear about their new rate;
-3. updates are batched per destination server into single frames
-   (6 bytes per update, §6.2) and sent unreliably — rates are
-   soft-state.
-
-An ``ends-before-starts`` race (the ARQ can reorder a retransmitted
-start behind an end) is handled by parking orphan ends for the next
-tick.
+Membership only changes at a tick, so two rules are checked at push
+time: a start for an active flow with no pending end is a duplicate,
+and an end for a flow neither active nor pending is an *orphan* (the
+ARQ reordered its start behind it).  From the next tick on, an orphan
+re-pushes its end after each tick's arrivals, which cancels the late
+start (or ends a start that arrived in the orphan's own tick), for at
+most ``MAX_ORPHAN_TICKS``.
 """
 
 from __future__ import annotations
 
+from ..core.allocator import ChurnQueue, group_by_owner
 from ..core.ned import NedOptimizer
 from ..core.normalization import FNormalizer
 from ..sampling import make_scheduler
@@ -73,10 +76,13 @@ class AllocatorNode(Device):
         self.allocator = allocator
         self.topology = topology
         network.attach_allocator(self)
-        self._seen = set()          # (host, seq) dedupe for the ARQ
-        self._inbox = []            # (kind, data) to apply at next tick
-        self._orphan_ends = {}      # flow_id -> remaining retries
-        self._flow_src = {}         # flow_id -> source host
+        self.queue = ChurnQueue()
+        # ARQ dedupe per host: every seq below the watermark has been
+        # seen, plus the seqs seen above it.  Endpoint seqs count up
+        # from 0, so this stays as small as the reordering window.
+        self._seen = {}             # host -> [watermark, set of seqs]
+        self._orphan_ends = {}      # (host, flow) -> remaining retries
+        self._parked = {}           # orphans arrived since the last tick
         self.iterations = 0
         self.name = "allocator"
         # Periodic; must not keep the simulation alive on its own.
@@ -92,11 +98,38 @@ class AllocatorNode(Device):
             return
         _, seq, host_id, kind, data = payload
         self._ack(host_id, seq)
-        key = (host_id, seq)
-        if key in self._seen:
+        if not self._first_delivery(host_id, seq):
             return  # ARQ duplicate
-        self._seen.add(key)
-        self._inbox.append((kind, data))
+        flow_id = data[0]
+        key = (host_id, flow_id)
+        if kind == "start":
+            pending = self.queue.pending_kind(key)
+            if pending == "end" or (pending is None
+                                    and key not in self.allocator):
+                _, src, dst = data
+                self.queue.push_start(
+                    key, self.topology.route(src, dst, flow_id))
+        elif not self._push_end(key) and key not in self._orphan_ends:
+            self._parked[key] = None
+
+    def _first_delivery(self, host_id, seq):
+        seen = self._seen.setdefault(host_id, [0, set()])
+        if seq < seen[0] or seq in seen[1]:
+            return False
+        seen[1].add(seq)
+        while seen[0] in seen[1]:
+            seen[1].remove(seen[0])
+            seen[0] += 1
+        return True
+
+    def _push_end(self, key):
+        """Queue the end of a flow that is active or pending; False
+        (nothing queued) for a flow the allocator knows nothing of."""
+        if key not in self.allocator and self.queue.pending_kind(key) is None:
+            return False
+        self.queue.push_end(key)
+        self._orphan_ends.pop(key, None)
+        return True
 
     def _ack(self, host_id, seq):
         route = self.network.control_route_from_allocator(host_id)
@@ -110,94 +143,34 @@ class AllocatorNode(Device):
     # the 10 µs allocation loop
     # ------------------------------------------------------------------
     def _tick(self):
-        self._apply_inbox()
+        for key, retries in list(self._orphan_ends.items()):
+            if retries > 1:
+                self._orphan_ends[key] = retries - 1
+            else:
+                del self._orphan_ends[key]
+            self._push_end(key)
+        starts, ends = self.queue.drain()
+        self.allocator.apply_churn(starts=starts, ends=ends)
+        self._orphan_ends.update(dict.fromkeys(self._parked,
+                                               MAX_ORPHAN_TICKS))
+        self._parked.clear()
         if self.allocator.n_flows:
             result = self.allocator.iterate(1)
             self.iterations += 1
-            self._send_updates(result.updates)
+            self._send_updates(result)
         self.sim.after(self.config.allocator_period, self._tick,
                        daemon=True)
 
-    def _apply_inbox(self):
-        """Reduce the tick's buffered events to their net effect and
-        apply them as one batched ``apply_churn`` call.
-
-        A start followed by an end in the same tick cancels out; an
-        end followed by a start restarts the flow (remove-then-add).
-        Ends for unknown flows are parked as orphans exactly as the
-        sequential version did.
-        """
-        inbox, self._inbox = self._inbox, []
-        retired = set()
-        for flow_id, retries in list(self._orphan_ends.items()):
-            inbox.append(("end", (flow_id,)))
-            if retries <= 1:
-                # Out of retries: without remembering the id, the
-                # re-injected end below would re-park itself and the
-                # orphan would never actually give up.
-                del self._orphan_ends[flow_id]
-                retired.add(flow_id)
-            else:
-                self._orphan_ends[flow_id] = retries - 1
-        starts = {}        # flow_id -> (src, route), in arrival order
-        ends = []
-        ending = set()
-        orphans = []
-        for kind, data in inbox:
-            if kind == "start":
-                flow_id, src, dst = data
-                if flow_id in starts:
-                    continue  # duplicate start this tick
-                if flow_id in self.allocator and flow_id not in ending:
-                    continue  # already active and not being removed
-                starts[flow_id] = (src,
-                                   self.topology.route(src, dst, flow_id))
-            else:  # "end"
-                flow_id = data[0]
-                if flow_id in starts:
-                    # Started and ended within the tick: net no-op.
-                    # The end is consumed — including an orphan retry,
-                    # which would otherwise keep cancelling this id's
-                    # restarts for up to MAX_ORPHAN_TICKS.  Marking it
-                    # retired stops a duplicate retry later in this
-                    # same inbox from re-parking the consumed orphan.
-                    del starts[flow_id]
-                    self._orphan_ends.pop(flow_id, None)
-                    retired.add(flow_id)
-                elif flow_id in self.allocator:
-                    if flow_id not in ending:
-                        ends.append(flow_id)
-                        ending.add(flow_id)
-                elif (flow_id not in self._orphan_ends
-                        and flow_id not in retired):
-                    orphans.append(flow_id)
-        self.allocator.apply_churn(
-            starts=[(flow_id, route)
-                    for flow_id, (_src, route) in starts.items()],
-            ends=ends)
-        for flow_id in ends:
-            self._flow_src.pop(flow_id, None)
-            self._orphan_ends.pop(flow_id, None)
-        for flow_id, (src, _route) in starts.items():
-            self._flow_src[flow_id] = src
-        for flow_id in orphans:
-            self._orphan_ends[flow_id] = MAX_ORPHAN_TICKS
-
-    def _send_updates(self, updates):
-        if not updates:
-            return
-        per_host = {}
-        for update in updates:
-            src = self._flow_src.get(update.flow_id)
-            if src is None:
-                continue
-            per_host.setdefault(src, []).append(
-                (update.flow_id, update.rate))
-        for host_id, rates in per_host.items():
-            frame = control_frame_bytes(RATE_UPDATE_BYTES * len(rates))
-            route = self.network.control_route_from_allocator(host_id)
+    def _send_updates(self, result):
+        keys, rates = result.update_arrays()
+        hosts = [host_id for host_id, _ in keys.tolist()]
+        for host_id, batch, sent in group_by_owner(hosts, keys, rates):
+            updates = [(flow_id, rate) for (_, flow_id), rate
+                       in zip(batch.tolist(), sent.tolist())]
+            frame = control_frame_bytes(RATE_UPDATE_BYTES * len(updates))
+            route = self.network.control_route_from_allocator(int(host_id))
             packet = Packet(None, -1, frame, Packet.CONTROL, route)
-            packet.payload = ("rates", rates)
+            packet.payload = ("rates", updates)
             packet.hop = 0
             self.network.stats.control_bytes_from_allocator += frame
             route[0].send(packet)

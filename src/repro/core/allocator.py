@@ -28,7 +28,7 @@ from .normalization import FNormalizer, Normalizer
 from .utility import Utility
 
 __all__ = ["RateUpdate", "AllocationResult", "FlowtuneAllocator",
-           "ChurnQueue", "threshold_update_indices",
+           "ChurnQueue", "group_by_owner", "threshold_update_indices",
            "threshold_update_mask"]
 
 
@@ -171,6 +171,33 @@ class AllocationResult:
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"AllocationResult(n_flows={len(self._ids)}, "
                 f"n_updates={len(self.update_indices)})")
+
+
+def group_by_owner(owners: npt.ArrayLike, *columns: npt.NDArray[Any]):
+    """Split update columns into one batch per owner (§6.2: an
+    allocation round's updates for one endpoint share one frame).
+
+    Yields ``(owner, *slices)`` once per distinct value of ``owners``,
+    in order of first appearance, each slice keeping its entries'
+    original order.  The one grouping behind the service's per-client
+    RATES frames, the packet simulator's per-host rate frames and the
+    fluid simulator's per-host byte accounting, fed from
+    :meth:`AllocationResult.update_arrays`.
+    """
+    owners = np.asarray(owners)
+    if not len(owners):
+        return
+    order = np.argsort(owners, kind="stable")
+    owners = owners[order]
+    columns = tuple(column[order] for column in columns)
+    cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+    heads = [0] + cuts
+    tails = cuts + [len(owners)]
+    # The stable sort leaves each owner's first entry at the head of
+    # its run, so ranking the heads' original positions orders the runs.
+    for run in np.argsort(order[heads]).tolist():
+        lo, hi = heads[run], tails[run]
+        yield (owners[lo], *(column[lo:hi] for column in columns))
 
 
 class FlowtuneAllocator:
@@ -368,7 +395,10 @@ _EV_RESTART = "restart"
 class ChurnQueue:
     """Non-blocking ingest buffer that coalesces same-flow churn.
 
-    Producers (e.g. the allocator service's socket loop) call
+    The one churn intake: the allocator service's socket loop
+    (:class:`~repro.service.server.FlowtuneService`) and the packet
+    simulator's allocator device
+    (:class:`~repro.control.allocator_node.AllocatorNode`) call
     :meth:`push_start` / :meth:`push_end` as events arrive; the
     allocation loop calls :meth:`drain` once per duty cycle and feeds
     the result straight into :meth:`FlowtuneAllocator.apply_churn`.
@@ -413,11 +443,12 @@ class ChurnQueue:
             # prior end: no-op (idempotent)
 
     def pending_kind(self, flow_id: Hashable) -> str | None:
-        """The coalesced pending kind for ``flow_id`` (or ``None``).
+        """The coalesced pending kind for ``flow_id``: ``"start"``,
+        ``"end"``, ``"restart"`` or ``None``.
 
-        Lets the service validate duplicate starts / unknown ends at
-        dispatch time — before a bad event reaches ``apply_churn``
-        mid-cycle — without draining.
+        Lets a producer check an event against the batch so far
+        without draining: the allocator device drops duplicate starts
+        and parks ends of unknown flows at push time with it.
         """
         with self._lock:
             ev = self._pending.get(flow_id)

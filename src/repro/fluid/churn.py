@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..control.messages import (FLOWLET_END_BYTES, FLOWLET_START_BYTES,
-                                RATE_UPDATE_BYTES, batched_wire_bytes,
-                                wire_bytes)
+                                RATE_UPDATE_BYTES, wire_bytes)
+from ..core.allocator import group_by_owner
 from ..core.optimizer import solve_to_optimal
 from ..sampling.scheduler import RateScheduler
 
@@ -202,19 +202,15 @@ class FluidSimulator:
             self.allocator.apply_churn(starts=starts)
 
     def _account_updates(self, result, metrics, measuring):
-        if result.updates:
-            per_destination: dict[int, list] = {}
-            for update in result.updates:
-                self._notified_rates[update.flow_id] = update.rate
-                record = self._active.get(update.flow_id)
-                if record is None:
-                    continue
-                per_destination.setdefault(record.src, []).append(
-                    RATE_UPDATE_BYTES)
-            if measuring:
-                metrics.n_rate_updates += len(result.updates)
-                for payloads in per_destination.values():
-                    metrics.bytes_from_allocator += batched_wire_bytes(payloads)
+        ids, rates = result.update_arrays()
+        flow_ids = ids.tolist()
+        self._notified_rates.update(zip(flow_ids, rates.tolist()))
+        if measuring:
+            metrics.n_rate_updates += len(flow_ids)
+            sources = [self._active[flow_id].src for flow_id in flow_ids]
+            for _src, batch in group_by_owner(sources, ids):
+                metrics.bytes_from_allocator += wire_bytes(
+                    RATE_UPDATE_BYTES * len(batch))
 
     def _transmit(self, metrics, measuring):
         finished = []

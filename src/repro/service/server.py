@@ -61,7 +61,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.allocator import ChurnQueue
+from ..core.allocator import ChurnQueue, group_by_owner
 from ..net import _TOKEN_LEN, FRAME_HEADER
 from ..sampling import make_scheduler
 from . import wire
@@ -888,27 +888,24 @@ class FlowtuneService:
         client one delta frame chained on its session's sequence
         number.  ``skip`` clients get a SNAPSHOT this cycle instead.
 
-        Works on the result's ``(ids, rates)`` arrays: a stable sort on
-        the client half of the ``(client_id, fid)`` ids makes each
-        client's updates one slice, in their original order."""
+        Works on the result's ``(ids, rates)`` arrays, grouped on the
+        client half of the ``(client_id, fid)`` ids."""
         ids, rates = result.update_arrays()
         if not len(ids):
             return
         keys = np.array(ids.tolist(), dtype=np.uint64)
-        order = np.argsort(keys[:, 0], kind="stable")
-        owners, fids, rates = keys[order, 0], keys[order, 1], rates[order]
-        cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
-        for lo, hi in zip([0] + cuts, cuts + [len(owners)]):
-            session = self._sessions.get(int(owners[lo]))
+        for owner, fids, sent in group_by_owner(keys[:, 0], keys[:, 1],
+                                                 rates):
+            session = self._sessions.get(int(owner))
             client = session.client if session is not None else None
             if client is None or client in skip:
                 continue
             base = session.seq
             session.seq = base + 1
             self.stats["paper_bytes_out"] += wire.paper_wire_bytes(
-                wire.RATES, hi - lo)
+                wire.RATES, len(fids))
             self._send(client, wire.encode_rates(base, session.seq,
-                                                 fids[lo:hi], rates[lo:hi]))
+                                                 fids, sent))
 
     def _send_snapshot(self, client, rates):
         session = client.session

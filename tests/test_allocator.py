@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (FlowtuneAllocator, GradientOptimizer, LinkSet,
                         NullNormalizer, UNormalizer, threshold_update_mask)
+from repro.core.allocator import group_by_owner
 
 
 def make_allocator(**kwargs):
@@ -345,3 +346,19 @@ class TestAllocationResultLaziness:
         allocator.apply_churn(ends=[("f", 0)])
         assert ids == [("f", i) for i in range(5)]
         assert len(updates) == 5
+
+
+class TestGroupByOwner:
+    def test_groups_in_first_appearance_order_keeping_entry_order(self):
+        owners = [7, 2, 7, 9, 2, 7]
+        ids = np.array(["a", "b", "c", "d", "e", "f"], dtype=object)
+        rates = np.arange(6.0)
+        groups = [(int(owner), batch.tolist(), sent.tolist())
+                  for owner, batch, sent in group_by_owner(owners, ids,
+                                                           rates)]
+        assert groups == [(7, ["a", "c", "f"], [0.0, 2.0, 5.0]),
+                          (2, ["b", "e"], [1.0, 4.0]),
+                          (9, ["d"], [3.0])]
+
+    def test_no_updates_no_groups(self):
+        assert list(group_by_owner([], np.zeros(0))) == []
