@@ -4,7 +4,8 @@ Both copies of ``repro`` are imported into one process (warm heap, see
 ``.claude/skills/verify/SKILL.md``) and timed in alternating blocks,
 so a host speed shift hits both sides alike.  Population 10k flows on
 the paper topology, FIFO churn of ``k`` ends + ``k`` starts per op,
-followed by the route-index sync the next ``iterate`` would pay.
+followed by the route-index sync the next ``iterate`` would pay (a
+table whose kernels read its route storage directly has none: ~0).
 
     python benchmarks/results/churn_micro.py PARENT_CHECKOUT [CHANGE_CHECKOUT]
 """
@@ -47,6 +48,7 @@ class Side:
         """Median µs of apply_churn and of the sync, over one block."""
         churn, sync = [], []
         table, zeros = self.table, np.zeros(self.table.links.n_links)
+        route_index = getattr(table, "_route_index", lambda: None)
         deadline = time.perf_counter() + BLOCK_S
         while time.perf_counter() < deadline:
             starts = self.starts(self.next_id, k)
@@ -56,7 +58,7 @@ class Side:
             t0 = time.perf_counter()
             table.apply_churn(starts=starts, ends=ends)
             t1 = time.perf_counter()
-            table._route_index()
+            route_index()
             t2 = time.perf_counter()
             table.price_sums(zeros)
             churn.append(t1 - t0)

@@ -9,7 +9,10 @@ in this checkout, one seed per pair, the side that runs first
 alternating.  Writes ``e2e-<base>.json``, ``e2e-src-<tree>.json`` and
 the ``compare.py`` table, or with ``--trace W`` the per-layer table
 ``layers-<base>-src-<tree>.txt`` of traced runs of workload ``W``, and
-prints per seed whether both sides produce the same rate vectors.
+prints per seed whether both sides produce the same rate vectors and,
+per workload, whether the id -> rate maps and updated-id sets of the
+first ops match, with the largest relative rate difference (a change
+that reorders flows moves the hash but should not move these).
 """
 
 import argparse
@@ -20,10 +23,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
-#: Run inside a checkout: hash the first ops of every in-process workload.
-HASHES = """
+#: Ops of every in-process workload that the hashes and per-flow maps cover.
+OPS = 50
+#: Run inside a checkout as ``-c HASHES SEED DIR``: hash the first ops of
+#: every in-process workload, and write to ``DIR/<workload>.npy``, per op,
+#: a digest of the sorted flow ids, the rates in id order and the sorted
+#: updated ids.
+HASHES = f"""
 import hashlib, sys
 sys.path[:0] = ["benchmarks", "src"]
 import numpy as np
@@ -31,10 +41,17 @@ from e2e import inprocess, run
 for name, spec in run.workload_specs().items():
     driver, _ = inprocess.setup(spec, int(sys.argv[1]), smoke=False)
     digest = hashlib.sha256()
-    for _ in range(50):
-        _, result, _ = driver.op(driver.batch())
-        for part in (result.rate_vector, result.update_indices):
-            digest.update(np.ascontiguousarray(part).tobytes())
+    with open(f"{{sys.argv[2]}}/{{name}}.npy", "wb") as dump:
+        for _ in range({OPS}):
+            _, result, _ = driver.op(driver.batch())
+            for part in (result.rate_vector, result.update_indices):
+                digest.update(np.ascontiguousarray(part).tobytes())
+            ids = np.asarray(result.flow_ids, dtype=np.int64)
+            order = np.argsort(ids)
+            ids_digest = hashlib.sha256(ids[order].tobytes()).digest()
+            np.save(dump, np.frombuffer(ids_digest, dtype=np.uint8))
+            np.save(dump, np.asarray(result.rate_vector)[order])
+            np.save(dump, np.sort(ids[result.update_indices]))
     print(name, digest.hexdigest()[:16])
 """
 
@@ -43,6 +60,26 @@ def sh(*cmd, cwd=ROOT, env=None):
     done = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
                           text=True, check=True)
     return done.stdout.strip()
+
+
+def per_flow(dumps):
+    """Compare two sides' ``HASHES`` dumps of one workload op by op:
+    ``(same id -> rate maps, same updated-id sets, max relative rate
+    difference)``."""
+    same_maps = same_updates = True
+    worst = 0.0
+    with open(dumps[0], "rb") as side_a, open(dumps[1], "rb") as side_b:
+        for _ in range(OPS):
+            (ids_a, rates_a, updated_a), (ids_b, rates_b, updated_b) = (
+                [np.load(side) for _ in range(3)] for side in (side_a, side_b))
+            if not np.array_equal(ids_a, ids_b):
+                return False, False, float("nan")
+            same_maps &= np.array_equal(rates_a, rates_b)
+            same_updates &= np.array_equal(updated_a, updated_b)
+            scale = np.maximum(np.abs(rates_a), np.abs(rates_b))
+            diff = np.abs(rates_a - rates_b) / np.where(scale > 0, scale, 1.0)
+            worst = max(worst, float(diff.max(initial=0.0)))
+    return same_maps, same_updates, worst
 
 
 def src_tree():
@@ -93,11 +130,30 @@ def main():
                         one.update(seed=seed, pair=pair,
                                    ran_first=side == pair % 2)
                     merged[side]["runs"].setdefault(workload, []).extend(runs)
-            hashes = [sh(sys.executable, "-c", HASHES, str(seed), cwd=side)
-                      for side in sides]
+            dumps = [Path(tmp) / f"dump-{name}" for name in ("parent",
+                                                             "change")]
+            hashes = []
+            for side, dump in zip(sides, dumps):
+                dump.mkdir(exist_ok=True)
+                hashes.append(sh(sys.executable, "-c", HASHES, str(seed),
+                                 str(dump), cwd=side))
             print(f"seed {seed}: rate vectors + update indices "
                   f"{'IDENTICAL' if hashes[0] == hashes[1] else 'DIFFER'}: "
                   f"{' '.join(hashes[1].split())}", flush=True)
+            for line in hashes[1].splitlines():
+                name = line.split()[0]
+                files = [dump / f"{name}.npy" for dump in dumps]
+                same_maps, same_updates, worst = per_flow(files)
+                same_hash = line in hashes[0].splitlines()
+                print(f"  {name}: hash "
+                      f"{'identical' if same_hash else 'differs'}; first "
+                      f"{OPS} ops: id->rate maps "
+                      f"{'identical' if same_maps else 'differ'} (max "
+                      f"relative difference {worst:.1e}), updated-id sets "
+                      f"{'identical' if same_updates else 'differ'}",
+                      flush=True)
+                for path in files:
+                    path.unlink()
     if args.trace:  # one column per run, metrics that read 0 everywhere dropped
         cols = sorted(layers)
         rows = [["metric"] + [f"{('parent', 'change')[side]}/{seed}"

@@ -1,11 +1,12 @@
-"""The CSR gather/scatter kernels, as one canonical chunked reduction.
+"""The route gather/scatter kernels, as one canonical chunked reduction.
 
-The allocator hot loop bottoms out in four kernels over the
-uniform-slot CSR route index (`price_sums`, `link_totals`,
-`link_totals2`, `max_link_value`) plus the churn-apply bottleneck
-gather (`min_link_value`).  They are plain functions over caller-owned
-arrays: ``indices`` is flat with a uniform ``width`` slots per row and
-``padded`` carries the pad-link entry last.  They hold no scratch: each
+The allocator hot loop bottoms out in four kernels over the flow
+table's route storage (`price_sums`, `link_totals`, `link_totals2`,
+`max_link_value`) plus the churn-apply bottleneck gather
+(`min_link_value`).  They are plain functions over caller-owned
+arrays: ``indices`` is the row-major flattening of a padded route
+matrix, ``width`` slots per row (``FlowTable._routes.reshape(-1)``),
+and ``padded`` carries the pad-link entry last.  They hold no scratch: each
 chunk's gather is a fresh, bounds-checked ``take`` (an out-of-range
 slot raises ``IndexError``), because numpy buffers a ``take`` into
 ``out=`` under the default ``mode="raise"`` and that costs more than
@@ -24,8 +25,9 @@ reduction order is fixed here and nowhere else:
 For ``n <= BLOCK_ROWS`` this is the single ``bincount``/column pass;
 above it the chunking keeps each gather block cache-resident (measured
 ~25 % faster than one pass at 100k flows).  Every caller — the
-FlowTable, the ECMP store and the process-backend workers — runs these
-same functions, which is what makes their results bitwise comparable.
+FlowTable (which also holds the ECMP mice) and the process-backend
+workers, reading the same shared route storage — runs these same
+functions, which is what makes their results bitwise comparable.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def min_link_value(padded: FloatArray, rows_mat: IntArray,
     """Per-row min of padded[rows_mat] into ``out`` (pad slots +inf).
 
     The churn-apply bottleneck gather: ``rows_mat`` is a row slice of
-    the padded storage matrix.
+    the padded route matrix.
     """
     n, width = rows_mat.shape
     return _fold_rows(np.minimum, padded, rows_mat.reshape(-1), n,

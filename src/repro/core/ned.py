@@ -83,7 +83,7 @@ class NedOptimizer(PriceOptimizer):
         return self.table.link_totals(per_flow)
 
     def _update_prices(self, rates):
-        # One fused CSR pass for both scatters: the rates (load) and
+        # One fused slot pass for both scatters: the rates (load) and
         # rate derivatives (Hessian diagonal) ride identical indices,
         # and the load is memoized for the allocator's normalizer.
         # Same floats as over_allocation + hessian_diagonal.

@@ -9,25 +9,21 @@ which lets us store all routes in a single padded integer matrix:
 * unused hops point at a *virtual pad link* (index ``n_links``) whose
   price is pinned to zero and whose capacity is infinite.
 
-The padded matrix is the *storage* format — simple, fixed stride,
-shareable with worker processes through shared memory — but it is not
-what the NUM kernels iterate over.  Typical Clos routes are at most half ``max_route_len``
-hops, so a padded gather spends roughly half its work multiplying
-pads.  The kernels therefore run on a derived **CSR route index**
-(``indptr`` + flat ``indices`` + the matching flow-row id per slot)
-whose uniform slot width is the *running-max hop count actually
-present* rather than the storage's worst case, cached against
-:attr:`version` and maintained incrementally from an internal
-dirty-row log under churn (full rebuild only on storage regrowth or
-when a wider route arrives).  One optimizer iteration is then a
-handful of vectorized operations over ``n x max-hops`` elements
-(fancy-indexed gathers, ``bincount`` segment scatters, column folds
-for per-flow sums/maxima), with no Python-level per-flow work.  The
-kernels themselves live in :mod:`repro.core.kernels`, which fixes one
-canonical chunked reduction order for every caller.  Flowlet churn —
-the common case in Flowtune — is O(route length) per event: adding
-appends a row; removal swaps the last row into the hole so the arrays
-stay dense.
+The matrix is only as wide as the longest route the table has held
+(:attr:`FlowTable.width`: it starts at one slot, widens on demand up to
+``max_route_len`` and never shrinks), so a two-tier Clos table is 4
+slots wide rather than ``max_route_len``.  Its row-major flattening is
+exactly the layout the NUM kernels iterate — slot ``e`` belongs to
+flow row ``e // width`` — and the same bytes are what the shm arena
+shares with worker processes; there is no derived index to keep in
+sync.  One optimizer iteration is then a handful of vectorized
+operations over ``n x width`` elements (fancy-indexed gathers,
+``bincount`` segment scatters, column folds for per-flow sums/maxima),
+with no Python-level per-flow work.  The kernels themselves live in
+:mod:`repro.core.kernels`, which fixes one canonical chunked reduction
+order for every caller.  Flowlet churn — the common case in Flowtune —
+is O(route length) per event: adding appends a row; removal swaps the
+last row into the hole so the arrays stay dense.
 """
 
 from __future__ import annotations
@@ -90,8 +86,8 @@ def _pack_starts(starts: list[tuple[Any, ...]],
 
     ``flat`` is the int64 concatenation of the routes, ``lengths``
     their hop counts, ``weights`` is ``None`` when every weight is the
-    default 1.0.  The one starts parser of :class:`FlowTable` and the
-    ECMP slot store: ids must be unique and absent from ``index_of``
+    default 1.0.  The one starts parser of :class:`FlowTable`: ids
+    must be unique and absent from ``index_of``
     (``KeyError`` naming the first offender in batch order), routes
     non-empty, 1-D, at most ``max_route_len`` hops over links
     ``[0, n_links)``, weights positive (``ValueError``).  Every check
@@ -221,6 +217,8 @@ class FlowTable:
     indices are unstable; stable identity is the user-supplied
     ``flow_id``.  All query methods return arrays aligned with the
     current positional order, and :meth:`flow_ids` exposes that order.
+    ``max_route_len`` caps the hop count a route may have; the storage
+    is :attr:`width` slots wide.
     """
 
     def __init__(self, links: LinkSet, max_route_len: int = 8,
@@ -237,8 +235,11 @@ class FlowTable:
         # an existing tag (on grow) supersedes the old array.
         self._alloc = allocator if allocator is not None else _numpy_allocator
         self._columns = []
-        self._routes = self._alloc(
-            "routes", (_INITIAL_CAPACITY, self.max_route_len), np.int64)
+        # One slot wide until a longer route arrives (_widen).  Rows at
+        # and past n hold only the pad link, so an insert writes just
+        # the real hops.
+        self._routes = self._alloc("routes", (_INITIAL_CAPACITY, 1),
+                                   np.int64)
         self._routes[:] = self.pad_link
         self._weights = self._alloc("weights", (_INITIAL_CAPACITY,),
                                     np.float64)
@@ -258,39 +259,12 @@ class FlowTable:
         #: incremented by :meth:`refresh_capacity` only; lets optimizers
         #: keep capacity-derived per-flow columns across churn.
         self.capacity_version = 0
-        # Derived CSR route index (see _route_index): private-heap
-        # state rebuilt incrementally from _csr_dirty when ``version``
-        # moves, never routed through the allocator hook — the padded
-        # matrix stays the storage format.  Slots are uniform at
-        # the running-max hop count (variable-width slots shift on
-        # every hop-count change a swap-remove drags in, degenerating
-        # to whole-suffix rebuilds under mixed-length churn; uniform
-        # slots make every patch shift-free while still dropping the
-        # max_route_len pad tail the storage carries).  _max_out is
-        # the reusable max_link_value reduction output; the kernels
-        # allocate their chunk-sized gathers themselves.
-        self._col_offsets = np.arange(self.max_route_len)
-        self._csr_width = 0      # uniform slot width (0 = never built)
-        self._csr_indptr = np.zeros(1, dtype=np.int64)
-        self._csr_indices = np.empty(0, dtype=np.int64)
-        self._csr_mat = self._csr_indices.reshape(0, 1)
+        # The reusable max_link_value reduction output (the kernels
+        # allocate their chunk-sized gathers themselves) and the
+        # pad()-extended capacity vector, cached until refresh_capacity
+        # invalidates it.
         self._max_out = np.empty(_INITIAL_CAPACITY)
-        # Batched-start scratch (_insert): the left-pack mask is reused
-        # across batches (grown geometrically) instead of reallocated
-        # per call, and the pad()-extended capacity vector is cached
-        # until refresh_capacity invalidates it.
-        self._start_mask = np.empty((0, self.max_route_len), dtype=bool)
         self._padded_capacity = None
-        # Rows below _csr_nrows are in sync except the holes logged in
-        # _csr_dirty (index arrays, one per removal); every removal
-        # lowers it to the new flow count, so rows added since are the
-        # contiguous block [_csr_nrows, n) and need no logging.
-        self._csr_nrows = 0
-        self._csr_nnz = 0
-        self._max_hops_seen = 0  # running max; only rebuilds can lower
-        self._csr_version = -1   # never synced; forces a first build
-        self._csr_full = True    # full rebuild required (also on grow)
-        self._csr_dirty = []
         # Per-flow bottleneck capacity, maintained incrementally:
         # O(route length) on add, O(1) swap on remove, full recompute
         # deferred until the first read after link capacities change
@@ -345,8 +319,9 @@ class FlowTable:
             raise ValueError("flow weight must be positive")
         if self._n == len(self._weights):
             self._grow()
+        if len(route) > self.width:
+            self._widen(len(route))
         idx = self._n
-        self._routes[idx, :] = self.pad_link
         self._routes[idx, : len(route)] = route
         self._weights[idx] = weight
         self._ids[idx] = flow_id
@@ -354,8 +329,6 @@ class FlowTable:
         for column in self._columns:
             column._data[idx] = column.default
         self._bottleneck._data[idx] = self._capacity_padded()[route].min()
-        if len(route) > self._max_hops_seen:
-            self._max_hops_seen = len(route)
         self._n += 1
         self.version += 1
         return idx
@@ -372,19 +345,11 @@ class FlowTable:
             self._index_of[moved_id] = idx
             for column in self._columns:
                 column._data[idx] = column._data[last]
-            self._log_holes(np.array((idx,)))
         self._ids[last] = None
         self._routes[last, :] = self.pad_link
         self._n = last
-        if self._csr_nrows > last:
-            self._csr_nrows = last
         self.version += 1
         return idx
-
-    def _log_holes(self, holes):
-        """Record rows a removal refilled (an int64 index array)."""
-        if not self._csr_full:  # a pending rebuild covers every row
-            self._csr_dirty.append(holes)
 
     def remove_flows(self, flow_ids: Iterable[Hashable]) -> None:
         """Batched removal: the vectorized mirror of the batched add.
@@ -449,12 +414,9 @@ class FlowTable:
             moved_ids = self._ids[movers]
             self._ids[holes] = moved_ids
             index_of.update(zip(moved_ids.tolist(), holes.tolist()))
-            self._log_holes(holes)
         self._ids[new_n:n] = None
         self._routes[new_n:n] = self.pad_link
         self._n = new_n
-        if self._csr_nrows > new_n:
-            self._csr_nrows = new_n
         self.version += 1
 
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
@@ -488,18 +450,15 @@ class FlowTable:
         :func:`_pack_starts` returns) as rows ``[n, n + k)``."""
         k = len(lengths)
         self.reserve(self._n + k)
+        widest = int(lengths.max())
+        if widest > self.width:
+            self._widen(widest)
         n0 = self._n
         block = slice(n0, n0 + k)
         rows = self._routes[block]
-        rows[:] = self.pad_link
-        # Left-packed scatter: row-major order of the mask matches the
-        # concatenation order of the batch's routes.
-        if len(self._start_mask) < k:
-            self._start_mask = np.empty((max(64, 2 * k), self.max_route_len),
-                                        dtype=bool)
-        mask = self._start_mask[:k]
-        np.less(self._col_offsets, lengths[:, None], out=mask)
-        rows[mask] = flat
+        # Left-packed scatter over pad rows: row-major order of the
+        # mask matches the concatenation order of the batch's routes.
+        rows[np.arange(self.width) < lengths[:, None]] = flat
         self._weights[block] = 1.0 if weights is None else weights
         for column in self._columns:
             column._data[block] = column.default
@@ -509,7 +468,6 @@ class FlowTable:
         # would make numpy broadcast them as nested sequences.
         self._ids[block] = np.fromiter(ids, dtype=object, count=k)
         self._index_of.update(zip(ids, range(n0, n0 + k)))
-        self._max_hops_seen = max(self._max_hops_seen, int(lengths.max()))
         self._n += k
         self.version += 1
 
@@ -541,30 +499,37 @@ class FlowTable:
         """
         self._capacity_dirty = True
         self._padded_capacity = None
-        # Routes are untouched, so the CSR route index stays valid; the
-        # version bump makes the next _route_index() a cheap no-op sync.
         self.version += 1
         self.capacity_version += 1
 
     def _grow(self):
         new_cap = max(_INITIAL_CAPACITY, 2 * len(self._weights))
-        routes = self._alloc("routes", (new_cap, self.max_route_len),
-                             np.int64)
-        routes[self._n:] = self.pad_link
-        routes[: self._n] = self._routes[: self._n]
+        self._reallocate_routes(new_cap, self.width)
         weights = self._alloc("weights", (new_cap,), np.float64)
         weights[self._n:] = 1.0
         weights[: self._n] = self._weights[: self._n]
         ids = np.empty(new_cap, dtype=object)
         ids[: self._n] = self._ids[: self._n]
-        self._routes, self._weights, self._ids = routes, weights, ids
+        self._weights, self._ids = weights, ids
         for i, column in enumerate(self._columns):
             data = self._alloc(f"column{i}", (new_cap,),
                                column._data.dtype)
             data[self._n:] = column.default
             data[: self._n] = column._data[: self._n]
             column._data = data
-        self._csr_full = True  # regrowth: rebuild the route index whole
+
+    def _widen(self, width):
+        """Make room for a ``width``-hop route (validated by the caller);
+        the storage never narrows again."""
+        self._reallocate_routes(len(self._weights), width)
+
+    def _reallocate_routes(self, capacity, width):
+        # Through the allocator hook, so shared-memory storage follows
+        # (the process backend re-attaches a worker when the shape moves).
+        routes = self._alloc("routes", (capacity, width), np.int64)
+        routes[:] = self.pad_link
+        routes[: self._n, : self.width] = self._routes[: self._n]
+        self._routes = routes
 
     # ------------------------------------------------------------------
     # queries (views aligned with positional order)
@@ -600,8 +565,15 @@ class FlowTable:
         return view
 
     @property
+    def width(self) -> int:
+        """Route slots per flow: the longest route the table has held
+        (at least 1, at most ``max_route_len``; it never shrinks)."""
+        return self._routes.shape[1]
+
+    @property
     def routes(self) -> IntArray:
-        """Padded route matrix view, shape ``(n_flows, max_route_len)``."""
+        """Padded route matrix view, shape ``(n_flows, width)``; its
+        row-major flattening is what the kernels read."""
         return self._routes[: self._n]
 
     @property
@@ -614,79 +586,24 @@ class FlowTable:
         row = self._routes[self._index_of[flow_id]]
         return row[row != self.pad_link].copy()
 
+    def starts_of(self, flow_ids: Iterable[Hashable],
+                  ) -> list[tuple[Hashable, IntArray, float]]:
+        """``(flow_id, route, weight)`` per id, in order: the starts that
+        re-create these flows in another table (the sampled scheduler's
+        promotions and demotions, a reference copy).  An unknown id
+        raises ``KeyError``."""
+        ids = list(flow_ids)
+        rows = np.fromiter(map(self._index_of.__getitem__, ids),
+                           dtype=np.int64, count=len(ids))
+        routes = self._routes[rows]
+        real = routes != self.pad_link
+        cuts = np.cumsum(real.sum(axis=1))[:-1]
+        return list(zip(ids, np.split(routes[real], cuts),
+                        self._weights[rows].tolist()))
+
     def hop_counts(self) -> IntArray:
         """Number of real (non-pad) hops per flow."""
         return np.sum(self.routes != self.pad_link, axis=1)
-
-    # ------------------------------------------------------------------
-    # CSR route index (derived, private-heap; the kernels' view)
-    # ------------------------------------------------------------------
-    def _route_index(self):
-        """The version-cached CSR view of the padded route matrix.
-
-        Returns ``(indptr, indices, nnz)`` where flow ``f``'s
-        route occupies ``indices[indptr[f]:indptr[f+1]]`` (hop order
-        preserved).  Slots are uniform at the running-max hop count
-        (:attr:`_csr_width`), so slot ``e`` belongs to flow row
-        ``e // width`` — the kernels exploit that directly instead of
-        carrying a per-slot row-id array.  A row shorter than the
-        widest carries trailing pad-link entries
-        — bitwise-neutral in every kernel (+0.0 for sums, the dropped
-        pad bin for scatters, ``-inf`` for maxima) — and no churn
-        event ever shifts another row's slots.  The backing arrays
-        are capacity-sized: read only the first ``n+1`` / ``nnz``
-        entries.  Rebuilt lazily when :attr:`version` moved:
-        incrementally from the internal dirty-row log (pure in-place
-        row patches plus a tail append), from scratch only when
-        storage regrows or a route wider than every slot arrives.
-        Every public mutator bumps :attr:`version`, so a stale index
-        is unobservable.
-        """
-        if self._csr_version != self.version:
-            self._sync_csr()
-        return (self._csr_indptr, self._csr_indices, self._csr_nnz)
-
-    def _sync_csr(self):
-        n = self._n
-        if self._csr_full or self._max_hops_seen > self._csr_width:
-            self._rebuild_csr()
-        else:
-            width = self._csr_width
-            tail = self._csr_nrows
-            if self._csr_dirty:
-                rows = np.concatenate(self._csr_dirty)
-                rows = rows[rows < tail]
-                if len(rows):
-                    self._csr_mat[rows] = self._routes[rows, :width]
-            if tail < n:
-                self._csr_mat[tail:n] = self._routes[tail:n, :width]
-            self._csr_nnz = n * width
-            self._csr_nrows = n
-        self._csr_dirty.clear()
-        self._csr_version = self.version
-
-    def _rebuild_csr(self):
-        """Full rebuild: re-derive the slot width (exact max hop count
-        — the one moment shrinking is cheap) and copy every row's
-        leading ``width`` columns in one strided pass."""
-        n = self._n
-        routes = self._routes
-        width = self.max_route_len
-        while width > 1 and (n == 0
-                             or np.all(routes[:n, width - 1]
-                                       == self.pad_link)):
-            width -= 1
-        cap = len(self._weights)
-        if self._csr_width != width or len(self._csr_indices) != cap * width:
-            self._csr_width = width
-            self._csr_indptr = np.arange(cap + 1, dtype=np.int64) * width
-            self._csr_indices = np.empty(cap * width, dtype=np.int64)
-            self._csr_mat = self._csr_indices.reshape(cap, width)
-        self._csr_mat[:n] = routes[:n, :width]
-        self._csr_nnz = n * width
-        self._csr_nrows = n
-        self._max_hops_seen = width
-        self._csr_full = False
 
     # ------------------------------------------------------------------
     # vectorized NUM kernels
@@ -711,16 +628,15 @@ class FlowTable:
         n = self._n
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        _, indices, _ = self._route_index()
         return kernels.price_sums(
-            self.pad(prices), indices, n, self._csr_width)
+            self.pad(prices), self._routes.reshape(-1), n, self.width)
 
     def link_totals(self, per_flow: npt.ArrayLike) -> FloatArray:
         """Scatter per-flow values onto links: ``out[l] = sum_{s in S(l)} v_s``.
 
         This computes aggregate link load when given rates, and the
         Hessian diagonal when given rate derivatives.  The scatter
-        runs over the CSR link column (slack lands in the dropped pad
+        runs over the route slots (slack lands in the dropped pad
         bin) via the canonical chunked reduction: per-link
         accumulation order is flow-position order within each
         fixed-size chunk, partials folded in chunk order (below one
@@ -729,15 +645,14 @@ class FlowTable:
         n = self._n
         if n == 0:
             return np.zeros(self.links.n_links, dtype=np.float64)
-        _, indices, _ = self._route_index()
         totals = kernels.link_totals(
-            np.asarray(per_flow, dtype=np.float64), indices, n,
-            self._csr_width, self.links.n_links + 1)
+            np.asarray(per_flow, dtype=np.float64),
+            self._routes.reshape(-1), n, self.width, self.links.n_links + 1)
         return totals[:-1]
 
     def link_totals2(self, a: npt.ArrayLike, b: npt.ArrayLike,
                      ) -> tuple[FloatArray, FloatArray]:
-        """Fused pair of :meth:`link_totals` calls over one CSR pass.
+        """Fused pair of :meth:`link_totals` calls over one slot pass.
 
         The allocator's price update scatters rates and rate
         derivatives over identical indices every iteration; fusing the
@@ -752,18 +667,17 @@ class FlowTable:
         if n == 0:
             zeros = np.zeros(self.links.n_links, dtype=np.float64)
             return zeros, zeros.copy()
-        _, indices, _ = self._route_index()
         totals_a, totals_b = kernels.link_totals2(
             np.asarray(a, dtype=np.float64),
-            np.asarray(b, dtype=np.float64), indices, n,
-            self._csr_width, self.links.n_links + 1)
+            np.asarray(b, dtype=np.float64), self._routes.reshape(-1), n,
+            self.width, self.links.n_links + 1)
         return totals_a[:-1], totals_b[:-1]
 
     def max_link_value(self, per_link: npt.ArrayLike) -> FloatArray:
         """Per-flow max of a per-link quantity along each route.
 
         Used by F-NORM: each flow is scaled by its most-congested
-        link's ratio.  The CSR segment max (max is order-insensitive,
+        link's ratio.  The per-route max (max is order-insensitive,
         so segment order cannot change the bits; slack slots
         contribute the pad link's ``-inf`` and never win) is computed
         column-wise over the uniform slots — bitwise identical to
@@ -776,12 +690,11 @@ class FlowTable:
         n = self._n
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        _, indices, _ = self._route_index()
         if len(self._max_out) < n:
             self._max_out = np.empty(len(self._weights))
         return kernels.max_link_value(
-            self.pad(per_link, pad_value=-np.inf), indices, n,
-            self._csr_width, self._max_out[:n])
+            self.pad(per_link, pad_value=-np.inf), self._routes.reshape(-1),
+            n, self.width, self._max_out[:n])
 
     def flows_on_link(self, link: int) -> IntArray:
         """Positional indices of flows traversing ``link`` (test aid)."""

@@ -92,7 +92,7 @@ class NedRtOptimizer(_Float32RateMixin, NedOptimizer):
         self.prices = self.prices.astype(np.float32)
 
     def _update_prices(self, rates):
-        # Same fused CSR pair scatter as the float64 NED (rates and
+        # Same fused pair scatter as the float64 NED (rates and
         # rate derivatives share indices; the float32 per-flow values
         # are staged through the float64 kernels exactly as before),
         # with the results then narrowed to float32.

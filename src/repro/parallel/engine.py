@@ -233,7 +233,8 @@ class MulticoreNedEngine:
         appearing in both is restarted.  Under the process backend the
         block tables are shared memory, so a churn batch reaches the
         workers without rebuilding any buffer; only a block outgrowing
-        its capacity triggers a (rare) re-attach message.
+        its capacity or meeting a longer route than it has held
+        triggers a (rare) re-attach message.
         """
         ends = list(ends)
         end_cells = _lookup_ends(ends, self._flow_home)
@@ -429,8 +430,6 @@ class MulticoreNedEngine:
         """A single-core NED over the same flows (equivalence checks)."""
         table = FlowTable(self.links, max_route_len=self.max_route_len)
         for proc in self.processors.values():
-            for flow_id in proc.table.flow_ids():
-                table.add_flow(flow_id, proc.table.route_of(flow_id),
-                               weight=float(proc.table.weights[
-                                   proc.table.index_of(flow_id)]))
+            table.apply_churn(
+                starts=proc.table.starts_of(proc.table.flow_ids()))
         return NedOptimizer(table, utility=self.utility, gamma=self.gamma)

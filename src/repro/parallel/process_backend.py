@@ -12,7 +12,8 @@ it on a persistent pool of **real worker processes** on one host:
   count/version vectors and the capacity/idle-price vectors.  Workers
   inherit the mappings over ``fork``, so churn reaches them when the
   parent refreshes the count/version vectors before an iterate; only
-  a cell outgrowing its arrays re-attaches by segment name;
+  a cell whose route storage grew or widened re-attaches by segment
+  name;
 * one iteration follows the exact phase structure of the simulated
   engine: local Equation-3 rate work, the fig. 3 diagonal aggregation
   schedule, the Equation-4 price update on the authoritative diagonal
@@ -58,16 +59,13 @@ __all__ = ["ProcessBackend"]
 class CellPlan:
     """Worker-side handle on one owned grid cell's flow state.
 
-    The arrays are shared-memory views inherited over ``fork``.  The
-    CSR route-index cache mirrors ``FlowTable._route_index`` — derived,
-    worker-private, keyed on the cell's published version — so the
-    worker kernels iterate the same pad-free view the single-process
-    kernels do.
+    The arrays are shared-memory views of the cell's ``FlowTable``
+    storage, inherited over ``fork`` (or re-attached): the worker
+    kernels read the very route matrix the parent's table writes.
     """
 
     __slots__ = ("row", "routes", "weights", "bottleneck", "floor",
-                 "floor_version", "csr_indices", "csr_width",
-                 "csr_version", "_keepalive")
+                 "floor_version", "_keepalive")
 
     def __init__(self, row, routes, weights, bottleneck):
         self.row = row
@@ -76,20 +74,17 @@ class CellPlan:
         self.bottleneck = bottleneck
         self.floor = None
         self.floor_version = None
-        self.csr_indices = None
-        self.csr_width = None
-        self.csr_version = None
         self._keepalive = None
 
     def rebind(self, manifest):
         """Re-attach after the parent re-allocated this cell's shm
-        arrays (FlowTable growth); the old fork-inherited views stay
-        valid until dropped, so swapping references is enough."""
+        arrays (FlowTable growth or a wider route); the old
+        fork-inherited views stay valid until dropped, so swapping
+        references is enough."""
         arrays, keepalive = attach(manifest)
         self.routes = arrays["routes"]
         self.weights = arrays["weights"]
         self.bottleneck = arrays["column0"]  # FlowTable's bottleneck
-        self.csr_version = None  # growth always bumps the version too
         self._keepalive = keepalive
 
 
@@ -97,14 +92,11 @@ def _compute_cell_rates(plan, shared, consts, scratch):
     """Phase 1 for one cell: Equation-3 rates and G/H partials.
 
     Mirrors the simulated engine's use of ``FlowTable.price_sums`` /
-    ``link_totals2`` — the same version-cached uniform-slot CSR view
-    (slack slots carry the pad link, bitwise-neutral in every kernel)
-    through the same :mod:`repro.core.kernels` functions, so the
-    floats come out identical (the kernels carry no scratch state, so
-    a worker holds none for them either).  The cell's CSR cache is
-    rebuilt whole whenever the published version moves (cells are
-    1/n_procs of the population; the parent-side tables do the finer
-    incremental maintenance).
+    ``link_totals2``: the same shared route matrix (slack slots carry
+    the pad link, bitwise-neutral in every kernel) through the same
+    :mod:`repro.core.kernels` functions, so the floats come out
+    identical (the kernels carry no scratch state, so a worker holds
+    none for them either).
     """
     n = int(shared.counts[plan.row])
     load_row = shared.load[plan.row]
@@ -117,17 +109,8 @@ def _compute_cell_rates(plan, shared, consts, scratch):
     utility = consts["utility"]
     weights = plan.weights[:n]
     version = int(shared.versions[plan.row])
-    if plan.csr_version != version:
-        routes = plan.routes[:n]
-        width = routes.shape[1]
-        while width > 1 and np.all(routes[:, width - 1] == n_links):
-            width -= 1
-        plan.csr_indices = np.ascontiguousarray(
-            routes[:, :width]).reshape(-1)
-        plan.csr_width = width
-        plan.csr_version = version
-    indices = plan.csr_indices
-    width = plan.csr_width
+    indices = plan.routes.reshape(-1)
+    width = plan.routes.shape[1]
     scratch[:n_links] = shared.prices[plan.row]
     scratch[n_links] = 0.0  # pad link: price zero
     rho = kernels.price_sums(scratch, indices, n, width)
@@ -329,11 +312,11 @@ class ProcessBackend(ParallelBackend):
         self._per_iteration = (messages, inter_cpu, entries,
                                len(engine._agg_steps))
 
-        # Each cell's array capacity as the workers will inherit it:
-        # _sync re-attaches a worker whenever the parent's table has
-        # re-allocated past this since.
-        self._capacity_seen = [len(engine.processors[cell].table._weights)
-                               for cell in self._cells]
+        # Each cell's route storage shape (capacity x width) as the
+        # workers will inherit it: _sync re-attaches a worker whenever
+        # the parent's table has re-allocated (grown or widened) since.
+        self._shape_seen = [engine.processors[cell].table._routes.shape
+                            for cell in self._cells]
         phases, arrive, gates = SenseReversingBarrier.alloc(
             arena, self._ctx, self.n_workers)
         self._barrier = SenseReversingBarrier(
@@ -369,8 +352,8 @@ class ProcessBackend(ParallelBackend):
     # ------------------------------------------------------------------
     def _sync(self):
         """Publish per-cell flow counts/versions; re-attach any cell
-        whose shared arrays were re-allocated (table growth) since the
-        owning worker last mapped them."""
+        whose shared arrays were re-allocated (table growth or
+        widening) since the owning worker last mapped them."""
         counts, versions = self._shared.counts, self._shared.versions
         for row, cell in enumerate(self._cells):
             table = self.engine.processors[cell].table
@@ -380,12 +363,12 @@ class ProcessBackend(ParallelBackend):
             table.bottleneck_capacity()
             counts[row] = table.n_flows
             versions[row] = table.version
-            capacity = len(table._weights)
-            if capacity != self._capacity_seen[row]:
+            shape = table._routes.shape
+            if shape != self._shape_seen[row]:
                 self._send(self._owner_of_row[row],
                            ("reattach", row,
                             self._arena.manifest(f"cell{row}")))
-                self._capacity_seen[row] = capacity
+                self._shape_seen[row] = shape
 
     def _send(self, worker, message):
         try:

@@ -11,11 +11,12 @@ only tiny control messages do.
 
 :class:`SharedArena` owns the segments on the parent side and hands
 out named numpy views.  Re-allocating an existing tag (what
-``FlowTable._grow`` does when a churn batch overflows capacity)
-supersedes the old segment; the old one is unlinked immediately — the
-fork-inherited mappings in workers stay valid until they re-attach via
-:func:`attach` using the manifest the backend ships over the control
-pipe.  :class:`SenseReversingBarrier` closes each schedule step.
+``FlowTable`` does when a churn batch overflows capacity or brings a
+longer route than the table has held) supersedes the old segment; the
+old one is unlinked immediately — the fork-inherited mappings in
+workers stay valid until they re-attach via :func:`attach` using the
+manifest the backend ships over the control pipe.
+:class:`SenseReversingBarrier` closes each schedule step.
 """
 
 from __future__ import annotations

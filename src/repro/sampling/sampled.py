@@ -10,12 +10,15 @@ faster kernels cannot provide.
 
 Composition rules:
 
+* Both halves keep their flows in a :class:`~repro.core.network.
+  FlowTable` — the priced allocator's and the mice model's — so both
+  run the same churn path and the same kernels.
 * Every flow starts as a mouse on its ECMP-hashed path.  The §6.2
   usage stream (``report_usage``) feeds the
   :class:`~repro.sampling.ElephantDetector`; promotion and demotion
-  re-run the flow through the two tables' existing batched
-  ``apply_churn`` — a promoted flow keeps its route and weight, it
-  just starts being priced.
+  read the flow out of one table (``FlowTable.starts_of``) and re-run
+  it through the other's batched ``apply_churn`` — a promoted flow
+  keeps its route and weight, it just starts being priced.
 * The coupling is symmetric and refreshed at the mice model's own
   pace: the mice see the elephants as external per-link load, and the
   priced half's capacities shrink by the mice's notified load (EWMA-
@@ -25,11 +28,11 @@ Composition rules:
   priced elephants would be handed entire links and starve the mice
   they cannot see.
 * Results merge priced-first: ``rate_vector[:n_priced]`` aligns with
-  the priced table, the rest with the mice store, and both halves run
+  the priced table, the rest with the mice table, and both halves run
   the identical §6.4 threshold filter.  The merge is lazy — the
   notifications concatenate O(changed), each full vector is stitched
   only if read.
-* The two stores *are* the membership record: a flow is active iff it
+* The two tables *are* the membership record: a flow is active iff it
   sits in exactly one of them, and every churn path purges its
   detector counters (:meth:`ElephantDetector.forget_many`), so
   detector state is bounded by the live flow population and cannot
@@ -179,8 +182,8 @@ class SampledAllocator:
         self._priced_base = self.priced.links.capacity.copy()
         self._mice_load_ewma = np.zeros_like(self._priced_base)
         # Hot-path aliases: membership is "in exactly one of the two
-        # stores", probed once per churn event at 100 k flows.
-        self._mice_index = self.mice.flow_index
+        # tables", probed once per churn event at 100 k flows.
+        self._mice_table = self.mice.table
         self._priced_table = self.priced.table
         # Elephant ends are deferred and flushed together with the
         # next iterate's promotions/demotions, so one churn op costs a
@@ -208,7 +211,7 @@ class SampledAllocator:
         """Batched flowlet churn with ends-first restart semantics.
 
         New flows always enter as mice; ends are routed to whichever
-        store holds the flow and purge its detector state.  Matching
+        table holds the flow and purge its detector state.  Matching
         the flow table's own contract, the whole ends batch is
         validated before anything is applied, and a rejected start
         leaves the ends applied and no start applied.
@@ -217,13 +220,13 @@ class SampledAllocator:
         ends = list(ends)
         mice_ends: list[Hashable] = []
         if ends:
-            mice_index = self._mice_index
+            mice_table = self._mice_table
             priced_table = self._priced_table
             pending = self._pending_set
             priced_ends: list[Hashable] = []
             bad = len(ends) > 1 and len(set(ends)) != len(ends)
             for flow_id in ends:
-                if flow_id in mice_index:
+                if flow_id in mice_table:
                     mice_ends.append(flow_id)
                 elif flow_id in priced_table and flow_id not in pending:
                     priced_ends.append(flow_id)
@@ -232,7 +235,7 @@ class SampledAllocator:
                     break
             if bad:
                 # Name the first unknown or repeated id in batch order,
-                # like the flow table and the ECMP store do.
+                # like the flow tables do.
                 seen: set[Hashable] = set()
                 for flow_id in ends:
                     if flow_id in seen or flow_id not in self:
@@ -249,7 +252,7 @@ class SampledAllocator:
         if starts:
             ids = [start[0] for start in starts]
             priced_index = self._priced_table._index_of
-            mice_index = self._mice_index
+            mice_index = self._mice_table._index_of
             pending = self._pending_set
             ended: set[Hashable] | tuple[()] = (
                 set(mice_ends) if mice_ends else ())
@@ -267,7 +270,7 @@ class SampledAllocator:
                         break
                     seen.add(flow_id)
         if mice_ends or starts:
-            # One batched call: the mice store applies ends first,
+            # One batched call: the mice table applies ends first,
             # then validates starts — so a bad route leaves the ends
             # applied and no start applied (the restart contract); a
             # start that is already active is withheld here and raised
@@ -293,7 +296,7 @@ class SampledAllocator:
 
         Reports for unknown flows (ended, dropped, or queued-but-not-
         applied starts) are dropped by the detector — no state is ever
-        created for a flow the stores do not know.
+        created for a flow the tables do not know.
         """
         self.detector.observe(flow_id, nbytes)
 
@@ -357,7 +360,7 @@ class SampledAllocator:
 
     def _migrate(self, promotions: list[Hashable],
                  demotions: list[Hashable]) -> None:
-        """Re-home flows between the stores and flush deferred ends.
+        """Re-home flows between the tables and flush deferred ends.
 
         Everything the priced allocator must hear about — promotions,
         demotions, and the elephant ends deferred by
@@ -366,8 +369,8 @@ class SampledAllocator:
         a flow forgets its detector state, so it cannot sit in the
         elephant set the idle scan demotes from.
         """
-        promote_starts = self.mice.get_flows(promotions)
-        demote_starts = self._priced_flows(demotions)
+        promote_starts = self._mice_table.starts_of(promotions)
+        demote_starts = self._priced_table.starts_of(demotions)
         if promotions or demote_starts:
             self.mice.apply_churn(starts=demote_starts, ends=promotions)
         priced_ends = self._pending_priced_ends
@@ -377,17 +380,6 @@ class SampledAllocator:
         if self._pending_priced_ends:
             self._pending_priced_ends = []
             self._pending_set.clear()
-
-    def _priced_flows(self, flow_ids: list[Hashable],
-                      ) -> list[tuple[Hashable, Any, float]]:
-        table = self._priced_table
-        out = []
-        for flow_id in flow_ids:
-            row = table.index_of(flow_id)
-            route = table.routes[row]
-            out.append((flow_id, route[route != table.pad_link].copy(),
-                        float(table.weights[row])))
-        return out
 
     def _priced_churn(self, starts: list[tuple[Any, ...]],
                       ends: list[Hashable]) -> None:
@@ -425,7 +417,7 @@ class SampledAllocator:
         return self.n_priced / total if total else 0.0
 
     def __contains__(self, flow_id: Hashable) -> bool:
-        return (flow_id in self._mice_index
+        return (flow_id in self._mice_table
                 or (flow_id in self._priced_table
                     and flow_id not in self._pending_set))
 

@@ -1,25 +1,25 @@
-"""CSR route-index kernels vs the padded-matrix reference, bitwise.
+"""Route-slot kernels vs the padded-matrix reference, bitwise.
 
 The NUM kernels (``price_sums`` / ``link_totals`` / ``link_totals2`` /
-``max_link_value``) run on a derived, version-cached CSR view of the
-padded route matrix.  These tests pin the contract that made that
-rewrite safe:
+``max_link_value``) run on the flow table's route storage, which is
+only as wide as the longest route the table has held.  These tests pin
+the contract that makes that layout safe:
 
-* every kernel matches a straight padded-matrix reference **bitwise**
-  (the reference reduces each row left-to-right, the order the CSR
-  kernels guarantee; pads contribute +0.0 / the dropped pad bin /
-  ``-inf``, all bitwise no-ops);
+* every kernel matches a straight reference over the routes padded out
+  to ``max_route_len`` **bitwise** (the reference reduces each row
+  left-to-right, the order the kernels guarantee; pads contribute +0.0
+  / the dropped pad bin / ``-inf``, all bitwise no-ops), so the result
+  cannot depend on the storage width;
 * above one chunk, the kernels in :mod:`repro.core.kernels` match a
   naive reference of the canonical chunked reduction **bitwise**
   (``BLOCK_ROWS`` is monkeypatched small so a few hundred rows span
   many chunks), on the calling thread and nowhere else, and the
   process backend's workers stay bitwise-aligned with the simulated
   engine there;
-* the index is maintained incrementally under arbitrary churn —
-  batched adds/removes, swap-remove holes, hop-count mixing, storage
-  regrowth, capacity refresh — and can never be observed stale,
-  because every public mutator bumps ``version`` and the index is
-  keyed on it.
+* that holds under arbitrary churn — batched adds/removes,
+  swap-remove holes, hop-count mixing, storage regrowth, widening
+  mid-churn, capacity refresh — and every public mutator bumps
+  ``version``, which the optimizers' per-flow caches are keyed on.
 """
 
 import multiprocessing
@@ -48,10 +48,17 @@ def ref_fold_rows(fold, gathered):
     return out
 
 
+def padded_routes(table):
+    """The table's routes padded out to ``max_route_len`` hops."""
+    out = np.full((table.n_flows, table.max_route_len), table.pad_link)
+    out[:, :table.width] = table.routes
+    return out
+
+
 def ref_price_sums(table, prices):
     if table.n_flows == 0:
         return np.zeros(0)
-    return ref_fold_rows(np.add, table.pad(prices)[table.routes])
+    return ref_fold_rows(np.add, table.pad(prices)[padded_routes(table)])
 
 
 def ref_chunked_totals(values, indices, n, width, minlength, block):
@@ -72,16 +79,17 @@ def ref_link_totals(table, per_flow):
     if table.n_flows == 0:
         return np.zeros(n_links)
     return ref_chunked_totals(
-        np.asarray(per_flow, dtype=np.float64), table.routes.reshape(-1),
-        table.n_flows, table.max_route_len, n_links + 1,
-        kernels.BLOCK_ROWS)[:-1]
+        np.asarray(per_flow, dtype=np.float64),
+        padded_routes(table).reshape(-1), table.n_flows,
+        table.max_route_len, n_links + 1, kernels.BLOCK_ROWS)[:-1]
 
 
 def ref_max_link_value(table, per_link):
     if table.n_flows == 0:
         return np.zeros(0)
     return ref_fold_rows(
-        np.maximum, table.pad(per_link, pad_value=-np.inf)[table.routes])
+        np.maximum,
+        table.pad(per_link, pad_value=-np.inf)[padded_routes(table)])
 
 
 def assert_kernels_match(table, rng):
@@ -104,7 +112,7 @@ def assert_kernels_match(table, rng):
 
 
 # ----------------------------------------------------------------------
-# property: arbitrary churn programs keep CSR == padded, bitwise
+# property: arbitrary churn programs keep kernels == padded, bitwise
 # ----------------------------------------------------------------------
 class TestCsrPaddedEquivalence:
     @settings(max_examples=60, deadline=None)
@@ -159,8 +167,8 @@ class TestCsrPaddedEquivalence:
             elif op == "grow":
                 # Force at least one storage regrowth (full rebuild).
                 table.reserve(len(table._weights) + 1)
-            # Read between most mutations so the incremental sync path
-            # (not just the final state) is what gets verified.
+            # Read between most mutations so every intermediate state
+            # (not just the final one) is what gets verified.
             if rng.random() < 0.8:
                 assert_kernels_match(table, rng)
         assert_kernels_match(table, rng)
@@ -295,7 +303,7 @@ class TestMultiChunkBitwise:
                                    np.empty(n))
 
     def test_one_slot_per_row(self):
-        """Width 1 (a fresh ECMP store, single-hop tables): the fold
+        """Width 1 (a fresh table, single-hop routes): the fold
         has no second column to start from."""
         indices, padded, va, _, n, _, n_links = self.case(width=1)
         np.testing.assert_array_equal(
@@ -376,29 +384,65 @@ class TestCsrStaleness:
         table = FlowTable(LinkSet(np.full(4, 10.0)))
         table.apply_churn(starts=[(i, [i % 4]) for i in range(10)])
         for label, mutate in self.mutators(table, next_id=100):
-            table.price_sums(np.zeros(4))  # cache the index
             before = table.version
             mutate()
             assert table.version > before, label
-            # ...and the bumped version makes the fresh state visible.
+            # ...and the kernels see the fresh state.
             assert_kernels_match(table, rng)
 
-    def test_index_is_cached_between_reads(self):
-        """Same version -> no resync; bumped version -> resync."""
-        table = FlowTable(LinkSet(np.full(4, 10.0)))
-        table.apply_churn(starts=[(i, [i % 4, (i + 1) % 4])
-                                  for i in range(8)])
-        table.price_sums(np.zeros(4))
-        assert table._csr_version == table.version
-        synced_at = table._csr_version
-        table.link_totals(np.ones(8))
-        table.max_link_value(np.zeros(4))
-        assert table._csr_version == synced_at  # untouched, no churn
-        table.remove_flow(3)
-        assert table._csr_version != table.version  # now stale...
-        rng = np.random.default_rng(0)
-        assert_kernels_match(table, rng)  # ...until the next read
-        assert table._csr_version == table.version
+
+# ----------------------------------------------------------------------
+# widening: the storage grows to the longest route, never narrows
+# ----------------------------------------------------------------------
+class TestWidening:
+    def test_one_hop_table_widens_mid_churn(self):
+        """2-hop and then 4-hop starts arrive while 1-hop flows end; at
+        every step the kernels equal the max_route_len-padded reference."""
+        rng = np.random.default_rng(5)
+        table = FlowTable(LinkSet(rng.random(12) * 10 + 0.5),
+                          max_route_len=8)
+        table.apply_churn(starts=[(i, [i % 12]) for i in range(40)])
+        assert table.width == 1
+        assert_kernels_match(table, rng)
+        steps = ((2, range(100, 110), range(0, 10)),
+                 (4, range(200, 210), range(10, 20)))
+        for hops, new_ids, ends in steps:
+            table.apply_churn(
+                starts=[(i, rng.integers(0, 12, hops)) for i in new_ids],
+                ends=ends)
+            assert table.width == hops
+            assert_kernels_match(table, rng)
+        # A wider single add widens too; removing every long route
+        # leaves the width where it was.
+        table.add_flow(300, rng.integers(0, 12, 6))
+        assert table.width == 6
+        table.remove_flows([300, *range(100, 110), *range(200, 210)])
+        assert table.width == 6 and table.hop_counts().max() == 1
+        assert_kernels_match(table, rng)
+
+    def test_widening_with_growth_in_one_batch(self):
+        """A batch that both overflows capacity and brings a longer
+        route: the rows already stored keep their hops."""
+        rng = np.random.default_rng(6)
+        table = FlowTable(LinkSet(np.full(10, 5.0)), max_route_len=4)
+        table.apply_churn(starts=[(i, rng.integers(0, 10, 2))
+                                  for i in range(60)])
+        before = table.routes.copy()
+        table.apply_churn(starts=[(100 + i, rng.integers(0, 10, 3))
+                                  for i in range(200)])
+        assert table.width == 3 and len(table._weights) >= 260
+        np.testing.assert_array_equal(table.routes[:60, :2], before)
+        assert (table.routes[:60, 2] == table.pad_link).all()
+        assert_kernels_match(table, rng)
+
+    def test_rejected_route_does_not_widen(self):
+        table = FlowTable(LinkSet(np.full(4, 1.0)), max_route_len=3)
+        table.add_flow(0, [0])
+        with pytest.raises(ValueError, match="4 hops"):
+            table.apply_churn(starts=[(1, [0, 1]), (2, [0, 1, 2, 3])])
+        with pytest.raises(ValueError, match="unknown link"):
+            table.add_flow(3, [0, 1, 9])
+        assert table.width == 1 and table.n_flows == 1
 
 
 # ----------------------------------------------------------------------

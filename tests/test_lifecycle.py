@@ -111,6 +111,20 @@ def run_engine_shm_regrow():
         return engine
 
 
+def run_engine_shm_widen():
+    """A longer route re-allocates a cell's route storage after the
+    workers forked; the narrower segment must go too."""
+    t = TwoTierClos(n_racks=4, hosts_per_rack=4, n_spines=2)
+    with MulticoreNedEngine(t, 2, backend="process",
+                            n_workers=2) as engine:
+        engine.add_flow(0, 0, 1)   # same rack: 2 hops
+        engine.iterate(1)
+        engine.add_flow(1, 0, 5)   # same cell, across racks: 4 hops
+        engine.iterate(1)
+        assert engine.processors[(0, 0)].table.width == 4
+        return engine
+
+
 def run_engine_shm_dead_worker():
     with MulticoreNedEngine(topo(), 2, backend="process",
                             n_workers=2) as engine:
@@ -135,6 +149,7 @@ COMPONENTS = {
     "engine-shm": run_engine_shm,
     "engine-shm-uneven": run_engine_shm_uneven,
     "engine-shm-regrow": run_engine_shm_regrow,
+    "engine-shm-widen": run_engine_shm_widen,
     "engine-shm-dead-worker": run_engine_shm_dead_worker,
     "service-client": run_service_and_client,
 }

@@ -83,6 +83,23 @@ class TestChurn:
         assert list(copy.route_of("a")) == [0, 1]
         assert copy.weights[copy.index_of("a")] == 2.0
 
+    def test_starts_of_recreates_flows(self):
+        table = make_table()
+        table.apply_churn(starts=[("a", [0, 1], 2.0), ("b", [2]),
+                                  ("c", [3, 4, 5], 0.5)])
+        table.remove_flow("a")
+        assert [(flow_id, route.tolist(), weight) for flow_id, route, weight
+                in table.starts_of(["c", "b"])] == [("c", [3, 4, 5], 0.5),
+                                                    ("b", [2], 1.0)]
+        assert table.starts_of([]) == []
+        with pytest.raises(KeyError):
+            table.starts_of(["b", "a"])
+        copy = make_table()
+        copy.apply_churn(starts=table.starts_of(table.flow_ids()))
+        assert copy.flow_ids() == table.flow_ids()
+        assert np.array_equal(copy.routes, table.routes)
+        assert np.array_equal(copy.weights, table.weights)
+
 
 class TestBatchChurn:
     def test_apply_churn_adds_and_removes(self):
@@ -500,7 +517,7 @@ class ChurnTwins:
                 floats.data[row] = float(self.counter * 100 + j)
                 flags.data[row] = bool(j % 2)
 
-    def check(self, sync=True):
+    def check(self):
         batched, twin = self.tables
         assert batched.flow_ids() == twin.flow_ids()
         assert batched.flow_id_array().tolist() == twin.flow_ids()
@@ -513,20 +530,20 @@ class ChurnTwins:
             list(range(batched.n_flows))
         assert batched._ids[batched.n_flows:].tolist() == \
             [None] * (len(batched._ids) - batched.n_flows)
-        if sync:
-            n = batched.n_flows
-            for table in self.tables:
-                indptr, indices, nnz = table._route_index()
-                width = table._csr_width
-                assert nnz == n * width
-                assert np.array_equal(indices[:nnz].reshape(n, width),
-                                      table.routes[:, :width])
-                assert np.array_equal(indptr[: n + 1],
-                                      np.arange(n + 1) * width)
-            assert batched._csr_width == twin._csr_width
-            prices = np.arange(1.0, 7.0)
-            assert np.array_equal(batched.price_sums(prices),
-                                  twin.price_sums(prices))
+        n = batched.n_flows
+        for table in self.tables:
+            # The kernels' slot layout is the storage itself, padded past
+            # every live row, as wide as the longest route seen.
+            flat = table._routes.reshape(-1)
+            width = table.width
+            assert np.array_equal(flat[: n * width].reshape(n, width),
+                                  table.routes)
+            assert (flat[n * width:] == table.pad_link).all()
+            assert width >= max(table.hop_counts(), default=1)
+        assert batched.width == twin.width
+        prices = np.arange(1.0, 7.0)
+        assert np.array_equal(batched.price_sums(prices),
+                              twin.price_sums(prices))
 
 
 ORDERS = ("random", "all", "tail_asc", "tail_desc", "head_then_tail",
@@ -562,8 +579,7 @@ class TestBatchedEqualsSequential:
     @given(data=st.data())
     def test_churn_program(self, data):
         """Random programs of batches: victim order, batch sizes, start
-        shapes, restarts, and how often the route index is brought up
-        to date are all drawn."""
+        shapes and restarts are all drawn."""
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         twins = ChurnTwins(data.draw(st.sampled_from(sorted(ID_KINDS))))
@@ -583,8 +599,7 @@ class TestBatchedEqualsSequential:
                 starts.append((ends[len(ends) // 2], [1, 2]))
             twins.step(starts, ends,
                        as_generator=data.draw(st.booleans()))
-            twins.check(sync=data.draw(st.booleans(), label="sync"))
-        twins.check()
+            twins.check()
 
     def test_errors_name_the_first_offender_and_apply_nothing(self):
         twins = ChurnTwins("tuple")

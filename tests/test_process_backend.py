@@ -197,6 +197,36 @@ class TestCrossBackendEquivalence:
             assert r_proc == r_sim
             np.testing.assert_array_equal(p_proc, p_sim)
 
+    def test_wider_route_after_fork_reattaches(self):
+        """Cells start one slot wide; same-rack (2-hop) flows and then
+        cross-rack (4-hop) flows widen them after the workers forked,
+        with capacity reserved so widening is the only re-allocation."""
+        topology = clos_for_blocks(2)
+        per_rack = topology.hosts_per_rack
+        near = [(i, i, i ^ 1) for i in range(topology.n_hosts)]
+        far = [(100 + i, i, (i + per_rack) % topology.n_hosts)
+               for i in range(topology.n_hosts)]
+        simulated = MulticoreNedEngine(topology, 2)
+        with MulticoreNedEngine(topology, 2, backend="process",
+                                n_workers=2,
+                                reserve_per_block=256) as engine:
+            capacities = [len(p.table._weights)
+                          for p in engine.processors.values()]
+            for starts, width in ((near, 2), (far, 4)):
+                for target in (simulated, engine):
+                    target.apply_churn(starts=starts)
+                    target.iterate(5)
+                assert max(p.table.width
+                           for p in engine.processors.values()) == width
+                assert engine.backend._shape_seen == [
+                    p.table._routes.shape
+                    for p in engine.processors.values()]
+                assert engine.rates() == simulated.rates()
+                np.testing.assert_array_equal(engine.global_prices(),
+                                              simulated.global_prices())
+            assert [len(p.table._weights)
+                    for p in engine.processors.values()] == capacities
+
     def test_weighted_flows_match_simulated(self):
         topology = clos_for_blocks(2)
         rng = np.random.default_rng(12)
