@@ -4,27 +4,50 @@ The allocator hot loop bottoms out in four kernels over the flow
 table's route storage (`price_sums`, `link_totals`, `link_totals2`,
 `max_link_value`) plus the churn-apply bottleneck gather
 (`min_link_value`).  They are plain functions over caller-owned
-arrays: ``indices`` is the row-major flattening of a padded route
-matrix, ``width`` slots per row (``FlowTable._routes.reshape(-1)``),
-and ``padded`` carries the pad-link entry last.  They hold no scratch: each
-chunk's gather is a fresh, bounds-checked ``take`` (an out-of-range
-slot raises ``IndexError``), because numpy buffers a ``take`` into
-``out=`` under the default ``mode="raise"`` and that costs more than
-the chunk-sized allocation it saves.
+arrays: ``routes`` is the **hop-major** route storage
+(``FlowTable._routes``), a ``(width, capacity)`` array whose row ``h``
+is hop column ``h`` over the flows, contiguous, of which the first
+``n`` entries are live; ``padded`` carries the pad-link entry last.
+They hold no scratch: each chunk's gather is a fresh, bounds-checked
+``take`` per column (an out-of-range slot raises ``IndexError``),
+because numpy buffers a ``take`` into ``out=`` under the default
+``mode="raise"`` and that costs more than the chunk-sized allocation
+it saves.
 
 **Bitwise contract.**  Float addition is not associative, so the
 reduction order is fixed here and nowhere else:
 
-* rows are cut into :data:`BLOCK_ROWS`-aligned chunks whose boundaries
+* flows are cut into :data:`BLOCK_ROWS`-aligned chunks whose boundaries
   depend only on ``n``;
-* within a chunk, accumulation is strict row-major/hop order
-  (``bincount`` element order for scatters, left-to-right column
-  folds for per-row reductions);
+* within a chunk, a scatter keeps one running sum per link, from 0.0,
+  and adds hop column 0's entries in flow order, then column 1's, and
+  so on; a per-flow reduction folds the gathered columns left to
+  right;
 * scatter partials are combined in ascending chunk order.
 
-For ``n <= BLOCK_ROWS`` this is the single ``bincount``/column pass;
-above it the chunking keeps each gather block cache-resident (measured
-~25 % faster than one pass at 100k flows).  Every caller — the
+The order is chunk → column → flow.  It equals the flow-major order
+(chunk → flow → hop) that a single ``bincount`` over a flow-major
+route matrix uses whenever every link occupies one storage column: a
+link's entries in a chunk then all sit in that column, and its running
+sum meets them in flow order either way (no route names a link
+twice).  :class:`~repro.core.network.FlowTable` stores routes
+middle-aligned (first half left, second half right-aligned), which
+puts every link of the shipped up/down fabrics (two-tier and
+three-tier Clos) in one column, so those tables reduce exactly as the
+flow-major layout did.  The per-flow folds equal the flow-major ones
+for any route: the pad slots gather the fold's identity (``0.0`` for
+sums of non-negative prices, ``∓inf`` for max/min), so moving them
+between hops cannot change a bit.
+
+The scatter order rests on two numpy loops adding their entries one at
+a time in index order, from 0.0: ``bincount`` (as in every earlier
+layout) and, for chunks above :data:`SMALL_CHUNK`, ``np.add.at`` —
+the indexed inner loop numpy >= 1.25 runs for ``add`` on float64.
+Neither order is documented numpy API; ``tests/test_csr_kernels.py``
+pins both paths to a scalar reference on the installed numpy, and CI
+pins numpy (``requirements-ci.txt``).
+
+The chunking keeps each gather block cache-resident.  Every caller — the
 FlowTable (which also holds the ECMP mice) and the process-backend
 workers, reading the same shared route storage — runs these same
 functions, which is what makes their results bitwise comparable.
@@ -36,19 +59,28 @@ import numpy as np
 import numpy.typing as npt
 
 __all__ = [
-    "BLOCK_ROWS", "chunk_spans", "describe", "price_sums",
+    "BLOCK_ROWS", "SMALL_CHUNK", "chunk_spans", "describe", "price_sums",
     "max_link_value", "link_totals", "link_totals2", "min_link_value",
 ]
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 
-#: Canonical reduction chunk size (rows).  Part of the bitwise
+#: Canonical reduction chunk size (flows).  Part of the bitwise
 #: contract: results at n > BLOCK_ROWS depend on it at the 1-ulp
 #: level, so every process of one run must use the same value.  Read
 #: dynamically by :func:`chunk_spans`, so tests can monkeypatch it
 #: small to exercise multi-chunk reductions on tiny tables.
 BLOCK_ROWS = 16384
+
+#: Chunks of at most this many flows scatter with one call over all
+#: their columns (fewer numpy calls win on small tables), bigger ones
+#: column by column (no per-slot weight copy).  Both add in the same
+#: order, so this is a speed choice that no float depends on.  The
+#: two cross between 2048 and 3072 flows; column by column alone costs
+#: the 16-cell engine 10-18 % per iteration
+#: (``benchmarks/results/scatter-sweep-*.txt``).
+SMALL_CHUNK = 2048
 
 
 def describe() -> str:
@@ -57,78 +89,82 @@ def describe() -> str:
 
 
 def chunk_spans(n: int) -> list[tuple[int, int]]:
-    """The canonical chunk grid for ``n`` rows: ``[(r0, r1), ...]``."""
+    """The canonical chunk grid for ``n`` flows: ``[(r0, r1), ...]``."""
     block = BLOCK_ROWS
     return [(r0, min(n, r0 + block)) for r0 in range(0, n, block)]
 
 
 # ----------------------------------------------------------------------
-# per-row reductions
+# per-flow reductions
 # ----------------------------------------------------------------------
 
-def _fold_rows(fold: np.ufunc, padded: FloatArray, indices: IntArray,
-               n: int, width: int, out: FloatArray) -> FloatArray:
-    """out[r] = left-to-right ``fold`` of padded[indices] over row r.
+def _fold_rows(fold: np.ufunc, padded: FloatArray, routes: IntArray,
+               n: int, out: FloatArray) -> FloatArray:
+    """out[r] = left-to-right ``fold`` of padded[routes[:, r]].
 
-    Each chunk gathers its ``(rows, width)`` block and folds it
-    column-wise: the fold starts from hop 0's value and applies hops
-    in order, so a sum is bit-identical to the sequential per-route
-    sum (prices are non-negative, so the missing 0.0 seed cannot flip
-    a ``-0.0``).
+    Each chunk gathers one contiguous column at a time and folds it
+    into ``out``: the fold starts from hop column 0's value and
+    applies the columns in order (prices are non-negative, so the
+    missing 0.0 seed cannot flip a ``-0.0``).
     """
+    width = len(routes)
     for r0, r1 in chunk_spans(n):
-        mat = padded.take(indices[r0 * width: r1 * width]).reshape(
-            r1 - r0, width)
         dst = out[r0:r1]
-        acc = mat[:, 0]
+        acc = padded.take(routes[0, r0:r1])
         if width == 1:
             dst[:] = acc
         for hop in range(1, width):
-            acc = fold(acc, mat[:, hop], out=dst)
+            acc = fold(acc, padded.take(routes[hop, r0:r1]), out=dst)
     return out
 
 
-def price_sums(padded: FloatArray, indices: IntArray, n: int,
-               width: int) -> FloatArray:
-    """Per-row sums of padded[indices] (pad slots gather 0.0)."""
-    return _fold_rows(np.add, padded, indices, n, width, np.empty(n))
+def price_sums(padded: FloatArray, routes: IntArray, n: int) -> FloatArray:
+    """Per-flow sums of padded[routes] (pad slots gather 0.0)."""
+    return _fold_rows(np.add, padded, routes, n, np.empty(n))
 
 
-def max_link_value(padded: FloatArray, indices: IntArray, n: int,
-                   width: int, out: FloatArray) -> FloatArray:
-    """Per-row max of padded[indices] into ``out`` (pad slots -inf)."""
-    return _fold_rows(np.maximum, padded, indices, n, width, out)
-
-
-def min_link_value(padded: FloatArray, rows_mat: IntArray,
+def max_link_value(padded: FloatArray, routes: IntArray, n: int,
                    out: FloatArray) -> FloatArray:
-    """Per-row min of padded[rows_mat] into ``out`` (pad slots +inf).
+    """Per-flow max of padded[routes] into ``out`` (pad slots -inf)."""
+    return _fold_rows(np.maximum, padded, routes, n, out)
 
-    The churn-apply bottleneck gather: ``rows_mat`` is a row slice of
-    the padded route matrix.
+
+def min_link_value(padded: FloatArray, routes: IntArray, n: int,
+                   out: FloatArray) -> FloatArray:
+    """Per-flow min of padded[routes] into ``out`` (pad slots +inf).
+
+    The churn-apply bottleneck gather: ``routes`` may be a column
+    slice of the storage (the flows just inserted).
     """
-    n, width = rows_mat.shape
-    return _fold_rows(np.minimum, padded, rows_mat.reshape(-1), n,
-                      width, out)
+    return _fold_rows(np.minimum, padded, routes, n, out)
 
 
 # ----------------------------------------------------------------------
 # link scatters (``n >= 1``; callers short-circuit the empty table)
 # ----------------------------------------------------------------------
 
-def _scatter_chunk(values: FloatArray, indices: IntArray,
-                   r0: int, r1: int, width: int,
+def _scatter_chunk(values: FloatArray, routes: IntArray, r0: int, r1: int,
                    minlength: int) -> FloatArray:
-    """Partial link scatter of rows ``[r0, r1)`` (fresh array).
+    """Partial link scatter of flows ``[r0, r1)`` (fresh array).
 
-    The per-flow value is repeated once per slot and scattered by one
-    ``bincount`` — element order is row-major/hop order, so the
-    partial is bit-identical to a single whole-table bincount
-    restricted to these rows.
+    Each link's running sum from 0.0 takes hop column 0's entries in
+    flow order, then column 1's, and so on.  A chunk of at most
+    :data:`SMALL_CHUNK` flows runs that as one ``bincount`` over its
+    columns laid end to end; a bigger one as ``np.add.at`` per column,
+    weighted by the per-flow values as they are (no per-slot copy).
     """
-    return np.asarray(np.bincount(indices[r0 * width: r1 * width],
-                                  weights=np.repeat(values[r0:r1], width),
-                                  minlength=minlength), dtype=np.float64)
+    weights = values[r0:r1]
+    if r1 - r0 <= SMALL_CHUNK:
+        return np.asarray(np.bincount(
+            routes[:, r0:r1].ravel(),
+            weights=np.concatenate((weights,) * len(routes)),
+            minlength=minlength), dtype=np.float64)
+    total = np.zeros(minlength)
+    for column in routes:
+        # add.at applies its indices in order (see the bitwise
+        # contract above), the running sum the one-call path makes.
+        np.add.at(total, column[r0:r1], weights)  # flowlint: disable=FL-DET001
+    return total
 
 
 def _fold_parts(parts: list[FloatArray]) -> FloatArray:
@@ -139,23 +175,21 @@ def _fold_parts(parts: list[FloatArray]) -> FloatArray:
     return total
 
 
-def link_totals(values: FloatArray, indices: IntArray, n: int,
-                width: int, minlength: int) -> FloatArray:
-    """``out[l]`` = sum of ``values[r]`` over the slots of row r that
-    name link l (``minlength`` bins, the pad link's last)."""
-    return _fold_parts([
-        _scatter_chunk(values, indices, r0, r1, width, minlength)
-        for r0, r1 in chunk_spans(n)])
+def link_totals(values: FloatArray, routes: IntArray, n: int,
+                minlength: int) -> FloatArray:
+    """``out[l]`` = sum of ``values[r]`` over the hop slots of flow r
+    that name link l (``minlength`` bins, the pad link's last)."""
+    return _fold_parts([_scatter_chunk(values, routes, r0, r1, minlength)
+                        for r0, r1 in chunk_spans(n)])
 
 
-def link_totals2(a: FloatArray, b: FloatArray, indices: IntArray,
-                 n: int, width: int, minlength: int,
-                 ) -> tuple[FloatArray, FloatArray]:
+def link_totals2(a: FloatArray, b: FloatArray, routes: IntArray, n: int,
+                 minlength: int) -> tuple[FloatArray, FloatArray]:
     """Fused pair of :func:`link_totals`: both scatters run per chunk,
     while its index slice is cache-resident.  Bitwise equal to two
     separate calls."""
-    parts = [(_scatter_chunk(a, indices, r0, r1, width, minlength),
-              _scatter_chunk(b, indices, r0, r1, width, minlength))
+    parts = [(_scatter_chunk(a, routes, r0, r1, minlength),
+              _scatter_chunk(b, routes, r0, r1, minlength))
              for r0, r1 in chunk_spans(n)]
     return (_fold_parts([part_a for part_a, _ in parts]),
             _fold_parts([part_b for _, part_b in parts]))

@@ -3,32 +3,44 @@
 The allocator's hot loop touches every flow and every link once per
 iteration, so the representation matters.  Datacenter routes are short
 (2 links within a rack, 4 links across the fabric in a two-tier Clos),
-which lets us store all routes in a single padded integer matrix:
+which lets us store all routes in a single padded, **hop-major**
+integer matrix of shape ``(width, capacity)``:
 
-* ``routes[f, h]`` is the link index of hop ``h`` of flow ``f``,
-* unused hops point at a *virtual pad link* (index ``n_links``) whose
-  price is pinned to zero and whose capacity is infinite.
+* ``routes[c, f]`` is the link index in storage column ``c`` of flow
+  ``f``; each column is contiguous over the flows;
+* a ``k``-hop route is *middle-aligned*: its first ``ceil(k/2)`` hops
+  sit in columns ``0, 1, ...`` and the other ``floor(k/2)`` in the last
+  columns, right-aligned, so reading a flow's column top to bottom
+  still gives its hops in order;
+* unused slots (the middle of a short route) point at a *virtual pad
+  link* (index ``n_links``) whose price is pinned to zero and whose
+  capacity is infinite.
 
-The matrix is only as wide as the longest route the table has held
-(:attr:`FlowTable.width`: it starts at one slot, widens on demand up to
-``max_route_len`` and never shrinks), so a two-tier Clos table is 4
-slots wide rather than ``max_route_len``.  Its row-major flattening is
-exactly the layout the NUM kernels iterate — slot ``e`` belongs to
-flow row ``e // width`` — and the same bytes are what the shm arena
-shares with worker processes; there is no derived index to keep in
-sync.  One optimizer iteration is then a handful of vectorized
-operations over ``n x width`` elements (fancy-indexed gathers,
-``bincount`` segment scatters, column folds for per-flow sums/maxima),
-with no Python-level per-flow work.  The kernels themselves live in
-:mod:`repro.core.kernels`, which fixes one canonical chunked reduction
-order for every caller.  Flowlet churn — the common case in Flowtune —
-is O(route length) per event: adding appends a row; removal swaps the
-last row into the hole so the arrays stay dense.
+The alignment follows the up/down shape of datacenter routes: on the
+two- and three-tier Clos fabrics every link always lands in the same
+column (host uplink in column 0, ToR->spine in 1, spine->ToR in
+``width - 2``, host downlink in ``width - 1``), which is what keeps the
+kernels' per-column scatters in the flow order of a flow-major layout
+(see :mod:`repro.core.kernels`).  The matrix is only as wide as the
+longest route the table has held (:attr:`FlowTable.width`: it starts
+at one slot, widens on demand up to ``max_route_len`` and never
+shrinks; widening moves the right-aligned half to the new right
+edge), so a two-tier Clos table is 4 slots wide rather than
+``max_route_len``.  The storage itself is what the NUM kernels read
+and what the shm arena shares with worker processes; there is no
+derived index to keep in sync.  One optimizer iteration is then a
+handful of vectorized operations per column (contiguous gathers,
+scatters that add the per-flow values into per-link sums, column
+folds for per-flow sums/maxima), with no Python-level per-flow work.  The
+kernels themselves live in :mod:`repro.core.kernels`, which fixes one
+canonical chunked reduction order for every caller.  Flowlet churn —
+the common case in Flowtune — is O(route length) per event: adding
+appends a flow; removal swaps the last flow into the hole so the
+arrays stay dense.
 """
 
 from __future__ import annotations
 
-import collections
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any, TypeVar
 
@@ -55,26 +67,39 @@ def _numpy_allocator(tag: str, shape: tuple[int, ...],
     return np.empty(shape, dtype=dtype)
 
 
-def _lookup_ends(ids: list[Hashable],
-                 index_of: dict[Hashable, _V]) -> list[_V]:
-    """``index_of`` values of a batch of ending flow ids, at C speed.
+def _pop_ends(ids: list[Hashable],
+               index_of: dict[Hashable, _V]) -> list[_V]:
+    """Pop a batch of ending flow ids from ``index_of`` and return
+    their values, in one pass at C speed.
 
     The one ends validation of every scheduler: an unknown or repeated
-    id raises ``KeyError`` naming the first offender in batch order
-    (found by a scalar pass only then); the caller has applied nothing.
+    id (a repeat is unknown by the time it is popped again) raises
+    ``KeyError`` naming the first offender in batch order, after the
+    ids popped before it are put back, so ``index_of`` compares equal
+    to what it was (``list.extend`` keeps what the map yielded before
+    it raised).
     """
+    found: list[_V] = []
     try:
-        found = list(map(index_of.__getitem__, ids))
-        if len(set(ids)) == len(ids):
-            return found
-    except KeyError:
-        pass
-    seen: set[Hashable] = set()
-    for flow_id in ids:
-        if flow_id not in index_of or flow_id in seen:
-            break
-        seen.add(flow_id)
-    raise KeyError(f"flow {flow_id!r} is not active")
+        found.extend(map(index_of.pop, ids))
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable id
+        index_of.update(zip(ids, found))
+        if isinstance(exc, TypeError):
+            raise
+        raise KeyError(f"flow {ids[len(found)]!r} is not active") from None
+    return found
+
+
+def _slot_masks(width: int) -> npt.NDArray[np.bool_]:
+    """``masks[k]``: the storage columns a middle-aligned ``k``-hop
+    route occupies in ``width`` (its first ``ceil(k/2)`` hops left, the
+    rest right-aligned).  Row-major order of ``masks[lengths]`` is hop
+    order, so ``block[masks[lengths]] = flat`` lays out a batch of
+    concatenated routes."""
+    lengths = np.arange(width + 1)[:, None]
+    left = (lengths + 1) // 2
+    cols = np.arange(width)
+    return (cols < left) | (cols >= width - (lengths - left))
 
 
 def _pack_starts(starts: list[tuple[Any, ...]],
@@ -213,12 +238,12 @@ class LinkSet:
 class FlowTable:
     """Dense, padded table of active flows and their routes.
 
-    Rows are kept contiguous under churn via swap-remove, so positional
+    Flows are kept contiguous under churn via swap-remove, so positional
     indices are unstable; stable identity is the user-supplied
     ``flow_id``.  All query methods return arrays aligned with the
     current positional order, and :meth:`flow_ids` exposes that order.
     ``max_route_len`` caps the hop count a route may have; the storage
-    is :attr:`width` slots wide.
+    is :attr:`width` hop columns of middle-aligned routes.
     """
 
     def __init__(self, links: LinkSet, max_route_len: int = 8,
@@ -235,12 +260,13 @@ class FlowTable:
         # an existing tag (on grow) supersedes the old array.
         self._alloc = allocator if allocator is not None else _numpy_allocator
         self._columns = []
-        # One slot wide until a longer route arrives (_widen).  Rows at
-        # and past n hold only the pad link, so an insert writes just
-        # the real hops.
-        self._routes = self._alloc("routes", (_INITIAL_CAPACITY, 1),
+        # Hop-major: one column wide until a longer route arrives
+        # (_widen).  Flows at and past n hold only the pad link, so a
+        # single add writes just the real hops.
+        self._routes = self._alloc("routes", (1, _INITIAL_CAPACITY),
                                    np.int64)
         self._routes[:] = self.pad_link
+        self._slot_masks = _slot_masks(1)
         self._weights = self._alloc("weights", (_INITIAL_CAPACITY,),
                                     np.float64)
         self._weights[:] = 1.0
@@ -322,7 +348,7 @@ class FlowTable:
         if len(route) > self.width:
             self._widen(len(route))
         idx = self._n
-        self._routes[idx, : len(route)] = route
+        self._routes[self._slot_masks[len(route)], idx] = route
         self._weights[idx] = weight
         self._ids[idx] = flow_id
         self._index_of[flow_id] = idx
@@ -334,11 +360,11 @@ class FlowTable:
         return idx
 
     def remove_flow(self, flow_id: Hashable) -> int:
-        """Remove a flow by id (swap-remove keeps rows dense)."""
+        """Remove a flow by id (swap-remove keeps flows dense)."""
         idx = self._index_of.pop(flow_id)
         last = self._n - 1
         if idx != last:
-            self._routes[idx] = self._routes[last]
+            self._routes[:, idx] = self._routes[:, last]
             self._weights[idx] = self._weights[last]
             moved_id = self._ids[last]
             self._ids[idx] = moved_id
@@ -346,7 +372,7 @@ class FlowTable:
             for column in self._columns:
                 column._data[idx] = column._data[last]
         self._ids[last] = None
-        self._routes[last, :] = self.pad_link
+        self._routes[:, last] = self.pad_link
         self._n = last
         self.version += 1
         return idx
@@ -354,9 +380,10 @@ class FlowTable:
     def remove_flows(self, flow_ids: Iterable[Hashable]) -> None:
         """Batched removal: the vectorized mirror of the batched add.
 
-        Validates the whole batch up front at C speed (an unknown or
-        duplicated id raises ``KeyError`` naming the first offender in
-        batch order, with *no* flow removed) and lands in exactly the
+        Validates the whole batch up front at C speed, popping the ids
+        from the index in one pass (an unknown or duplicated id raises
+        ``KeyError`` naming the first offender in batch order, with
+        *no* flow removed and the index restored) and lands in exactly the
         positional layout sequential :meth:`remove_flow` calls in the
         same order would produce (a property the drivers rely on for
         cross-revision rate comparisons).  Step ``i`` of that chain
@@ -367,16 +394,17 @@ class FlowTable:
         ``r_i``" and is computed as array arithmetic; only the tangled
         steps (none under FIFO churn, about ``2k/n`` of a random
         batch) replay the swap chain with dict bookkeeping.  The net
-        movement is applied as one fancy-indexed gather per array, ids
-        included; every registered :class:`FlowColumn` entry moves
-        with its flow, and the whole batch costs one version bump.
+        movement is applied as one fancy-indexed gather per array (per
+        hop column for the routes), ids included; every registered
+        :class:`FlowColumn` entry moves with its flow, and the whole
+        batch costs one version bump.
         """
         ids = list(flow_ids)
         k = len(ids)
         if not k:
             return
         index_of = self._index_of
-        holes = np.fromiter(_lookup_ends(ids, index_of), dtype=np.int64,
+        holes = np.fromiter(_pop_ends(ids, index_of), dtype=np.int64,
                             count=k)
         n = self._n
         new_n = n - k
@@ -402,12 +430,12 @@ class FlowTable:
                 content.keys(), dtype=np.int64, count=len(content))))
             movers = np.concatenate((movers[simple], np.fromiter(
                 content.values(), dtype=np.int64, count=len(content))))
-        collections.deque(map(index_of.__delitem__, ids), maxlen=0)
         if len(holes):
             # Sources are original tail rows (>= new_n), destinations
             # are final slots (< new_n): disjoint, so one gather per
             # array is safe.
-            self._routes[holes] = self._routes[movers]
+            for hop_column in self._routes:
+                hop_column[holes] = hop_column[movers]
             self._weights[holes] = self._weights[movers]
             for column in self._columns:
                 column._data[holes] = column._data[movers]
@@ -415,7 +443,7 @@ class FlowTable:
             self._ids[holes] = moved_ids
             index_of.update(zip(moved_ids.tolist(), holes.tolist()))
         self._ids[new_n:n] = None
-        self._routes[new_n:n] = self.pad_link
+        self._routes[:, new_n:n] = self.pad_link
         self._n = new_n
         self.version += 1
 
@@ -447,7 +475,7 @@ class FlowTable:
 
     def _insert(self, ids, lengths, flat, weights):
         """Columnar insert of an already-validated batch (the columns
-        :func:`_pack_starts` returns) as rows ``[n, n + k)``."""
+        :func:`_pack_starts` returns) as flows ``[n, n + k)``."""
         k = len(lengths)
         self.reserve(self._n + k)
         widest = int(lengths.max())
@@ -455,15 +483,18 @@ class FlowTable:
             self._widen(widest)
         n0 = self._n
         block = slice(n0, n0 + k)
-        rows = self._routes[block]
-        # Left-packed scatter over pad rows: row-major order of the
-        # mask matches the concatenation order of the batch's routes.
-        rows[np.arange(self.width) < lengths[:, None]] = flat
+        # Middle-aligned scatter into a flow-major pad block (row-major
+        # order of the mask is the concatenation order of the batch's
+        # routes), stored with one transposed copy.
+        rows = np.full((k, self.width), self.pad_link)
+        rows[self._slot_masks[lengths]] = flat
+        routes = self._routes[:, block]
+        routes[:] = rows.T
         self._weights[block] = 1.0 if weights is None else weights
         for column in self._columns:
             column._data[block] = column.default
-        kernels.min_link_value(
-            self._capacity_padded(), rows, self._bottleneck._data[block])
+        kernels.min_link_value(self._capacity_padded(), routes, k,
+                               self._bottleneck._data[block])
         # fromiter keeps tuple ids scalar — a slice-assign of a list
         # would make numpy broadcast them as nested sequences.
         self._ids[block] = np.fromiter(ids, dtype=object, count=k)
@@ -526,10 +557,19 @@ class FlowTable:
     def _reallocate_routes(self, capacity, width):
         # Through the allocator hook, so shared-memory storage follows
         # (the process backend re-attaches a worker when the shape moves).
-        routes = self._alloc("routes", (capacity, width), np.int64)
+        # Every held route keeps its first half in the left columns
+        # [0, ceil(w/2)) and its second half in the right columns, so
+        # widening keeps the left zone and moves the right one to the
+        # new right edge: the routes stay middle-aligned at the new
+        # width, as if inserted there.
+        routes = self._alloc("routes", (width, capacity), np.int64)
         routes[:] = self.pad_link
-        routes[: self._n, : self.width] = self._routes[: self._n]
+        old, n = self._routes, self._n
+        left = (len(old) + 1) // 2
+        routes[:left, :n] = old[:left, :n]
+        routes[width - (len(old) - left):, :n] = old[left:, :n]
         self._routes = routes
+        self._slot_masks = _slot_masks(width)
 
     # ------------------------------------------------------------------
     # queries (views aligned with positional order)
@@ -566,15 +606,16 @@ class FlowTable:
 
     @property
     def width(self) -> int:
-        """Route slots per flow: the longest route the table has held
-        (at least 1, at most ``max_route_len``; it never shrinks)."""
-        return self._routes.shape[1]
+        """Hop columns of the storage: the longest route the table has
+        held (at least 1, at most ``max_route_len``; it never shrinks)."""
+        return len(self._routes)
 
     @property
     def routes(self) -> IntArray:
-        """Padded route matrix view, shape ``(n_flows, width)``; its
-        row-major flattening is what the kernels read."""
-        return self._routes[: self._n]
+        """Hop-major padded route view, shape ``(width, n_flows)``:
+        ``routes[:, f]`` is flow ``f``'s middle-aligned route, and the
+        rows are the hop columns the kernels read."""
+        return self._routes[:, : self._n]
 
     @property
     def weights(self) -> FloatArray:
@@ -583,8 +624,15 @@ class FlowTable:
 
     def route_of(self, flow_id: Hashable) -> IntArray:
         """Unpadded route (link-index array) of one flow."""
-        row = self._routes[self._index_of[flow_id]]
-        return row[row != self.pad_link].copy()
+        slots = self._routes[:, self._index_of[flow_id]]
+        return slots[slots != self.pad_link]
+
+    def _unpadded(self, routes: IntArray) -> tuple[IntArray, IntArray]:
+        """``(hop counts, concatenated routes)`` of a hop-major block,
+        the columns :meth:`_insert` takes."""
+        flows = routes.T
+        real = flows != self.pad_link
+        return real.sum(axis=1), flows[real]
 
     def starts_of(self, flow_ids: Iterable[Hashable],
                   ) -> list[tuple[Hashable, IntArray, float]]:
@@ -595,15 +643,13 @@ class FlowTable:
         ids = list(flow_ids)
         rows = np.fromiter(map(self._index_of.__getitem__, ids),
                            dtype=np.int64, count=len(ids))
-        routes = self._routes[rows]
-        real = routes != self.pad_link
-        cuts = np.cumsum(real.sum(axis=1))[:-1]
-        return list(zip(ids, np.split(routes[real], cuts),
+        lengths, flat = self._unpadded(self._routes[:, rows])
+        return list(zip(ids, np.split(flat, np.cumsum(lengths)[:-1]),
                         self._weights[rows].tolist()))
 
     def hop_counts(self) -> IntArray:
         """Number of real (non-pad) hops per flow."""
-        return np.sum(self.routes != self.pad_link, axis=1)
+        return np.sum(self.routes != self.pad_link, axis=0)
 
     # ------------------------------------------------------------------
     # vectorized NUM kernels
@@ -621,33 +667,34 @@ class FlowTable:
 
         ``prices`` has one entry per real link; slack slots gather the
         pad link's pinned 0.0.  The per-route fold is strictly
-        left-to-right in hop order (trailing zeros are bitwise no-ops)
-        so the result is bit-for-bit the sequential sum of each route,
-        independent of slot width.
+        left-to-right in column order, which is hop order with zeros
+        in between (bitwise no-ops), so the result is bit-for-bit the
+        sequential sum of each route, independent of slot width.
         """
         n = self._n
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        return kernels.price_sums(
-            self.pad(prices), self._routes.reshape(-1), n, self.width)
+        return kernels.price_sums(self.pad(prices), self._routes, n)
 
     def link_totals(self, per_flow: npt.ArrayLike) -> FloatArray:
         """Scatter per-flow values onto links: ``out[l] = sum_{s in S(l)} v_s``.
 
         This computes aggregate link load when given rates, and the
         Hessian diagonal when given rate derivatives.  The scatter
-        runs over the route slots (slack lands in the dropped pad
-        bin) via the canonical chunked reduction: per-link
-        accumulation order is flow-position order within each
-        fixed-size chunk, partials folded in chunk order (below one
-        chunk, a single-pass scatter).
+        runs over the hop columns (slack lands in the dropped pad
+        bin) via the canonical chunked reduction: within each
+        fixed-size chunk each link's sum takes column 0's flows in
+        position order, then column 1's, and so on, chunk partials
+        folded in chunk order — for a link confined to one column
+        (every link of a Clos table), flow-position order within each
+        chunk.
         """
         n = self._n
         if n == 0:
             return np.zeros(self.links.n_links, dtype=np.float64)
         totals = kernels.link_totals(
-            np.asarray(per_flow, dtype=np.float64),
-            self._routes.reshape(-1), n, self.width, self.links.n_links + 1)
+            np.asarray(per_flow, dtype=np.float64), self._routes, n,
+            self.links.n_links + 1)
         return totals[:-1]
 
     def link_totals2(self, a: npt.ArrayLike, b: npt.ArrayLike,
@@ -669,8 +716,8 @@ class FlowTable:
             return zeros, zeros.copy()
         totals_a, totals_b = kernels.link_totals2(
             np.asarray(a, dtype=np.float64),
-            np.asarray(b, dtype=np.float64), self._routes.reshape(-1), n,
-            self.width, self.links.n_links + 1)
+            np.asarray(b, dtype=np.float64), self._routes, n,
+            self.links.n_links + 1)
         return totals_a[:-1], totals_b[:-1]
 
     def max_link_value(self, per_link: npt.ArrayLike) -> FloatArray:
@@ -693,12 +740,12 @@ class FlowTable:
         if len(self._max_out) < n:
             self._max_out = np.empty(len(self._weights))
         return kernels.max_link_value(
-            self.pad(per_link, pad_value=-np.inf), self._routes.reshape(-1),
-            n, self.width, self._max_out[:n])
+            self.pad(per_link, pad_value=-np.inf), self._routes, n,
+            self._max_out[:n])
 
     def flows_on_link(self, link: int) -> IntArray:
         """Positional indices of flows traversing ``link`` (test aid)."""
-        return np.nonzero(np.any(self.routes == link, axis=1))[0]
+        return np.nonzero(np.any(self.routes == link, axis=0))[0]
 
     def bottleneck_capacity(self) -> FloatArray:
         """Per-flow minimum link capacity along each route.
@@ -715,7 +762,7 @@ class FlowTable:
         if self._capacity_dirty:
             if n:
                 kernels.min_link_value(
-                    self._capacity_padded(), self._routes[:n],
+                    self._capacity_padded(), self._routes, n,
                     self._bottleneck._data[:n])
             self._capacity_dirty = False
         view = self._bottleneck._data[: self._n]
@@ -731,10 +778,9 @@ class FlowTable:
         copy = FlowTable(self.links, max_route_len=self.max_route_len)
         n = self._n
         if n:
-            routes = self._routes[:n]
-            real = routes != self.pad_link
-            copy._insert(self._ids[:n].tolist(), real.sum(axis=1),
-                         routes[real], self._weights[:n])
+            copy._insert(self._ids[:n].tolist(),
+                         *self._unpadded(self._routes[:, :n]),
+                         self._weights[:n])
         return copy
 
     def __repr__(self):  # pragma: no cover - debugging aid

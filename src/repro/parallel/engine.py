@@ -41,7 +41,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.ned import NedOptimizer
-from ..core.network import FlowTable, _lookup_ends
+from ..core.network import FlowTable, _pop_ends
 from ..core.utility import LogUtility, Utility
 from ..topology.graph import Topology
 from .aggregation import (aggregation_schedule, distribution_schedule,
@@ -237,32 +237,33 @@ class MulticoreNedEngine:
         triggers a (rare) re-attach message.
         """
         ends = list(ends)
-        end_cells = _lookup_ends(ends, self._flow_home)
-        ending = set(ends)
+        end_cells = _pop_ends(ends, self._flow_home)
         starts_by_cell = {}
-        new_ids = set()
-        for start in starts:
-            flow_id, src_host, dst_host = start[:3]
-            weight = float(start[3]) if len(start) > 3 else 1.0
-            if flow_id in new_ids or (flow_id in self._flow_home
-                                      and flow_id not in ending):
-                raise KeyError(f"flow {flow_id!r} is already active")
-            if not weight > 0:
-                raise ValueError("flow weight must be positive")
-            route = self.partition.topology.route(src_host, dst_host,
-                                                  flow_id)
-            if len(route) > self.max_route_len:
-                raise ValueError(
-                    f"route has {len(route)} hops; engine supports "
-                    f"{self.max_route_len}")
-            new_ids.add(flow_id)
-            cell = self.partition.flowblock_of(src_host, dst_host)
-            starts_by_cell.setdefault(cell, []).append(
-                (flow_id, route, weight))
+        try:
+            new_ids = set()
+            for start in starts:
+                flow_id, src_host, dst_host = start[:3]
+                weight = float(start[3]) if len(start) > 3 else 1.0
+                if flow_id in new_ids or flow_id in self._flow_home:
+                    raise KeyError(f"flow {flow_id!r} is already active")
+                if not weight > 0:
+                    raise ValueError("flow weight must be positive")
+                route = self.partition.topology.route(src_host, dst_host,
+                                                      flow_id)
+                if len(route) > self.max_route_len:
+                    raise ValueError(
+                        f"route has {len(route)} hops; engine supports "
+                        f"{self.max_route_len}")
+                new_ids.add(flow_id)
+                cell = self.partition.flowblock_of(src_host, dst_host)
+                starts_by_cell.setdefault(cell, []).append(
+                    (flow_id, route, weight))
+        except BaseException:  # a bad start: put the ends back
+            self._flow_home.update(zip(ends, end_cells))
+            raise
         # Batch validated; now mutate.
         ends_by_cell = {}
         for flow_id, cell in zip(ends, end_cells):
-            del self._flow_home[flow_id]
             ends_by_cell.setdefault(cell, []).append(flow_id)
         for cell, cell_ends in ends_by_cell.items():
             self.processors[cell].table.remove_flows(cell_ends)

@@ -61,7 +61,8 @@ class CellPlan:
 
     The arrays are shared-memory views of the cell's ``FlowTable``
     storage, inherited over ``fork`` (or re-attached): the worker
-    kernels read the very route matrix the parent's table writes.
+    kernels read the very hop-major ``(width, capacity)`` route
+    storage the parent's table writes.
     """
 
     __slots__ = ("row", "routes", "weights", "bottleneck", "floor",
@@ -92,11 +93,12 @@ def _compute_cell_rates(plan, shared, consts, scratch):
     """Phase 1 for one cell: Equation-3 rates and G/H partials.
 
     Mirrors the simulated engine's use of ``FlowTable.price_sums`` /
-    ``link_totals2``: the same shared route matrix (slack slots carry
-    the pad link, bitwise-neutral in every kernel) through the same
-    :mod:`repro.core.kernels` functions, so the floats come out
-    identical (the kernels carry no scratch state, so a worker holds
-    none for them either).
+    ``link_totals2``: the same shared hop-major route storage (slack
+    slots carry the pad link, bitwise-neutral in every kernel) through
+    the same :mod:`repro.core.kernels` functions, in the same
+    chunk → column → flow order, so the floats come out identical
+    (the kernels carry no scratch state, so a worker holds none for
+    them either).
     """
     n = int(shared.counts[plan.row])
     load_row = shared.load[plan.row]
@@ -109,11 +111,9 @@ def _compute_cell_rates(plan, shared, consts, scratch):
     utility = consts["utility"]
     weights = plan.weights[:n]
     version = int(shared.versions[plan.row])
-    indices = plan.routes.reshape(-1)
-    width = plan.routes.shape[1]
     scratch[:n_links] = shared.prices[plan.row]
     scratch[n_links] = 0.0  # pad link: price zero
-    rho = kernels.price_sums(scratch, indices, n, width)
+    rho = kernels.price_sums(scratch, plan.routes, n)
     if plan.floor_version != version:
         plan.floor = utility.inverse_rate(plan.bottleneck[:n], weights)
         plan.floor_version = version
@@ -121,7 +121,7 @@ def _compute_cell_rates(plan, shared, consts, scratch):
     rates = utility.rate(rho, weights)
     derivative = utility.rate_derivative(rho, weights)
     totals_load, totals_hessian = kernels.link_totals2(
-        rates, derivative, indices, n, width, n_links + 1)
+        rates, derivative, plan.routes, n, n_links + 1)
     load_row[:] = totals_load[:-1]
     hessian_row[:] = totals_hessian[:-1]
 
@@ -312,7 +312,7 @@ class ProcessBackend(ParallelBackend):
         self._per_iteration = (messages, inter_cpu, entries,
                                len(engine._agg_steps))
 
-        # Each cell's route storage shape (capacity x width) as the
+        # Each cell's route storage shape (width x capacity) as the
         # workers will inherit it: _sync re-attaches a worker whenever
         # the parent's table has re-allocated (grown or widened) since.
         self._shape_seen = [engine.processors[cell].table._routes.shape

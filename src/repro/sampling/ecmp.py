@@ -185,7 +185,7 @@ class EcmpScheduler:
             update_idx = np.flatnonzero(pending)
             if len(update_idx):
                 worst = np.maximum(
-                    self._ratio_padded[table.routes[update_idx]].max(axis=1),
+                    self._ratio_padded[table.routes[:, update_idx]].max(axis=0),
                     _EPSILON)
                 last[update_idx] = np.minimum(
                     table.weights[update_idx] / worst,

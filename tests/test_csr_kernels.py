@@ -1,21 +1,25 @@
-"""Route-slot kernels vs the padded-matrix reference, bitwise.
+"""Hop-major route kernels vs a padded reference, bitwise.
 
 The NUM kernels (``price_sums`` / ``link_totals`` / ``link_totals2`` /
-``max_link_value``) run on the flow table's route storage, which is
-only as wide as the longest route the table has held.  These tests pin
-the contract that makes that layout safe:
+``max_link_value``) run on the flow table's hop-major route storage,
+which is only as wide as the longest route the table has held, each
+route middle-aligned.  These tests pin the contract that makes that
+layout safe:
 
-* every kernel matches a straight reference over the routes padded out
-  to ``max_route_len`` **bitwise** (the reference reduces each row
-  left-to-right, the order the kernels guarantee; pads contribute +0.0
-  / the dropped pad bin / ``-inf``, all bitwise no-ops), so the result
-  cannot depend on the storage width;
-* above one chunk, the kernels in :mod:`repro.core.kernels` match a
-  naive reference of the canonical chunked reduction **bitwise**
-  (``BLOCK_ROWS`` is monkeypatched small so a few hundred rows span
-  many chunks), on the calling thread and nowhere else, and the
-  process backend's workers stay bitwise-aligned with the simulated
-  engine there;
+* every kernel matches a naive reference over the routes re-laid
+  middle-aligned in ``max_route_len`` columns **bitwise**: per-flow
+  folds left to right over the columns, scatters in the canonical
+  chunk → column → flow order, spelled as scalar loops (pads
+  contribute +0.0 / the dropped pad bin / ``-inf``, all bitwise
+  no-ops), so the result cannot depend on the storage width;
+* above one chunk, the kernels in :mod:`repro.core.kernels` match
+  that reference **bitwise** on random routes whose links span
+  columns (``BLOCK_ROWS`` is monkeypatched small so a few hundred
+  flows span many chunks), on the calling thread and nowhere else,
+  and the process backend's workers stay bitwise-aligned with the
+  simulated engine there;
+* on the shipped fabrics every link occupies one storage column, the
+  premise under which the canonical order equals the flow-major one;
 * that holds under arbitrary churn — batched adds/removes,
   swap-remove holes, hop-count mixing, storage regrowth, widening
   mid-churn, capacity refresh — and every public mutator bumps
@@ -34,24 +38,30 @@ from repro.core import (FlowTable, FlowtuneAllocator, LinkSet,
                         NedOptimizer)
 from repro.core import kernels
 from repro.core.normalization import FNormalizer, f_norm
-from repro.topology import TwoTierClos
+from repro.topology import ThreeTierClos, TwoTierClos, paper_topology
 
 
 # ----------------------------------------------------------------------
-# padded-matrix reference kernels (left-to-right per-row reduction)
+# padded reference kernels (scalar loops in the canonical order)
 # ----------------------------------------------------------------------
 def ref_fold_rows(fold, gathered):
-    """Left-to-right column fold of a gathered ``(n, width)`` block."""
-    out = gathered[:, 0].copy()
-    for hop in range(1, gathered.shape[1]):
-        fold(out, gathered[:, hop], out=out)
+    """Left-to-right column fold of a gathered ``(width, n)`` block."""
+    out = gathered[0].copy()
+    for hop in range(1, len(gathered)):
+        fold(out, gathered[hop], out=out)
     return out
 
 
 def padded_routes(table):
-    """The table's routes padded out to ``max_route_len`` hops."""
-    out = np.full((table.n_flows, table.max_route_len), table.pad_link)
-    out[:, :table.width] = table.routes
+    """The table's routes re-laid hop-major in ``max_route_len``
+    columns, middle-aligned, from each flow's unpadded route."""
+    width = table.max_route_len
+    out = np.full((width, table.n_flows), table.pad_link)
+    for flow, (_, route, _) in enumerate(
+            table.starts_of(table.flow_ids())):
+        left = -(-len(route) // 2)
+        out[:left, flow] = route[:left]
+        out[width - (len(route) - left):, flow] = route[left:]
     return out
 
 
@@ -61,17 +71,19 @@ def ref_price_sums(table, prices):
     return ref_fold_rows(np.add, table.pad(prices)[padded_routes(table)])
 
 
-def ref_chunked_totals(values, indices, n, width, minlength, block):
-    """One ``bincount`` per ``block``-row chunk, partials summed in
-    ascending chunk order — the canonical reduction, spelled naively."""
-    total = None
+def ref_chunked_totals(values, routes, n, minlength, block):
+    """The canonical reduction, spelled as scalar loops: per
+    ``block``-flow chunk, one running sum per link through the hop
+    columns in order, flows in order within a column; chunk partials
+    added in chunk order."""
+    total = [0.0] * minlength
     for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        part = np.bincount(indices[r0 * width: r1 * width],
-                           weights=np.repeat(values[r0:r1], width),
-                           minlength=minlength)
-        total = part if total is None else total + part
-    return total
+        chunk = [0.0] * minlength
+        for column in routes:
+            for row in range(r0, min(n, r0 + block)):
+                chunk[column[row]] += float(values[row])
+        total = [a + b for a, b in zip(total, chunk)]
+    return np.array(total)
 
 
 def ref_link_totals(table, per_flow):
@@ -79,9 +91,8 @@ def ref_link_totals(table, per_flow):
     if table.n_flows == 0:
         return np.zeros(n_links)
     return ref_chunked_totals(
-        np.asarray(per_flow, dtype=np.float64),
-        padded_routes(table).reshape(-1), table.n_flows,
-        table.max_route_len, n_links + 1, kernels.BLOCK_ROWS)[:-1]
+        np.asarray(per_flow, dtype=np.float64), padded_routes(table),
+        table.n_flows, n_links + 1, kernels.BLOCK_ROWS)[:-1]
 
 
 def ref_max_link_value(table, per_link):
@@ -244,76 +255,95 @@ class TestMultiChunkBitwise:
         monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
 
     def case(self, seed=3, n=500, width=3, n_links=64):
+        """Random hop-major routes: every link shows up in every
+        column, the case where the column order decides the bits."""
         rng = np.random.default_rng(seed)
-        indices = rng.integers(0, n_links + 1,
-                               size=n * width).astype(np.int64)
+        # Spare capacity past n, like the table's storage.
+        routes = rng.integers(0, n_links + 1, size=(width, n + 5))
         padded = np.append(rng.random(n_links), 0.0)
         values_a = rng.random(n)
         values_b = rng.random(n)
-        return indices, padded, values_a, values_b, n, width, n_links
+        return routes, padded, values_a, values_b, n, width, n_links
 
     def test_all_kernels_match_chunked_reference(self):
-        indices, padded, va, vb, n, width, n_links = self.case()
-        gathered = padded[indices.reshape(n, width)]
+        routes, padded, va, vb, n, _, n_links = self.case()
+        gathered = padded[routes[:, :n]]
         np.testing.assert_array_equal(
-            kernels.price_sums(padded, indices, n, width),
+            kernels.price_sums(padded, routes, n),
             ref_fold_rows(np.add, gathered))
         np.testing.assert_array_equal(
-            kernels.max_link_value(padded, indices, n, width,
-                                   np.empty(n)),
+            kernels.max_link_value(padded, routes, n, np.empty(n)),
             ref_fold_rows(np.maximum, gathered))
-        want_a = ref_chunked_totals(va, indices, n, width, n_links + 1,
-                                    self.BLOCK)
-        want_b = ref_chunked_totals(vb, indices, n, width, n_links + 1,
-                                    self.BLOCK)
         np.testing.assert_array_equal(
-            kernels.link_totals(va, indices, n, width, n_links + 1),
-            want_a)
-        got_a, got_b = kernels.link_totals2(va, vb, indices, n, width,
-                                            n_links + 1)
+            kernels.min_link_value(padded, routes, n, np.empty(n)),
+            ref_fold_rows(np.minimum, gathered))
+        want_a = ref_chunked_totals(va, routes, n, n_links + 1, self.BLOCK)
+        want_b = ref_chunked_totals(vb, routes, n, n_links + 1, self.BLOCK)
+        np.testing.assert_array_equal(
+            kernels.link_totals(va, routes, n, n_links + 1), want_a)
+        got_a, got_b = kernels.link_totals2(va, vb, routes, n, n_links + 1)
         np.testing.assert_array_equal(got_a, want_a)
         np.testing.assert_array_equal(got_b, want_b)
-        # The chunk grid is load-bearing: a single whole-table bincount
-        # rounds differently somewhere on this input.
-        assert np.any(want_a != ref_chunked_totals(
-            va, indices, n, width, n_links + 1, n))
+        # The chunk grid is load-bearing: a single whole-table pass
+        # rounds differently somewhere on this input...
+        one_pass = ref_chunked_totals(va, routes, n, n_links + 1, n)
+        assert np.any(want_a != one_pass)
+        # ...and so is the column order once links span columns: one
+        # flow-major pass (flow -> hop) rounds differently again.
+        assert np.any(one_pass != np.bincount(
+            routes[:, :n].T.reshape(-1), weights=np.repeat(va, len(routes)),
+            minlength=n_links + 1))
+
+    @pytest.mark.parametrize("block", [BLOCK, 10**6])
+    def test_scatter_paths_agree(self, monkeypatch, block):
+        """Small chunks scatter in one call, big ones column by column:
+        the same running sums, so the threshold moves no bit."""
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        routes, _, va, vb, n, _, n_links = self.case(width=5)
+        want = ref_chunked_totals(va, routes, n, n_links + 1, block)
+        for small_chunk in (0, block):
+            monkeypatch.setattr(kernels, "SMALL_CHUNK", small_chunk)
+            np.testing.assert_array_equal(
+                kernels.link_totals(va, routes, n, n_links + 1), want)
+            np.testing.assert_array_equal(
+                kernels.link_totals2(vb, va, routes, n, n_links + 1)[1],
+                want)
 
     def test_min_link_value_matches_reference(self):
         rng = np.random.default_rng(9)
         n, width, n_links = 200, 4, 32
-        rows = rng.integers(0, n_links + 1, size=(n, width))
+        routes = rng.integers(0, n_links + 1, size=(width, n))
         padded = np.append(rng.random(n_links), np.inf)
-        got = kernels.min_link_value(padded, rows, np.empty(n))
+        got = kernels.min_link_value(padded, routes, n, np.empty(n))
         np.testing.assert_array_equal(
-            got, ref_fold_rows(np.minimum, padded[rows]))
+            got, ref_fold_rows(np.minimum, padded[routes]))
 
     @pytest.mark.parametrize("bad", [65, 10**6, -66])
     def test_gathers_reject_an_out_of_range_slot(self, bad):
         """Every chunk's gather is bounds-checked: a slot index past
         the pad entry (or below ``-len``) raises, never reads."""
-        indices, padded, _, _, n, width, n_links = self.case()
+        routes, padded, _, _, n, width, n_links = self.case()
         assert len(padded) == n_links + 1 == 65
-        indices[n * width - 2] = bad   # in the last chunk
+        routes[width - 1, n - 2] = bad   # last column, last chunk
         with pytest.raises(IndexError):
-            kernels.price_sums(padded, indices, n, width)
+            kernels.price_sums(padded, routes, n)
         with pytest.raises(IndexError):
-            kernels.max_link_value(padded, indices, n, width, np.empty(n))
+            kernels.max_link_value(padded, routes, n, np.empty(n))
         with pytest.raises(IndexError):
-            kernels.min_link_value(padded, indices.reshape(n, width),
-                                   np.empty(n))
+            kernels.min_link_value(padded, routes, n, np.empty(n))
 
     def test_one_slot_per_row(self):
         """Width 1 (a fresh table, single-hop routes): the fold
         has no second column to start from."""
-        indices, padded, va, _, n, _, n_links = self.case(width=1)
+        routes, padded, va, _, n, _, n_links = self.case(width=1)
         np.testing.assert_array_equal(
-            kernels.price_sums(padded, indices, n, 1), padded[indices])
+            kernels.price_sums(padded, routes, n), padded[routes[0, :n]])
         np.testing.assert_array_equal(
-            kernels.max_link_value(padded, indices, n, 1, np.empty(n)),
-            padded[indices])
+            kernels.max_link_value(padded, routes, n, np.empty(n)),
+            padded[routes[0, :n]])
         np.testing.assert_array_equal(
-            kernels.link_totals(va, indices, n, 1, n_links + 1),
-            ref_chunked_totals(va, indices, n, 1, n_links + 1, self.BLOCK))
+            kernels.link_totals(va, routes, n, n_links + 1),
+            ref_chunked_totals(va, routes, n, n_links + 1, self.BLOCK))
 
     def test_kernels_start_no_thread(self):
         """One path, on the calling thread: a multi-chunk table runs
@@ -422,7 +452,8 @@ class TestWidening:
 
     def test_widening_with_growth_in_one_batch(self):
         """A batch that both overflows capacity and brings a longer
-        route: the rows already stored keep their hops."""
+        route: the flows already stored keep their hops, the second
+        one moved to the new right edge."""
         rng = np.random.default_rng(6)
         table = FlowTable(LinkSet(np.full(10, 5.0)), max_route_len=4)
         table.apply_churn(starts=[(i, rng.integers(0, 10, 2))
@@ -431,8 +462,8 @@ class TestWidening:
         table.apply_churn(starts=[(100 + i, rng.integers(0, 10, 3))
                                   for i in range(200)])
         assert table.width == 3 and len(table._weights) >= 260
-        np.testing.assert_array_equal(table.routes[:60, :2], before)
-        assert (table.routes[:60, 2] == table.pad_link).all()
+        np.testing.assert_array_equal(table.routes[::2, :60], before)
+        assert (table.routes[1, :60] == table.pad_link).all()
         assert_kernels_match(table, rng)
 
     def test_rejected_route_does_not_widen(self):
@@ -443,6 +474,93 @@ class TestWidening:
         with pytest.raises(ValueError, match="unknown link"):
             table.add_flow(3, [0, 1, 9])
         assert table.width == 1 and table.n_flows == 1
+
+
+# ----------------------------------------------------------------------
+# the premise of the bitwise claim: one storage column per link
+# ----------------------------------------------------------------------
+def assert_one_column_per_link(table):
+    """No real link appears in two of the table's hop columns."""
+    routes = table.routes
+    per_column = [np.unique(col[col != table.pad_link]) for col in routes]
+    links = np.concatenate(per_column)
+    assert len(links) == len(np.unique(links))
+    return per_column
+
+
+def every_candidate_route(topology):
+    return [route
+            for src in range(topology.n_hosts)
+            for dst in range(topology.n_hosts) if src != dst
+            for route in topology.candidate_routes(src, dst)]
+
+
+class TestOneColumnPerLink:
+    """Middle alignment puts every link of the shipped up/down fabrics
+    in one storage column, so the kernels' chunk -> column -> flow
+    order is the flow order a flow-major layout reduced in.  A
+    left-packed layout fails here: a 2-hop route's downlink would share
+    column 1 with the 4-hop routes' ToR -> spine links."""
+
+    @pytest.mark.parametrize("make", [paper_topology, ThreeTierClos],
+                             ids=["paper", "three_tier"])
+    def test_every_candidate_route(self, make):
+        topology = make()
+        routes = every_candidate_route(topology)
+        table = FlowTable(topology.link_set())
+        table.apply_churn(starts=list(enumerate(routes)))
+        assert table.width == max(map(len, routes))
+        per_column = assert_one_column_per_link(table)
+        assert sum(map(len, per_column)) == table.links.n_links
+        # Host uplinks in the first column, downlinks in the last.
+        n_hosts = topology.n_hosts
+        np.testing.assert_array_equal(per_column[0], np.arange(n_hosts))
+        np.testing.assert_array_equal(per_column[-1],
+                                      n_hosts + np.arange(n_hosts))
+
+    def test_three_tier_widening_equals_table_built_wide(self, monkeypatch):
+        """2-hop, then 4-hop, then 6-hop starts widen a table mid-churn
+        (2 -> 4 -> 6 columns); at every step it equals, with ``==``, a
+        table that was 6 columns wide from the start and took the same
+        churn: the same kernel bits on every step, the same storage at
+        the end, and one column per link throughout.  Multi-chunk."""
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+        topology = ThreeTierClos()
+        rng = np.random.default_rng(8)
+        by_hops = {2: [], 4: [], 6: []}
+        for route in every_candidate_route(topology):
+            by_hops[len(route)].append(route)
+        widened = FlowTable(topology.link_set())
+        wide = FlowTable(topology.link_set())
+        wide.add_flow("widest", by_hops[6][0])
+        wide.remove_flow("widest")
+        assert wide.width == 6
+        alive, next_id = [], 0
+        for hops in (2, 4, 6):
+            pool = [r for h in by_hops if h <= hops for r in by_hops[h]]
+            starts = [(next_id + j, pool[int(rng.integers(len(pool)))])
+                      for j in range(40)]
+            next_id += len(starts)
+            ends = [alive.pop(int(rng.integers(len(alive))))
+                    for _ in range(len(alive) // 3)]
+            alive += [flow_id for flow_id, _ in starts]
+            for table in (widened, wide):
+                table.apply_churn(starts=starts, ends=ends)
+                assert_one_column_per_link(table)
+            assert widened.width == hops
+            assert widened.flow_ids() == wide.flow_ids()
+            prices = rng.random(wide.links.n_links)
+            per_flow = rng.random(len(alive))
+            for name, args in (("price_sums", (prices,)),
+                               ("link_totals", (per_flow,)),
+                               ("link_totals2", (per_flow, prices[0]
+                                                 * per_flow)),
+                               ("max_link_value", (prices,))):
+                got = getattr(widened, name)(*args)
+                want = getattr(wide, name)(*args)
+                assert np.array_equal(np.asarray(got), np.asarray(want)), \
+                    name
+        assert np.array_equal(widened.routes, wide.routes)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,14 @@ def make_table(n_links=6, max_route_len=4):
                      max_route_len=max_route_len)
 
 
+def middle_aligned(lengths, width):
+    """``(width, n)`` mask of the storage columns routes of these hop
+    counts occupy: the first ``ceil(k/2)`` hops left, the rest
+    right-aligned."""
+    cols = np.arange(width)[:, None]
+    return (cols < -(-lengths // 2)) | (cols >= width - lengths // 2)
+
+
 class TestChurn:
     def test_add_assigns_dense_indices(self):
         table = make_table()
@@ -224,19 +232,24 @@ class TestBatchRemove:
     def test_unknown_id_rejected_atomically(self):
         table = make_table()
         table.apply_churn(starts=[(i, [0]) for i in range(5)])
-        v0 = table.version
-        with pytest.raises(KeyError):
-            table.remove_flows([0, 1, "ghost"])
+        v0, index_before = table.version, dict(table._index_of)
+        with pytest.raises(KeyError, match="'ghost'"):
+            table.remove_flows([0, 1, "ghost", "phantom"])
         assert table.n_flows == 5 and table.version == v0
         assert 0 in table and 1 in table
+        assert table._index_of == index_before
 
     def test_duplicate_id_rejected_atomically(self):
         table = make_table()
         table.apply_churn(starts=[(i, [0]) for i in range(5)])
-        v0 = table.version
-        with pytest.raises(KeyError):
-            table.remove_flows([2, 2])
+        v0, index_before = table.version, dict(table._index_of)
+        with pytest.raises(KeyError, match="flow 2 "):
+            table.remove_flows([4, 2, 3, 2, "ghost"])
         assert table.n_flows == 5 and table.version == v0
+        assert table._index_of == index_before
+        with pytest.raises(TypeError):  # unhashable: nothing popped either
+            table.remove_flows([1, [2]])
+        assert table._index_of == index_before
 
     def test_remove_everything(self):
         table = make_table()
@@ -532,14 +545,16 @@ class ChurnTwins:
             [None] * (len(batched._ids) - batched.n_flows)
         n = batched.n_flows
         for table in self.tables:
-            # The kernels' slot layout is the storage itself, padded past
-            # every live row, as wide as the longest route seen.
-            flat = table._routes.reshape(-1)
+            # The kernels' layout is the storage itself: hop-major,
+            # padded past every live flow, as wide as the longest route
+            # seen, every route middle-aligned.
             width = table.width
-            assert np.array_equal(flat[: n * width].reshape(n, width),
-                                  table.routes)
-            assert (flat[n * width:] == table.pad_link).all()
+            assert table._routes.shape[0] == width
+            assert np.array_equal(table._routes[:, :n], table.routes)
+            assert (table._routes[:, n:] == table.pad_link).all()
             assert width >= max(table.hop_counts(), default=1)
+            assert np.array_equal(table.routes != table.pad_link,
+                                  middle_aligned(table.hop_counts(), width))
         assert batched.width == twin.width
         prices = np.arange(1.0, 7.0)
         assert np.array_equal(batched.price_sums(prices),

@@ -410,6 +410,12 @@ class TestEngineApplyChurn:
         assert engine.n_flows == 0
         assert all(p.table.n_flows == 0
                    for p in engine.processors.values())
+        # A bad start next to valid ends leaves the ends undone too.
+        engine.apply_churn(starts=[(0, 0, 5)])
+        home = dict(engine._flow_home)
+        with pytest.raises(ValueError):
+            engine.apply_churn(starts=[(2, 1, 6, -1.0)], ends=[0])
+        assert engine._flow_home == home and engine.n_flows == 1
 
     def test_weighted_starts(self):
         topology = clos_for_blocks(2)
@@ -461,7 +467,8 @@ class TestSharedArena:
                 table.add_flow(i, [0, 1])
             regrown = arena.manifest("cell0")
             assert regrown["routes"][0] != manifest["routes"][0]
-            assert regrown["routes"][1][0] >= 100
+            width, capacity = regrown["routes"][1]  # hop-major
+            assert width == 2 and capacity >= 100
             optimizer = NedOptimizer(table)
             optimizer.iterate(2)  # kernels work on shm-backed storage
         finally:

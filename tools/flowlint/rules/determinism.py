@@ -6,8 +6,11 @@ accumulation order must depend only on ``n`` and ``BLOCK_ROWS``.
 These rules flag the constructs that silently break that:
 
 FL-DET001
-    ``np.add.reduceat`` / ``ufunc.at`` reductions — their accumulation
-    order is an implementation detail of numpy, not of the chunk grid.
+    ``np.add.reduceat`` / ``ufunc.at`` reductions — numpy documents no
+    accumulation order for them.  ``kernels.py`` may use one under a
+    pragma when its bitwise contract states the order it relies on and
+    a test pins that order against a scalar reference (the large-chunk
+    ``np.add.at`` scatter); anywhere else the order would be unpinned.
 FL-DET002
     Float accumulation driven by *set* iteration — set order varies
     with hash seeding and insertion history, so ``sum`` over a set of
