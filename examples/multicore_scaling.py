@@ -4,7 +4,8 @@
 Runs the same flow population through 2x2, 4x4 and 8x8 simulated
 processor grids, verifies the parallel result is bit-identical to
 single-core NED, and prints the fig. 3 communication structure plus
-the calibrated §6.1 cycle model.
+the §6.1 table: the paper's measured µs per row next to the structure
+the partitioning computes for it.
 
 Run:  python examples/multicore_scaling.py
 """
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from repro.analysis import format_table
-from repro.parallel import (PAPER_TABLE, MulticoreNedEngine, fit_cost_model)
+from repro.parallel import PAPER_TABLE, MulticoreNedEngine, step_breakdown
 from repro.topology import TwoTierClos
 
 
@@ -48,14 +49,16 @@ def main():
          "max |Δrate| vs 1-core"],
         rows, title="simulated multicore NED (fig. 2/3 partitioning)"))
 
-    model, configs, predictions = fit_cost_model()
-    rows = [[row.cores, row.nodes, row.flows, f"{row.time_us:.2f}",
-             f"{model.time_us(config):.2f}"]
-            for row, config in zip(PAPER_TABLE, configs)]
+    rows = [[row.cores, row.nodes, row.flows, row.flows_per_core,
+             row.links_per_block, *step_breakdown(row.grid_side),
+             f"{row.time_us:.2f}"]
+            for row in PAPER_TABLE]
     print()
     print(format_table(
-        ["cores", "nodes", "flows", "paper us", "model us"],
-        rows, title="§6.1 table via the calibrated cycle model"))
+        ["cores", "nodes", "flows", "flows/core", "LinkBlock links",
+         "intra-CPU steps", "inter-CPU steps", "paper us"],
+        rows, title="§6.1 table: paper µs (E7-8870, not reproduced) next "
+                    "to the partitioning's structure"))
 
 
 if __name__ == "__main__":

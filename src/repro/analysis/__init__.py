@@ -1,15 +1,11 @@
 """Post-processing metrics for the paper's figures."""
 
-from .convergence import (convergence_time, fair_share_profile,
-                          time_in_fairness)
-from .fairness import (fairness_score, flow_rates, jain_index,
-                       relative_fairness)
+from .convergence import convergence_time
+from .fairness import flow_rates, relative_fairness
 from .fct import (SIZE_BINS, bin_of, ideal_fct, normalized_fcts,
                   p99_by_bin, speedup_by_bin)
-from .tables import format_series, format_table
+from .tables import format_table
 
 __all__ = ["SIZE_BINS", "bin_of", "ideal_fct", "normalized_fcts",
-           "p99_by_bin", "speedup_by_bin", "flow_rates", "fairness_score",
-           "relative_fairness", "jain_index", "convergence_time",
-           "fair_share_profile", "time_in_fairness", "format_table",
-           "format_series"]
+           "p99_by_bin", "speedup_by_bin", "flow_rates",
+           "relative_fairness", "convergence_time", "format_table"]

@@ -1,8 +1,8 @@
 """Convergence-time measurement (§6.3 / fig. 4).
 
-Given per-flow throughput time series and the ideal fair share over
-time, find how long after each churn event the allocation stays within
-a tolerance of fair — "Flowtune converges within ~100 µs, orders of
+Given a flow's throughput time series and its ideal fair share, find
+how long after a churn event the allocation stays within a tolerance
+of fair — "Flowtune converges within ~100 µs, orders of
 magnitude faster than other schemes".
 """
 
@@ -10,15 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fair_share_profile", "convergence_time", "time_in_fairness"]
-
-
-def fair_share_profile(n_flows_active, capacity_gbps):
-    """Ideal per-flow rate when ``n`` flows share one bottleneck."""
-    n = np.asarray(n_flows_active, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        share = np.where(n > 0, capacity_gbps / np.maximum(n, 1), 0.0)
-    return share
+__all__ = ["convergence_time"]
 
 
 def convergence_time(times, series, event_time, target, tolerance=0.15,
@@ -48,21 +40,3 @@ def convergence_time(times, series, event_time, target, tolerance=0.15,
         return run_start - event_time
     return float("inf")
 
-
-def time_in_fairness(times, all_series, n_active_of_t, capacity_gbps,
-                     tolerance=0.25):
-    """Fraction of time every active flow is within tolerance of fair.
-
-    ``all_series`` is a (n_flows, n_times) matrix; ``n_active_of_t``
-    gives the number of active flows at each time sample.
-    """
-    times = np.asarray(times)
-    matrix = np.asarray(all_series)
-    n_active = np.asarray(n_active_of_t)
-    fair = fair_share_profile(n_active, capacity_gbps)
-    ok = np.ones(len(times), dtype=bool)
-    for row in matrix:
-        active = row > 0.01 * capacity_gbps
-        deviation = np.abs(row - fair) > tolerance * np.maximum(fair, 1e-9)
-        ok &= ~(active & deviation)
-    return float(np.mean(ok))

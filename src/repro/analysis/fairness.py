@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["flow_rates", "fairness_score", "relative_fairness",
-           "jain_index"]
+__all__ = ["flow_rates", "relative_fairness"]
 
 
 def flow_rates(stats):
@@ -28,14 +27,6 @@ def flow_rates(stats):
     return rates
 
 
-def fairness_score(rates):
-    """``sum log2(rate)`` over flows (rates in any consistent unit)."""
-    values = np.asarray(list(rates.values()))
-    if len(values) == 0:
-        return 0.0
-    return float(np.sum(np.log2(np.maximum(values, 1e-12))))
-
-
 def relative_fairness(scheme_rates, flowtune_rates):
     """Mean per-flow ``log2`` rate gap vs Flowtune (fig. 11 y-axis)."""
     common = sorted(set(scheme_rates) & set(flowtune_rates),
@@ -46,10 +37,3 @@ def relative_fairness(scheme_rates, flowtune_rates):
             - np.log2(max(flowtune_rates[f], 1e-12)) for f in common]
     return float(np.mean(gaps))
 
-
-def jain_index(rates):
-    """Jain's fairness index — an auxiliary sanity metric for tests."""
-    values = np.asarray(list(rates.values()), dtype=np.float64)
-    if len(values) == 0:
-        return 1.0
-    return float(values.sum() ** 2 / (len(values) * (values ** 2).sum()))

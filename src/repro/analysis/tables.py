@@ -1,12 +1,12 @@
 """Plain-text table rendering for the benchmark harness.
 
-The benchmarks print the same rows/series the paper's tables and
-figures report; this module keeps the formatting in one place.
+The benchmarks print the same rows the paper's tables and figures
+report; this module keeps the formatting in one place.
 """
 
 from __future__ import annotations
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(headers, rows, title=None):
@@ -28,12 +28,3 @@ def format_table(headers, rows, title=None):
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_series(name, pairs, x_label="x", y_label="y"):
-    """A named (x, y) series as an aligned two-column block."""
-    lines = [f"{name}  ({x_label} -> {y_label})"]
-    for x, y in pairs:
-        x_str = f"{x:.4g}" if isinstance(x, float) else str(x)
-        y_str = f"{y:.4g}" if isinstance(y, float) else str(y)
-        lines.append(f"  {x_str:>10}  {y_str:>12}")
-    return "\n".join(lines)

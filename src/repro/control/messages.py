@@ -76,10 +76,6 @@ class ControlMessage:
     route: object = None       # link-index array, FLOWLET_START only
     weight: float = 1.0
 
-    @property
-    def payload_bytes(self) -> int:
-        return PAYLOAD_BYTES[self.kind]
-
 
 def wire_bytes(payload_bytes: int) -> int:
     """Bytes one message consumes on the wire as its own TCP segment."""

@@ -138,6 +138,7 @@ class AllocationResult:
 
     @property
     def flow_ids(self) -> list[Any]:
+        """Reach: api — RateScheduler's result surface (pairs.py reads it)."""
         if self._flow_ids is None:
             self._flow_ids = self._ids.tolist()
         return self._flow_ids
@@ -233,8 +234,7 @@ class FlowtuneAllocator:
             raise ValueError("update_threshold must be in [0, 1)")
         self.full_links = links
         self.update_threshold = float(update_threshold)
-        effective = LinkSet(links.capacity * (1.0 - self.update_threshold),
-                            names=links.names)
+        effective = LinkSet(links.capacity * (1.0 - self.update_threshold))
         self.table = FlowTable(effective, max_route_len=max_route_len)
         kwargs = dict(optimizer_kwargs or {})
         accepts_gamma = "gamma" in inspect.signature(
@@ -365,18 +365,16 @@ class FlowtuneAllocator:
                                 update_indices=update_idx)
 
     def current_rates(self) -> dict[Any, float]:
-        """Latest *notified* rate per flow (what endpoints believe)."""
+        """Latest *notified* rate per flow (what endpoints believe).
+
+        Reach: api — part of RateScheduler.
+        """
         last = self._last_sent.data
         notified = ~np.isnan(last)
         ids = self.table.flow_id_array()
         return {ids[i]: rate for i, rate in
                 zip(np.nonzero(notified)[0].tolist(),
                     last[notified].tolist())}
-
-    def raw_rates(self) -> dict[Any, float]:
-        """Un-normalized optimizer rates for the active flows."""
-        raw = self.optimizer.rate_update()
-        return dict(zip(self.table.flow_ids(), (float(r) for r in raw)))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"FlowtuneAllocator(n_flows={self.table.n_flows}, "
@@ -473,6 +471,7 @@ class ChurnQueue:
         return starts, ends
 
     def __len__(self):
+        """Reach: invariant — tests check the coalescing rules with it."""
         with self._lock:
             return len(self._pending)
 

@@ -44,11 +44,6 @@ class FgmOptimizer(PriceOptimizer):
         self._momentum_t = 1.0
         self._previous_prices = self.prices.copy()
 
-    def reset(self):
-        """Restart the momentum sequence (after large churn)."""
-        self._momentum_t = 1.0
-        self._previous_prices = self.prices.copy()
-
     def _lipschitz_weights(self):
         """Per-link upper bound on ``|H_ll|``: flow count x curvature cap."""
         weights = self.table.weights

@@ -77,6 +77,9 @@ class NedOptimizer(PriceOptimizer):
         :meth:`PriceOptimizer.effective_price_sums`) so rate and
         sensitivity describe the same allocation; within ``iterate``
         the memoized price sums of the rate update are reused.
+
+        Reach: invariant — the kernel tests check the fused price update
+        against this reference Hessian.
         """
         rho = self.effective_price_sums(prices)
         per_flow = self.utility.rate_derivative(rho, self.table.weights)

@@ -41,7 +41,7 @@ arrays stay dense.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable
 from typing import Any, TypeVar
 
 import numpy as np
@@ -208,28 +208,16 @@ class LinkSet:
     the float32 real-time variants remain usable).
     """
 
-    def __init__(self, capacities: npt.ArrayLike,
-                 names: Sequence[str] | None = None) -> None:
+    def __init__(self, capacities: npt.ArrayLike) -> None:
         self.capacity = np.asarray(capacities, dtype=np.float64).copy()
         if self.capacity.ndim != 1:
             raise ValueError("capacities must be a 1-D array")
         if np.any(self.capacity <= 0):
             raise ValueError("link capacities must be strictly positive")
-        if names is not None and len(names) != len(self.capacity):
-            raise ValueError("names must match the number of links")
-        self.names = list(names) if names is not None else None
 
     @property
     def n_links(self) -> int:
         return len(self.capacity)
-
-    def name_of(self, link: int) -> str:
-        if self.names is None:
-            return f"link{link}"
-        return self.names[link]
-
-    def __len__(self):
-        return self.n_links
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"LinkSet(n_links={self.n_links})"
@@ -578,13 +566,11 @@ class FlowTable:
     def n_flows(self) -> int:
         return self._n
 
-    def __len__(self):
-        return self._n
-
     def __contains__(self, flow_id):
         return flow_id in self._index_of
 
     def index_of(self, flow_id: Hashable) -> int:
+        """Reach: invariant — tests check column alignment by flow id."""
         return self._index_of[flow_id]
 
     def flow_ids(self) -> list[Any]:
@@ -623,7 +609,11 @@ class FlowTable:
         return self._weights[: self._n]
 
     def route_of(self, flow_id: Hashable) -> IntArray:
-        """Unpadded route (link-index array) of one flow."""
+        """Unpadded route (link-index array) of one flow.
+
+        Reach: invariant — tests read routes back through the hop-major storage
+        with it.
+        """
         slots = self._routes[:, self._index_of[flow_id]]
         return slots[slots != self.pad_link]
 
@@ -742,10 +732,6 @@ class FlowTable:
         return kernels.max_link_value(
             self.pad(per_link, pad_value=-np.inf), self._routes, n,
             self._max_out[:n])
-
-    def flows_on_link(self, link: int) -> IntArray:
-        """Positional indices of flows traversing ``link`` (test aid)."""
-        return np.nonzero(np.any(self.routes == link, axis=0))[0]
 
     def bottleneck_capacity(self) -> FloatArray:
         """Per-flow minimum link capacity along each route.

@@ -178,24 +178,6 @@ class PriceOptimizer:
     def _update_prices(self, rates):
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def total_over_allocation(self, rates=None):
-        """Sum over links of positive over-allocation (fig. 12 metric)."""
-        if rates is None:
-            rates = self.rate_update()
-        excess = self.over_allocation(rates)
-        return float(np.sum(np.maximum(excess, 0.0)))
-
-    def objective(self, rates=None):
-        """Network utility ``sum_s U_s(x_s)`` at the given rates."""
-        if rates is None:
-            rates = self.rate_update()
-        if len(rates) == 0:
-            return 0.0
-        return float(np.sum(self.utility.value(rates, self.table.weights)))
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(n_flows={self.table.n_flows}, "
                 f"iterations={self.iterations})")

@@ -61,11 +61,6 @@ class Utility:
     increasing (the paper's admissibility conditions for NED, §3).
     """
 
-    def value(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
-              ) -> FloatArray:
-        """Return ``U(x)`` elementwise."""
-        raise NotImplementedError
-
     def rate(self, price_sum: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
              ) -> FloatArray:
         """Return ``(U')^{-1}(price_sum)`` elementwise (Equation 3)."""
@@ -96,11 +91,6 @@ class LogUtility(Utility):
     link prices along the flow, the rate update is ``x = w / rho`` and
     its derivative is ``-w / rho**2``.
     """
-
-    def value(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
-              ) -> FloatArray:
-        clamped = np.maximum(_f64(x), MIN_PRICE_SUM)
-        return _f64(weight * np.log(clamped))
 
     def rate(self, price_sum: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
              ) -> FloatArray:
@@ -140,12 +130,6 @@ class AlphaFairUtility(Utility):
         if abs(alpha - 1.0) < 1e-12:
             raise ValueError("alpha == 1 is LogUtility; use that class")
         self.alpha = float(alpha)
-
-    def value(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
-              ) -> FloatArray:
-        clamped = np.maximum(_f64(x), MIN_PRICE_SUM)
-        return _f64(weight * clamped ** (1.0 - self.alpha)
-                    / (1.0 - self.alpha))
 
     def rate(self, price_sum: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
              ) -> FloatArray:

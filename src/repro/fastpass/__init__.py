@@ -2,9 +2,7 @@
 
 from .arbiter import TIMESLOT_BYTES, FastpassArbiter
 from .comparison import (measure_fastpass_throughput,
-                         measure_flowtune_throughput,
-                         throughput_comparison)
+                         measure_flowtune_throughput)
 
 __all__ = ["FastpassArbiter", "TIMESLOT_BYTES",
-           "measure_fastpass_throughput", "measure_flowtune_throughput",
-           "throughput_comparison"]
+           "measure_fastpass_throughput", "measure_flowtune_throughput"]

@@ -39,7 +39,7 @@ class FastpassArbiter:
         self._demands = OrderedDict()
         self.timeslots_run = 0
         self.packets_allocated = 0
-        #: operations performed (pair scans) — the cost-model counter.
+        #: operations performed (pair scans).
         self.operations = 0
 
     def add_demand(self, src, dst, n_packets=1):
@@ -54,11 +54,8 @@ class FastpassArbiter:
 
     @property
     def backlog(self):
+        """Reach: invariant — tests check demand conservation with it."""
         return sum(self._demands.values())
-
-    @property
-    def n_pairs(self):
-        return len(self._demands)
 
     def allocate_timeslot(self):
         """One timeslot: greedy maximal matching over backlogged pairs."""
@@ -85,16 +82,12 @@ class FastpassArbiter:
         self.packets_allocated += len(matched)
         return matched
 
-    def run_timeslots(self, n):
-        """Run ``n`` timeslots; returns total packets allocated."""
-        total = 0
-        for _ in range(n):
-            total += len(self.allocate_timeslot())
-        return total
-
     def is_maximal(self, matched):
         """Check maximality of a matching (test aid): no remaining
-        demand could be added without conflicting."""
+        demand could be added without conflicting.
+
+        Reach: invariant — tests check allocate_timeslot's matchings with it.
+        """
         src_busy = {s for s, _ in matched}
         dst_busy = {d for _, d in matched}
         return all(s in src_busy or d in dst_busy

@@ -23,8 +23,7 @@ from ..core.network import FlowTable
 from ..topology.clos import TwoTierClos
 from .arbiter import TIMESLOT_BYTES, FastpassArbiter
 
-__all__ = ["measure_fastpass_throughput", "measure_flowtune_throughput",
-           "throughput_comparison"]
+__all__ = ["measure_fastpass_throughput", "measure_flowtune_throughput"]
 
 
 def measure_fastpass_throughput(n_hosts=256, n_pairs=2048,
@@ -100,18 +99,3 @@ def measure_flowtune_throughput(n_hosts=256, flows_per_host=12,
     network_gbps = topology.n_hosts * link_gbps
     return network_gbps * real_time_fraction / 1e3  # Tbit/s
 
-
-def throughput_comparison(**kwargs):
-    """Per-core allocator throughputs and their ratio (the 10.4x/core)."""
-    fastpass = measure_fastpass_throughput(**{
-        k: v for k, v in kwargs.items()
-        if k in ("n_hosts", "n_pairs", "link_gbps", "min_seconds", "seed")})
-    flowtune = measure_flowtune_throughput(**{
-        k: v for k, v in kwargs.items()
-        if k in ("n_hosts", "flows_per_host", "link_gbps",
-                 "iteration_period", "min_seconds", "seed")})
-    return {
-        "fastpass_tbps_per_core": fastpass,
-        "flowtune_tbps_per_core": flowtune,
-        "per_core_ratio": flowtune / max(fastpass, 1e-12),
-    }

@@ -2,12 +2,10 @@
 
 from .churn import FluidFlowRecord, FluidMetrics, FluidSimulator
 from .experiments import (OVERALLOCATION_ALGORITHMS, build_fluid_setup,
-                          measure_update_traffic, network_size_sweep,
-                          normalization_throughput,
+                          measure_update_traffic, normalization_throughput,
                           over_allocation_by_algorithm, threshold_reduction)
 
 __all__ = ["FluidSimulator", "FluidMetrics", "FluidFlowRecord",
            "build_fluid_setup", "measure_update_traffic",
-           "threshold_reduction", "network_size_sweep",
-           "over_allocation_by_algorithm", "normalization_throughput",
-           "OVERALLOCATION_ALGORITHMS"]
+           "threshold_reduction", "over_allocation_by_algorithm",
+           "normalization_throughput", "OVERALLOCATION_ALGORITHMS"]

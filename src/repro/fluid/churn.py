@@ -150,10 +150,6 @@ class FluidSimulator:
         self._now = 0.0
 
     @property
-    def now(self):
-        return self._now
-
-    @property
     def n_active(self):
         return len(self._active)
 

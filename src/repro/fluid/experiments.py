@@ -24,9 +24,8 @@ from .churn import FluidSimulator
 
 __all__ = [
     "build_fluid_setup", "measure_update_traffic", "threshold_reduction",
-    "network_size_sweep", "over_allocation_by_algorithm",
-    "normalization_throughput", "fct_by_scheme",
-    "OVERALLOCATION_ALGORITHMS",
+    "over_allocation_by_algorithm", "normalization_throughput",
+    "fct_by_scheme", "OVERALLOCATION_ALGORITHMS",
 ]
 
 #: fig. 12's algorithm set.
@@ -109,24 +108,6 @@ def threshold_reduction(workload="web", load=0.6, thresholds=(0.01, 0.02,
         results[threshold] = point["from_allocator"]
     baseline = max(results[thresholds[0]], 1e-12)
     return {t: 100.0 * (1.0 - results[t] / baseline) for t in thresholds}
-
-
-def network_size_sweep(workload="web", loads=(0.4, 0.6, 0.8),
-                       hosts_per_rack=16, n_spines=4,
-                       server_counts=(128, 256, 512, 1024, 2048),
-                       duration=2e-3, warmup=0.5e-3, seed=0):
-    """Fig. 7 series: from-allocator fraction vs network size."""
-    series = {load: [] for load in loads}
-    for n_servers in server_counts:
-        n_racks = max(2, n_servers // hosts_per_rack)
-        for load in loads:
-            point = measure_update_traffic(
-                workload=workload, load=load, duration=duration,
-                warmup=warmup, seed=seed, n_racks=n_racks,
-                hosts_per_rack=hosts_per_rack, n_spines=n_spines)
-            series[load].append((n_racks * hosts_per_rack,
-                                 point["from_allocator"]))
-    return series
 
 
 def fct_by_scheme(workload="web", load=0.6, duration=5e-3, warmup=1e-3,

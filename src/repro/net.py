@@ -3,9 +3,8 @@
 Every frame is :data:`FRAME_HEADER` — ``!II`` (payload length, tag) —
 followed by the raw payload.  :func:`send_frame` writes one frame with
 a single ``sendmsg`` where it can and *poisons* the connection if a
-failure leaves a frame half-written; :func:`recv_frame` is the blocking
-reader (the service's selectors loop reassembles frames incrementally
-with :class:`~repro.service.wire.FrameBuffer` instead).
+failure leaves a frame half-written; both ends read frames back with
+:class:`~repro.service.wire.FrameBuffer`, fed from nonblocking reads.
 :func:`connect_retry` is the one dialer, and :func:`parse_token`
 checks the hex auth token a process is handed through its environment
 (the raw :data:`_TOKEN_LEN` bytes a connection presents before its
@@ -20,7 +19,7 @@ import time
 import weakref
 
 __all__ = ["FRAME_HEADER", "FabricError", "connect_retry", "parse_token",
-           "recv_frame", "send_frame"]
+           "send_frame"]
 
 
 class FabricError(RuntimeError):
@@ -37,35 +36,9 @@ _TOKEN_LEN = 16
 #: frame is on the wire and the rest cannot follow, the byte stream is
 #: desynchronized: the peer would misparse everything sent later.  The
 #: connection object itself stays alive (callers may still be holding
-#: it), so membership here makes every subsequent framed operation
+#: it), so membership here makes every subsequent :func:`send_frame`
 #: raise :class:`FabricError` instead of silently corrupting frames.
 _POISONED: weakref.WeakSet[socketlib.socket] = weakref.WeakSet()
-
-
-def _check_poisoned(sock: socketlib.socket) -> None:
-    if sock in _POISONED:
-        raise FabricError(
-            "connection poisoned by an earlier partial-frame failure")
-
-
-def _recv_exact(sock: socketlib.socket, n: int) -> bytearray:
-    """Read exactly ``n`` bytes; returns a bytearray (no final copy)."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        try:
-            k = sock.recv_into(view[got:], n - got)
-        except TimeoutError:
-            # socket.timeout is an OSError subclass; let it through so
-            # callers can report "slow" distinctly from "dead".
-            raise
-        except OSError as exc:
-            raise FabricError(f"connection lost: {exc}") from exc
-        if k == 0:
-            raise FabricError("peer closed the connection")
-        got += k
-    return buf
 
 
 def send_frame(sock: socketlib.socket, tag: int, *parts: bytes) -> None:
@@ -78,9 +51,11 @@ def send_frame(sock: socketlib.socket, tag: int, *parts: bytes) -> None:
     sliced, O(parts) bookkeeping instead of re-flattening the frame —
     and a failure after part of the frame reached the wire *poisons*
     the connection: the stream is desynchronized mid-frame, so every
-    later framed send/recv on it raises :class:`FabricError`.
+    later ``send_frame`` on it raises :class:`FabricError`.
     """
-    _check_poisoned(sock)
+    if sock in _POISONED:
+        raise FabricError(
+            "connection poisoned by an earlier partial-frame failure")
     views = [memoryview(p).cast("B") for p in parts]
     header = FRAME_HEADER.pack(sum(v.nbytes for v in views), tag)
     buffers = [memoryview(header), *views]
@@ -107,17 +82,6 @@ def send_frame(sock: socketlib.socket, tag: int, *parts: bytes) -> None:
         if sent_any:
             _POISONED.add(sock)
         raise FabricError(f"connection lost: {exc}") from exc
-
-
-def recv_frame(sock: socketlib.socket,
-               expect: int | None = None) -> tuple[int, bytearray]:
-    """Read one framed message; returns ``(tag, payload)``."""
-    _check_poisoned(sock)
-    length, tag = FRAME_HEADER.unpack(_recv_exact(sock, FRAME_HEADER.size))
-    payload = _recv_exact(sock, length)
-    if expect is not None and tag != expect:
-        raise FabricError(f"expected frame tag {expect}, got {tag}")
-    return tag, payload
 
 
 def _clamp_buffers(sock: socketlib.socket, sockbuf: int | None) -> None:

@@ -1,13 +1,12 @@
-"""Multicore allocator: FlowBlock/LinkBlock partitioning (§5) + §6.1 model."""
+"""Multicore allocator: FlowBlock/LinkBlock partitioning (§5) + §6.1 table."""
 
 from .aggregation import (Transfer, aggregation_schedule,
                           distribution_schedule, final_down_holder,
                           final_up_holder)
 from .blocks import BlockPartition
-from .cost_model import (CLOCK_GHZ, PAPER_TABLE, BenchConfig, CostModel,
-                         PaperRow, cpu_of, fit_cost_model, step_breakdown)
 from .engine import (IterationStats, MulticoreNedEngine, ParallelBackend,
                      SimulatedBackend, ned_price_update)
+from .paper_table import PAPER_TABLE, PaperRow, cpu_of, step_breakdown
 from .shm import SenseReversingBarrier, SharedArena, measure_barrier_rate
 
 __all__ = ["BlockPartition", "MulticoreNedEngine", "IterationStats",
@@ -15,6 +14,5 @@ __all__ = ["BlockPartition", "MulticoreNedEngine", "IterationStats",
            "ned_price_update", "SenseReversingBarrier",
            "measure_barrier_rate",
            "Transfer", "aggregation_schedule", "distribution_schedule",
-           "final_up_holder", "final_down_holder", "BenchConfig",
-           "CostModel", "PaperRow", "PAPER_TABLE",
-           "fit_cost_model", "cpu_of", "step_breakdown", "CLOCK_GHZ"]
+           "final_up_holder", "final_down_holder", "PaperRow",
+           "PAPER_TABLE", "cpu_of", "step_breakdown"]

@@ -83,6 +83,9 @@ class BlockPartition:
 
         This is the invariant the whole §5 design rests on; the test
         suite checks it property-style over random flows.
+
+        Reach: invariant — tests check that every route stays inside its
+        FlowBlock's LinkBlocks with it.
         """
         i, j = self.flowblock_of(src_host, dst_host)
         allowed = set(self.upward_links[i].tolist())

@@ -16,8 +16,8 @@ simulated core:
 
 The result is numerically identical (up to float associativity) to
 single-core NED — a property the test suite asserts — while the engine
-counts the work and communication that the §6.1 cost model turns into
-cycle estimates.
+counts its work and communication (LinkBlock messages, intra- and
+inter-CPU steps under the paper's core->CPU mapping).
 
 Execution is pluggable behind :class:`ParallelBackend`:
 
@@ -47,7 +47,7 @@ from ..topology.graph import Topology
 from .aggregation import (aggregation_schedule, distribution_schedule,
                           final_down_holder, final_up_holder)
 from .blocks import BlockPartition
-from .cost_model import cpu_of
+from .paper_table import cpu_of
 
 __all__ = ["IterationStats", "MulticoreNedEngine", "ParallelBackend",
            "SimulatedBackend", "ned_price_update"]
@@ -214,10 +214,6 @@ class MulticoreNedEngine:
         self._flow_home[flow_id] = coords
         return coords
 
-    def remove_flow(self, flow_id: Hashable) -> None:
-        coords = self._flow_home.pop(flow_id)
-        self.processors[coords].table.remove_flow(flow_id)
-
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
                     ends: Iterable[Hashable] = ()) -> None:
         """Batched flowlet churn routed to the owning FlowBlocks.
@@ -281,6 +277,9 @@ class MulticoreNedEngine:
         backend) republishes capacity-derived state to worker
         processes — mutating ``links.capacity`` without calling this
         leaves the backends free to diverge.
+
+        Reach: deferred — documented in the README; ROADMAP item 7 replaces the
+        engine's private paths.
         """
         self._idle_price[:] = self.utility.inverse_rate(
             self.links.capacity, 1.0)
@@ -415,7 +414,11 @@ class MulticoreNedEngine:
         return out
 
     def global_prices(self) -> npt.NDArray[np.float64]:
-        """Authoritative prices assembled from the diagonal holders."""
+        """Authoritative prices assembled from the diagonal holders.
+
+        Reach: invariant — tests compare the engine with single-core NED at
+        these prices.
+        """
         prices = np.zeros(self.links.n_links)
         n = self.grid_side
         for block in range(n):

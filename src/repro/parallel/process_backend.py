@@ -49,7 +49,7 @@ from ..core import kernels
 from ..core.network import FlowTable
 from ..net import FabricError
 from .aggregation import final_down_holder, final_up_holder
-from .cost_model import cpu_of
+from .paper_table import cpu_of
 from .engine import ParallelBackend, _Processor, ned_price_update
 from .shm import SenseReversingBarrier, SharedArena, attach
 
@@ -404,7 +404,11 @@ class ProcessBackend(ParallelBackend):
     def refresh_capacity(self):
         """Republish the capacity vector to workers.  The idle-price
         vector is the engine's own (shared) array, already refreshed in
-        place by ``engine.refresh_capacity``."""
+        place by ``engine.refresh_capacity``.
+
+        Reach: deferred — the engine's refresh_capacity (README) runs through
+        it; ROADMAP item 7 replaces it.
+        """
         self._shared.capacity[:] = self.engine.links.capacity
 
     def run(self, n, stats):
@@ -459,9 +463,11 @@ class ProcessBackend(ParallelBackend):
         self._arena.close()
 
     def __enter__(self):
+        """Reach: safety — the FL-LIFE002 lifecycle contract."""
         return self
 
     def __exit__(self, *exc_info):
+        """Reach: safety — the FL-LIFE002 lifecycle contract."""
         self.close()
 
     def __del__(self):  # pragma: no cover - safety net

@@ -230,17 +230,13 @@ class SenseReversingBarrier:
             mode=self.mode, spin=self._spin, timeout=self._timeout)
 
     # ------------------------------------------------------------------
-    @property
-    def phase(self):
-        """This worker's own phase counter."""
-        return int(self._phases[self._id])
-
     def peer_phases(self):
-        """Snapshot of every worker's phase (skew assertions)."""
-        return self._phases[: self._n].copy()
+        """Snapshot of every worker's phase (skew assertions).
 
-    def aborted(self):
-        return bool(self._phases[self._n])
+        Reach: invariant — the skew tests check that no worker passes a step
+        early with it.
+        """
+        return self._phases[: self._n].copy()
 
     def abort(self):
         """Poison the barrier; wakes blocked waiters, everyone raises."""

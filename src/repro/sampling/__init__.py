@@ -26,12 +26,12 @@ from ..core.network import LinkSet
 from ..core.normalization import Normalizer
 from ..core.utility import Utility
 from .detector import ElephantDetector
-from .ecmp import EcmpAssigner, EcmpScheduler
+from .ecmp import EcmpScheduler
 from .sampled import SampledAllocator, replay_priced_journal
 from .scheduler import RateScheduler
 
 __all__ = ["RateScheduler", "SampledAllocator", "EcmpScheduler",
-           "EcmpAssigner", "ElephantDetector", "make_scheduler",
+           "ElephantDetector", "make_scheduler",
            "replay_priced_journal", "SCHEDULER_MODES"]
 
 #: The mode strings :func:`make_scheduler` accepts.

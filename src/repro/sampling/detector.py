@@ -23,8 +23,8 @@ created lazily on the first byte report (a silent mouse costs nothing),
 and only for flows the bound membership predicate recognises — a
 report that arrives after its flow ended (or before the start was
 applied) creates no state.  The owning scheduler still calls
-:meth:`forget` / :meth:`forget_many` from every churn path, so
-counters never outlive their flows.
+:meth:`forget_many` from every churn path, so counters never outlive
+their flows.
 """
 
 from __future__ import annotations
@@ -96,22 +96,14 @@ class ElephantDetector:
         """Start tracking a flow (as a mouse) eagerly."""
         self._flows[flow_id] = [0.0, 0.0, float(self.epoch), 0.0]
 
-    def forget(self, flow_id: Hashable) -> None:
-        """Drop all detector state for a flow (end / client drop).
+    def forget_many(self, flow_ids: Iterable[Hashable]) -> None:
+        """Drop all detector state for these flows (end / client drop).
 
         Idempotent, and the *only* way state leaves the detector — the
-        owning scheduler calls it from every churn path so the byte
-        counters cannot outlive their flows.
+        owning scheduler calls it from every churn path, once per batch
+        (the ends path at 100 k flows is latency-sensitive), so the
+        byte counters cannot outlive their flows.
         """
-        state = self._flows.pop(flow_id, None)
-        if state is not None:
-            if state[_IS_ELEPHANT]:
-                self._elephants.discard(flow_id)
-            self._pending_promote.discard(flow_id)
-
-    def forget_many(self, flow_ids: Iterable[Hashable]) -> None:
-        """Batched :meth:`forget` — one call per churn batch, not per
-        flow (the ends path at 100 k flows is latency-sensitive)."""
         flows = self._flows
         elephants = self._elephants
         ended: list[Hashable] = []
@@ -124,25 +116,9 @@ class ElephantDetector:
         if self._pending_promote and ended:
             self._pending_promote.difference_update(ended)
 
-    def __contains__(self, flow_id: Hashable) -> bool:
-        return flow_id in self._flows
-
     def __len__(self) -> int:
+        """Reach: invariant — tests check detector state stays bounded."""
         return len(self._flows)
-
-    @property
-    def n_elephants(self) -> int:
-        return len(self._elephants)
-
-    def is_elephant(self, flow_id: Hashable) -> bool:
-        return flow_id in self._elephants
-
-    @property
-    def elephants(self) -> set[Hashable]:
-        """The live elephant id set (read-only by convention — the
-        owning scheduler reads it on the churn hot path; mutate it and
-        the priced/mice split desynchronizes)."""
-        return self._elephants
 
     # ------------------------------------------------------------------
     # the usage stream

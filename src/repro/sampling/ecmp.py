@@ -34,14 +34,12 @@ mice than elephants:
 * ``W`` is recomputed at each refresh rather than patched under churn:
   one scatter, exact by construction, and no drift to bound.
 
-Path assignment itself lives in :class:`EcmpAssigner`: a stable hash
-onto the candidate path list the Clos topologies expose
-(``candidate_routes``), identical to the topologies' own ``route``.
+Paths come in with each start: the drivers route a mouse with the
+topology's own ECMP hash (``route``), as a real sieve deployment would.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Hashable, Iterable
 from typing import Any
 
@@ -51,11 +49,20 @@ import numpy.typing as npt
 from ..core.allocator import AllocationResult, threshold_update_indices
 from ..core.network import FlowTable, LinkSet
 
-__all__ = ["EcmpScheduler", "EcmpAssigner"]
+__all__ = ["EcmpScheduler"]
 
 FloatArray = npt.NDArray[np.float64]
 
 _EPSILON = 1e-12
+
+#: Fraction of each link the fair-share model keeps for the mice even
+#: under a full external reservation (:meth:`EcmpScheduler.
+#: set_external_load`).  Without it, mice hashed onto a link the priced
+#: elephants already fill would be allocated ~zero, never register any
+#: load, and so never push the elephants back: a permanent-starvation
+#: fixed point of the sampled scheme's symmetric coupling.  Irrelevant
+#: while no external load is set (the standalone ECMP baseline).
+EXTERNAL_FLOOR = 0.1
 
 
 class EcmpScheduler:
@@ -77,28 +84,16 @@ class EcmpScheduler:
     refresh_every:
         Recompute every flow's share every this many iterates; in
         between, only new flows receive (estimated) rates.
-    external_floor:
-        Guaranteed fraction of each link the fair-share model keeps
-        even under a full external reservation
-        (:meth:`set_external_load`).  Without it, mice hashed onto a
-        link the priced elephants already fill would be allocated
-        ~zero, never register any load, and so never push the
-        elephants back — a permanent-starvation fixed point of the
-        sampled scheme's symmetric coupling.  Irrelevant while no
-        external load is set (the standalone ECMP baseline).
     """
 
     wants_usage: bool = False
 
     def __init__(self, links: LinkSet, update_threshold: float = 0.01,
-                 refresh_every: int = 1, max_route_len: int = 8,
-                 external_floor: float = 0.1) -> None:
+                 refresh_every: int = 1, max_route_len: int = 8) -> None:
         if not 0 <= update_threshold < 1:
             raise ValueError("update_threshold must be in [0, 1)")
         if refresh_every < 1:
             raise ValueError("refresh_every must be at least 1")
-        if not 0 <= external_floor <= 1:
-            raise ValueError("external_floor must be in [0, 1]")
         self.full_links = links
         self.update_threshold = float(update_threshold)
         self.refresh_every = int(refresh_every)
@@ -107,8 +102,7 @@ class EcmpScheduler:
         self._pending = self.table.add_column(default=True, dtype=np.bool_)
         self._external: FloatArray = np.zeros(links.n_links)
         self._avail_floor: FloatArray = np.maximum(
-            float(external_floor) * np.asarray(links.capacity,
-                                               dtype=np.float64),
+            EXTERNAL_FLOOR * np.asarray(links.capacity, dtype=np.float64),
             _EPSILON)
         # W/avail of the last refresh with the pad sentinel (-inf: pads
         # never worst); the paced estimates read it.
@@ -121,9 +115,11 @@ class EcmpScheduler:
     # ------------------------------------------------------------------
     def flowlet_start(self, flow_id: Hashable, route: npt.ArrayLike,
                       weight: float = 1.0) -> None:
+        """Reach: api — part of RateScheduler."""
         self.apply_churn(starts=[(flow_id, route, weight)])
 
     def flowlet_end(self, flow_id: Hashable) -> None:
+        """Reach: api — part of RateScheduler."""
         self.apply_churn(ends=[flow_id])
 
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
@@ -196,7 +192,10 @@ class EcmpScheduler:
                                 update_indices=update_idx)
 
     def current_rates(self) -> dict[Any, float]:
-        """Latest *notified* rate per flow (what endpoints believe)."""
+        """Latest *notified* rate per flow (what endpoints believe).
+
+        Reach: api — part of RateScheduler.
+        """
         last = self._last.data
         notified = ~np.isnan(last)
         return dict(zip(self.table.flow_id_array()[notified].tolist(),
@@ -213,6 +212,7 @@ class EcmpScheduler:
         return self.table.n_flows
 
     def __contains__(self, flow_id: Hashable) -> bool:
+        """Reach: api — part of RateScheduler."""
         return flow_id in self.table
 
     @property
@@ -221,6 +221,7 @@ class EcmpScheduler:
 
     @property
     def max_route_len(self) -> int:
+        """Reach: api — part of RateScheduler."""
         return self.table.max_route_len
 
     def link_load(self, rates: npt.ArrayLike) -> FloatArray:
@@ -245,44 +246,3 @@ class EcmpScheduler:
         return (f"EcmpScheduler(n_flows={self.table.n_flows}, "
                 f"refresh_every={self.refresh_every})")
 
-
-class EcmpAssigner:
-    """Stable hash of unpriced flows onto the topology's ECMP paths.
-
-    Wraps a topology's ``candidate_routes`` enumeration with the
-    deterministic flow-id mix the two-tier Clos uses internally: one
-    flow always maps to one path (no reordering), different flows
-    spread across the candidates, and the pick is reproducible across
-    interpreter runs.  On :class:`~repro.topology.TwoTierClos` the
-    pick coincides with ``topology.route``; on the three-tier fabric
-    (whose own hash is two-level) it is an equally valid member of the
-    same candidate set.
-    """
-
-    def __init__(self, topology: Any) -> None:
-        if not hasattr(topology, "candidate_routes"):
-            raise TypeError(
-                f"{type(topology).__name__} does not expose "
-                "candidate_routes(); ECMP assignment needs the "
-                "equal-cost path enumeration")
-        self.topology = topology
-
-    def candidates(self, src_host: int, dst_host: int,
-                   ) -> list[npt.NDArray[np.int64]]:
-        routes = self.topology.candidate_routes(src_host, dst_host)
-        return list(routes)
-
-    def assign(self, src_host: int, dst_host: int,
-               flow_id: object = 0) -> npt.NDArray[np.int64]:
-        """Pick the flow's path among the equal-cost candidates."""
-        candidates = self.candidates(src_host, dst_host)
-        if len(candidates) == 1:
-            return candidates[0]
-        if isinstance(flow_id, int):
-            fid = flow_id
-        else:
-            fid = zlib.crc32(str(flow_id).encode())
-        key = (int(src_host) * 2654435761 + int(dst_host) * 40503
-               + fid * 2246822519) & 0xFFFFFFFF
-        key ^= key >> 13
-        return candidates[key % len(candidates)]

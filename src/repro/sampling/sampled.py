@@ -68,6 +68,11 @@ FloatArray = npt.NDArray[np.float64]
 #: :data:`repro.core.external.MIN_CAPACITY_FRACTION`).
 _MIN_PRICED_FRACTION = 0.01
 
+#: EWMA weight for folding the mice's notified load into the priced
+#: half's capacities (the §7 closed-loop smoothing: transient mice
+#: bursts should not whipsaw the elephants).
+MICE_LOAD_SMOOTHING = 0.3
+
 
 class _MergedResult(AllocationResult):
     """Priced-first concatenation of the two halves' results.
@@ -127,15 +132,6 @@ class SampledAllocator:
         deployment are not centrally rate-controlled at all, so the
         model does not need to track every 10 µs tick; the default
         keeps the mice pass off the priced hot path.
-    mice_load_smoothing:
-        EWMA weight for folding the mice's notified load into the
-        priced half's capacities (the §7 closed-loop smoothing —
-        transient mice bursts should not whipsaw the elephants).
-    mice_floor:
-        Guaranteed per-link capacity fraction for the mice (the ECMP
-        model's ``external_floor``) — breaks the mutual-starvation
-        fixed point where elephants filling a link keep new mice at
-        zero rate forever.
     detector:
         Inject a pre-configured detector (tests use this to drive
         promotion deterministically).  The wrapper binds its own
@@ -155,12 +151,8 @@ class SampledAllocator:
                  optimizer_kwargs: dict[str, Any] | None = None,
                  promote_bytes: float = float(1 << 20),
                  idle_epochs: int = 100, mice_refresh: int = 4,
-                 mice_load_smoothing: float = 0.3,
-                 mice_floor: float = 0.1,
                  detector: ElephantDetector | None = None,
                  record_priced: bool = False) -> None:
-        if not 0 < mice_load_smoothing <= 1:
-            raise ValueError("mice_load_smoothing must be in (0, 1]")
         self.priced = FlowtuneAllocator(
             links, utility=utility, optimizer_cls=optimizer_cls,
             normalizer=normalizer, update_threshold=update_threshold,
@@ -168,15 +160,13 @@ class SampledAllocator:
             optimizer_kwargs=optimizer_kwargs)
         self.mice = EcmpScheduler(
             links, update_threshold=update_threshold,
-            refresh_every=mice_refresh, max_route_len=max_route_len,
-            external_floor=mice_floor)
+            refresh_every=mice_refresh, max_route_len=max_route_len)
         self.detector = (detector if detector is not None
                          else ElephantDetector(promote_bytes=promote_bytes,
                                                idle_epochs=idle_epochs))
         self.detector.bind_membership(self.__contains__)
         self.full_links = links
         self.update_threshold = float(update_threshold)
-        self.mice_load_smoothing = float(mice_load_smoothing)
         # The priced half's boot capacities (already headroom-adjusted
         # by the inner allocator) — the base the mice load shrinks.
         self._priced_base = self.priced.links.capacity.copy()
@@ -201,9 +191,11 @@ class SampledAllocator:
     # ------------------------------------------------------------------
     def flowlet_start(self, flow_id: Hashable, route: npt.ArrayLike,
                       weight: float = 1.0) -> None:
+        """Reach: api — part of RateScheduler."""
         self.apply_churn(starts=[(flow_id, route, weight)])
 
     def flowlet_end(self, flow_id: Hashable) -> None:
+        """Reach: api — part of RateScheduler."""
         self.apply_churn(ends=[flow_id])
 
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
@@ -337,7 +329,7 @@ class SampledAllocator:
         """
         if self.priced.n_flows == 0 and not self._mice_load_ewma.any():
             return
-        alpha = self.mice_load_smoothing
+        alpha = MICE_LOAD_SMOOTHING
         ewma = self._mice_load_ewma
         ewma *= 1.0 - alpha
         if self.mice.n_flows:
@@ -393,6 +385,7 @@ class SampledAllocator:
         return self.priced.iterate(n)
 
     def current_rates(self) -> dict[Any, float]:
+        """Reach: api — part of RateScheduler."""
         rates = self.mice.current_rates()
         priced = self.priced.current_rates()
         for flow_id in self._pending_priced_ends:
@@ -429,6 +422,7 @@ class SampledAllocator:
 
     @property
     def max_route_len(self) -> int:
+        """Reach: api — part of RateScheduler."""
         return self.priced.max_route_len
 
     def link_load(self, rates: npt.ArrayLike) -> FloatArray:
@@ -465,6 +459,9 @@ def replay_priced_journal(journal: Iterable[tuple[Any, ...]],
     replayed allocator's rates are bitwise equal to the sampled
     wrapper's priced half — the verification contract for the
     promotion/demotion plumbing.
+
+    Reach: invariant — the bitwise priced-subset test replays ``record_priced``
+    journals with it; ROADMAP item 1 decides its fate.
     """
     result: AllocationResult | None = None
     for entry in journal:

@@ -165,7 +165,10 @@ class FlowtuneClient:
 
     def flowlet_start(self, flow_id: int, route: npt.ArrayLike,
                       weight: float = 1.0) -> None:
-        """Report one new backlogged flowlet on ``route``."""
+        """Report one new backlogged flowlet on ``route``.
+
+        Reach: api — the client API the README documents.
+        """
         self._journal_start(flow_id, route, weight)
         self._send(wire.encode_start([(flow_id, route, weight)]))
 
@@ -176,7 +179,10 @@ class FlowtuneClient:
         whose end is still journaled (e.g. retrying after a send
         failure — the journal replay already delivered it on
         reconnect) is a no-op, not a wire duplicate the server would
-        reject once the replay window has closed."""
+        reject once the replay window has closed.
+
+        Reach: api — the client API the README documents.
+        """
         if self._end_journaled(flow_id):
             return
         self._journal_end(flow_id)
@@ -203,7 +209,11 @@ class FlowtuneClient:
             self._send(*payloads)
 
     def report_usage(self, reports: Iterable[tuple[int, int]]) -> None:
-        """Send cumulative ``(flow_id, bytes)`` usage reports."""
+        """Send cumulative ``(flow_id, bytes)`` usage reports.
+
+        Reach: api — the client API the README documents; the only way a
+        service-hosted sampled scheduler hears bytes.
+        """
         self._send(wire.encode_usage(reports))
 
     def shutdown_service(self) -> None:
@@ -258,7 +268,10 @@ class FlowtuneClient:
 
     @property
     def journal_depth(self) -> tuple[int, int]:
-        """(live-unacked, pending-end) journal sizes, for tests."""
+        """(live-unacked, pending-end) journal sizes, for tests.
+
+        Reach: invariant — tests check what the resume journal holds.
+        """
         unacked = sum(1 for fid in self._journal_live
                       if fid not in self._acked)
         return unacked, len(self._pending_ends)

@@ -39,7 +39,7 @@ Surviving unreliable clients (the PR 7 hardening):
 * **Slow-reader protection.**  Pushes never block the duty cycle:
   every send goes through a per-client outbox flushed by nonblocking
   writes under the selector.  An outbox that outgrows
-  ``max_outbox`` bytes, or makes no progress for ``send_timeout``
+  ``max_outbox`` bytes, or makes no progress for :data:`SEND_TIMEOUT`
   seconds, is the poison path — the client is dropped (into the
   grace window, so a stalled-but-alive endpoint may still resume)
   and the allocation loop never wedges.
@@ -55,7 +55,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from collections.abc import Sequence
 from typing import Any
 
@@ -70,6 +69,15 @@ from .wire import TAG_SERVICE, FrameBuffer, WireError
 __all__ = ["FlowtuneService", "spawn_service", "ServiceHandle"]
 
 _RECV_CHUNK = 1 << 16
+
+#: Blocking ``select`` timeout (s) once converged, and in manual mode.
+IDLE_TIMEOUT = 0.05
+#: Consecutive zero-update cycles that count as converged.
+QUIET_AFTER = 3
+#: Seconds a client's socket may accept nothing while pushes are
+#: pending before it is dropped as a wedged reader (into the grace
+#: window).
+SEND_TIMEOUT = 10.0
 
 
 def _as_token(token):
@@ -131,14 +139,6 @@ class _Client:
         self.paused_until = 0.0       # reads paused for bucket refill
         self.pending_events = 0       # queued-not-applied churn events
 
-    @property
-    def client_id(self):
-        return self.session.client_id if self.session is not None else None
-
-    @property
-    def flows(self):
-        return self.session.flows if self.session is not None else set()
-
 
 class FlowtuneService:
     """Long-running allocator service over one TCP listener.
@@ -153,11 +153,11 @@ class FlowtuneService:
         only allocates on a client's STEP request — deterministic
         iterate counts, so a remote run is bit-comparable with an
         in-process allocator fed the same churn trace.
-    iters_per_cycle, min_cycle, idle_timeout, quiet_after:
-        Duty-cycle shape: iterations per allocation, minimum seconds
-        between allocations while rates are still moving, the blocking
-        ``select`` timeout once converged, and how many consecutive
-        zero-update cycles count as converged.  ``min_cycle`` is a
+    iters_per_cycle, min_cycle:
+        Duty-cycle shape: iterations per allocation and minimum seconds
+        between allocations while rates are still moving (until
+        :data:`QUIET_AFTER` zero-update cycles; then the loop blocks
+        for up to :data:`IDLE_TIMEOUT`).  ``min_cycle`` is a
         floor, not the pace: ``selectors.EpollSelector`` rounds its
         timeout up to a whole millisecond, so at the default 0.5 ms
         the measured gap between convergence cycles is 1.16-1.22 ms
@@ -181,10 +181,10 @@ class FlowtuneService:
         cycle drains the queue.  ``None`` (default) disables.
         Meaningful in auto mode only — manual mode drains on STEP,
         which could never arrive if its own connection were paused.
-    max_outbox, send_timeout:
-        Slow-reader bounds: a client whose unsent push backlog
+    max_outbox:
+        Slow-reader bound: a client whose unsent push backlog
         exceeds ``max_outbox`` bytes, or whose socket accepts nothing
-        for ``send_timeout`` seconds while pushes are pending, is
+        for :data:`SEND_TIMEOUT` seconds while pushes are pending, is
         dropped (into the grace window).
     sockbuf:
         Optional SO_SNDBUF/SO_RCVBUF clamp applied to accepted
@@ -208,8 +208,7 @@ class FlowtuneService:
                  promote_bytes: float = float(1 << 20),
                  idle_epochs: int = 100,
                  iters_per_cycle: int = 1, min_cycle: float = 0.0005,
-                 idle_timeout: float = 0.05, quiet_after: int = 3,
-                 send_timeout: float = 10.0, resume_grace: float = 2.0,
+                 resume_grace: float = 2.0,
                  churn_rate: float | None = None,
                  churn_burst: float | None = None,
                  max_pending: int | None = None, max_outbox: int = 1 << 23,
@@ -236,9 +235,6 @@ class FlowtuneService:
         self.mode = mode
         self.iters_per_cycle = int(iters_per_cycle)
         self.min_cycle = float(min_cycle)
-        self.idle_timeout = float(idle_timeout)
-        self.quiet_after = int(quiet_after)
-        self.send_timeout = float(send_timeout)
         self.resume_grace = float(resume_grace)
         self.churn_rate = None if churn_rate is None else float(churn_rate)
         if self.churn_rate is not None and self.churn_rate <= 0:
@@ -292,14 +288,19 @@ class FlowtuneService:
     # ------------------------------------------------------------------
     @property
     def token_hex(self) -> str:
+        """Reach: api — the in-process service the README documents."""
         return self._token.hex()
 
     @property
     def n_flows(self) -> int:
+        """Reach: api — the in-process service the README documents."""
         return self.allocator.n_flows
 
     def start(self) -> "FlowtuneService":
-        """Serve from a daemon thread; returns once the thread runs."""
+        """Serve from a daemon thread; returns once the thread runs.
+
+        Reach: api — the in-process service the README documents.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("service is closed")
@@ -349,17 +350,17 @@ class FlowtuneService:
 
     def _select_timeout(self):
         if self.mode == "manual":
-            timeout = self.idle_timeout
+            timeout = IDLE_TIMEOUT
         elif self.queue or self._snapshot_pending():
             # Churn is latency-critical (admission-to-rate-update is
             # the serving SLO): allocate on the next loop turn, no
             # pacing.
             timeout = 0.0
-        elif self._quiet_rounds < self.quiet_after and self.allocator.n_flows:
+        elif self._quiet_rounds < QUIET_AFTER and self.allocator.n_flows:
             due = self._last_cycle + self.min_cycle - time.monotonic()
-            timeout = max(0.0, min(due, self.idle_timeout))
+            timeout = max(0.0, min(due, IDLE_TIMEOUT))
         else:
-            timeout = self.idle_timeout
+            timeout = IDLE_TIMEOUT
         if timeout > 0.0:
             # Wake in time for the nearest bucket refill or grace
             # expiry, so paused clients resume and orphaned sessions
@@ -383,8 +384,8 @@ class FlowtuneService:
                 client.paused_until = 0.0
                 self._set_events(client)
             if client.outbox and \
-                    now - client.outbox_since > self.send_timeout:
-                # No byte accepted for send_timeout: wedged reader.
+                    now - client.outbox_since > SEND_TIMEOUT:
+                # No byte accepted for SEND_TIMEOUT: wedged reader.
                 self.stats["slow_readers_dropped"] += 1
                 self._drop_client(client)
         expired = [s for s in self._sessions.values()
@@ -398,7 +399,7 @@ class FlowtuneService:
         if not self.queue and not self._snapshot_pending():
             # min_cycle paces only the churnless convergence cycles,
             # so re-converging never starves frame ingestion.
-            converging = (self._quiet_rounds < self.quiet_after
+            converging = (self._quiet_rounds < QUIET_AFTER
                           and self.allocator.n_flows)
             if not converging:
                 return
@@ -439,9 +440,11 @@ class FlowtuneService:
         self._sel.close()
 
     def __enter__(self):
+        """Reach: api — the in-process service the README documents."""
         return self.start()
 
     def __exit__(self, *exc):
+        """Reach: api — the in-process service the README documents."""
         self.close()
 
     # ------------------------------------------------------------------
@@ -469,6 +472,7 @@ class FlowtuneService:
             client.events = selectors.EVENT_READ
 
     def _drain_wake(self):
+        """Reach: safety — teardown: empties the wake pipe close() wrote."""
         try:
             while self._wake_r.recv(4096):
                 pass
@@ -584,7 +588,10 @@ class FlowtuneService:
     def _end_session(self, session):
         """End every flow the session holds (coalescing makes starts
         that never got applied vanish) and forget it — after this the
-        client_id cannot be resumed."""
+        client_id cannot be resumed.
+
+        Reach: safety — the teardown path of a session whose client left.
+        """
         for fid in session.flows:
             self.queue.push_end((session.client_id, fid))
             self._usage.pop((session.client_id, fid), None)
@@ -634,6 +641,7 @@ class FlowtuneService:
         return True
 
     def _send_error(self, client, message):
+        """Reach: safety — the error path that blames one client."""
         if client.authed and client.sock in self._clients:
             self._send(client, wire.encode_error(message))
 
@@ -810,6 +818,7 @@ class FlowtuneService:
             wire.END, len(fids))
 
     def _on_usage(self, client, reports):
+        """Reach: api — the wire protocol's USAGE kind (sampled-mode bytes)."""
         session = client.session
         feed = self.allocator.wants_usage
         for fid, nbytes in reports:
@@ -831,7 +840,10 @@ class FlowtuneService:
         self._allocate(max(1, n_iters), snapshot_to=client)
 
     def usage_bytes(self, client_id: int, fid: int) -> int | None:
-        """Latest usage report for one flow (testing/inspection aid)."""
+        """Latest usage report for one flow (testing/inspection aid).
+
+        Reach: invariant — tests check that USAGE reports reach the session.
+        """
         return self._usage.get((client_id, fid))
 
     # ------------------------------------------------------------------
@@ -938,7 +950,6 @@ class ServiceHandle:
         self.address = address
         self.token_hex = token_hex
         self._closed = False
-        self._stderr_lines = deque(maxlen=200)
         self._stderr_thread = None
         if process.stderr is not None:
             self._stderr_thread = threading.Thread(
@@ -947,17 +958,13 @@ class ServiceHandle:
             self._stderr_thread.start()
 
     def _drain_stderr(self):
-        # Keep the child's stderr pipe drained (a full pipe would
-        # block it) while retaining a tail for diagnostics.
+        # Keep the child's stderr pipe drained: a full pipe would
+        # block it.
         try:
-            for line in self.process.stderr:
-                self._stderr_lines.append(line.rstrip("\n"))
+            for _ in self.process.stderr:
+                pass
         except ValueError:  # pragma: no cover - pipe closed mid-read
             pass
-
-    def stderr_tail(self, n=20):
-        """The last ``n`` lines the child wrote to stderr."""
-        return list(self._stderr_lines)[-n:]
 
     def close(self, timeout=10.0):
         """Terminate the child (idempotent)."""

@@ -142,7 +142,10 @@ def encode_resume(client_id: int, resume_nonce: int,
 
 def encode_busy(retry_after: float, credit: int) -> bytes:
     """Backpressure credit reply: churn tokens available again in
-    ``retry_after`` seconds, at which point ``credit`` events fit."""
+    ``retry_after`` seconds, at which point ``credit`` events fit.
+
+    Reach: safety — the backpressure reply to a client over its churn budget.
+    """
     return _hdr(BUSY) + _BUSY.pack(float(retry_after), int(credit))
 
 
@@ -166,7 +169,10 @@ def encode_end(flow_ids: Iterable[int]) -> bytes:
 
 
 def encode_usage(reports: Iterable[tuple[int, float]]) -> bytes:
-    """``reports``: iterable of ``(flow_id, cumulative_bytes)``."""
+    """``reports``: iterable of ``(flow_id, cumulative_bytes)``.
+
+    Reach: api — the wire protocol's USAGE kind.
+    """
     items = list(reports)
     parts = [_hdr(USAGE), _U32.pack(len(items))]
     parts += [_USAGE_ITEM.pack(fid, float(n)) for fid, n in items]
@@ -202,6 +208,7 @@ def encode_snapshot(seq: int, flow_ids: npt.ArrayLike,
 
 
 def encode_error(message: object) -> bytes:
+    """Reach: safety — the error reply that blames one client."""
     return _hdr(ERROR) + str(message).encode("utf-8", "replace")
 
 
@@ -350,11 +357,9 @@ def decode_message(payload: bytes | bytearray | memoryview,
 class FrameBuffer:
     """Incremental reassembly of a :mod:`repro.net`-framed stream.
 
-    The blocking :func:`repro.net.recv_frame` would lose partially-read
-    bytes on a timeout, desynchronizing the
-    stream; the service's selectors loop instead feeds whatever
-    ``recv`` returned into this buffer and only acts on *complete*
-    frames, so a slow peer can never corrupt framing.
+    The one frame reader: the service's selectors loop and the client
+    feed whatever ``recv`` returned into this buffer and only act on
+    *complete* frames, so a slow peer can never corrupt framing.
     """
 
     def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
@@ -381,6 +386,7 @@ class FrameBuffer:
         return frames
 
     def __len__(self) -> int:
+        """Reach: invariant — tests check a reader consumed every byte."""
         return len(self._buf)
 
 

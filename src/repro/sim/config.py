@@ -11,7 +11,7 @@ RTTs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["SimConfig", "SCHEMES"]
 
@@ -71,9 +71,3 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; one of {SCHEMES}")
-
-    def for_scheme(self, scheme: str) -> "SimConfig":
-        """Copy with a different scheme name."""
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; one of {SCHEMES}")
-        return replace(self, scheme=scheme)

@@ -70,7 +70,11 @@ class Simulator:
         return processed
 
     def run(self, max_events=None):
-        """Run until only daemon events remain; returns events run."""
+        """Run until only daemon events remain; returns events run.
+
+        Reach: invariant — tests drive the transports and devices to completion
+        with it.
+        """
         processed = 0
         heap = self._heap
         while heap and self._live > 0:
@@ -87,7 +91,10 @@ class Simulator:
 
     @property
     def pending(self):
-        """Non-daemon events outstanding (what keeps :meth:`run` going)."""
+        """Non-daemon events outstanding (what keeps :meth:`run` going).
+
+        Reach: invariant — tests check that a run left no live event with it.
+        """
         return self._live
 
 

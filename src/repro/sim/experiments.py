@@ -31,14 +31,11 @@ __all__ = ["build_network", "convergence_experiment", "fct_experiment",
            "run_arrivals"]
 
 
-def build_network(scheme, topology=None, config=None, **config_overrides):
+def build_network(scheme, topology=None, **config_overrides):
     """Construct a :class:`PacketNetwork` (+ control plane if Flowtune)."""
     if topology is None:
         topology = TwoTierClos(n_racks=3, hosts_per_rack=8, n_spines=2)
-    if config is None:
-        config = SimConfig(scheme=scheme, **config_overrides)
-    else:
-        config = config.for_scheme(scheme)
+    config = SimConfig(scheme=scheme, **config_overrides)
     network = PacketNetwork(topology, config)
     if scheme == "flowtune":
         AllocatorNode(network)
@@ -48,8 +45,8 @@ def build_network(scheme, topology=None, config=None, **config_overrides):
 
 
 def convergence_experiment(scheme, n_senders=5, join_interval=10e-3,
-                           topology=None, config=None,
-                           flow_gbits=2.0, **config_overrides):
+                           topology=None, flow_gbits=2.0,
+                           **config_overrides):
     """Fig. 4: staircase join/leave of long flows sharing one receiver.
 
     Returns ``(network, flow_ids)``; per-flow series come from
@@ -57,8 +54,7 @@ def convergence_experiment(scheme, n_senders=5, join_interval=10e-3,
     flow's size (it must outlive its active period at line rate).
     """
     config_overrides.setdefault("throughput_window", 100e-6)
-    network = build_network(scheme, topology=topology, config=config,
-                            **config_overrides)
+    network = build_network(scheme, topology=topology, **config_overrides)
     receiver_host = 0
     flow_ids = []
     senders = {}
@@ -99,16 +95,15 @@ def run_arrivals(network, arrivals, t_end, drain=5e-3, max_events=None):
 
 
 def fct_experiment(scheme, workload="web", load=0.6, duration=20e-3,
-                   drain=10e-3, seed=0, topology=None, config=None,
-                   max_events=None, **config_overrides):
+                   drain=10e-3, seed=0, topology=None, max_events=None,
+                   **config_overrides):
     """Figs. 8-11 runs: Poisson churn at a target load for one scheme.
 
     Returns ``(network, stats, duration)``.  The same ``seed`` yields
     the same arrival sequence for every scheme, so per-flow FCTs are
     directly comparable (the paper's speedup ratios).
     """
-    network = build_network(scheme, topology=topology, config=config,
-                            **config_overrides)
+    network = build_network(scheme, topology=topology, **config_overrides)
     topology = network.topology
     dist = WORKLOADS[workload]() if isinstance(workload, str) else workload
     generator = PoissonFlowletGenerator(

@@ -199,4 +199,5 @@ class PacketNetwork:
         return self.sim.run_until(t_end, max_events=max_events)
 
     def total_dropped_bytes(self):
+        """Reach: invariant — tests check the transports' drop bounds."""
         return sum(link.dropped_bytes for link in self.links)

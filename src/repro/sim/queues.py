@@ -61,6 +61,7 @@ class DropTailQueue:
         self.stats = QueueStats()
 
     def __len__(self):
+        """Reach: invariant — tests check the capacity bound with it."""
         return len(self._queue)
 
     def enqueue(self, packet: Packet, now: float) -> bool:
@@ -112,6 +113,7 @@ class PFabricQueue:
         self._arrival_counter = 0
 
     def __len__(self):
+        """Reach: invariant — tests check the capacity bound with it."""
         return len(self._queue)
 
     def enqueue(self, packet, now):
@@ -220,6 +222,7 @@ class SfqCoDelQueue:
         self.stats = QueueStats()
 
     def __len__(self):
+        """Reach: invariant — tests check the shared buffer's bound with it."""
         return self._total_packets
 
     def _bucket_of(self, packet):

@@ -60,10 +60,6 @@ class RunStats:
     def completed_flows(self):
         return [f for f in self.flows.values() if f.finish_time is not None]
 
-    def fct_seconds(self):
-        """flow_id -> FCT for completed flows."""
-        return {f.flow_id: f.fct for f in self.completed_flows()}
-
     def p99_queue_delay(self, hops):
         """99th-percentile accumulated queueing delay for a path length."""
         samples = self.queue_delay_by_hops.get(hops)

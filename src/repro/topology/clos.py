@@ -164,6 +164,9 @@ class TwoTierClos(Topology):
         list (the one :meth:`spine_for` picks for the flow id), which
         is what lets an unpriced mouse keep its hash-assigned path
         when the sampling front-end later promotes it.
+
+        Reach: invariant — the premise of the hop-major bitwise claim: tests
+        check every candidate route's link columns with it.
         """
         if src_host == dst_host:
             raise ValueError("source and destination host must differ")

@@ -48,11 +48,8 @@ class LinkSpec:
 
     @property
     def is_upward(self):
+        """Reach: invariant — tests check the partition's up-link blocks."""
         return self.kind in (LinkKind.HOST_UP, LinkKind.FABRIC_UP)
-
-    @property
-    def is_downward(self):
-        return self.kind in (LinkKind.HOST_DOWN, LinkKind.FABRIC_DOWN)
 
 
 class Topology:
@@ -78,19 +75,12 @@ class Topology:
 
     def link_set(self) -> LinkSet:
         """The :class:`~repro.core.network.LinkSet` view for NUM."""
-        return LinkSet(
-            np.array([link.capacity for link in self.links]),
-            names=[f"{link.src}->{link.dst}" for link in self.links],
-        )
+        return LinkSet(np.array([link.capacity for link in self.links]))
 
     def route(self, src_host: int, dst_host: int,
               flow_id: object = 0) -> npt.NDArray[np.int64]:
         """Return the link-index array for a flow (ECMP-stable)."""
         raise NotImplementedError
-
-    def path_delay(self, route: npt.ArrayLike) -> float:
-        """One-way propagation along ``route`` (excl. host processing)."""
-        return float(sum(self.links[i].delay for i in route))
 
     def bisection_capacity(self) -> float:
         """Sum of host access-link capacity — the paper's "network

@@ -197,6 +197,9 @@ class ThreeTierClos(Topology):
         One path intra-rack, one per pod spine intra-pod, and one per
         (spine, core-uplink) pair cross-pod.  :meth:`route` always
         returns an element of this list.
+
+        Reach: invariant — the premise of the hop-major bitwise claim: tests
+        check every candidate route's link columns with it.
         """
         if src_host == dst_host:
             raise ValueError("source and destination host must differ")
@@ -240,7 +243,3 @@ class ThreeTierClos(Topology):
         pod_up_links = (self.hosts_per_pod
                         + self.racks_per_pod * self.n_spines + core_links)
         return core_links / pod_up_links
-
-    def six_hop_rtt(self) -> float:
-        """Cross-pod RTT with the same delay accounting as two-tier."""
-        return 2 * (6 * self.link_delay + 2 * self.host_delay)

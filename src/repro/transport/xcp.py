@@ -45,6 +45,7 @@ class XcpSender(SenderBase):
 
     def on_loss(self):
         # Losses are rare under XCP; fall back to a halving.
+        """Reach: interface — a SenderBase hook."""
         self.cwnd_bytes = max(self.cwnd_bytes / 2.0, float(self.mss))
         self.cwnd = self.cwnd_bytes / self.mss
 

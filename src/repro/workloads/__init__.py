@@ -1,12 +1,9 @@
 """Workload generation: flow-size distributions + Poisson flowlet churn."""
 
 from .distributions import (WORKLOADS, EmpiricalSizeDistribution,
-                            cache_workload, hadoop_workload,
-                            uniform_workload, web_workload)
+                            cache_workload, hadoop_workload, web_workload)
 from .generator import FlowletArrival, PoissonFlowletGenerator
-from .traces import FlowletTrace, record_trace
 
 __all__ = ["EmpiricalSizeDistribution", "WORKLOADS", "web_workload",
-           "cache_workload", "hadoop_workload", "uniform_workload",
-           "FlowletArrival", "PoissonFlowletGenerator", "FlowletTrace",
-           "record_trace"]
+           "cache_workload", "hadoop_workload", "FlowletArrival",
+           "PoissonFlowletGenerator"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["EmpiricalSizeDistribution", "WORKLOADS", "web_workload",
-           "cache_workload", "hadoop_workload", "uniform_workload"]
+           "cache_workload", "hadoop_workload"]
 
 
 class EmpiricalSizeDistribution:
@@ -73,9 +73,7 @@ class EmpiricalSizeDistribution:
 
     def sample(self, rng: np.random.Generator, n=None):
         """Draw flow sizes in bytes (scalar when ``n`` is None)."""
-        u = rng.random(n)
-        log_size = np.interp(u, self._cdf, self._log_sizes)
-        sizes = np.exp(log_size)
+        sizes = self.quantile(rng.random(n))
         if n is None:
             return float(sizes)
         return sizes
@@ -83,12 +81,6 @@ class EmpiricalSizeDistribution:
     def quantile(self, q):
         """Inverse CDF at ``q`` (scalar or array), in bytes."""
         return np.exp(np.interp(q, self._cdf, self._log_sizes))
-
-    def cdf_at(self, size_bytes):
-        """CDF evaluated at ``size_bytes`` (scalar or array)."""
-        log_s = np.log(np.maximum(np.asarray(size_bytes, dtype=np.float64),
-                                  1e-9))
-        return np.interp(log_s, self._log_sizes, self._cdf)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"EmpiricalSizeDistribution({self.name!r}, "
@@ -140,12 +132,6 @@ def hadoop_workload():
         (10_000_000, 0.95),
         (100_000_000, 1.0),
     ])
-
-
-def uniform_workload(min_bytes=1_000, max_bytes=1_000_000):
-    """Log-uniform sizes — a neutral workload for tests and examples."""
-    return EmpiricalSizeDistribution(
-        "uniform", [(min_bytes, 0.0), (max_bytes, 1.0)])
 
 
 #: name -> factory, the three §6.2 workloads.

@@ -34,10 +34,6 @@ class FlowletArrival:
     dst: int             # host index
     size_bytes: float
 
-    @property
-    def size_bits(self):
-        return self.size_bytes * 8.0
-
 
 @dataclass
 class PoissonFlowletGenerator:
@@ -90,6 +86,7 @@ class PoissonFlowletGenerator:
         return self.per_host_rate * self.n_hosts
 
     def __iter__(self):
+        """Reach: interface — the iterator protocol next() relies on."""
         return self
 
     def __next__(self) -> FlowletArrival:

@@ -287,12 +287,6 @@ class TestConfigurability:
         assert result.rates["heavy"] == pytest.approx(
             3 * result.rates["light"], rel=1e-3)
 
-    def test_raw_rates_exposed(self):
-        allocator = make_allocator()
-        allocator.flowlet_start("a", [0])
-        allocator.iterate(10)
-        assert "a" in allocator.raw_rates()
-
     def test_feasible_after_normalization(self):
         allocator = make_allocator(update_threshold=0.01)
         for i in range(9):

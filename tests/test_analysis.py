@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (SIZE_BINS, bin_of, convergence_time,
-                            fair_share_profile, fairness_score, format_series,
-                            format_table, ideal_fct, jain_index, p99_by_bin,
+                            format_table, ideal_fct, p99_by_bin,
                             relative_fairness, speedup_by_bin)
 
 
@@ -56,9 +55,6 @@ class TestPercentiles:
 
 
 class TestFairness:
-    def test_score_is_sum_log2(self):
-        assert fairness_score({"a": 2.0, "b": 4.0}) == pytest.approx(3.0)
-
     def test_relative_fairness_sign(self):
         flowtune = {"a": 4.0, "b": 4.0}
         starved = {"a": 8.0, "b": 1.0}  # unfair: one flow starved
@@ -66,11 +62,6 @@ class TestFairness:
         assert gap == pytest.approx((np.log2(8) - np.log2(4)
                                      + np.log2(1) - np.log2(4)) / 2)
         assert gap < 0
-
-    def test_jain_index_extremes(self):
-        assert jain_index({"a": 5.0, "b": 5.0}) == pytest.approx(1.0)
-        skewed = jain_index({"a": 10.0, "b": 1e-9})
-        assert skewed == pytest.approx(0.5, rel=0.01)
 
 
 class TestConvergence:
@@ -92,10 +83,6 @@ class TestConvergence:
         t = convergence_time(times, series, 0.0, 5.0, hold=500e-6)
         assert t == float("inf")
 
-    def test_fair_share_profile(self):
-        shares = fair_share_profile([0, 1, 2, 4], 10.0)
-        assert np.allclose(shares, [0.0, 10.0, 5.0, 2.5])
-
 
 class TestFormatting:
     def test_table_alignment(self):
@@ -105,7 +92,3 @@ class TestFormatting:
         assert lines[0] == "T"
         assert "name" in lines[1] and "value" in lines[1]
         assert len(lines) == 5
-
-    def test_series(self):
-        text = format_series("s", [(1, 2.0)], "load", "frac")
-        assert "load" in text and "2" in text

@@ -1,12 +1,9 @@
-"""§7 discussion features: external traffic, intermediaries, traces."""
+"""§7 discussion features: external traffic, intermediaries."""
 
-import numpy as np
 import pytest
 
 from repro.control import direct_update_plane, intermediary_update_plane
 from repro.core import (ExternalTrafficManager, FlowtuneAllocator, LinkSet)
-from repro.workloads import (FlowletTrace, PoissonFlowletGenerator,
-                             record_trace, web_workload)
 
 
 class TestExternalTraffic:
@@ -88,44 +85,3 @@ class TestIntermediaries:
         relayed = intermediary_update_plane(updates)
         assert relayed.allocator_bytes_per_endpoint < \
             direct.allocator_bytes_per_endpoint
-
-
-class TestTraces:
-    def test_record_and_iterate(self):
-        generator = PoissonFlowletGenerator(web_workload(), 8, 0.5, seed=3)
-        trace = record_trace(generator, 2e-3)
-        assert len(trace) > 0
-        arrivals = list(trace)
-        assert arrivals[0].time <= arrivals[-1].time
-        assert all(a.src != a.dst for a in arrivals)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        generator = PoissonFlowletGenerator(web_workload(), 8, 0.5, seed=3)
-        trace = record_trace(generator, 1e-3)
-        path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = FlowletTrace.load(path)
-        assert len(loaded) == len(trace)
-        assert np.allclose(loaded.times, trace.times)
-        assert np.array_equal(loaded.sizes, trace.sizes)
-
-    def test_offered_load_near_target(self):
-        generator = PoissonFlowletGenerator(web_workload(), 16, 0.6,
-                                            seed=4)
-        trace = record_trace(generator, 20e-3)
-        load = trace.offered_load(16, 10.0)
-        assert load == pytest.approx(0.6, rel=0.3)
-
-    def test_slice(self):
-        generator = PoissonFlowletGenerator(web_workload(), 8, 0.5, seed=5)
-        trace = record_trace(generator, 4e-3)
-        window = trace.slice(1e-3, 2e-3)
-        assert all(1e-3 <= t < 2e-3 for t in window.times)
-
-    def test_unsorted_times_rejected(self):
-        with pytest.raises(ValueError):
-            FlowletTrace([2.0, 1.0], [0, 1], [1, 0], [100, 100])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            FlowletTrace([1.0], [0, 1], [1], [100])

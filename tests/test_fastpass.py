@@ -46,7 +46,7 @@ class TestMatching:
                 dst += 1
             arbiter.add_demand(int(src), int(dst), 4)
             total += 4
-        allocated = arbiter.run_timeslots(200)
+        allocated = sum(len(arbiter.allocate_timeslot()) for _ in range(200))
         assert allocated == total
         assert arbiter.backlog == 0
 

@@ -13,10 +13,21 @@ import numpy as np
 import pytest
 
 from repro.net import (FRAME_HEADER, FabricError, connect_retry,
-                       parse_token, recv_frame, send_frame)
+                       parse_token, send_frame)
 from repro.service.wire import TAG_SERVICE, FrameBuffer
 
 TAG_DATA = 2  # any tag: the framing layer does not interpret it
+
+
+def read_frames(sock, n=1):
+    """``n`` frames off ``sock`` through the service's one reader."""
+    buffer, frames = FrameBuffer(), []
+    while len(frames) < n:
+        data = sock.recv(1 << 16)
+        assert data, "peer closed mid-frame"
+        frames += buffer.feed(data)
+    assert len(frames) == n and len(buffer) == 0
+    return frames
 
 
 class TestFraming:
@@ -25,7 +36,7 @@ class TestFraming:
         try:
             payload = np.arange(7, dtype=np.float64).tobytes()
             send_frame(a, TAG_DATA, payload)
-            tag, received = recv_frame(b)
+            [(tag, received)] = read_frames(b)
             assert tag == TAG_DATA
             np.testing.assert_array_equal(
                 np.frombuffer(received, dtype=np.float64), np.arange(7))
@@ -33,44 +44,11 @@ class TestFraming:
             a.close()
             b.close()
 
-    def test_unexpected_tag_raises(self):
-        a, b = socketlib.socketpair()
-        try:
-            send_frame(a, TAG_DATA, b"x")
-            with pytest.raises(FabricError):
-                recv_frame(b, expect=TAG_DATA + 1)
-        finally:
-            a.close()
-            b.close()
-
-    def test_timeout_is_reported_as_slow_not_dead(self):
-        """socket.timeout is an OSError subclass; the framing layer
-        must let it through so a silent peer is diagnosed as slow, not
-        as dead."""
-        silent, _held_peer = socketlib.socketpair()
-        try:
-            silent.settimeout(0.2)
-            with pytest.raises(TimeoutError):
-                recv_frame(silent)
-        finally:
-            _held_peer.close()
-            silent.close()
-
-    def test_peer_close_raises(self):
-        a, b = socketlib.socketpair()
-        a.close()
-        try:
-            with pytest.raises(FabricError):
-                recv_frame(b)
-        finally:
-            b.close()
-
     def test_empty_payload_roundtrip(self):
         a, b = socketlib.socketpair()
         try:
             send_frame(a, TAG_DATA)
-            tag, received = recv_frame(b, expect=TAG_DATA)
-            assert tag == TAG_DATA and received == b""
+            assert read_frames(b) == [(TAG_DATA, b"")]
         finally:
             a.close()
             b.close()
@@ -81,8 +59,8 @@ class TestFraming:
             ids = np.arange(3, dtype=np.int64)
             rates = np.array([1.5, 2.5, 3.5])
             send_frame(a, TAG_DATA, b"hdr", ids, memoryview(rates))
-            _, received = recv_frame(b)
-            assert bytes(received) == b"hdr" + ids.tobytes() + rates.tobytes()
+            [(_, received)] = read_frames(b)
+            assert received == b"hdr" + ids.tobytes() + rates.tobytes()
         finally:
             a.close()
             b.close()
@@ -92,14 +70,14 @@ class TestFraming:
         try:
             for i in range(5):
                 send_frame(a, i, bytes([i]) * i)
-            for i in range(5):
-                assert recv_frame(b) == (i, bytearray(bytes([i]) * i))
+            assert read_frames(b, 5) == [(i, bytes([i]) * i)
+                                         for i in range(5)]
         finally:
             a.close()
             b.close()
 
     def test_frame_dripped_byte_by_byte_is_reassembled(self):
-        """The reader loops over short reads, header included."""
+        """The reader reassembles short reads, header included."""
         a, b = socketlib.socketpair()
         payload = b"0123456789"
         wire = FRAME_HEADER.pack(len(payload), TAG_DATA) + payload
@@ -112,7 +90,7 @@ class TestFraming:
         writer = threading.Thread(target=drip)
         try:
             writer.start()
-            assert recv_frame(b) == (TAG_DATA, bytearray(payload))
+            assert read_frames(b) == [(TAG_DATA, payload)]
         finally:
             writer.join(10.0)
             a.close()
@@ -125,7 +103,7 @@ class TestFraming:
                                   args=(a, TAG_DATA, payload))
         try:
             writer.start()
-            _, received = recv_frame(b)
+            [(_, received)] = read_frames(b)
             np.testing.assert_array_equal(
                 np.frombuffer(received, dtype=np.float64), payload)
         finally:
@@ -253,15 +231,13 @@ class TestSendFramePartialWrites:
 
     def test_partial_frame_failure_poisons_the_connection(self):
         """A timeout after part of the frame hit the wire leaves the
-        stream desynchronized — every later framed use must raise
+        stream desynchronized — every later framed send must raise
         FabricError instead of corrupting the peer's stream."""
         sock = _ShortWriteSock(chunk=7, fail_after=2)
         with pytest.raises(TimeoutError):
             send_frame(sock, TAG_DATA, np.arange(100, dtype=np.float64))
         with pytest.raises(FabricError, match="poisoned"):
             send_frame(sock, TAG_DATA, b"anything")
-        with pytest.raises(FabricError, match="poisoned"):
-            recv_frame(sock)
 
     def test_clean_failure_does_not_poison(self):
         """If nothing reached the wire the stream is still framed —

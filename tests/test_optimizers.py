@@ -194,13 +194,6 @@ class TestFgm:
         rates = opt.iterate(3000)
         assert np.allclose(rates, 2.5, rtol=0.05)
 
-    def test_reset_restarts_momentum(self):
-        table = n_flows_one_link(2)
-        opt = FgmOptimizer(table)
-        opt.iterate(10)
-        opt.reset()
-        assert opt._momentum_t == 1.0
-
     def test_lipschitz_weights_positive(self):
         table = n_flows_one_link(3)
         opt = FgmOptimizer(table)

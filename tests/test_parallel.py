@@ -1,4 +1,4 @@
-"""§5 multicore machinery: partitioning, schedule, engine, cost model."""
+"""§5 multicore machinery: partitioning, schedule, engine, §6.1 table."""
 
 import os
 import subprocess
@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import (PAPER_TABLE, BenchConfig, BlockPartition,
-                            MulticoreNedEngine, aggregation_schedule,
-                            cpu_of, distribution_schedule, final_down_holder,
-                            final_up_holder, fit_cost_model, step_breakdown)
+from repro.parallel import (PAPER_TABLE, BlockPartition, MulticoreNedEngine,
+                            aggregation_schedule, cpu_of,
+                            distribution_schedule, final_down_holder,
+                            final_up_holder, step_breakdown)
 from repro.topology import TwoTierClos
 
 
@@ -126,8 +126,7 @@ class TestEngine:
                 dst += 1
             engine.add_flow(i, src, dst)
         engine.iterate(5)
-        for i in range(0, 40, 3):
-            engine.remove_flow(i)
+        engine.apply_churn(ends=range(0, 40, 3))
         engine.iterate(5)
         reference = engine.reference_optimizer()
         reference.prices = engine.global_prices().copy()
@@ -159,26 +158,15 @@ class TestEngine:
         assert 0 < stats.inter_cpu_messages < stats.messages
 
 
-class TestCostModel:
-    def test_fit_quality_within_ten_percent(self):
-        model, configs, predictions = fit_cost_model()
-        for row, predicted in zip(PAPER_TABLE, predictions):
-            assert predicted == pytest.approx(row.cycles, rel=0.10)
-
-    def test_constants_nonnegative(self):
-        model, _, _ = fit_cost_model()
-        assert np.all(model.constants >= 0)
-
-    def test_time_conversion(self):
-        model, configs, _ = fit_cost_model()
-        first = model.time_us(configs[0])
-        assert first == pytest.approx(PAPER_TABLE[0].time_us, rel=0.10)
-
-    def test_throughput_headline(self):
-        # §6.1: 4 cores allocate 15.36 Tbit/s (384 nodes x 40 G).
-        model, configs, _ = fit_cost_model()
-        assert model.throughput_tbps(configs[0]) == pytest.approx(15.36)
-        assert model.throughput_tbps(configs[-1]) == pytest.approx(184.32)
+class TestPaperTable:
+    def test_rows_fit_the_paper_partitioning(self):
+        # Every row is a square processor grid whose blocks split the
+        # racks evenly, so the structure columns are exact.
+        for row in PAPER_TABLE:
+            assert row.grid_side ** 2 == row.cores
+            assert row.nodes % (48 * row.grid_side) == 0
+        assert [row.links_per_block for row in PAPER_TABLE] == \
+            [208, 208, 208, 208, 208, 416, 624]
 
     def test_step_breakdown_matches_paper_narrative(self):
         # 4 cores on one CPU: no inter-CPU steps.
@@ -192,14 +180,10 @@ class TestCostModel:
         cpus = {cpu_of((r, c), 4) for r in range(4) for c in range(4)}
         assert cpus == {0, 1}
 
-    def test_config_rejects_non_square_cores(self):
-        with pytest.raises(ValueError):
-            BenchConfig.from_row(6, 384, 100)
-
 
 class TestScipyIsOptional:
-    """scipy is only the cost-model fit's dependency: ``import repro``
-    (every service child pays it) must work without it."""
+    """scipy is no dependency: ``import repro`` (every service child
+    pays it) must work without it."""
 
     @staticmethod
     def _run_without_scipy(code):
@@ -214,12 +198,3 @@ class TestScipyIsOptional:
     def test_import_repro_without_scipy(self):
         result = self._run_without_scipy("import repro, repro.parallel")
         assert result.returncode == 0, result.stderr
-
-    def test_fit_cost_model_raises_import_error_without_scipy(self):
-        result = self._run_without_scipy(
-            "from repro.parallel import fit_cost_model\n"
-            "try:\n"
-            "    fit_cost_model()\n"
-            "except ImportError:\n"
-            "    sys.exit(3)\n")
-        assert result.returncode == 3, result.stderr

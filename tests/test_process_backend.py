@@ -348,7 +348,7 @@ class TestProcessBackendMechanics:
 
 
 class TestEngineApplyChurn:
-    """engine.apply_churn (batched) == add_flow/remove_flow loops."""
+    """engine.apply_churn (batched) == one event at a time."""
 
     def test_matches_per_event_churn(self):
         topology = clos_for_blocks(2)
@@ -364,7 +364,7 @@ class TestEngineApplyChurn:
         ends = [flow_id for flow_id, _, _ in starts[::3]]
         batched.apply_churn(ends=ends)
         for flow_id in ends:
-            sequential.remove_flow(flow_id)
+            sequential.apply_churn(ends=[flow_id])
         batched.iterate(5)
         sequential.iterate(5)
         r_batched, r_sequential = batched.rates(), sequential.rates()

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FlowtuneAllocator, LinkSet
-from repro.sampling import (SCHEDULER_MODES, EcmpAssigner, EcmpScheduler,
+from repro.sampling import (SCHEDULER_MODES, EcmpScheduler,
                             ElephantDetector, SampledAllocator,
                             make_scheduler, replay_priced_journal)
-from repro.topology import ThreeTierClos, TwoTierClos
 
 N_LINKS = 6
 
@@ -337,27 +336,6 @@ class TestResultArrays:
         assert result.flow_ids == [("a", 1), ("b", 2), ("c", 3)]
         assert result.rates == {("a", 1): 1.0, ("b", 2): 2.0,
                                 ("c", 3): 3.0}
-
-
-class TestEcmpAssigner:
-    @pytest.mark.parametrize("topology", [
-        TwoTierClos(n_racks=3, hosts_per_rack=4, n_spines=2),
-        ThreeTierClos(n_pods=2, racks_per_pod=2, hosts_per_rack=2,
-                      n_spines=2),
-    ])
-    def test_assignment_is_a_candidate_and_deterministic(self, topology):
-        assigner = EcmpAssigner(topology)
-        twin = EcmpAssigner(topology)
-        for flow_id in (0, 7, "client-3:42", (1, 2)):
-            route = assigner.assign(0, topology.n_hosts - 1, flow_id)
-            candidates = assigner.candidates(0, topology.n_hosts - 1)
-            assert any(np.array_equal(route, c) for c in candidates)
-            assert np.array_equal(
-                route, twin.assign(0, topology.n_hosts - 1, flow_id))
-
-    def test_requires_candidate_enumeration(self):
-        with pytest.raises(TypeError, match="candidate_routes"):
-            EcmpAssigner(object())
 
 
 class TestEcmpEndsAtomicity:

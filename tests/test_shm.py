@@ -138,7 +138,7 @@ class TestSenseReversingBarrier:
             barrier = SenseReversingBarrier(phases, arrive, gates, 0, 1)
             for _ in range(5):
                 barrier.wait()
-            assert barrier.phase == 5
+            assert barrier.peer_phases().tolist() == [5]
         finally:
             arena.close()
 
@@ -193,9 +193,7 @@ class TestSenseReversingBarrier:
             phases, arrive, gates = SenseReversingBarrier.alloc(
                 arena, ctx, 1)
             barrier = SenseReversingBarrier(phases, arrive, gates, 0, 1)
-            assert not barrier.aborted()
             barrier.for_worker(0).abort()
-            assert barrier.aborted()
             with pytest.raises(FabricError, match="aborted"):
                 barrier.wait()
 

@@ -78,10 +78,6 @@ class TestRouting:
         topo = small_fabric()
         assert list(topo.route(0, 12, fid)) == list(topo.route(0, 12, fid))
 
-    def test_six_hop_rtt(self):
-        topo = small_fabric()
-        assert topo.six_hop_rtt() == pytest.approx(2 * (6 * 1.5e-6 + 4e-6))
-
 
 class TestNumOnThreeTier:
     def test_ned_solves_cross_pod_contention(self):

@@ -32,10 +32,6 @@ class TestLogUtility:
         analytic = u.rate_derivative(rho, w)
         assert numeric == pytest.approx(analytic, rel=1e-3)
 
-    def test_value_is_weighted_log(self):
-        u = LogUtility()
-        assert u.value(np.e, 2.0) == pytest.approx(2.0)
-
     def test_price_sum_clamp_bounds_rates(self):
         u = LogUtility()
         assert np.isfinite(u.rate(np.array([0.0])))[0]

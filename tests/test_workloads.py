@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.workloads import (WORKLOADS, EmpiricalSizeDistribution,
                              PoissonFlowletGenerator, cache_workload,
-                             hadoop_workload, uniform_workload, web_workload)
+                             hadoop_workload, web_workload)
 
 
 class TestDistributions:
@@ -33,11 +33,6 @@ class TestDistributions:
         assert samples.min() >= dist.min_bytes * (1 - 1e-9)
         assert samples.max() <= dist.max_bytes * (1 + 1e-9)
 
-    def test_quantile_inverts_cdf(self):
-        dist = cache_workload()
-        for q in (0.1, 0.5, 0.9):
-            assert dist.cdf_at(dist.quantile(q)) == pytest.approx(q, abs=1e-9)
-
     def test_scalar_sample(self):
         value = web_workload().sample(np.random.default_rng(2))
         assert isinstance(value, float)
@@ -47,13 +42,6 @@ class TestDistributions:
             EmpiricalSizeDistribution("bad", [(100, 0.0), (50, 1.0)])
         with pytest.raises(ValueError):
             EmpiricalSizeDistribution("bad", [(10, 0.2), (20, 1.0)])
-
-    def test_uniform_workload_bounds(self):
-        dist = uniform_workload(1000, 2000)
-        rng = np.random.default_rng(3)
-        samples = dist.sample(rng, 1000)
-        assert samples.min() >= 1000 * (1 - 1e-9)
-        assert samples.max() <= 2000 * (1 + 1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(q=st.floats(min_value=0.0, max_value=1.0))
@@ -75,6 +63,13 @@ class TestGenerator:
         arrivals = gen.arrivals_until(5e-3)
         expected = gen.aggregate_rate * 5e-3
         assert len(arrivals) == pytest.approx(expected, rel=0.2)
+
+    def test_offered_load_near_target(self):
+        gen = PoissonFlowletGenerator(web_workload(), 16, 0.6, seed=4)
+        arrivals = gen.arrivals_until(20e-3)
+        bits = 8.0 * sum(a.size_bytes for a in arrivals)
+        duration = arrivals[-1].time - arrivals[0].time
+        assert bits / (duration * 16 * 10e9) == pytest.approx(0.6, rel=0.3)
 
     def test_deterministic_for_seed(self):
         a = PoissonFlowletGenerator(web_workload(), 8, 0.4, seed=7)
