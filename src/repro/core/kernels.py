@@ -39,13 +39,18 @@ for any route: the pad slots gather the fold's identity (``0.0`` for
 sums of non-negative prices, ``∓inf`` for max/min), so moving them
 between hops cannot change a bit.
 
-The scatter order rests on two numpy loops adding their entries one at
-a time in index order, from 0.0: ``bincount`` (as in every earlier
-layout) and, for chunks above :data:`SMALL_CHUNK`, ``np.add.at`` —
-the indexed inner loop numpy >= 1.25 runs for ``add`` on float64.
-Neither order is documented numpy API; ``tests/test_csr_kernels.py``
-pins both paths to a scalar reference on the installed numpy, and CI
-pins numpy (``requirements-ci.txt``).
+The scatter order rests on three numpy loops adding their entries one
+at a time in index order, from 0.0: ``bincount`` (as in every earlier
+layout) and, for chunks above :data:`SMALL_CHUNK`, ``np.add.at`` on
+float64 (:func:`link_totals`) and on complex128 (:func:`link_totals2`'s
+packed pair, whose adds are component-wise: two independent float64
+adds per entry, so each part rounds as its own float scatter would).
+None of these orders is documented numpy API.
+``tests/test_csr_kernels.py`` pins every path to a scalar reference on
+the installed numpy; ``tests/test_golden_kernels.py`` is the contract's
+check against fixed constants: sha256 of every kernel's output, and of
+one allocator iteration, on a multi-chunk table, recorded before the
+complex path existed.  CI pins numpy (``requirements-ci.txt``).
 
 The chunking keeps each gather block cache-resident.  Every caller — the
 FlowTable (which also holds the ECMP mice) and the process-backend
@@ -54,6 +59,8 @@ functions, which is what makes their results bitwise comparable.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -64,6 +71,7 @@ __all__ = [
 ]
 
 FloatArray = npt.NDArray[np.float64]
+ComplexArray = npt.NDArray[np.complex128]
 IntArray = npt.NDArray[np.int64]
 
 #: Canonical reduction chunk size (flows).  Part of the bitwise
@@ -76,10 +84,11 @@ BLOCK_ROWS = 16384
 #: Chunks of at most this many flows scatter with one call over all
 #: their columns (fewer numpy calls win on small tables), bigger ones
 #: column by column (no per-slot weight copy).  Both add in the same
-#: order, so this is a speed choice that no float depends on.  The
-#: two cross between 2048 and 3072 flows; column by column alone costs
-#: the 16-cell engine 10-18 % per iteration
-#: (``benchmarks/results/scatter-sweep-*.txt``).
+#: order, so this is a speed choice that no float depends on.  One
+#: float scatter's two forms cross between 2048 and 3072 flows,
+#: :func:`link_totals2`'s (the complex pair column by column) between
+#: 1024 and 2048; column by column alone costs the 16-cell engine
+#: 10-18 % per iteration (``benchmarks/results/scatter-sweep-*.txt``).
 SMALL_CHUNK = 2048
 
 
@@ -143,27 +152,31 @@ def min_link_value(padded: FloatArray, routes: IntArray, n: int,
 # link scatters (``n >= 1``; callers short-circuit the empty table)
 # ----------------------------------------------------------------------
 
-def _scatter_chunk(values: FloatArray, routes: IntArray, r0: int, r1: int,
-                   minlength: int) -> FloatArray:
-    """Partial link scatter of flows ``[r0, r1)`` (fresh array).
+def _scatter_chunk(weights: FloatArray | ComplexArray, index: IntArray,
+                   minlength: int) -> npt.NDArray[Any]:
+    """Partial link scatter of one chunk (fresh array of ``weights``'s
+    dtype): ``index`` is the chunk's ``(width, m)`` slice of the route
+    storage, ``weights`` its ``m`` per-flow values.
 
     Each link's running sum from 0.0 takes hop column 0's entries in
-    flow order, then column 1's, and so on.  A chunk of at most
+    flow order, then column 1's, and so on.  A float64 chunk of at most
     :data:`SMALL_CHUNK` flows runs that as one ``bincount`` over its
-    columns laid end to end; a bigger one as ``np.add.at`` per column,
-    weighted by the per-flow values as they are (no per-slot copy).
+    columns laid end to end; anything bigger as ``np.add.at`` per
+    column, weighted by the per-flow values as they are (no per-slot
+    copy).  ``bincount`` takes no complex weights, so a complex128
+    chunk (:func:`link_totals2`'s packed pair) must be a big one.
     """
-    weights = values[r0:r1]
-    if r1 - r0 <= SMALL_CHUNK:
+    if len(weights) <= SMALL_CHUNK:
         return np.asarray(np.bincount(
-            routes[:, r0:r1].ravel(),
-            weights=np.concatenate((weights,) * len(routes)),
+            index.ravel(), weights=np.concatenate((weights,) * len(index)),
             minlength=minlength), dtype=np.float64)
-    total = np.zeros(minlength)
-    for column in routes:
+    total = np.zeros(minlength, dtype=weights.dtype)
+    for column in index:
         # add.at applies its indices in order (see the bitwise
         # contract above), the running sum the one-call path makes.
-        np.add.at(total, column[r0:r1], weights)  # flowlint: disable=FL-DET001
+        # One call over the 2-D index would be the same sum, but it
+        # crashes numpy 2.4.6 with 1-D weights broadcast over it.
+        np.add.at(total, column, weights)  # flowlint: disable=FL-DET001
     return total
 
 
@@ -179,17 +192,34 @@ def link_totals(values: FloatArray, routes: IntArray, n: int,
                 minlength: int) -> FloatArray:
     """``out[l]`` = sum of ``values[r]`` over the hop slots of flow r
     that name link l (``minlength`` bins, the pad link's last)."""
-    return _fold_parts([_scatter_chunk(values, routes, r0, r1, minlength)
+    return _fold_parts([_scatter_chunk(values[r0:r1], routes[:, r0:r1],
+                                       minlength)
                         for r0, r1 in chunk_spans(n)])
 
 
 def link_totals2(a: FloatArray, b: FloatArray, routes: IntArray, n: int,
                  minlength: int) -> tuple[FloatArray, FloatArray]:
-    """Fused pair of :func:`link_totals`: both scatters run per chunk,
-    while its index slice is cache-resident.  Bitwise equal to two
-    separate calls."""
-    parts = [(_scatter_chunk(a, routes, r0, r1, minlength),
-              _scatter_chunk(b, routes, r0, r1, minlength))
-             for r0, r1 in chunk_spans(n)]
-    return (_fold_parts([part_a for part_a, _ in parts]),
-            _fold_parts([part_b for _, part_b in parts]))
+    """Fused pair of :func:`link_totals`, bitwise equal to two calls.
+
+    A chunk above :data:`SMALL_CHUNK` packs ``a`` and ``b`` as the real
+    and imaginary parts of one complex128 array and scatters that, so
+    each hop column is indexed once for both sums; a complex add is two
+    independent float adds, so each part's running sum meets the same
+    values in the same order as a float scatter of it would.  A smaller
+    chunk runs the two one-call ``bincount`` scatters.
+    """
+    parts_a: list[FloatArray] = []
+    parts_b: list[FloatArray] = []
+    for r0, r1 in chunk_spans(n):
+        index = routes[:, r0:r1]
+        if r1 - r0 <= SMALL_CHUNK:
+            parts_a.append(_scatter_chunk(a[r0:r1], index, minlength))
+            parts_b.append(_scatter_chunk(b[r0:r1], index, minlength))
+            continue
+        pair = np.empty(r1 - r0, dtype=np.complex128)
+        pair.real = a[r0:r1]
+        pair.imag = b[r0:r1]
+        total = _scatter_chunk(pair, index, minlength)
+        parts_a.append(total.real.copy())
+        parts_b.append(total.imag.copy())
+    return _fold_parts(parts_a), _fold_parts(parts_b)

@@ -692,13 +692,11 @@ class FlowTable:
         """Fused pair of :meth:`link_totals` calls over one slot pass.
 
         The allocator's price update scatters rates and rate
-        derivatives over identical indices every iteration; fusing the
-        two calls shares the index resolution.
-        (A single stacked two-weight bincount over offset bins was
-        measured no faster than the two straight bincounts and would
-        force an O(nnz) stacked-index rewrite per churn batch, so the
-        fusion stops at the shared view.)  Returns ``(totals_a,
-        totals_b)``, bitwise equal to two separate calls.
+        derivatives over identical indices every iteration; fused,
+        each chunk above ``kernels.SMALL_CHUNK`` scatters the pair as
+        one complex128 array, so each hop column is indexed once for
+        both sums.  Returns ``(totals_a, totals_b)``, two contiguous
+        arrays bitwise equal to two separate calls.
         """
         n = self._n
         if n == 0:

@@ -86,6 +86,27 @@ def ref_chunked_totals(values, routes, n, minlength, block):
     return np.array(total)
 
 
+def hostile_values(kind, rng, n):
+    """Per-flow scatter weights: ``uniform`` in [0, 1); ``wide`` mixes
+    signed zeros, subnormals and magnitudes from 1e-300 to 1e300 of both
+    signs, so sums round (and overflow) differently in another order;
+    ``special`` is uniform with a few infinities and NaNs, whose sign
+    and payload a reordered or mixed-up sum would change."""
+    values = rng.random(n)
+    if kind == "wide":
+        values *= 10.0 ** rng.integers(-300, 301, n)
+        values[rng.random(n) < 0.5] *= -1.0
+        odd = rng.random(n) < 0.2
+        values[odd] = rng.choice(
+            [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, 1e300,
+             -1e300, 1e-300], odd.sum())
+    elif kind == "special":
+        odd = rng.random(n) < 0.01
+        values[odd] = rng.choice([np.inf, -np.inf, np.nan, -np.nan],
+                                 odd.sum())
+    return values
+
+
 def ref_link_totals(table, per_flow):
     n_links = table.links.n_links
     if table.n_flows == 0:
@@ -282,8 +303,8 @@ class TestMultiChunkBitwise:
         np.testing.assert_array_equal(
             kernels.link_totals(va, routes, n, n_links + 1), want_a)
         got_a, got_b = kernels.link_totals2(va, vb, routes, n, n_links + 1)
-        np.testing.assert_array_equal(got_a, want_a)
-        np.testing.assert_array_equal(got_b, want_b)
+        assert got_a.tobytes() == want_a.tobytes()
+        assert got_b.tobytes() == want_b.tobytes()
         # The chunk grid is load-bearing: a single whole-table pass
         # rounds differently somewhere on this input...
         one_pass = ref_chunked_totals(va, routes, n, n_links + 1, n)
@@ -294,20 +315,32 @@ class TestMultiChunkBitwise:
             routes[:, :n].T.reshape(-1), weights=np.repeat(va, len(routes)),
             minlength=n_links + 1))
 
+    @pytest.mark.parametrize("kind", ["uniform", "wide", "special"])
     @pytest.mark.parametrize("block", [BLOCK, 10**6])
-    def test_scatter_paths_agree(self, monkeypatch, block):
-        """Small chunks scatter in one call, big ones column by column:
-        the same running sums, so the threshold moves no bit."""
+    def test_scatter_paths_agree(self, monkeypatch, block, kind):
+        """Small chunks scatter in one call, big ones column by column
+        (``link_totals2`` packing its pair as complex128): the same
+        running sums, so neither the threshold nor the packing moves a
+        bit, down to the sign of a zero and the payload of a NaN."""
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
-        routes, _, va, vb, n, _, n_links = self.case(width=5)
-        want = ref_chunked_totals(va, routes, n, n_links + 1, block)
-        for small_chunk in (0, block):
+        routes, _, _, _, n, _, n_links = self.case(width=5)
+        rng = np.random.default_rng(block % 97)
+        va, vb = hostile_values(kind, rng, n), hostile_values(kind, rng, n)
+        want_a = ref_chunked_totals(va, routes, n, n_links + 1, block)
+        want_b = ref_chunked_totals(vb, routes, n, n_links + 1, block)
+        # 0: every chunk above the threshold; 4: BLOCK-row chunks above
+        # it and the 3-flow tail below; 10**6: every chunk below.
+        for small_chunk in (0, 4, 10**6):
             monkeypatch.setattr(kernels, "SMALL_CHUNK", small_chunk)
-            np.testing.assert_array_equal(
-                kernels.link_totals(va, routes, n, n_links + 1), want)
-            np.testing.assert_array_equal(
-                kernels.link_totals2(vb, va, routes, n, n_links + 1)[1],
-                want)
+            one_a = kernels.link_totals(va, routes, n, n_links + 1)
+            one_b = kernels.link_totals(vb, routes, n, n_links + 1)
+            got_a, got_b = kernels.link_totals2(va, vb, routes, n,
+                                                n_links + 1)
+            for got, one, want in ((got_a, one_a, want_a),
+                                   (got_b, one_b, want_b)):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.tobytes() == one.tobytes() == want.tobytes(), \
+                    small_chunk
 
     def test_min_link_value_matches_reference(self):
         rng = np.random.default_rng(9)
