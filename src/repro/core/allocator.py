@@ -24,7 +24,7 @@ import numpy.typing as npt
 from .kernels import chunk_spans
 from .ned import NedOptimizer
 from .network import FlowTable, LinkSet
-from .normalization import FNormalizer, Normalizer
+from .normalization import FNormalizer, Normalizer, _CallableNormalizer
 from .utility import Utility
 
 __all__ = ["RateUpdate", "AllocationResult", "FlowtuneAllocator",
@@ -42,6 +42,22 @@ class RateUpdate(NamedTuple):
 _NO_UPDATES = np.zeros(0, dtype=np.intp)
 
 
+def _mask_chunk(rates: npt.NDArray[np.float64],
+                sent: npt.NDArray[np.float64],
+                pending: npt.NDArray[np.bool_], threshold: float,
+                flag: npt.NDArray[np.bool_]) -> None:
+    """The §6.4 filter on one chunk: ``flag = (|r - s| > t*s) |
+    isnan(s) | pending``, then ``sent`` takes the flagged rates and
+    ``pending`` clears (every pending row is flagged)."""
+    drift = np.subtract(rates, sent)
+    np.abs(drift, out=drift)
+    np.greater(drift, threshold * sent, out=flag)
+    flag |= np.isnan(sent)
+    flag |= pending
+    np.copyto(sent, rates, where=flag)
+    pending[:] = False
+
+
 def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
                           last: npt.NDArray[np.float64],
                           pending: npt.NDArray[np.bool_],
@@ -50,10 +66,14 @@ def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
 
     A flow is selected when it is new (``last`` is NaN or ``pending``),
     when a zero rate turns positive, or when its rate leaves
-    ``[(1-t)*last, (1+t)*last]``.  The selected rows of ``last`` and
-    ``pending`` are updated *in place* (they are live flow-table
-    columns), so every scheduler that shares this helper applies
-    bitwise-identical update semantics.
+    ``[(1-t)*last, (1+t)*last]``; the last two are both ``|r - last| >
+    t*last``.  **Domain:** rates (and so ``last``, which only ever
+    holds past rates) are ``>= 0`` or NaN, as every scheduler emits; a
+    negative ``last`` would be selected at every call (``t*last < 0``),
+    where "went positive" asks ``r > 0``.  The selected rows of
+    ``last`` and ``pending`` are updated *in place* (they are live
+    flow-table columns), so every scheduler that shares this helper
+    applies bitwise-identical update semantics.
 
     Returns the boolean ``changed`` mask rather than indices: when
     nearly everything changed (the ECMP fair-share model under churn
@@ -63,28 +83,11 @@ def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
     eagerly.
     """
     changed = np.empty(len(last), dtype=np.bool_)
-    # Row blocks keep the temporaries cache-resident (the mask is ten
-    # elementwise passes; measured a third faster at 100k flows).
+    # Row blocks keep the temporaries cache-resident; the allocator
+    # runs the same chunks inside F-NORM's pass.
     for lo, hi in chunk_spans(len(last)):
-        rates, sent, flag = rate_vec[lo:hi], last[lo:hi], changed[lo:hi]
-        # NaN (never notified) compares False everywhere, so it only
-        # contributes through this first (new) term.
-        np.isnan(sent, out=flag)
-        flag |= pending[lo:hi]
-        drift = rates - sent
-        np.abs(drift, out=drift)
-        moved = drift > threshold * sent
-        positive = sent > 0.0
-        moved &= positive
-        flag |= moved
-        # went positive: NaN rows are flagged already, so among the
-        # rest "not positive" is exactly ``sent <= 0``.
-        np.logical_not(positive, out=positive)
-        positive &= rates > 0.0
-        flag |= positive
-    if changed.any():
-        np.copyto(last, rate_vec, where=changed)
-        pending &= ~changed
+        _mask_chunk(rate_vec[lo:hi], last[lo:hi], pending[lo:hi],
+                    threshold, changed[lo:hi])
     return changed
 
 
@@ -242,7 +245,8 @@ class FlowtuneAllocator:
         if accepts_gamma:
             kwargs.setdefault("gamma", gamma)
         self.optimizer = optimizer_cls(self.table, utility=utility, **kwargs)
-        self.normalizer = normalizer if normalizer is not None else FNormalizer()
+        if normalizer is None:
+            normalizer = FNormalizer()
         # The normalizer must accept the optimizer's per-link load
         # (saves F-NORM's re-scatter of the very rates the price
         # update just scattered).  The two-argument compatibility
@@ -252,7 +256,7 @@ class FlowtuneAllocator:
             # instances and reports real parameters for plain
             # functions (inspecting .__call__ directly would see the
             # generic (*args, **kwargs) method-wrapper for those).
-            params = inspect.signature(self.normalizer).parameters.values()
+            params = inspect.signature(normalizer).parameters.values()
             takes_load = any(p.name == "link_load" or p.kind == p.VAR_KEYWORD
                              for p in params)
         except (TypeError, ValueError):  # builtins, odd callables
@@ -261,9 +265,11 @@ class FlowtuneAllocator:
             raise TypeError(
                 "normalizer must accept a link_load= keyword: add "
                 "link_load=None to "
-                f"{type(self.normalizer).__name__}.__call__ (see "
+                f"{type(normalizer).__name__}.__call__ (see "
                 "repro.core.normalization.Normalizer); the legacy "
                 "two-argument form is no longer called")
+        self.normalizer = (normalizer if isinstance(normalizer, Normalizer)
+                           else _CallableNormalizer(normalizer))
         # Positionally-aligned per-flow state, maintained by the flow
         # table under swap-remove churn: the rate each endpoint was
         # last notified of (NaN = never notified) and whether the flow
@@ -341,28 +347,34 @@ class FlowtuneAllocator:
     def iterate(self, n: int = 1) -> AllocationResult:
         """Run ``n`` optimizer iterations, normalize, emit notifications.
 
-        The threshold filter of §6.4 runs as one vectorized mask over
-        the positionally-aligned ``last_sent`` column: a flow is
-        notified when it is new, when a zero rate turns positive, or
-        when its rate leaves ``[(1-t)*last, (1+t)*last]``.
+        The threshold filter of §6.4 runs over the positionally-aligned
+        ``last_sent`` column (:func:`threshold_update_mask`'s chunks): a
+        flow is notified when it is new, when a zero rate turns
+        positive, or when its rate leaves ``[(1-t)*last, (1+t)*last]``.
+        With NED and F-NORM the iteration is two passes over the flows,
+        chunk by chunk (:mod:`repro.core.kernels`): NED's price step,
+        then F-NORM with the mask on each chunk as it is normalized.
         """
         raw = self.optimizer.iterate(n)
         loader = getattr(self.optimizer, "link_load_for", None)
-        normalized = self.normalizer(
-            self.table, raw,
-            link_load=loader(raw) if loader is not None else None)
+        last, pending = self._last_sent.data, self._pending_new.data
+        changed = np.empty(self.table.n_flows, dtype=np.bool_)
+        threshold = self.update_threshold
+
+        def mask(r0: int, r1: int, rates: npt.NDArray[np.float64]) -> None:
+            _mask_chunk(rates, last[r0:r1], pending[r0:r1], threshold,
+                        changed[r0:r1])
+
+        # F-NORM runs the mask on each chunk as it is normalized.
+        normalized = self.normalizer.normalize_chunks(
+            self.table, raw, loader(raw) if loader is not None else None,
+            mask)
         # O(1) view of the table's positionally-aligned id column —
         # the per-iterate list rebuild this replaces used to cost a
         # full O(n_flows) copy whether or not anyone read the ids.
-        flow_ids = self.table.flow_id_array()
-        update_idx = _NO_UPDATES
-        if len(flow_ids):
-            rate_vec = np.asarray(normalized, dtype=np.float64)
-            update_idx = threshold_update_indices(
-                rate_vec, self._last_sent.data, self._pending_new.data,
-                self.update_threshold)
-        return AllocationResult(flow_ids=flow_ids, rate_vector=normalized,
-                                update_indices=update_idx)
+        return AllocationResult(flow_ids=self.table.flow_id_array(),
+                                rate_vector=normalized,
+                                update_indices=np.flatnonzero(changed))
 
     def current_rates(self) -> dict[Any, float]:
         """Latest *notified* rate per flow (what endpoints believe).

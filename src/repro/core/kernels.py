@@ -56,10 +56,32 @@ The chunking keeps each gather block cache-resident.  Every caller — the
 FlowTable (which also holds the ECMP mice) and the process-backend
 workers, reading the same shared route storage — runs these same
 functions, which is what makes their results bitwise comparable.
+
+**The allocator's two passes.**  One ``FlowtuneAllocator.iterate``
+(NED + F-NORM) is two loops over :func:`chunk_spans`, each with one
+callback per chunk, so every per-flow temporary is one chunk long and
+only the raw rates, the normalized rates and the update mask span the
+table:
+
+1. :func:`rate_pass` — NED's price step: each chunk's price sums
+   (:func:`price_sums`' fold), then the caller's capped rates and rate
+   derivatives, written straight into the complex pair that
+   :func:`link_totals2`'s scatter packs;
+2. :func:`max_pass` — F-NORM: each chunk's worst link ratio
+   (:func:`max_link_value`'s fold), which the caller clamps, divides
+   into the normalized rates and runs the §6.4 mask on.
+
+Both are built from the same per-chunk helpers (:func:`_fold_chunk`,
+:func:`_scatter_chunk`) as the whole-table kernels, in the same chunk →
+column → flow order, so the contract above is unchanged and the passes
+equal the kernels called one after another, bit for bit
+(``tests/test_csr_kernels.py``, and the churn program of
+``tests/test_golden_kernels.py``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -68,6 +90,7 @@ import numpy.typing as npt
 __all__ = [
     "BLOCK_ROWS", "SMALL_CHUNK", "chunk_spans", "describe", "price_sums",
     "max_link_value", "link_totals", "link_totals2", "min_link_value",
+    "rate_pass", "max_pass",
 ]
 
 FloatArray = npt.NDArray[np.float64]
@@ -107,23 +130,29 @@ def chunk_spans(n: int) -> list[tuple[int, int]]:
 # per-flow reductions
 # ----------------------------------------------------------------------
 
+def _fold_chunk(fold: np.ufunc, padded: FloatArray, index: IntArray,
+                dst: FloatArray) -> FloatArray:
+    """dst[r] = left-to-right ``fold`` of padded[index[:, r]] for one
+    chunk (``index`` its ``(width, m)`` slice of the route storage).
+
+    Gathers one contiguous column at a time and folds it into ``dst``:
+    the fold starts from hop column 0's value and applies the columns
+    in order (prices are non-negative, so the missing 0.0 seed cannot
+    flip a ``-0.0``).
+    """
+    acc = padded.take(index[0])
+    if len(index) == 1:
+        dst[:] = acc
+    for column in index[1:]:
+        acc = fold(acc, padded.take(column), out=dst)
+    return dst
+
+
 def _fold_rows(fold: np.ufunc, padded: FloatArray, routes: IntArray,
                n: int, out: FloatArray) -> FloatArray:
-    """out[r] = left-to-right ``fold`` of padded[routes[:, r]].
-
-    Each chunk gathers one contiguous column at a time and folds it
-    into ``out``: the fold starts from hop column 0's value and
-    applies the columns in order (prices are non-negative, so the
-    missing 0.0 seed cannot flip a ``-0.0``).
-    """
-    width = len(routes)
+    """out[r] = left-to-right ``fold`` of padded[routes[:, r]]."""
     for r0, r1 in chunk_spans(n):
-        dst = out[r0:r1]
-        acc = padded.take(routes[0, r0:r1])
-        if width == 1:
-            dst[:] = acc
-        for hop in range(1, width):
-            acc = fold(acc, padded.take(routes[hop, r0:r1]), out=dst)
+        _fold_chunk(fold, padded, routes[:, r0:r1], out[r0:r1])
     return out
 
 
@@ -146,6 +175,20 @@ def min_link_value(padded: FloatArray, routes: IntArray, n: int,
     slice of the storage (the flows just inserted).
     """
     return _fold_rows(np.minimum, padded, routes, n, out)
+
+
+def max_pass(padded: FloatArray, routes: IntArray, n: int,
+             per_chunk: Callable[[int, int, FloatArray], None]) -> None:
+    """F-NORM's chunk loop (the allocator's pass 2).
+
+    For each chunk in order, folds the max of padded[routes] into a
+    fresh chunk-sized array (the values :func:`max_link_value` writes)
+    and hands it to ``per_chunk(r0, r1, worst)``, which may modify it
+    in place.
+    """
+    for r0, r1 in chunk_spans(n):
+        per_chunk(r0, r1, _fold_chunk(np.maximum, padded, routes[:, r0:r1],
+                                      np.empty(r1 - r0)))
 
 
 # ----------------------------------------------------------------------
@@ -197,13 +240,17 @@ def link_totals(values: FloatArray, routes: IntArray, n: int,
                         for r0, r1 in chunk_spans(n)])
 
 
-def link_totals2(a: FloatArray, b: FloatArray, routes: IntArray, n: int,
-                 minlength: int) -> tuple[FloatArray, FloatArray]:
-    """Fused pair of :func:`link_totals`, bitwise equal to two calls.
+def _pair_pass(routes: IntArray, n: int, minlength: int,
+               fill: Callable[[int, int, IntArray, FloatArray], FloatArray],
+               ) -> tuple[FloatArray, FloatArray]:
+    """The pair scatter's chunk loop: link totals of two per-flow
+    vectors ``a`` and ``b``, bitwise equal to two :func:`link_totals`.
 
-    A chunk above :data:`SMALL_CHUNK` packs ``a`` and ``b`` as the real
-    and imaginary parts of one complex128 array and scatters that, so
-    each hop column is indexed once for both sums; a complex add is two
+    Per chunk, ``fill(r0, r1, index, b_out)`` writes the chunk's ``b``
+    into ``b_out`` and returns its ``a``.  A chunk above
+    :data:`SMALL_CHUNK` hands out the imaginary part of a complex128
+    array, packs ``a`` as the real part and scatters that, so each hop
+    column is indexed once for both sums; a complex add is two
     independent float adds, so each part's running sum meets the same
     values in the same order as a float scatter of it would.  A smaller
     chunk runs the two one-call ``bincount`` scatters.
@@ -213,13 +260,50 @@ def link_totals2(a: FloatArray, b: FloatArray, routes: IntArray, n: int,
     for r0, r1 in chunk_spans(n):
         index = routes[:, r0:r1]
         if r1 - r0 <= SMALL_CHUNK:
-            parts_a.append(_scatter_chunk(a[r0:r1], index, minlength))
-            parts_b.append(_scatter_chunk(b[r0:r1], index, minlength))
+            b = np.empty(r1 - r0)
+            a = fill(r0, r1, index, b)
+            parts_a.append(_scatter_chunk(a, index, minlength))
+            parts_b.append(_scatter_chunk(b, index, minlength))
             continue
         pair = np.empty(r1 - r0, dtype=np.complex128)
-        pair.real = a[r0:r1]
-        pair.imag = b[r0:r1]
+        pair.real = fill(r0, r1, index, pair.imag)
         total = _scatter_chunk(pair, index, minlength)
         parts_a.append(total.real.copy())
         parts_b.append(total.imag.copy())
     return _fold_parts(parts_a), _fold_parts(parts_b)
+
+
+def link_totals2(a: FloatArray, b: FloatArray, routes: IntArray, n: int,
+                 minlength: int) -> tuple[FloatArray, FloatArray]:
+    """Fused pair of :func:`link_totals`, bitwise equal to two calls
+    (one :func:`_pair_pass`)."""
+    def fill(r0: int, r1: int, index: IntArray,
+             b_out: FloatArray) -> FloatArray:
+        b_out[:] = b[r0:r1]
+        return a[r0:r1]
+    return _pair_pass(routes, n, minlength, fill)
+
+
+def rate_pass(padded: FloatArray, routes: IntArray, n: int, minlength: int,
+              rates: FloatArray,
+              per_flow: Callable[[int, int, FloatArray, FloatArray,
+                                  FloatArray], None],
+              ) -> tuple[FloatArray, FloatArray]:
+    """NED's chunk loop (the allocator's pass 1): price sums, rates and
+    rate derivatives, and their link totals, one chunk at a time.
+
+    For each chunk, folds the sum of padded[routes] (the values
+    :func:`price_sums` returns) into a fresh chunk-sized ``rho``; then
+    ``per_flow(r0, r1, rho, rate_out, deriv_out)`` writes the chunk's
+    rates into ``rates[r0:r1]`` and its derivatives into ``deriv_out``
+    (straight into the pair :func:`link_totals2` would pack).  Returns
+    the link totals of the rates and of the derivatives, bitwise equal
+    to :func:`link_totals2` over the finished vectors.
+    """
+    def fill(r0: int, r1: int, index: IntArray,
+             deriv: FloatArray) -> FloatArray:
+        rho = _fold_chunk(np.add, padded, index, np.empty(r1 - r0))
+        rate = rates[r0:r1]
+        per_flow(r0, r1, rho, rate, deriv)
+        return rate
+    return _pair_pass(routes, n, minlength, fill)

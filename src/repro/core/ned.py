@@ -75,8 +75,7 @@ class NedOptimizer(PriceOptimizer):
 
         Evaluated at the capped operating point (see
         :meth:`PriceOptimizer.effective_price_sums`) so rate and
-        sensitivity describe the same allocation; within ``iterate``
-        the memoized price sums of the rate update are reused.
+        sensitivity describe the same allocation.
 
         Reach: invariant — the kernel tests check the fused price update
         against this reference Hessian.
@@ -85,15 +84,25 @@ class NedOptimizer(PriceOptimizer):
         per_flow = self.utility.rate_derivative(rho, self.table.weights)
         return self.table.link_totals(per_flow)
 
-    def _update_prices(self, rates):
-        # One fused slot pass for both scatters: the rates (load) and
-        # rate derivatives (Hessian diagonal) ride identical indices,
-        # and the load is memoized for the allocator's normalizer.
-        # Same floats as over_allocation + hessian_diagonal.
+    def _step(self) -> npt.NDArray[np.float64]:
+        # Equation 3 and both scatters in one pass over the flows
+        # (kernels.rate_pass): each chunk's price sums, capped rates
+        # and rate derivatives stay chunk-sized, and the pair scatter
+        # gives the load (memoized for the allocator's normalizer) and
+        # the Hessian diagonal.  Same floats as rate_update +
+        # over_allocation + hessian_diagonal.
         table = self.table
-        rho = self.effective_price_sums()
-        per_flow = self.utility.rate_derivative(rho, table.weights)
-        load, hessian = table.link_totals2(rates, per_flow)
+        rates = np.empty(table.n_flows)
+        weights = table.weights
+        caps = self._cap_prices() if self.cap_rates and len(rates) else None
+        rate_and_derivative = self.utility.rate_and_derivative
+
+        def per_flow(r0, r1, rho, rate_out, deriv_out):
+            if caps is not None:
+                np.maximum(rho, caps[r0:r1], out=rho)
+            rate_and_derivative(rho, weights[r0:r1], rate_out, deriv_out)
+
+        load, hessian = table.rate_pass(self.prices, rates, per_flow)
         self._load_memo = (table.version, rates, load)
         over = load - table.links.capacity
         carrying = hessian < 0.0
@@ -105,3 +114,4 @@ class NedOptimizer(PriceOptimizer):
                               self._idle_price)
         np.maximum(new_prices, 0.0, out=new_prices)
         self.prices = new_prices
+        return rates

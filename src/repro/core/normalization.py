@@ -27,15 +27,21 @@ which some deployments may prefer during convergence from below.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import Any
+
 import numpy as np
 import numpy.typing as npt
 
+from .kernels import chunk_spans
 from .network import FlowTable
 
 __all__ = ["link_ratios", "u_norm", "f_norm", "Normalizer",
            "UNormalizer", "FNormalizer", "NullNormalizer"]
 
 FloatArray = npt.NDArray[np.float64]
+#: ``on_chunk(r0, r1, normalized[r0:r1])``, called once per chunk.
+ChunkCallback = Callable[[int, int, FloatArray], None]
 
 _EPSILON = 1e-12
 
@@ -71,17 +77,31 @@ def f_norm(table: FlowTable, rates: npt.ArrayLike,
            allow_scale_up: bool = True,
            link_load: FloatArray | None = None) -> FloatArray:
     """Per-flow normalization (Equation 9): each flow / its worst link."""
-    rates = np.asarray(rates, dtype=np.float64)
+    return _f_norm_chunks(table, np.asarray(rates, dtype=np.float64),
+                          allow_scale_up, link_load, None)
+
+
+def _f_norm_chunks(table: FlowTable, rates: FloatArray, allow_scale_up: bool,
+                   link_load: FloatArray | None,
+                   on_chunk: ChunkCallback | None) -> FloatArray:
+    """F-NORM as the allocator's pass 2: each chunk's worst ratio is
+    clamped and divided into the fresh result, which ``on_chunk`` then
+    sees while it is still in cache."""
     if len(rates) == 0:
         return rates.copy()
     ratios = link_ratios(table, rates, link_load=link_load)
-    # The table's reusable reduction buffer: clamp it in place, and
-    # return a fresh array (callers keep the result past the next call).
-    per_flow_worst = table.max_link_value(ratios)
-    np.maximum(per_flow_worst, _EPSILON, out=per_flow_worst)
-    if not allow_scale_up:
-        np.maximum(per_flow_worst, 1.0, out=per_flow_worst)
-    return rates / per_flow_worst
+    out = np.empty(len(rates))
+
+    def scale(r0: int, r1: int, worst: FloatArray) -> None:
+        np.maximum(worst, _EPSILON, out=worst)
+        if not allow_scale_up:
+            np.maximum(worst, 1.0, out=worst)
+        chunk = np.divide(rates[r0:r1], worst, out=out[r0:r1])
+        if on_chunk is not None:
+            on_chunk(r0, r1, chunk)
+
+    table.max_pass(ratios, scale)
+    return out
 
 
 class Normalizer:
@@ -98,9 +118,45 @@ class Normalizer:
 
     name = "none"
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines __call__ alone (over F-NORM's, say)
+        # is normalized through it: the whole-vector default below.
+        if "__call__" in vars(cls) and "normalize_chunks" not in vars(cls):
+            setattr(cls, "normalize_chunks", Normalizer.normalize_chunks)
+
     def __call__(self, table: FlowTable, rates: npt.ArrayLike,
                  link_load: FloatArray | None = None) -> FloatArray:
         raise NotImplementedError
+
+    def normalize_chunks(self, table: FlowTable, rates: npt.ArrayLike,
+                         link_load: FloatArray | None,
+                         on_chunk: ChunkCallback) -> Any:
+        """``self(table, rates, link_load=link_load)``, whose float64
+        view is then handed to ``on_chunk(r0, r1, chunk)`` chunk by
+        chunk (the allocator runs the §6.4 mask there).  F-NORM
+        overrides this to normalize chunk by chunk as well."""
+        normalized = self(table, rates, link_load=link_load)
+        vec = np.asarray(normalized, dtype=np.float64)
+        for r0, r1 in chunk_spans(len(vec)):
+            on_chunk(r0, r1, vec[r0:r1])
+        return normalized
+
+
+class _CallableNormalizer(Normalizer):
+    """A plain ``fn(table, rates, link_load=None)`` as a
+    :class:`Normalizer` (the allocator wraps one at construction)."""
+
+    def __init__(self, fn: Callable[..., FloatArray]) -> None:
+        """Reach: api — a plain function is a normalizer (README); no
+        consumer passes one."""
+        self.fn = fn
+        self.name = getattr(fn, "name", getattr(fn, "__name__", "custom"))
+
+    def __call__(self, table: FlowTable, rates: npt.ArrayLike,
+                 link_load: FloatArray | None = None) -> FloatArray:
+        """Reach: api — the wrapped function, as the allocator calls it."""
+        return self.fn(table, rates, link_load=link_load)
 
 
 class UNormalizer(Normalizer):
@@ -123,8 +179,16 @@ class FNormalizer(Normalizer):
 
     def __call__(self, table: FlowTable, rates: npt.ArrayLike,
                  link_load: FloatArray | None = None) -> FloatArray:
+        """Reach: api — every normalizer is a callable (fig. 13 compares
+        them); the allocator runs :meth:`normalize_chunks` instead."""
         return f_norm(table, rates, allow_scale_up=self.allow_scale_up,
                       link_load=link_load)
+
+    def normalize_chunks(self, table: FlowTable, rates: npt.ArrayLike,
+                         link_load: FloatArray | None,
+                         on_chunk: ChunkCallback) -> FloatArray:
+        return _f_norm_chunks(table, np.asarray(rates, dtype=np.float64),
+                              self.allow_scale_up, link_load, on_chunk)
 
 
 class NullNormalizer(Normalizer):

@@ -10,9 +10,10 @@ Newton-like method, FGM) follows the same two-step iteration:
    only in how aggressively they scale that adjustment.
 
 :class:`PriceOptimizer` implements step 1 and the bookkeeping; concrete
-algorithms supply :meth:`_update_prices`.  Prices persist across
-flowlet churn (the paper's warm start: prices are initialized to 1
-exactly once, when the allocator boots).
+algorithms supply :meth:`_update_prices` (NED replaces the whole step
+with one pass over the flows, :meth:`NedOptimizer._step`).  Prices
+persist across flowlet churn (the paper's warm start: prices are
+initialized to 1 exactly once, when the allocator boots).
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ class PriceOptimizer:
         self._price_at_cap = table.add_column(default=np.nan)
         self._caps_version = -1
         self._caps_capacity_version = table.capacity_version
-        # Within one (rate + price) iteration the prices don't change
-        # between the Equation-3 rate update and the Equation-4 price
-        # update, so the per-flow price sums are computed once and
-        # shared (NED's Hessian diagonal needs the very same rho).
-        self._rho_memo = None
-        self._rho_memo_active = False
         # The last (table version, rates vector, per-link load) this
         # optimizer scattered — lets the allocator's normalizer reuse
         # the price update's link load instead of re-scattering the
@@ -107,20 +102,13 @@ class PriceOptimizer:
         """Per-flow price sums, clamped at each flow's cap price.
 
         This is the operating point at which both Equation 3 rates and
-        the Equation 4 Hessian diagonal are evaluated.  Inside
-        :meth:`iterate` the result for the current prices is memoized,
-        so the rate and price updates share one gather.
+        the Equation 4 Hessian diagonal are evaluated.
         """
-        use_memo = prices is None and self._rho_memo_active
-        if use_memo and self._rho_memo is not None:
-            return self._rho_memo
         if prices is None:
             prices = self.prices
         rho = self.table.price_sums(prices)
         if self.cap_rates and len(rho):
             np.maximum(rho, self._cap_prices(), out=rho)
-        if use_memo:
-            self._rho_memo = rho
         return rho
 
     # ------------------------------------------------------------------
@@ -164,15 +152,14 @@ class PriceOptimizer:
         """
         rates = np.zeros(self.table.n_flows)
         for _ in range(n):
-            self._rho_memo = None
-            self._rho_memo_active = True
-            try:
-                rates = self.rate_update()
-                self._update_prices(rates)
-            finally:
-                self._rho_memo_active = False
-                self._rho_memo = None
+            rates = self._step()
             self.iterations += 1
+        return rates
+
+    def _step(self):
+        """One iteration: Equation 3's rates, then Equation 4's prices."""
+        rates = self.rate_update()
+        self._update_prices(rates)
         return rates
 
     def _update_prices(self, rates):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .gradient import GradientOptimizer
 from .ned import NedOptimizer
+from .optimizer import PriceOptimizer
 
 __all__ = ["fast_reciprocal", "NedRtOptimizer", "GradientRtOptimizer"]
 
@@ -84,6 +85,9 @@ class NedRtOptimizer(_Float32RateMixin, NedOptimizer):
     """NED with float32 state and approximate reciprocals (fig. 12)."""
 
     name = "NED-RT"
+    # The two-step iteration (float32 rates, then this price update),
+    # not float64 NED's fused pass.
+    _step = PriceOptimizer._step
 
     def __init__(self, table, utility=None, gamma: float = 1.0,
                  initial_price: float = 1.0):

@@ -74,6 +74,19 @@ class Utility:
         """
         raise NotImplementedError
 
+    def rate_and_derivative(self, price_sum: FloatArray, weight: FloatArray,
+                            rate_out: FloatArray, deriv_out: FloatArray,
+                            ) -> None:
+        """Write :meth:`rate` into ``rate_out`` and :meth:`rate_derivative`
+        into ``deriv_out`` (arrays of ``price_sum``'s shape), the same
+        floats the two methods return.
+
+        NED's pass calls this once per chunk; ``price_sum`` is scratch
+        the call may overwrite.  Override to share work between the two.
+        """
+        rate_out[:] = self.rate(price_sum, weight)
+        deriv_out[:] = self.rate_derivative(price_sum, weight)
+
     def inverse_rate(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
                      ) -> FloatArray:
         """Return ``U'(x)``, the price sum at which ``x`` is optimal.
@@ -105,6 +118,16 @@ class LogUtility(Utility):
         np.multiply(rho, rho, out=rho)
         np.divide(weight, rho, out=rho)
         return np.negative(rho, out=rho)
+
+    def rate_and_derivative(self, price_sum: FloatArray, weight: FloatArray,
+                            rate_out: FloatArray, deriv_out: FloatArray,
+                            ) -> None:
+        # The two methods' ufunc calls on one clamp of price_sum.
+        rho = np.maximum(price_sum, MIN_PRICE_SUM, out=price_sum)
+        np.divide(weight, rho, out=rate_out)
+        np.multiply(rho, rho, out=rho)
+        np.divide(weight, rho, out=rho)
+        np.negative(rho, out=deriv_out)
 
     def inverse_rate(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
                      ) -> FloatArray:

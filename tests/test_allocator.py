@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (FlowtuneAllocator, GradientOptimizer, LinkSet,
                         NullNormalizer, UNormalizer, threshold_update_mask)
@@ -137,21 +138,33 @@ class TestThresholdMaskReference:
         monkeypatch.setattr("repro.core.kernels.BLOCK_ROWS", block)
         rng = np.random.default_rng(seed)
         n = 400
-        special = np.array([np.nan, 0.0, -0.0, -1.5, 1e-300])
+        # The mask's domain: rates (and so ``last``) are >= 0 or NaN.
+        special = np.array([np.nan, 0.0, -0.0, 1e-300, 5e-324, np.inf])
         last = np.where(rng.random(n) < 0.3, rng.choice(special, n),
                         rng.random(n) * 10)
         nudge = 1 + threshold * rng.choice([0.0, 0.5, 1.0, 1.5, -1.5], n)
         rates = np.where(rng.random(n) < 0.2,
-                         rng.choice([0.0, -2.0, 3.0], n),
-                         np.nan_to_num(last) * nudge)
+                         rng.choice([0.0, np.nan, 3.0], n),
+                         np.nan_to_num(last, posinf=1.0) * nudge)
         pending = rng.random(n) < 0.1
         want_last, want_pending = last.copy(), pending.copy()
-        want = reference_update_mask(rates, want_last, want_pending,
-                                     threshold)
-        got = threshold_update_mask(rates, last, pending, threshold)
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf
+            want = reference_update_mask(rates, want_last, want_pending,
+                                         threshold)
+            got = threshold_update_mask(rates, last, pending, threshold)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(last, want_last)
         np.testing.assert_array_equal(pending, want_pending)
+
+    def test_negative_last_is_outside_the_domain(self):
+        """No scheduler emits a negative rate; if ``last`` were
+        negative, every call would select the flow (``t*last < 0``),
+        where the term-by-term filter asks ``r > 0``."""
+        last = np.array([-1.0, -1.0])
+        pending = np.zeros(2, dtype=bool)
+        changed = threshold_update_mask(np.array([0.0, -1.0]), last,
+                                        pending, 0.01)
+        assert changed.tolist() == [True, True]
 
     def test_quiet_call_leaves_columns_untouched(self):
         last = np.array([1.0, 2.0, 0.0])
@@ -160,6 +173,63 @@ class TestThresholdMaskReference:
                                         last, pending, 0.01)
         assert not changed.any()
         assert last.tolist() == [1.0, 2.0, 0.0]
+
+
+def thirteen_step_mask(rate_vec, last, pending, threshold):
+    """The vectorized filter before it was cut to ``(|r - s| > t*s) |
+    isnan(s) | pending``: thirteen steps, spelled as they ran."""
+    changed = np.isnan(last)
+    changed |= pending
+    drift = rate_vec - last
+    np.abs(drift, out=drift)
+    moved = drift > threshold * last
+    positive = last > 0.0
+    moved &= positive
+    changed |= moved
+    np.logical_not(positive, out=positive)
+    positive &= rate_vec > 0.0
+    changed |= positive
+    if changed.any():
+        np.copyto(last, rate_vec, where=changed)
+        pending &= ~changed
+    return changed
+
+
+#: ``last`` draws: the hostile values plus ordinary positive rates.
+LAST_VALUES = st.one_of(
+    st.sampled_from([np.nan, 0.0, -0.0, 5e-324, 1e-310, 1e300, np.inf]),
+    st.floats(0.0, 1e6, allow_nan=False))
+#: Rates are >= 0 or NaN (the mask's documented domain).
+RATE_VALUES = st.one_of(st.just(np.nan),
+                        st.floats(0.0, allow_nan=False, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, 5e-324]))
+
+
+class TestThresholdMaskProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(threshold=st.one_of(
+               st.sampled_from([0.0, 0.01, 0.05, 0.5, 0.999]),
+               st.floats(0.0, 1.0, exclude_max=True)),
+           rows=st.lists(st.tuples(
+               LAST_VALUES, RATE_VALUES, st.booleans(),
+               st.sampled_from([1.0, 0.0, -1.0, 2.0, -0.5]),
+               st.booleans()), min_size=1, max_size=64))
+    def test_mask_equals_the_thirteen_step_form(self, threshold, rows):
+        last, free, near, band, pending = (np.array(c) for c in zip(*rows))
+        last, free = last.astype(np.float64), free.astype(np.float64)
+        # ``near`` rows sit on, inside or just outside the band around
+        # their last rate; the rest take the freely drawn rate.
+        with np.errstate(invalid="ignore", over="ignore"):
+            rates = np.where(near & (last >= 0),
+                             last * (1.0 + band * threshold), free)
+        want_last, want_pending = last.copy(), pending.copy()
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf
+            want = thirteen_step_mask(rates, want_last, want_pending,
+                                      threshold)
+            got = threshold_update_mask(rates, last, pending, threshold)
+        assert got.tobytes() == want.tobytes()
+        assert last.tobytes() == want_last.tobytes()
+        assert pending.tobytes() == want_pending.tobytes()
 
 
 class TestNotificationEdgeCases:

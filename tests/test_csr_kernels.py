@@ -34,8 +34,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (FlowTable, FlowtuneAllocator, LinkSet,
-                        NedOptimizer)
+from repro.core import (AlphaFairUtility, FlowTable, FlowtuneAllocator,
+                        LinkSet, NedOptimizer, NedRtOptimizer,
+                        NullNormalizer, UNormalizer,
+                        threshold_update_indices)
 from repro.core import kernels
 from repro.core.normalization import FNormalizer, f_norm
 from repro.topology import ThreeTierClos, TwoTierClos, paper_topology
@@ -757,3 +759,135 @@ class TestFusedNedEquivalence:
             reference.prices = new_prices
             np.testing.assert_array_equal(rates, ref_rates)
             np.testing.assert_array_equal(ned.prices, reference.prices)
+
+    # The chunk passes against their full-vector spelling, bitwise.
+    # BLOCK_ROWS 64 and SMALL_CHUNK 16 give each table full chunks on
+    # the complex pair path and a tail on the bincount path (or not).
+    BLOCK, SMALL = 64, 16
+
+    def chunked(self, monkeypatch, n_flows, seed=5, **ned_kwargs):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
+        monkeypatch.setattr(kernels, "SMALL_CHUNK", self.SMALL)
+        rng = np.random.default_rng(seed)
+        links = LinkSet(rng.random(12) * 10 + 1.0)
+        starts = [(i, rng.choice(12, int(1 + i % 4), replace=False))
+                  for i in range(n_flows)]
+        pair = []
+        for _ in range(2):
+            table = FlowTable(links)
+            table.apply_churn(starts=starts)
+            pair.append(NedOptimizer(table, **ned_kwargs))
+        return pair
+
+    @staticmethod
+    def full_vector_step(opt):
+        """rate_update + link_totals2 + the price step."""
+        table = opt.table
+        rates = opt.rate_update()
+        derivative = opt.utility.rate_derivative(
+            opt.effective_price_sums(), table.weights)
+        load, hessian = table.link_totals2(rates, derivative)
+        over = load - table.links.capacity
+        carrying = hessian < 0.0
+        step = np.divide(over, hessian, out=np.zeros_like(opt.prices),
+                         where=carrying)
+        new_prices = np.where(carrying, opt.prices - opt.gamma * step,
+                              opt._idle_price)
+        np.maximum(new_prices, 0.0, out=new_prices)
+        opt.prices = new_prices
+        return rates, load
+
+    @pytest.mark.parametrize("n_flows", [0, 1, 16, 64 * 3 + 10,
+                                         64 * 2 + 40])
+    @pytest.mark.parametrize("ned_kwargs", [
+        {}, {"cap_rates": False}, {"utility": AlphaFairUtility(2.0)}],
+        ids=["log", "uncapped", "alpha2"])
+    def test_ned_pass_matches_full_vector_step(self, monkeypatch, n_flows,
+                                               ned_kwargs):
+        ned, reference = self.chunked(monkeypatch, n_flows, **ned_kwargs)
+        for _ in range(4):
+            rates = ned.iterate()
+            ref_rates, ref_load = self.full_vector_step(reference)
+            assert rates.tobytes() == ref_rates.tobytes()
+            assert ned.prices.tobytes() == reference.prices.tobytes()
+            assert ned.link_load_for(rates).tobytes() == ref_load.tobytes()
+
+    def test_iterate_n_matches_n_full_vector_steps(self, monkeypatch):
+        ned, reference = self.chunked(monkeypatch, 64 * 3 + 10)
+        for n in (0, 1, 3):
+            rates = ned.iterate(n)
+            ref_rates = np.zeros(reference.table.n_flows)
+            for _ in range(n):
+                ref_rates = self.full_vector_step(reference)[0]
+            assert rates.tobytes() == ref_rates.tobytes()
+            assert ned.prices.tobytes() == reference.prices.tobytes()
+
+    def test_ned_rt_keeps_its_two_step_iteration(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
+        rng = np.random.default_rng(6)
+        links = LinkSet(rng.random(12) * 10 + 1.0)
+        starts = [(i, rng.choice(12, int(1 + i % 4), replace=False))
+                  for i in range(150)]
+        opts = []
+        for _ in range(2):
+            table = FlowTable(links)
+            table.apply_churn(starts=starts)
+            opts.append(NedRtOptimizer(table))
+        rt, reference = opts
+        for _ in range(4):
+            rates = rt.iterate()
+            ref_rates = reference.rate_update()
+            reference._update_prices(ref_rates)
+            assert rates.dtype == np.float32
+            assert rates.tobytes() == ref_rates.tobytes()
+            assert rt.prices.tobytes() == reference.prices.tobytes()
+
+    @pytest.mark.parametrize("normalizer", [
+        None, FNormalizer(allow_scale_up=False), UNormalizer(),
+        NullNormalizer(), "callable"])
+    @pytest.mark.parametrize("n_flows", [0, 1, 64 * 3 + 10, 64 * 2 + 40])
+    def test_allocator_iterate_matches_normalize_then_mask(
+            self, monkeypatch, normalizer, n_flows):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
+        monkeypatch.setattr(kernels, "SMALL_CHUNK", self.SMALL)
+        if normalizer == "callable":
+            def normalizer(table, rates, link_load=None):
+                return f_norm(table, rates, link_load=link_load) * 0.5
+        topology = TwoTierClos(n_racks=3, hosts_per_rack=8, n_spines=2)
+        rng = np.random.default_rng(7)
+
+        def starts(first, count):
+            out = []
+            for i in range(first, first + count):
+                src = int(rng.integers(topology.n_hosts))
+                dst = int(rng.integers(topology.n_hosts - 1))
+                out.append((i, topology.route(src, dst + (dst >= src), i)))
+            return out
+
+        fast, slow = (FlowtuneAllocator(topology.link_set(),
+                                        normalizer=normalizer)
+                      for _ in range(2))
+        first = starts(0, n_flows)
+        for allocator in (fast, slow):
+            allocator.apply_churn(starts=first)
+        next_id = n_flows
+        for n, churn in ((1, 0), (3, 7), (0, 3), (1, 40)):
+            ends = fast.table.flow_ids()[:churn]
+            new = starts(next_id, churn)
+            next_id += churn
+            for allocator in (fast, slow):
+                allocator.apply_churn(starts=new, ends=ends)
+            result = fast.iterate(n)
+            raw = slow.optimizer.iterate(n)
+            normalized = slow.normalizer(
+                slow.table, raw,
+                link_load=slow.optimizer.link_load_for(raw))
+            indices = threshold_update_indices(
+                np.asarray(normalized, dtype=np.float64),
+                slow._last_sent.data, slow._pending_new.data,
+                slow.update_threshold)
+            assert result.rate_vector.tobytes() == normalized.tobytes()
+            assert result.update_indices.tobytes() == indices.tobytes()
+            assert (fast._last_sent.data.tobytes()
+                    == slow._last_sent.data.tobytes())
+            assert not fast._pending_new.data.any()
