@@ -36,12 +36,14 @@ kernels themselves live in :mod:`repro.core.kernels`, which fixes one
 canonical chunked reduction order for every caller.  Flowlet churn —
 the common case in Flowtune — is O(route length) per event: adding
 appends a flow; removal swaps the last flow into the hole so the
-arrays stay dense.
+arrays stay dense.  Ids reach rows through fixed per-flow *handles*
+(:class:`FlowTable`), so moving a row costs no dict write.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
+from operator import attrgetter, countOf
 from typing import Any, TypeVar
 
 import numpy as np
@@ -59,6 +61,9 @@ AllocatorFn = Callable[[str, tuple[int, ...], Any], npt.NDArray[Any]]
 _INITIAL_CAPACITY = 64
 _V = TypeVar("_V")
 _BAD_ROUTE = "route must be a non-empty 1-D sequence of links"
+_INT64 = np.dtype(np.int64)
+_DTYPE = attrgetter("dtype")
+_NDIM = attrgetter("ndim")
 
 
 def _numpy_allocator(tag: str, shape: tuple[int, ...],
@@ -112,12 +117,20 @@ def _pack_starts(starts: list[tuple[Any, ...]],
     ``flat`` is the int64 concatenation of the routes, ``lengths``
     their hop counts, ``weights`` is ``None`` when every weight is the
     default 1.0.  The one starts parser of :class:`FlowTable`: ids
-    must be unique and absent from ``index_of``
-    (``KeyError`` naming the first offender in batch order), routes
-    non-empty, 1-D, at most ``max_route_len`` hops over links
+    must be absent from ``index_of`` (``KeyError`` naming the first
+    offender in batch order; the insert catches in-batch repeats),
+    routes non-empty, 1-D, at most ``max_route_len`` hops over links
     ``[0, n_links)``, weights positive (``ValueError``).  Every check
     is one pass over a column; a scalar loop runs only to unpack a
     mixed 2-/3-tuple batch and to name an offending id.
+
+    Two packing paths accept and reject the same inputs.  When every
+    route is a contiguous 1-D int64 ndarray, their buffers are joined
+    into one ``bytes`` read back as int64, skipping ``np.concatenate``'s
+    per-array conversion (numpy then keeps a ~56-byte buffer
+    description on each route array until it dies).  Any other batch
+    (lists, tuples, the wire's uint32, 2-D arrays, non-contiguous
+    views) is concatenated and cast; the same checks run on either.
     """
     k = len(starts)
     ids: list[Hashable]
@@ -147,12 +160,10 @@ def _pack_starts(starts: list[tuple[Any, ...]],
     # keys().isdisjoint iterates the *batch* (hash probes into the
     # index) — set(ids).isdisjoint(index_of) would walk every active
     # flow instead.
-    if len(set(ids)) != k or not index_of.keys().isdisjoint(ids):
-        seen: set[Hashable] = set()
+    if not index_of.keys().isdisjoint(ids):
         for flow_id in ids:
-            if flow_id in seen or flow_id in index_of:
+            if flow_id in index_of:
                 raise KeyError(f"flow {flow_id!r} is already active")
-            seen.add(flow_id)
     try:
         lengths = np.fromiter(map(len, routes), dtype=np.int64, count=k)
     except TypeError:
@@ -163,7 +174,15 @@ def _pack_starts(starts: list[tuple[Any, ...]],
     if widest > max_route_len:
         raise ValueError(
             f"route has {widest} hops; table supports {max_route_len}")
-    flat = np.concatenate(routes)
+    flat = None
+    try:  # countOf compares by identity first: one C pass each
+        if (countOf(map(_DTYPE, routes), _INT64) == k
+                and countOf(map(_NDIM, routes), 1) == k):
+            flat = np.frombuffer(b"".join(routes), np.int64)
+    except (AttributeError, TypeError, BufferError):
+        pass
+    if flat is None:
+        flat = np.concatenate(routes)
     if flat.ndim != 1 or len(flat) != int(lengths.sum()):
         raise ValueError(_BAD_ROUTE)
     flat = flat.astype(np.int64, copy=False)
@@ -232,6 +251,11 @@ class FlowTable:
     current positional order, and :meth:`flow_ids` exposes that order.
     ``max_route_len`` caps the hop count a route may have; the storage
     is :attr:`width` hop columns of middle-aligned routes.
+
+    An id maps to a *handle*, fixed for the flow's lifetime, and
+    ``_row_of[handle]`` to its row; ``_handle_at[row]`` moves with the
+    row.  A batch re-keys its moved flows with one numpy scatter, not a
+    dict write each, and the dense layout is unchanged (:meth:`audit`).
     """
 
     def __init__(self, links: LinkSet, max_route_len: int = 8,
@@ -265,7 +289,11 @@ class FlowTable:
         # :meth:`flow_id_array` can expose an O(1) view instead of
         # rebuilding a list per allocator iterate.
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=object)
+        # id -> handle -> row (class docstring); ``_handle_at[n:]`` is
+        # the stack of free handles, top at ``n``.  Process-local.
         self._index_of = {}
+        self._handle_at = np.arange(_INITIAL_CAPACITY)
+        self._row_of = np.arange(_INITIAL_CAPACITY)
         self._n = 0
         #: incremented on every add/remove; lets optimizers cache
         #: per-flow derived arrays between churn events.
@@ -339,7 +367,9 @@ class FlowTable:
         self._routes[self._slot_masks[len(route)], idx] = route
         self._weights[idx] = weight
         self._ids[idx] = flow_id
-        self._index_of[flow_id] = idx
+        handle = int(self._handle_at[idx])
+        self._row_of[handle] = idx
+        self._index_of[flow_id] = handle
         for column in self._columns:
             column._data[idx] = column.default
         self._bottleneck._data[idx] = self._capacity_padded()[route].min()
@@ -349,16 +379,19 @@ class FlowTable:
 
     def remove_flow(self, flow_id: Hashable) -> int:
         """Remove a flow by id (swap-remove keeps flows dense)."""
-        idx = self._index_of.pop(flow_id)
+        handle = self._index_of.pop(flow_id)
+        idx = int(self._row_of[handle])
         last = self._n - 1
         if idx != last:
             self._routes[:, idx] = self._routes[:, last]
             self._weights[idx] = self._weights[last]
-            moved_id = self._ids[last]
-            self._ids[idx] = moved_id
-            self._index_of[moved_id] = idx
+            self._ids[idx] = self._ids[last]
+            moved = self._handle_at[last]
+            self._handle_at[idx] = moved
+            self._row_of[moved] = idx
             for column in self._columns:
                 column._data[idx] = column._data[last]
+        self._handle_at[last] = handle
         self._ids[last] = None
         self._routes[:, last] = self.pad_link
         self._n = last
@@ -383,17 +416,17 @@ class FlowTable:
         steps (none under FIFO churn, about ``2k/n`` of a random
         batch) replay the swap chain with dict bookkeeping.  The net
         movement is applied as one fancy-indexed gather per array (per
-        hop column for the routes), ids included; every registered
-        :class:`FlowColumn` entry moves with its flow, and the whole
-        batch costs one version bump.
+        hop column for the routes), ids and handles included, plus one
+        ``_row_of`` scatter; every registered :class:`FlowColumn` entry
+        moves with its flow, and the whole batch costs one version bump.
         """
         ids = list(flow_ids)
         k = len(ids)
         if not k:
             return
-        index_of = self._index_of
-        holes = np.fromiter(_pop_ends(ids, index_of), dtype=np.int64,
-                            count=k)
+        handles = np.fromiter(_pop_ends(ids, self._index_of),
+                              dtype=np.int64, count=k)
+        holes = self._row_of[handles]
         n = self._n
         new_n = n - k
         movers = np.arange(n - 1, new_n - 1, -1)
@@ -427,9 +460,12 @@ class FlowTable:
             self._weights[holes] = self._weights[movers]
             for column in self._columns:
                 column._data[holes] = column._data[movers]
-            moved_ids = self._ids[movers]
-            self._ids[holes] = moved_ids
-            index_of.update(zip(moved_ids.tolist(), holes.tolist()))
+            self._ids[holes] = self._ids[movers]
+            moved = self._handle_at[movers]
+            self._handle_at[holes] = moved
+            self._row_of[moved] = holes
+        # Sequential removal i frees its handle into slot n - 1 - i.
+        self._handle_at[new_n:n] = handles[::-1]
         self._ids[new_n:n] = None
         self._routes[:, new_n:n] = self.pad_link
         self._n = new_n
@@ -463,13 +499,26 @@ class FlowTable:
 
     def _insert(self, ids, lengths, flat, weights):
         """Columnar insert of an already-validated batch (the columns
-        :func:`_pack_starts` returns) as flows ``[n, n + k)``."""
+        :func:`_pack_starts` returns) as flows ``[n, n + k)``.
+
+        The flows take the top ``k`` free handles, as ``k`` add_flow
+        calls would.  The index entries go in first; an in-batch repeat
+        (the index grows by less than ``k``) takes them out again and
+        raises ``KeyError`` naming it, before anything else is written."""
         k = len(lengths)
-        self.reserve(self._n + k)
+        n0 = self._n
+        self.reserve(n0 + k)
+        handles = self._handle_at[n0:n0 + k]
+        self._index_of.update(zip(ids, handles.tolist()))
+        if len(self._index_of) != n0 + k:
+            for flow_id in ids:
+                self._index_of.pop(flow_id, None)
+            seen: set[Hashable] = set()
+            repeat = next(i for i in ids if i in seen or seen.add(i))
+            raise KeyError(f"flow {repeat!r} is already active")
         widest = int(lengths.max())
         if widest > self.width:
             self._widen(widest)
-        n0 = self._n
         block = slice(n0, n0 + k)
         # Middle-aligned scatter into a flow-major pad block (row-major
         # order of the mask is the concatenation order of the batch's
@@ -486,7 +535,7 @@ class FlowTable:
         # fromiter keeps tuple ids scalar — a slice-assign of a list
         # would make numpy broadcast them as nested sequences.
         self._ids[block] = np.fromiter(ids, dtype=object, count=k)
-        self._index_of.update(zip(ids, range(n0, n0 + k)))
+        self._row_of[handles] = np.arange(n0, n0 + k)
         self._n += k
         self.version += 1
 
@@ -530,6 +579,10 @@ class FlowTable:
         ids = np.empty(new_cap, dtype=object)
         ids[: self._n] = self._ids[: self._n]
         self._weights, self._ids = weights, ids
+        # The new handles go under the free stack, numbered upward.
+        new = np.arange(len(self._handle_at), new_cap)
+        self._handle_at = np.concatenate((self._handle_at, new))
+        self._row_of = np.concatenate((self._row_of, new))
         for i, column in enumerate(self._columns):
             data = self._alloc(f"column{i}", (new_cap,),
                                column._data.dtype)
@@ -571,7 +624,31 @@ class FlowTable:
 
     def index_of(self, flow_id: Hashable) -> int:
         """Reach: invariant — tests check column alignment by flow id."""
-        return self._index_of[flow_id]
+        return int(self._row_of[self._index_of[flow_id]])
+
+    def audit(self) -> None:
+        """Raise ``AssertionError`` naming the first broken invariant
+        of the id -> handle -> row maps: live ids, handles and rows
+        ``0..n-1`` in one bijection, each free handle on the stack once,
+        and no id and only pad links past row ``n``.
+
+        Reach: invariant — tests audit the table after every churn step.
+        """
+        n, handles, ids = self._n, self._handle_at, self._ids.tolist()
+        for invariant, holds in (
+            ("every handle is live or free exactly once", lambda: (
+                np.array_equal(np.sort(handles), range(len(self._weights))))),
+            ("_row_of inverts _handle_at on the live rows", lambda: (
+                np.array_equal(self._row_of[handles[:n]], range(n)))),
+            ("the index maps each live id to its row's handle", lambda: (
+                len(self._index_of) == n and list(map(
+                    self._index_of.get, ids[:n])) == handles[:n].tolist())),
+            ("no id past the live rows", lambda: ids[n:].count(None)
+             == len(ids) - n),
+            ("only pad links past the live rows", lambda: (
+                self._routes[:, n:] == self.pad_link).all())):
+            if not holds():
+                raise AssertionError(f"FlowTable invariant broken: {invariant}")
 
     def flow_ids(self) -> list[Any]:
         """Current positional order of flow ids (list copy)."""
@@ -614,7 +691,7 @@ class FlowTable:
         Reach: invariant — tests read routes back through the hop-major storage
         with it.
         """
-        slots = self._routes[:, self._index_of[flow_id]]
+        slots = self._routes[:, self.index_of(flow_id)]
         return slots[slots != self.pad_link]
 
     def _unpadded(self, routes: IntArray) -> tuple[IntArray, IntArray]:
@@ -631,8 +708,11 @@ class FlowTable:
         promotions and demotions, a reference copy).  An unknown id
         raises ``KeyError``."""
         ids = list(flow_ids)
-        rows = np.fromiter(map(self._index_of.__getitem__, ids),
-                           dtype=np.int64, count=len(ids))
+        if not ids:
+            return []
+        handles = np.fromiter(map(self._index_of.__getitem__, ids),
+                              dtype=np.int64, count=len(ids))
+        rows = self._row_of[handles]
         lengths, flat = self._unpadded(self._routes[:, rows])
         return list(zip(ids, np.split(flat, np.cumsum(lengths)[:-1]),
                         self._weights[rows].tolist()))

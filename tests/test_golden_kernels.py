@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import paper_topology
+from repro import make_scheduler, paper_topology
 from repro.core import FlowtuneAllocator, kernels
 
 N_FLOWS = 34_000
@@ -133,3 +133,76 @@ def churn_digests():
 
 def test_churn_program_matches_golden():
     assert churn_digests() == CHURN_GOLDEN
+
+
+# The same churn program through the other two schedulers, hashing
+# (ids, rates, update indices) after every op: the id column pins each
+# flow's row, so a churn path that moved a flow changes the digest even
+# where the rates tie.  "sampled" also feeds seeded cumulative byte
+# counts, so flows promote into the priced table (and, with a short
+# idle limit, demote back) and the mice refresh runs; both tables then
+# churn through the batched insert and removal paths.  Recorded on the
+# tree before flow handles replaced the id -> row map.
+SCHEDULER_CHURN_GOLDEN = {
+    "ecmp": [
+        "604bccc75645c16140cbc36ecb73c8f26a1770ed080dc8995ff5572a1a84c5ac",
+        "d070db21cbd8f6242ad0eb4d4f0fe81ef231fff99442092f09e246debeadaf20",
+        "6b1810dca3f513163375bc150b8dd30471e37f9ea38bf4b9c0fa8888e2577928",
+        "e52ce412c9809f6c8c5c68ce1c0ee7cdd1e9335994e0b317ca09f2fb7647605f",
+        "028c86fb7a2e10f044eba67044b4e1687e1c9c24c69f773227d99f940098a26a",
+    ],
+    "sampled": [
+        "47623d02b2ba8229f1cf230b319e2d8792d6d7ed4349b6e0041eaec2f81f0865",
+        "a0dd2d357ef03cc69e9883be0006c631c99e67e3e5fa7cc38363eab2c5e36b21",
+        "1c893013ca118526fc68e5b7657bbee56f36129faf0dec9299e69695b563a615",
+        "1f618a8ec74b7d6fd5c359051171b982cec038c69c727a17be0149657e39777b",
+        "9ebd1af4a2cf141cd0d88cb9bc2f5f9512809b11b57015e7ed3c2e9920f050c9",
+    ],
+}
+REPORTS = 3000
+
+
+def scheduler_churn_digests(mode):
+    topology = paper_topology()
+    extra = {"idle_epochs": 2} if mode == "sampled" else {}
+    scheduler = make_scheduler(topology.link_set(), mode=mode, **extra)
+    scheduler.apply_churn(starts=seeded_starts(
+        topology, np.random.default_rng(2024), 0, N_FLOWS))
+    scheduler.iterate(1)
+    rng = np.random.default_rng(11)
+    usage_rng = np.random.default_rng(13)
+    live = list(range(N_FLOWS))
+    sent = dict.fromkeys(live, 0)
+    next_id = N_FLOWS
+    digests = []
+    for _ in range(CHURN_OPS):
+        picked = set(rng.choice(len(live), CHURN, replace=False).tolist())
+        ends = [live[j] for j in sorted(picked)]
+        live = [flow_id for j, flow_id in enumerate(live)
+                if j not in picked]
+        starts = seeded_starts(topology, rng, next_id, CHURN)
+        scheduler.apply_churn(starts=starts, ends=ends)
+        live += [flow_id for flow_id, _ in starts]
+        next_id += CHURN
+        for flow_id in ends:
+            del sent[flow_id]
+        sent.update((flow_id, 0) for flow_id, _ in starts)
+        reporting = usage_rng.choice(len(live), REPORTS, replace=False)
+        grants = usage_rng.integers(0, 1 << 20, REPORTS)
+        for j, grant in zip(reporting.tolist(), grants.tolist()):
+            flow_id = live[j]
+            sent[flow_id] += grant
+            scheduler.report_usage(flow_id, float(sent[flow_id]))
+        result = scheduler.iterate(1)
+        ids = np.fromiter(result.flow_ids, dtype=np.int64)
+        digests.append(digest(ids, result.rate_vector,
+                              result.update_indices))
+    return scheduler, digests
+
+
+@pytest.mark.parametrize("mode", sorted(SCHEDULER_CHURN_GOLDEN))
+def test_scheduler_churn_program_matches_golden(mode):
+    scheduler, digests = scheduler_churn_digests(mode)
+    if mode == "sampled":  # the program reaches both tables
+        assert 0 < scheduler.n_priced < scheduler.n_flows
+    assert digests == SCHEDULER_CHURN_GOLDEN[mode]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FlowTable, LinkSet
+from repro.core.network import _BAD_ROUTE, _pack_starts
 
 
 def make_table(n_links=6, max_route_len=4):
@@ -100,6 +101,7 @@ class TestChurn:
                 in table.starts_of(["c", "b"])] == [("c", [3, 4, 5], 0.5),
                                                     ("b", [2], 1.0)]
         assert table.starts_of([]) == []
+        assert table.starts_of(iter(())) == []
         with pytest.raises(KeyError):
             table.starts_of(["b", "a"])
         copy = make_table()
@@ -130,6 +132,7 @@ class TestBatchChurn:
         table = make_table()
         with pytest.raises(KeyError):
             table.apply_churn(starts=[("a", [0]), ("a", [1])])
+        table.audit()
 
     def test_apply_churn_duplicate_of_active_rejected(self):
         table = make_table()
@@ -238,6 +241,7 @@ class TestBatchRemove:
         assert table.n_flows == 5 and table.version == v0
         assert 0 in table and 1 in table
         assert table._index_of == index_before
+        table.audit()
 
     def test_duplicate_id_rejected_atomically(self):
         table = make_table()
@@ -250,6 +254,7 @@ class TestBatchRemove:
         with pytest.raises(TypeError):  # unhashable: nothing popped either
             table.remove_flows([1, [2]])
         assert table._index_of == index_before
+        table.audit()
 
     def test_remove_everything(self):
         table = make_table()
@@ -532,6 +537,8 @@ class ChurnTwins:
 
     def check(self):
         batched, twin = self.tables
+        for table in self.tables:
+            table.audit()
         assert batched.flow_ids() == twin.flow_ids()
         assert batched.flow_id_array().tolist() == twin.flow_ids()
         assert np.array_equal(batched.routes, twin.routes)
@@ -660,3 +667,175 @@ class TestBatchedEqualsSequential:
             assert text in str(err.value.args[0])
             twins.tables[1].remove_flow(victim)
             twins.check()
+
+
+class TestAudit:
+    def test_audit_passes_through_churn_and_growth(self):
+        table = make_table()
+        table.audit()
+        table.apply_churn(starts=[(i, [i % 6, (i + 1) % 6])
+                                  for i in range(100)])
+        table.audit()
+        table.apply_churn(starts=[("x", [0])], ends=range(0, 100, 3))
+        table.remove_flow(50)
+        table.add_flow("y", [1, 2, 3])
+        table.audit()
+        assert table.route_of("y").tolist() == [1, 2, 3]
+
+    def test_repeat_rejected_after_growth_writes_nothing(self):
+        table = make_table()
+        table.apply_churn(starts=[(i, [0]) for i in range(10)])
+        batch = [(i, [1]) for i in range(100, 200)] + [(150, [2])]
+        with pytest.raises(KeyError, match="flow 150 is already active"):
+            table.apply_churn(starts=batch, ends=[3])
+        assert table.n_flows == 9 and 3 not in table
+        assert not any(i in table for i in range(100, 200))
+        table.audit()
+        table.apply_churn(starts=batch[:-1])
+        table.audit()
+
+    def test_handles_are_reused_last_freed_first(self):
+        table = make_table()
+        table.apply_churn(starts=[(i, [0]) for i in range(4)])
+        table.remove_flows([1, 3])
+        table.apply_churn(starts=[("a", [1])])
+        assert table._index_of["a"] == 3
+        table.audit()
+
+    @pytest.mark.parametrize("corrupt, broken", [
+        (lambda t: t._row_of.__setitem__(t._handle_at[0], 1),
+         "_row_of inverts"),
+        (lambda t: t._handle_at.__setitem__(t.n_flows, t._handle_at[0]),
+         "exactly once"),
+        (lambda t: t._index_of.__setitem__(t.flow_ids()[1],
+                                           int(t._handle_at[0])),
+         "the index maps"),
+        (lambda t: t._ids.__setitem__(t.n_flows, "ghost"), "no id past"),
+        (lambda t: t._routes.__setitem__((0, t.n_flows), 0), "pad links"),
+    ])
+    def test_audit_names_a_broken_invariant(self, corrupt, broken):
+        table = make_table()
+        table.apply_churn(starts=[(i, [i % 6]) for i in range(10)])
+        table.remove_flows([2, 7])
+        corrupt(table)
+        with pytest.raises(AssertionError, match=broken):
+            table.audit()
+
+
+# ----------------------------------------------------------------------
+# _pack_starts against the concatenate-only packer it replaced
+# ----------------------------------------------------------------------
+def reference_pack(starts, index_of, max_route_len, n_links):
+    """The starts parser as it was before the bytes-join path, minus
+    the in-batch repeat check (now the insert's): the reference every
+    route form must pack or fail exactly like."""
+    k = len(starts)
+    weights = None
+    try:
+        if len(starts[0]) == 2:
+            ids = [flow_id for flow_id, _ in starts]
+            routes = [route for _, route in starts]
+        else:
+            ids = [flow_id for flow_id, _, _ in starts]
+            routes = [route for _, route, _ in starts]
+            weights = np.fromiter((weight for _, _, weight in starts),
+                                  dtype=np.float64, count=k)
+    except ValueError:
+        ids, routes, weights = [], [], np.ones(k)
+        for j, start in enumerate(starts):
+            if len(start) == 3:
+                flow_id, route, weights[j] = start
+            else:
+                flow_id, route = start
+            ids.append(flow_id)
+            routes.append(route)
+    for flow_id in ids:
+        if flow_id in index_of:
+            raise KeyError(f"flow {flow_id!r} is already active")
+    try:
+        lengths = np.fromiter(map(len, routes), dtype=np.int64, count=k)
+    except TypeError:
+        raise ValueError(_BAD_ROUTE) from None
+    if lengths.min() < 1:
+        raise ValueError(_BAD_ROUTE)
+    widest = int(lengths.max())
+    if widest > max_route_len:
+        raise ValueError(
+            f"route has {widest} hops; table supports {max_route_len}")
+    flat = np.concatenate(routes)
+    if flat.ndim != 1 or len(flat) != int(lengths.sum()):
+        raise ValueError(_BAD_ROUTE)
+    flat = flat.astype(np.int64, copy=False)
+    if flat.min() < 0 or flat.max() >= n_links:
+        raise ValueError("route contains an unknown link index")
+    if weights is not None and not np.all(weights > 0):
+        raise ValueError("flow weight must be positive")
+    return ids, lengths, flat, weights
+
+
+ROUTE_FORMS = {
+    "int64": lambda: np.array([0, 3, 5]),
+    "int64_one_hop": lambda: np.array([4]),
+    "int64_read_only": lambda: np.frombuffer(np.array([1, 2]).tobytes(),
+                                             np.int64),
+    "int64_big_endian": lambda: np.array([2, 1], dtype=">i8"),
+    "int64_out_of_range": lambda: np.array([0, 6]),
+    "int64_negative": lambda: np.array([-1, 0]),
+    "int64_too_long": lambda: np.arange(5) % 6,
+    "list": lambda: [1, 2],
+    "tuple": lambda: (5, 0, 1),
+    "uint32": lambda: np.array([3, 4], dtype=np.uint32),
+    "int32": lambda: np.array([2, 5, 0], dtype=np.int32),
+    "bool": lambda: np.array([True, False, True]),
+    "float64_integral": lambda: np.array([1.0, 2.0, 5.0]),
+    "float64_fraction": lambda: np.array([1.5, 3.99]),
+    "float64_neg_zero": lambda: np.array([-0.0, 1.0]),
+    "float64_subnormal": lambda: np.array([5e-324, 2.0]),
+    "strided": lambda: np.arange(8)[::3],
+    "reversed": lambda: np.arange(4)[::-1],
+    "column_2d": lambda: np.array([[0], [1]]),
+    "row_2d": lambda: np.array([[0, 1]]),
+    "square_2d": lambda: np.array([[0, 1], [2, 3]]),
+    "empty_2d": lambda: np.zeros((2, 0), dtype=np.int64),
+    "scalar_0d": lambda: np.array(3),
+    "empty_int64": lambda: np.zeros(0, dtype=np.int64),
+    "empty_list": lambda: [],
+}
+
+
+def pack_outcome(packer, starts):
+    try:
+        ids, lengths, flat, weights = packer(starts, {"active": 0}, 4, 6)
+    except Exception as exc:  # the outcome under test
+        return type(exc), str(exc)
+    return (ids, lengths.dtype, lengths.tolist(), flat.dtype,
+            flat.tobytes(), None if weights is None else weights.tolist())
+
+
+class TestRoutePacking:
+    """Both packing paths of ``_pack_starts`` accept and reject exactly
+    what the concatenate-only packer did, with the same columns."""
+
+    @pytest.mark.parametrize("form", sorted(ROUTE_FORMS))
+    def test_uniform_batch(self, form):
+        for k in (1, 3):
+            starts = [(j, ROUTE_FORMS[form]()) for j in range(k)]
+            assert (pack_outcome(_pack_starts, starts)
+                    == pack_outcome(reference_pack, starts))
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms=st.lists(st.sampled_from(sorted(ROUTE_FORMS)),
+                          min_size=1, max_size=6),
+           weighted=st.sampled_from(["2", "3", "mixed"]))
+    def test_mixed_batch(self, forms, weighted):
+        starts = [(j, ROUTE_FORMS[form]())
+                  + ((0.5 + j,) if weighted == "3"
+                     or (weighted == "mixed" and j % 2) else ())
+                  for j, form in enumerate(forms)]
+        assert (pack_outcome(_pack_starts, starts)
+                == pack_outcome(reference_pack, starts))
+
+    def test_active_id_named_before_routes_are_read(self):
+        starts = [("new", [0]), ("active", np.array([9.5]))]
+        assert pack_outcome(_pack_starts, starts) == (
+            KeyError, "\"flow 'active' is already active\"")
