@@ -1,19 +1,16 @@
-"""Interleaved timing of the link scatter by chunk size, per checkout.
+"""Interleaved per-call timing of the route kernels, per checkout.
 
-``repro.core.kernels`` scatters a chunk of at most ``SMALL_CHUNK`` flows
-with one ``bincount`` over its hop columns laid end to end, and a
-bigger chunk with one ``np.add.at`` per column.  This times what that
-threshold decides: ``FlowTable.link_totals2`` on paper-topology tables
-of 32 to 16384 flows (one chunk each, ``BLOCK_ROWS`` = 16384), and one
+Times what the kernels cost per call at the table sizes the workloads
+and the harness form: ``FlowTable.link_totals2``, ``price_sums`` and
+``max_link_value`` on paper-topology tables of 32, 1024, 16 384 (one
+``BLOCK_ROWS`` chunk) and 100 000 flows, and one
 ``MulticoreNedEngine.iterate`` on the 16-cell grid of the harness's
-``multicore_16proc`` (512 flows, ~32 per cell).  Every checkout's
-``repro`` is imported into one process (warm heap) and the checkouts
-are timed in alternating order per round, so a host speed shift hits
-them alike.  To time one scatter form on its own, pass a copy of the
-tree with ``SMALL_CHUNK`` edited (0: column by column only; 1 << 30:
-one call only).
+``multicore_16proc`` (512 flows, ~32 per cell), where the per-call
+cost decides.  Every checkout's ``repro`` is imported into one process
+(warm heap) and the checkouts are timed in alternating order per
+round, so a host speed shift hits them alike.
 
-    python benchmarks/results/scatter_sweep.py CHECKOUT [CHECKOUT ...]
+    python benchmarks/results/kernel_sweep.py PARENT_CHECKOUT CHECKOUT
 """
 
 import sys
@@ -23,13 +20,12 @@ from pathlib import Path
 import numpy as np
 from churn_micro import load
 
-SIZES = (32, 64, 128, 256, 512, 1024, 1536, 2048, 3072, 4096, 8192,
-         16384)
+SIZES = (32, 1024, 16384, 100_000)
 ROUNDS, BLOCK_S = 20, 0.05
 
 
-def scatter_op(repro, n):
-    """``link_totals2`` over a fresh table of ``n`` paper-topology flows."""
+def table_ops(repro, n):
+    """The three kernels over a fresh table of ``n`` paper flows."""
     topology = repro.paper_topology()
     table = repro.core.FlowTable(topology.link_set())
     rng = np.random.default_rng(7)
@@ -41,7 +37,10 @@ def scatter_op(repro, n):
                                                        len(starts))))
     table.apply_churn(starts=starts)
     a, b = rng.random(n), rng.random(n)
-    return lambda: table.link_totals2(a, b)
+    per_link = rng.random(table.links.n_links)
+    return [lambda: table.link_totals2(a, b),
+            lambda: table.price_sums(per_link),
+            lambda: table.max_link_value(per_link)]
 
 
 def engine_op(repro):
@@ -71,13 +70,17 @@ def block_us(op):
 def main(checkouts):
     warm = np.empty(32 << 20, dtype=np.uint8)
     del warm
-    rows = [f"link_totals2 n={n}" for n in SIZES] + ["multicore_16proc"]
-    ops = {}
+    rows = [f"{kernel} n={n}" for n in SIZES
+            for kernel in ("link_totals2", "price_sums", "max_link_value")]
+    rows.append("multicore_16proc")
+    ops, tags = {}, {}
     for checkout in checkouts:
         repro = load(checkout)
         import repro.parallel
         import repro.topology
-        ops[Path(checkout).name] = [scatter_op(repro, n) for n in SIZES] \
+        name = Path(checkout).name
+        tags[name] = repro.core.kernels.describe()
+        ops[name] = [op for n in SIZES for op in table_ops(repro, n)] \
             + [engine_op(repro)]
     samples = {name: [[] for _ in rows] for name in ops}
     for round_ in range(ROUNDS):
@@ -85,14 +88,21 @@ def main(checkouts):
         for row in range(len(rows)):
             for name in order:
                 samples[name][row].append(block_us(ops[name][row]))
-    print(f"{'us per call':<22}" + "".join(f"{name:>24}" for name in ops)
+    names = list(ops)
+    print(f"{'us per call':<26}"
+          + "".join(f"{name + ' (' + tags[name] + ')':>26}" for name in ops)
+          + ("   last/first" if len(names) > 1 else "")
           + "   (median of block means [quartiles])")
     for row, label in enumerate(rows):
-        cells = []
-        for name in ops:
+        cells, medians = [], []
+        for name in names:
             q1, med, q3 = np.percentile(samples[name][row], [25, 50, 75])
+            medians.append(med)
             cells.append(f"{med:>9.1f} [{q1:.1f}-{q3:.1f}]")
-        print(f"{label:<22}" + "".join(f"{cell:>24}" for cell in cells))
+        ratio = (f"   {medians[-1] / medians[0]:.2f}x"
+                 if len(names) > 1 else "")
+        print(f"{label:<26}" + "".join(f"{cell:>26}" for cell in cells)
+              + ratio)
     print(f"rounds {ROUNDS}, block {BLOCK_S} s, "
           f"python {sys.version.split()[0]}, numpy {np.__version__}")
 

@@ -8,7 +8,9 @@ in every Python process (``PYTHONPATH`` carries it to subprocesses,
 the ``python -m repro.service`` child included).  The consumers are the
 32 figure / ablation / table benches at ``REPRO_SCALE=small``,
 ``benchmarks/e2e/run.py --smoke --trace 1`` (which runs every workload
-untraced and traced), the examples and ``harness.py --quick``.
+untraced and traced), the examples and ``harness.py --quick``.  The
+compiled kernel library is deleted first, so the consumers build it as
+a fresh checkout does.
 
 Every ``def`` under ``src/repro`` is then one of: reached by a
 consumer, reached only by tier-1 (*test-only*), or by nothing
@@ -202,6 +204,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "sitecustomize.py").write_text(SITECUSTOMIZE)
+        # Start the consumers from a fresh checkout's state: the first
+        # import compiles the kernel library.
+        for library in (SRC / "core" / "__pycache__").glob("_kernels.*"):
+            library.unlink()
         used = trace(consumers(), tmp, tmp / "consumers.log")
         tested = trace(tier1(), tmp, tmp / "tests.log")
     lines, missing = report(used, tested)

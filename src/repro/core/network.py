@@ -763,8 +763,8 @@ class FlowTable:
         if n == 0:
             return np.zeros(self.links.n_links, dtype=np.float64)
         totals = kernels.link_totals(
-            np.asarray(per_flow, dtype=np.float64), self._routes, n,
-            self.links.n_links + 1)
+            np.ascontiguousarray(per_flow, dtype=np.float64), self._routes,
+            n, self.links.n_links + 1)
         return totals[:-1]
 
     def link_totals2(self, a: npt.ArrayLike, b: npt.ArrayLike,
@@ -773,18 +773,17 @@ class FlowTable:
 
         The allocator's price update scatters rates and rate
         derivatives over identical indices every iteration; fused,
-        each chunk above ``kernels.SMALL_CHUNK`` scatters the pair as
-        one complex128 array, so each hop column is indexed once for
-        both sums.  Returns ``(totals_a, totals_b)``, two contiguous
-        arrays bitwise equal to two separate calls.
+        each hop slot is read once for both sums.  Returns
+        ``(totals_a, totals_b)``, two contiguous arrays bitwise equal
+        to two separate calls.
         """
         n = self._n
         if n == 0:
             zeros = np.zeros(self.links.n_links, dtype=np.float64)
             return zeros, zeros.copy()
         totals_a, totals_b = kernels.link_totals2(
-            np.asarray(a, dtype=np.float64),
-            np.asarray(b, dtype=np.float64), self._routes, n,
+            np.ascontiguousarray(a, dtype=np.float64),
+            np.ascontiguousarray(b, dtype=np.float64), self._routes, n,
             self.links.n_links + 1)
         return totals_a[:-1], totals_b[:-1]
 
@@ -823,13 +822,11 @@ class FlowTable:
         Used by F-NORM: each flow is scaled by its most-congested
         link's ratio.  The per-route max (max is order-insensitive,
         so segment order cannot change the bits; slack slots
-        contribute the pad link's ``-inf`` and never win) is computed
-        column-wise over the uniform slots — bitwise identical to
-        ``np.maximum.reduceat`` over the same segments and measured
-        ~1.7x faster (contiguous SIMD passes instead of reduceat's
-        scalar segment loop).  The returned array is a reusable
-        reduction buffer — valid until the next ``max_link_value``
-        call on this table; consumers that keep it must copy.
+        contribute the pad link's ``-inf`` and never win) is folded
+        column by column over the uniform slots.  The returned array
+        is a reusable reduction buffer — valid until the next
+        ``max_link_value`` call on this table; consumers that keep it
+        must copy.
         """
         n = self._n
         if n == 0:

@@ -320,29 +320,22 @@ class TestMultiChunkBitwise:
     @pytest.mark.parametrize("kind", ["uniform", "wide", "special"])
     @pytest.mark.parametrize("block", [BLOCK, 10**6])
     def test_scatter_paths_agree(self, monkeypatch, block, kind):
-        """Small chunks scatter in one call, big ones column by column
-        (``link_totals2`` packing its pair as complex128): the same
-        running sums, so neither the threshold nor the packing moves a
-        bit, down to the sign of a zero and the payload of a NaN."""
+        """The single scatter, the pair scatter and the scalar
+        reference keep the same running sums, over many chunks and in
+        one, down to the sign of a zero and the payload of a NaN."""
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
         routes, _, _, _, n, _, n_links = self.case(width=5)
         rng = np.random.default_rng(block % 97)
         va, vb = hostile_values(kind, rng, n), hostile_values(kind, rng, n)
         want_a = ref_chunked_totals(va, routes, n, n_links + 1, block)
         want_b = ref_chunked_totals(vb, routes, n, n_links + 1, block)
-        # 0: every chunk above the threshold; 4: BLOCK-row chunks above
-        # it and the 3-flow tail below; 10**6: every chunk below.
-        for small_chunk in (0, 4, 10**6):
-            monkeypatch.setattr(kernels, "SMALL_CHUNK", small_chunk)
-            one_a = kernels.link_totals(va, routes, n, n_links + 1)
-            one_b = kernels.link_totals(vb, routes, n, n_links + 1)
-            got_a, got_b = kernels.link_totals2(va, vb, routes, n,
-                                                n_links + 1)
-            for got, one, want in ((got_a, one_a, want_a),
-                                   (got_b, one_b, want_b)):
-                assert got.dtype == np.float64 and got.flags.c_contiguous
-                assert got.tobytes() == one.tobytes() == want.tobytes(), \
-                    small_chunk
+        one_a = kernels.link_totals(va, routes, n, n_links + 1)
+        one_b = kernels.link_totals(vb, routes, n, n_links + 1)
+        got_a, got_b = kernels.link_totals2(va, vb, routes, n, n_links + 1)
+        for got, one, want in ((got_a, one_a, want_a),
+                               (got_b, one_b, want_b)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == one.tobytes() == want.tobytes()
 
     def test_min_link_value_matches_reference(self):
         rng = np.random.default_rng(9)
@@ -353,19 +346,42 @@ class TestMultiChunkBitwise:
         np.testing.assert_array_equal(
             got, ref_fold_rows(np.minimum, padded[routes]))
 
-    @pytest.mark.parametrize("bad", [65, 10**6, -66])
-    def test_gathers_reject_an_out_of_range_slot(self, bad):
-        """Every chunk's gather is bounds-checked: a slot index past
-        the pad entry (or below ``-len``) raises, never reads."""
-        routes, padded, _, _, n, width, n_links = self.case()
+    @pytest.mark.parametrize("bad", [65, 70, 10**6, -1, -66])
+    @pytest.mark.parametrize("block", [BLOCK, 10**6])
+    def test_gathers_reject_an_out_of_range_slot(self, monkeypatch, bad,
+                                                 block):
+        """Every kernel bounds-checks every slot, over many chunks and
+        in one: a slot index past the pad entry / the last bin, or
+        negative, raises ``IndexError``, never reads or grows the
+        output."""
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        routes, padded, va, vb, n, width, n_links = self.case()
         assert len(padded) == n_links + 1 == 65
         routes[width - 1, n - 2] = bad   # last column, last chunk
-        with pytest.raises(IndexError):
-            kernels.price_sums(padded, routes, n)
-        with pytest.raises(IndexError):
-            kernels.max_link_value(padded, routes, n, np.empty(n))
-        with pytest.raises(IndexError):
-            kernels.min_link_value(padded, routes, n, np.empty(n))
+
+        def per_flow(r0, r1, rho, rate_out, deriv_out):
+            rate_out[:] = rho
+            deriv_out[:] = -rho
+
+        calls = {
+            "price_sums": lambda: kernels.price_sums(padded, routes, n),
+            "max_link_value": lambda: kernels.max_link_value(
+                padded, routes, n, np.empty(n)),
+            "min_link_value": lambda: kernels.min_link_value(
+                padded, routes, n, np.empty(n)),
+            "link_totals": lambda: kernels.link_totals(
+                va, routes, n, n_links + 1),
+            "link_totals2": lambda: kernels.link_totals2(
+                va, vb, routes, n, n_links + 1),
+            "rate_pass": lambda: kernels.rate_pass(
+                padded, routes, n, n_links + 1, np.empty(n), per_flow),
+            "max_pass": lambda: kernels.max_pass(
+                padded, routes, n, lambda r0, r1, worst: None),
+        }
+        for name, call in calls.items():
+            with pytest.raises(IndexError):
+                call()
+                pytest.fail(name)
 
     def test_one_slot_per_row(self):
         """Width 1 (a fresh table, single-hop routes): the fold
@@ -395,8 +411,8 @@ class TestMultiChunkBitwise:
         table.bottleneck_capacity()
         assert threading.active_count() == before
 
-    def test_describe_is_numpy(self):
-        assert kernels.describe() == "numpy"
+    def test_describe_is_c(self):
+        assert kernels.describe() == "c"
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -761,13 +777,11 @@ class TestFusedNedEquivalence:
             np.testing.assert_array_equal(ned.prices, reference.prices)
 
     # The chunk passes against their full-vector spelling, bitwise.
-    # BLOCK_ROWS 64 and SMALL_CHUNK 16 give each table full chunks on
-    # the complex pair path and a tail on the bincount path (or not).
-    BLOCK, SMALL = 64, 16
+    # BLOCK_ROWS 64 gives each table full chunks and a tail (or not).
+    BLOCK = 64
 
     def chunked(self, monkeypatch, n_flows, seed=5, **ned_kwargs):
         monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
-        monkeypatch.setattr(kernels, "SMALL_CHUNK", self.SMALL)
         rng = np.random.default_rng(seed)
         links = LinkSet(rng.random(12) * 10 + 1.0)
         starts = [(i, rng.choice(12, int(1 + i % 4), replace=False))
@@ -849,7 +863,6 @@ class TestFusedNedEquivalence:
     def test_allocator_iterate_matches_normalize_then_mask(
             self, monkeypatch, normalizer, n_flows):
         monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
-        monkeypatch.setattr(kernels, "SMALL_CHUNK", self.SMALL)
         if normalizer == "callable":
             def normalizer(table, rates, link_load=None):
                 return f_norm(table, rates, link_load=link_load) * 0.5

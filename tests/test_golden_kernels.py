@@ -1,22 +1,22 @@
-"""Golden hashes of the route kernels on a fixed multi-chunk table.
+"""Golden hashes of the route kernels on fixed multi-chunk tables.
 
-The kernels' reduction order (:mod:`repro.core.kernels`) rests on
-numpy's ``bincount``, float64 ``np.add.at`` and complex128
-``np.add.at`` loops adding their entries one at a time in index
-order.  None of that is documented numpy API, so this test pins the
-bits they produce against constants: it fails on a numpy whose loops
-round differently, or on a change to the kernels that moves a float,
+The kernels' reduction order (:mod:`repro.core.kernels`, spelled out
+in the header of its C source) was first carried by numpy's
+``bincount``, float64 ``np.add.at`` and complex128 ``np.add.at`` loops
+adding their entries one at a time in index order.  These constants
+were recorded on that numpy path and pass unedited on the C loops that
+replaced it: they fail on a change to the kernels that moves a float,
 with no second checkout to compare against.
 
 The table is ``paper_topology()`` with :data:`N_FLOWS` seeded flows:
-two full ``BLOCK_ROWS`` chunks (the column-by-column path and the
-chunk fold) plus a tail of at most ``SMALL_CHUNK`` flows (the one-call
-``bincount`` path).  :data:`CHURN_GOLDEN` follows the same table through
+two full ``BLOCK_ROWS`` chunks plus a short tail, so the chunk fold is
+pinned.  :data:`CHURN_GOLDEN` follows the same table through
 a seeded churn program (:data:`CHURN_OPS` ops of :data:`CHURN` ends and
 as many starts, one allocator iteration each), so swap-remove order,
 warm-started prices and the §6.4 mask's ``last``/``pending`` columns
-are pinned too.  A change that moves floats on purpose updates the
-constants and says which and why.
+are pinned too.  :data:`SPANNING_GOLDEN` pins a route set whose links
+span storage columns.  A change that moves floats on purpose updates
+the constants and says which and why.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import make_scheduler, paper_topology
-from repro.core import FlowtuneAllocator, kernels
+from repro.core import FlowtuneAllocator, LinkSet, kernels
 
 N_FLOWS = 34_000
 CHURN, CHURN_OPS = 500, 5
@@ -102,10 +102,10 @@ def outputs(allocator):
     }
 
 
-def test_table_spans_both_scatter_paths(allocator):
+def test_table_spans_two_chunks_and_a_tail(allocator):
     spans = kernels.chunk_spans(allocator.table.n_flows)
     assert [r1 - r0 for r0, r1 in spans[:-1]] == [kernels.BLOCK_ROWS] * 2
-    assert 0 < spans[-1][1] - spans[-1][0] <= kernels.SMALL_CHUNK
+    assert 0 < spans[-1][1] - spans[-1][0] < kernels.BLOCK_ROWS
 
 
 def test_kernel_outputs_match_golden(allocator):
@@ -206,3 +206,87 @@ def test_scheduler_churn_program_matches_golden(mode):
     if mode == "sampled":  # the program reaches both tables
         assert 0 < scheduler.n_priced < scheduler.n_flows
     assert digests == SCHEDULER_CHURN_GOLDEN[mode]
+
+
+# A route set whose links span storage columns: random routes of 1-5
+# hops over N_SPAN_LINKS links, middle-aligned, so one link sits in
+# column 0 of a one-hop route and in the last column of a two-hop one.
+# Only here does the contract's chunk -> column -> flow order differ
+# from a flow-major (chunk -> flow -> hop) one; the shipped fabrics
+# keep every link in one column.  The constants were recorded on the
+# tree whose scatters were numpy's bincount / np.add.at, before the
+# kernels moved to C, and pass unedited on both.
+N_SPAN_LINKS, N_SPAN_FLOWS, SPAN_ITERATIONS = 160, 2 * 16384 + 1500, 3
+
+SPANNING_GOLDEN = {
+    "price_sums":
+        "3661d5996d03cbb90548357219095a4076fc146dd0042ccaae776b91a53e233a",
+    "link_totals":
+        "97361d345e79281b3a2020abe1104604c1451e16ca0b6adf7cd0d845a130a8dd",
+    "link_totals2":
+        "91cb52d101daa3b487121bfd39b439b027762b962bdc19d8f62620bf97ee75e9",
+    "max_link_value":
+        "ea47c8fe436689161cb95acd008824ebca4ea01e0f6e78852188542dcf97f71a",
+    "bottleneck_capacity":
+        "0d00ae7164e69da6d4085755a79fb17fef0351c243423fa82e8d5b8048e6693e",
+    "iterate": [
+        "0f4163857a6fa3a945a75b858017fdef35b0b723aa81990ceb9ea6ac926675c3",
+        "f6bc490fccd417d54b45f0bb3f1f259b4b296592eb77670d3a013122fbc7e244",
+        "c7675de65ea928cbc02536111bd04e3428f8d6faab5d7ff0e45294f2cd9b5594",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def spanning_allocator():
+    rng = np.random.default_rng(36)
+    links = LinkSet(1.0 + 10.0 * rng.random(N_SPAN_LINKS))
+    lengths = rng.integers(1, 6, N_SPAN_FLOWS)
+    allocator = FlowtuneAllocator(links)
+    allocator.apply_churn(starts=[
+        (i, rng.choice(N_SPAN_LINKS, k, replace=False))
+        for i, k in enumerate(lengths.tolist())])
+    return allocator
+
+
+def test_spanning_table_spans_columns_and_chunks(spanning_allocator):
+    table = spanning_allocator.table
+    n = table.n_flows
+    routes = table._routes[:, :n]
+    columns_of = [set(np.flatnonzero((routes == link).any(axis=1)))
+                  for link in range(N_SPAN_LINKS)]
+    assert all(len(columns) > 1 for columns in columns_of)
+    assert len(kernels.chunk_spans(n)) == 3
+    # The golden tells the orders apart: per chunk, a flow-major
+    # bincount rounds differently from the column-major contract.
+    values = np.random.default_rng(8).random(n)
+    flow_major = np.zeros(N_SPAN_LINKS + 1)
+    for r0, r1 in kernels.chunk_spans(n):
+        flow_major += np.bincount(
+            routes[:, r0:r1].T.ravel(),
+            weights=np.repeat(values[r0:r1], len(routes)),
+            minlength=N_SPAN_LINKS + 1)
+    assert np.any(flow_major[:-1] != table.link_totals(values))
+
+
+def test_spanning_kernels_match_golden(spanning_allocator):
+    table = spanning_allocator.table
+    rng = np.random.default_rng(8)
+    n_links, n = table.links.n_links, table.n_flows
+    prices = rng.random(n_links)
+    a, b = rng.random(n), -rng.random(n)
+    per_link = rng.random(n_links)
+    got = {
+        "price_sums": digest(table.price_sums(prices)),
+        "link_totals": digest(table.link_totals(a)),
+        "link_totals2": digest(*table.link_totals2(a, b)),
+        "max_link_value": digest(table.max_link_value(per_link)),
+        "bottleneck_capacity": digest(table.bottleneck_capacity()),
+        "iterate": [],
+    }
+    for _ in range(SPAN_ITERATIONS):
+        result = spanning_allocator.iterate(1)
+        got["iterate"].append(digest(
+            result.rate_vector, result.update_indices,
+            spanning_allocator.optimizer.prices))
+    assert got == SPANNING_GOLDEN

@@ -1,0 +1,101 @@
+"""Build hygiene of the compiled route kernels.
+
+``repro.core.kernels`` compiles ``_kernels.c`` at first import into
+``__pycache__/`` beside it.  These tests run on copies of the package
+in a temp dir, so each starts from an empty cache: concurrent cold
+imports, the compiler flags, and the error without a compiler.
+
+The module imports nothing from ``repro`` at top level: the spawned
+children import it by name and must load the *copy*, not the checkout.
+"""
+
+import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+N_PROCS = 4
+
+
+def copy_package(tmp_path):
+    """A copy of ``src/repro`` with no compiled cache; returns its root."""
+    root = tmp_path / "src"
+    shutil.copytree(SRC / "repro", root / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def import_copy(root, barrier, results):
+    """Child: import the copy's kernels at the barrier and use them."""
+    sys.path.insert(0, str(root))
+    import numpy as np
+    barrier.wait()
+    from repro.core import kernels
+    routes = np.array([[0, 1, 2], [2, 0, 1]], dtype=np.int64)
+    sums = kernels.price_sums(np.array([1.0, 2.0, 4.0]), routes, 3)
+    results.put((kernels.__file__, kernels._lib.__file__, sums.tolist()))
+
+
+def test_concurrent_cold_imports_share_one_library(tmp_path):
+    root = copy_package(tmp_path)
+    ctx = multiprocessing.get_context("spawn")
+    barrier, results = ctx.Barrier(N_PROCS), ctx.Queue()
+    procs = [ctx.Process(target=import_copy, args=(root, barrier, results))
+             for _ in range(N_PROCS)]
+    for proc in procs:
+        proc.start()
+    got = [results.get(timeout=120) for _ in procs]
+    for proc in procs:
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+    cache = root / "repro" / "core" / "__pycache__"
+    libraries = sorted(path.name for path in cache.iterdir()
+                       if path.name.startswith("_kernels"))
+    assert len(libraries) == 1, libraries   # no temp file left behind
+    for module_file, library, sums in got:
+        assert Path(module_file).is_relative_to(root)
+        assert Path(library) == cache / libraries[0]
+        assert sums == [5.0, 3.0, 6.0]
+
+
+def test_build_flags_keep_the_float_order():
+    """No contraction, no reassociation: either would move bits."""
+    from repro.core import kernels
+
+    command = kernels.build_command("k.c", "k.so")
+    joined = " ".join(command)
+    assert "-O2 -ffp-contract=off" in joined
+    for banned in ("-ffast-math", "-Ofast", "-march=native",
+                   "-funsafe-math-optimizations"):
+        assert banned not in command
+    assert command[-3:] == ["k.c", "-o", "k.so"]
+
+
+def test_missing_compiler_is_an_import_error(tmp_path):
+    root = copy_package(tmp_path)
+    env = {**os.environ, "PATH": str(tmp_path / "empty")}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(root)!r}); "
+         "import repro.core.kernels"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "ImportError" in done.stderr and "needs gcc" in done.stderr
+    cache = root / "repro" / "core" / "__pycache__"
+    assert not any(path.name.startswith("_kernels")
+                   for path in cache.glob("*"))
+
+
+def test_compile_error_is_an_import_error(tmp_path):
+    root = copy_package(tmp_path)
+    (root / "repro" / "core" / "_kernels.c").write_text("int x = ;\n")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(root)!r}); "
+         "import repro.core.kernels"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "ImportError" in done.stderr and "failed" in done.stderr

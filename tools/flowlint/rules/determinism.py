@@ -1,16 +1,16 @@
 """FL-DET — determinism of the kernel hot path.
 
 The bitwise-equality contract (every backend, any machine) rests on
-the canonical chunked reduction in ``repro/core/kernels.py``:
-accumulation order must depend only on ``n`` and ``BLOCK_ROWS``.
-These rules flag the constructs that silently break that:
+the canonical chunked reduction of ``repro/core/kernels.py``, whose
+loops (and whose order: chunk → column → flow) live in the C source
+beside it, ``repro/core/_kernels.c``.  Accumulation order must depend
+only on ``n`` and ``BLOCK_ROWS``.  These rules flag the Python
+constructs that silently break that:
 
 FL-DET001
     ``np.add.reduceat`` / ``ufunc.at`` reductions — numpy documents no
-    accumulation order for them.  ``kernels.py`` may use one under a
-    pragma when its bitwise contract states the order it relies on and
-    a test pins that order against a scalar reference (the large-chunk
-    ``np.add.at`` scatter); anywhere else the order would be unpinned.
+    accumulation order for them.  The kernels no longer use either;
+    a scatter belongs in the C loops, where the order is written out.
 FL-DET002
     Float accumulation driven by *set* iteration — set order varies
     with hash seeding and insertion history, so ``sum`` over a set of
