@@ -12,10 +12,21 @@ is dropped.  Every op's rate vector and update indices are compared
 with ``tobytes()``: a change that claims no float moved must print
 ``0 differ``.
 
+The copy imported first is faster or slower for reasons of its own
+(allocation placement; at 100k flows the change/parent ratio of one
+change read 0.83-0.85 with the parent loaded first and 0.96-1.03 with
+the change loaded first), so the script runs both load orders, each in
+a fresh subprocess, one after the other, and prints both ratios, their
+geometric mean and a warning where the two orders disagree by more
+than :data:`ORDER_SPREAD`.
+
     python benchmarks/results/iterate_ab.py PARENT_CHECKOUT [CHANGE_CHECKOUT]
 """
 
+import json
+import math
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -24,6 +35,10 @@ import numpy as np
 
 #: (live flows, ends = starts per op, ops) per workload shape.
 SHAPES = ((100_000, 50, 1200), (10_000, 2000, 600), (3_000, 250, 1200))
+#: The two load orders, as the child's first argument.
+ORDERS = ("parent-first", "change-first")
+#: Relative disagreement between the orders' ratios that gets a warning.
+ORDER_SPREAD = 0.05
 
 
 def load(checkout):
@@ -77,18 +92,50 @@ def run_shape(modules, n_live, k, ops, seed=3):
             change.sum() / parent.sum(), differ)
 
 
-def main(parent, change=Path(__file__).resolve().parents[2]):
+def child(order, parent, change):
+    """One load order in this process: one JSON line per shape."""
     warm = np.empty(32 << 20, dtype=np.uint8)
     del warm
-    modules = [load(parent), load(change)]
-    print(f"parent {parent}, change {change}; op = apply_churn + iterate(1),"
-          " ms medians, ratio = change/parent summed over the kept ops")
+    if order == "parent-first":
+        modules = [load(parent), load(change)]
+    else:
+        changed = load(change)
+        modules = [load(parent), changed]
     for n_live, k, ops in SHAPES:
         p50, c50, ratio, differ = run_shape(modules, n_live, k, ops)
-        print(f"{n_live:>7} live, {k:>4} churn, {ops} ops: parent "
-              f"{p50:.3f}  change {c50:.3f}  ratio {ratio:.3f}  "
-              f"({differ} of {ops} ops differ)", flush=True)
+        print(json.dumps([p50, c50, ratio, differ]), flush=True)
+
+
+def main(parent, change=Path(__file__).resolve().parents[2]):
+    print(f"parent {parent}, change {change}; op = apply_churn + iterate(1),"
+          " ms medians, ratio = change/parent summed over the kept ops;"
+          " each load order in its own process")
+    ratios = {}
+    for order in ORDERS:
+        proc = subprocess.Popen(
+            [sys.executable, __file__, "--child", order, str(parent),
+             str(change)], stdout=subprocess.PIPE, text=True)
+        assert proc.stdout is not None
+        for (n_live, k, ops), line in zip(SHAPES, proc.stdout):
+            p50, c50, ratio, differ = json.loads(line)
+            ratios[order, n_live] = ratio
+            print(f"{order:>12}: {n_live:>7} live, {k:>4} churn, {ops} ops: "
+                  f"parent {p50:.3f}  change {c50:.3f}  ratio {ratio:.3f}  "
+                  f"({differ} of {ops} ops differ)", flush=True)
+        if proc.wait():
+            raise SystemExit(f"the {order} child failed")
+    for n_live, k, _ in SHAPES:
+        first, second = (ratios[order, n_live] for order in ORDERS)
+        spread = abs(first / second - 1.0)
+        print(f"{n_live:>7} live, {k:>4} churn: ratio {first:.3f} "
+              f"(parent first) / {second:.3f} (change first), geometric "
+              f"mean {math.sqrt(first * second):.3f}"
+              + (f"  WARNING: the load orders disagree by {spread:.0%}"
+                 if spread > ORDER_SPREAD else ""))
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    if sys.argv[1:2] == ["--child"]:
+        child(*sys.argv[2:])
+    else:
+        main(*sys.argv[1:])

@@ -14,8 +14,7 @@ Public API re-exports; see individual modules for the algorithms:
 """
 
 from .allocator import (AllocationResult, ChurnQueue, FlowtuneAllocator,
-                        RateUpdate, threshold_update_indices,
-                        threshold_update_mask)
+                        RateUpdate, threshold_update_mask)
 from .external import ExternalTrafficManager
 from .fgm import FgmOptimizer
 from .gradient import GradientOptimizer
@@ -30,7 +29,7 @@ from .utility import AlphaFairUtility, LogUtility, Utility
 
 __all__ = [
     "AllocationResult", "ChurnQueue", "FlowtuneAllocator", "RateUpdate",
-    "threshold_update_indices", "threshold_update_mask",
+    "threshold_update_mask",
     "ExternalTrafficManager",
     "FgmOptimizer", "GradientOptimizer", "NedOptimizer",
     "NewtonLikeOptimizer", "NedRtOptimizer", "GradientRtOptimizer",

@@ -21,15 +21,15 @@ from typing import Any, NamedTuple
 import numpy as np
 import numpy.typing as npt
 
-from .kernels import chunk_spans
+from . import kernels
 from .ned import NedOptimizer
 from .network import FlowTable, LinkSet
-from .normalization import FNormalizer, Normalizer, _CallableNormalizer
+from .normalization import (FNormalizer, Normalizer, _CallableNormalizer,
+                            _f_norm)
 from .utility import Utility
 
 __all__ = ["RateUpdate", "AllocationResult", "FlowtuneAllocator",
-           "ChurnQueue", "group_by_owner", "threshold_update_indices",
-           "threshold_update_mask"]
+           "ChurnQueue", "group_by_owner", "threshold_update_mask"]
 
 
 class RateUpdate(NamedTuple):
@@ -40,22 +40,6 @@ class RateUpdate(NamedTuple):
 
 
 _NO_UPDATES = np.zeros(0, dtype=np.intp)
-
-
-def _mask_chunk(rates: npt.NDArray[np.float64],
-                sent: npt.NDArray[np.float64],
-                pending: npt.NDArray[np.bool_], threshold: float,
-                flag: npt.NDArray[np.bool_]) -> None:
-    """The §6.4 filter on one chunk: ``flag = (|r - s| > t*s) |
-    isnan(s) | pending``, then ``sent`` takes the flagged rates and
-    ``pending`` clears (every pending row is flagged)."""
-    drift = np.subtract(rates, sent)
-    np.abs(drift, out=drift)
-    np.greater(drift, threshold * sent, out=flag)
-    flag |= np.isnan(sent)
-    flag |= pending
-    np.copyto(sent, rates, where=flag)
-    pending[:] = False
 
 
 def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
@@ -78,26 +62,11 @@ def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
     Returns the boolean ``changed`` mask rather than indices: when
     nearly everything changed (the ECMP fair-share model under churn
     renotifies most mice each refresh), masked stores beat building a
-    90 k-entry index array the caller may never read.  Use
-    :func:`threshold_update_indices` when positions are needed
-    eagerly.
+    90 k-entry index array the caller may never read.
     """
-    changed = np.empty(len(last), dtype=np.bool_)
-    # Row blocks keep the temporaries cache-resident; the allocator
-    # runs the same chunks inside F-NORM's pass.
-    for lo, hi in chunk_spans(len(last)):
-        _mask_chunk(rate_vec[lo:hi], last[lo:hi], pending[lo:hi],
-                    threshold, changed[lo:hi])
-    return changed
-
-
-def threshold_update_indices(rate_vec: npt.NDArray[np.float64],
-                             last: npt.NDArray[np.float64],
-                             pending: npt.NDArray[np.bool_],
-                             threshold: float) -> npt.NDArray[np.intp]:
-    """:func:`threshold_update_mask` rendered as update positions."""
-    return np.flatnonzero(
-        threshold_update_mask(rate_vec, last, pending, threshold))
+    return kernels.threshold_mask(
+        np.ascontiguousarray(rate_vec, dtype=np.float64), last, pending,
+        threshold, np.empty(len(last), dtype=np.bool_))
 
 
 class AllocationResult:
@@ -270,6 +239,10 @@ class FlowtuneAllocator:
                 "two-argument form is no longer called")
         self.normalizer = (normalizer if isinstance(normalizer, Normalizer)
                            else _CallableNormalizer(normalizer))
+        # F-NORM, unless a subclass normalizes through its own __call__,
+        # runs as one compiled pass with the §6.4 mask on each chunk.
+        self._f_norm_pass = (type(self.normalizer).__call__
+                             is FNormalizer.__call__)
         # Positionally-aligned per-flow state, maintained by the flow
         # table under swap-remove churn: the rate each endpoint was
         # last notified of (NaN = never notified) and whether the flow
@@ -347,28 +320,30 @@ class FlowtuneAllocator:
     def iterate(self, n: int = 1) -> AllocationResult:
         """Run ``n`` optimizer iterations, normalize, emit notifications.
 
-        The threshold filter of §6.4 runs over the positionally-aligned
-        ``last_sent`` column (:func:`threshold_update_mask`'s chunks): a
-        flow is notified when it is new, when a zero rate turns
-        positive, or when its rate leaves ``[(1-t)*last, (1+t)*last]``.
-        With NED and F-NORM the iteration is two passes over the flows,
+        The threshold filter of §6.4 (:func:`threshold_update_mask`)
+        runs over the positionally-aligned ``last_sent`` column: a flow
+        is notified when it is new, when a zero rate turns positive, or
+        when its rate leaves ``[(1-t)*last, (1+t)*last]``.  With NED and
+        F-NORM the iteration is two compiled passes over the flows,
         chunk by chunk (:mod:`repro.core.kernels`): NED's price step,
         then F-NORM with the mask on each chunk as it is normalized.
+        Any other normalizer normalizes the whole vector, then the mask
+        runs over it.
         """
         raw = self.optimizer.iterate(n)
         loader = getattr(self.optimizer, "link_load_for", None)
+        load = loader(raw) if loader is not None else None
         last, pending = self._last_sent.data, self._pending_new.data
-        changed = np.empty(self.table.n_flows, dtype=np.bool_)
         threshold = self.update_threshold
-
-        def mask(r0: int, r1: int, rates: npt.NDArray[np.float64]) -> None:
-            _mask_chunk(rates, last[r0:r1], pending[r0:r1], threshold,
-                        changed[r0:r1])
-
-        # F-NORM runs the mask on each chunk as it is normalized.
-        normalized = self.normalizer.normalize_chunks(
-            self.table, raw, loader(raw) if loader is not None else None,
-            mask)
+        if self._f_norm_pass:
+            changed = np.empty(self.table.n_flows, dtype=np.bool_)
+            normalized = _f_norm(self.table, raw,
+                                 self.normalizer.allow_scale_up, load,
+                                 (last, pending, threshold, changed))
+        else:
+            normalized = self.normalizer(self.table, raw, link_load=load)
+            changed = threshold_update_mask(normalized, last, pending,
+                                            threshold)
         # O(1) view of the table's positionally-aligned id column —
         # the per-iterate list rebuild this replaces used to cost a
         # full O(n_flows) copy whether or not anyone read the ids.

@@ -35,21 +35,28 @@ There is no numpy fallback: without a compiler the import fails with
 an ``ImportError`` saying so.
 
 **The allocator's two passes.**  One ``FlowtuneAllocator.iterate``
-(NED + F-NORM) is two loops over :func:`chunk_spans`, each with one
-callback per chunk, so every per-flow temporary is one chunk long and
-only the raw rates, the normalized rates and the update mask span the
-table:
+(NED + F-NORM) is two compiled loops over the :func:`chunk_spans`
+grid, with the per-flow arithmetic inside them, so every per-flow
+temporary is one chunk long and only the raw rates, the normalized
+rates and the update mask span the table:
 
-1. :func:`rate_pass` — NED's price step: each chunk's price sums, the
-   caller's capped rates and rate derivatives, and their pair scatter;
-2. :func:`max_pass` — F-NORM: each chunk's worst link ratio, which the
-   caller clamps, divides into the normalized rates and runs the §6.4
-   mask on.
+1. :func:`log_rate_pass` — NED's price step for the log utility: each
+   chunk's price sums, clamped at the flows' caps and at
+   ``MIN_PRICE_SUM``, the rates ``w / rho`` and derivatives
+   ``-(w / (rho * rho))``, and their pair scatter;
+2. :func:`f_norm_pass` — F-NORM: each chunk's worst link ratio,
+   clamped, divided into the normalized rates, and (optionally) the
+   §6.4 mask of :func:`threshold_mask` on the chunk just written.
 
-Both call the same C loops as the whole-table kernels, one chunk per
-call, so the passes equal the kernels called one after another, bit
-for bit (``tests/test_csr_kernels.py``, and the churn program of
-``tests/test_golden_kernels.py``).
+Each per-flow expression is the numpy ufunc it replaced (the C
+header lists them), and the folds and scatters are the whole-table
+kernels' own chunk loops, so the passes equal the kernels and the
+ufuncs called one after another, bit for bit
+(``tests/test_csr_kernels.py`` checks them against that numpy spelling
+on hostile values; the churn program of ``tests/test_golden_kernels.py``
+against constants).  Another utility runs the same steps as
+``price_sums``, its own ``rate`` / ``rate_derivative`` and
+:func:`link_totals2`.
 """
 
 from __future__ import annotations
@@ -58,21 +65,23 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
-from collections.abc import Callable
 from pathlib import Path
 from types import ModuleType
 
 import numpy as np
 import numpy.typing as npt
 
+from .utility import MIN_PRICE_SUM
+
 __all__ = [
     "BLOCK_ROWS", "chunk_spans", "describe", "price_sums",
     "max_link_value", "link_totals", "link_totals2", "min_link_value",
-    "rate_pass", "max_pass",
+    "log_rate_pass", "f_norm_pass", "threshold_mask",
 ]
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
+BoolArray = npt.NDArray[np.bool_]
 
 #: Canonical reduction chunk size (flows).  Part of the bitwise
 #: contract: results at n > BLOCK_ROWS depend on it at the 1-ulp
@@ -145,7 +154,10 @@ def describe() -> str:
 
 
 def chunk_spans(n: int) -> list[tuple[int, int]]:
-    """The canonical chunk grid for ``n`` flows: ``[(r0, r1), ...]``."""
+    """The canonical chunk grid for ``n`` flows: ``[(r0, r1), ...]``.
+
+    Reach: invariant — the C loops walk this grid; tests check with it
+    that their tables span several chunks and a tail."""
     block = BLOCK_ROWS
     return [(r0, min(n, r0 + block)) for r0 in range(0, n, block)]
 
@@ -179,22 +191,6 @@ def min_link_value(padded: FloatArray, routes: IntArray, n: int,
     return out
 
 
-def max_pass(padded: FloatArray, routes: IntArray, n: int,
-             per_chunk: Callable[[int, int, FloatArray], None]) -> None:
-    """F-NORM's chunk loop (the allocator's pass 2).
-
-    For each chunk in order, folds the max of padded[routes] into a
-    fresh chunk-sized array (the values :func:`max_link_value` writes)
-    and hands it to ``per_chunk(r0, r1, worst)``, which may modify it
-    in place.
-    """
-    block = BLOCK_ROWS
-    for r0, r1 in chunk_spans(n):
-        worst = np.empty(r1 - r0)
-        _lib.fold(_MAX, padded, routes, r0, r1, block, worst)
-        per_chunk(r0, r1, worst)
-
-
 # ----------------------------------------------------------------------
 # link scatters
 # ----------------------------------------------------------------------
@@ -217,27 +213,51 @@ def link_totals2(a: FloatArray, b: FloatArray, routes: IntArray, n: int,
     return out_a, out_b
 
 
-def rate_pass(padded: FloatArray, routes: IntArray, n: int, minlength: int,
-              rates: FloatArray,
-              per_flow: Callable[[int, int, FloatArray, FloatArray,
-                                  FloatArray], None],
-              ) -> tuple[FloatArray, FloatArray]:
-    """NED's chunk loop (the allocator's pass 1): price sums, rates and
-    rate derivatives, and their link totals, one chunk at a time.
+def log_rate_pass(padded: FloatArray, routes: IntArray, n: int,
+                  caps: FloatArray | None, weights: FloatArray,
+                  rates: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """NED's pass for the log utility (the allocator's pass 1).
 
-    For each chunk, folds the sum of padded[routes] (the values
-    :func:`price_sums` returns) into a fresh chunk-sized ``rho``; then
-    ``per_flow(r0, r1, rho, rate_out, deriv_out)`` writes the chunk's
-    rates into ``rates[r0:r1]`` and its derivatives into ``deriv_out``.
-    Returns the link totals of the rates and of the derivatives,
-    bitwise equal to :func:`link_totals2` over the finished vectors.
+    Per chunk: the price sums of ``padded`` (what :func:`price_sums`
+    returns), clamped at ``caps`` (unless ``None``) and at
+    :data:`~repro.core.utility.MIN_PRICE_SUM`; the rates ``w / rho``
+    into ``rates`` and the derivatives ``-(w / (rho * rho))``; their
+    pair scatter.  Returns the link totals of the rates and of the
+    derivatives (``len(padded)`` bins), bitwise equal to
+    :func:`link_totals2` over the finished vectors.
     """
-    load, hessian = np.zeros(minlength), np.zeros(minlength)
-    block = BLOCK_ROWS
-    for r0, r1 in chunk_spans(n):
-        rho, deriv = np.empty(r1 - r0), np.empty(r1 - r0)
-        _lib.fold(_SUM, padded, routes, r0, r1, block, rho)
-        rate = rates[r0:r1]
-        per_flow(r0, r1, rho, rate, deriv)
-        _lib.scatter(rate, deriv, routes, r0, r1, block, load, hessian)
+    if n == 0:
+        return np.zeros(len(padded)), np.zeros(len(padded))
+    load, hessian = np.empty(len(padded)), np.empty(len(padded))
+    _lib.ned_log_pass(padded, routes, n, BLOCK_ROWS, caps, weights,
+                      MIN_PRICE_SUM, rates, load, hessian)
     return load, hessian
+
+
+def f_norm_pass(padded: FloatArray, routes: IntArray, n: int,
+                rates: FloatArray, epsilon: float, allow_scale_up: bool,
+                mask: tuple[FloatArray, BoolArray, float, BoolArray]
+                | None = None) -> FloatArray:
+    """F-NORM's pass (the allocator's pass 2), into a fresh array.
+
+    Per chunk: each flow's worst entry of ``padded`` (the per-link
+    ratios, pad ``-inf``: what :func:`max_link_value` returns), clamped
+    at ``epsilon`` and, unless ``allow_scale_up``, at 1.0, divided into
+    ``rates``.  ``mask = (last, pending, threshold, changed)`` runs
+    :func:`threshold_mask` on each chunk as it is normalized.
+    """
+    out = np.empty(n)
+    last, pending, threshold, changed = (
+        mask if mask is not None else (None, None, 0.0, None))
+    _lib.f_norm_pass(padded, routes, n, BLOCK_ROWS, rates, epsilon,
+                     allow_scale_up, out, last, pending, threshold, changed)
+    return out
+
+
+def threshold_mask(rates: FloatArray, last: FloatArray, pending: BoolArray,
+                   threshold: float, changed: BoolArray) -> BoolArray:
+    """The §6.4 filter into ``changed``: ``(|r - s| > t*s) | isnan(s) |
+    pending``; the flagged rows of ``last`` take their rates and every
+    ``pending`` flag clears, in place."""
+    _lib.threshold_mask(rates, last, pending, threshold, changed)
+    return changed

@@ -29,7 +29,7 @@ import numpy.typing as npt
 
 from .network import FlowTable
 from .optimizer import PriceOptimizer
-from .utility import Utility
+from .utility import LogUtility, Utility
 
 __all__ = ["NedOptimizer"]
 
@@ -85,24 +85,24 @@ class NedOptimizer(PriceOptimizer):
         return self.table.link_totals(per_flow)
 
     def _step(self) -> npt.NDArray[np.float64]:
-        # Equation 3 and both scatters in one pass over the flows
-        # (kernels.rate_pass): each chunk's price sums, capped rates
-        # and rate derivatives stay chunk-sized, and the pair scatter
-        # gives the load (memoized for the allocator's normalizer) and
-        # the Hessian diagonal.  Same floats as rate_update +
-        # over_allocation + hessian_diagonal.
+        # Equation 3 and both scatters in one pass over the flows: the
+        # log utility's (kernels.log_rate_pass) keeps each chunk's price
+        # sums, capped rates and rate derivatives chunk-sized in C;
+        # another utility's runs its own rate and derivative over the
+        # capped price sums.  The pair scatter gives the load (memoized
+        # for the allocator's normalizer) and the Hessian diagonal.
+        # Same floats as rate_update + over_allocation +
+        # hessian_diagonal.
         table = self.table
-        rates = np.empty(table.n_flows)
-        weights = table.weights
-        caps = self._cap_prices() if self.cap_rates and len(rates) else None
-        rate_and_derivative = self.utility.rate_and_derivative
-
-        def per_flow(r0, r1, rho, rate_out, deriv_out):
-            if caps is not None:
-                np.maximum(rho, caps[r0:r1], out=rho)
-            rate_and_derivative(rho, weights[r0:r1], rate_out, deriv_out)
-
-        load, hessian = table.rate_pass(self.prices, rates, per_flow)
+        if type(self.utility) is LogUtility:
+            rates = np.empty(table.n_flows)
+            caps = self._cap_prices() if self.cap_rates else None
+            load, hessian = table.log_rate_pass(self.prices, caps, rates)
+        else:
+            rho = self.effective_price_sums()
+            rates = self.utility.rate(rho, table.weights)
+            load, hessian = table.link_totals2(
+                rates, self.utility.rate_derivative(rho, table.weights))
         self._load_memo = (table.version, rates, load)
         over = load - table.links.capacity
         carrying = hessian < 0.0

@@ -787,34 +787,29 @@ class FlowTable:
             self.links.n_links + 1)
         return totals_a[:-1], totals_b[:-1]
 
-    def rate_pass(self, prices: npt.ArrayLike, rates: FloatArray,
-                  per_flow: Callable[..., None],
-                  ) -> tuple[FloatArray, FloatArray]:
-        """NED's pass over the flows (:func:`kernels.rate_pass`).
-
-        Per chunk, ``per_flow(r0, r1, rho, rate_out, deriv_out)`` gets
-        the chunk's :meth:`price_sums` of ``prices`` and writes its
-        rates (into ``rates[r0:r1]``) and rate derivatives.  Returns
-        their link totals, bitwise equal to :meth:`link_totals2` over
-        the finished vectors.
-        """
-        n = self._n
-        if n == 0:
-            zeros = np.zeros(self.links.n_links, dtype=np.float64)
-            return zeros, zeros.copy()
-        load, hessian = kernels.rate_pass(
-            self.pad(prices), self._routes, n, self.links.n_links + 1,
-            rates, per_flow)
+    def log_rate_pass(self, prices: npt.ArrayLike, caps: FloatArray | None,
+                      rates: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """NED's pass for the log utility (:func:`kernels.log_rate_pass`):
+        writes each flow's rate ``w / rho`` into ``rates``, ``rho`` being
+        its :meth:`price_sums` clamped at ``caps`` (unless ``None``) and
+        at ``MIN_PRICE_SUM``.  Returns the link totals of the rates and
+        of the rate derivatives, bitwise equal to :meth:`link_totals2`
+        over the finished vectors."""
+        load, hessian = kernels.log_rate_pass(
+            self.pad(prices), self._routes, self._n, caps, self.weights,
+            rates)
         return load[:-1], hessian[:-1]
 
-    def max_pass(self, per_link: npt.ArrayLike,
-                 per_chunk: Callable[[int, int, FloatArray], None]) -> None:
-        """F-NORM's pass over the flows (:func:`kernels.max_pass`):
-        ``per_chunk(r0, r1, worst)`` gets each chunk's
-        :meth:`max_link_value` of ``per_link`` in a fresh array."""
-        if self._n:
-            kernels.max_pass(self.pad(per_link, pad_value=-np.inf),
-                             self._routes, self._n, per_chunk)
+    def f_norm_pass(self, per_link: npt.ArrayLike, rates: FloatArray,
+                    epsilon: float, allow_scale_up: bool,
+                    mask: tuple[Any, ...] | None = None) -> FloatArray:
+        """F-NORM's pass (:func:`kernels.f_norm_pass`): ``rates`` over
+        each flow's clamped :meth:`max_link_value` of ``per_link``, in
+        a fresh array, with the §6.4 ``mask = (last, pending,
+        threshold, changed)`` run on each chunk unless ``None``."""
+        return kernels.f_norm_pass(
+            self.pad(per_link, pad_value=-np.inf), self._routes, self._n,
+            rates, epsilon, allow_scale_up, mask)
 
     def max_link_value(self, per_link: npt.ArrayLike) -> FloatArray:
         """Per-flow max of a per-link quantity along each route.

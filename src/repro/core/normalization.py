@@ -33,15 +33,12 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from .kernels import chunk_spans
 from .network import FlowTable
 
 __all__ = ["link_ratios", "u_norm", "f_norm", "Normalizer",
            "UNormalizer", "FNormalizer", "NullNormalizer"]
 
 FloatArray = npt.NDArray[np.float64]
-#: ``on_chunk(r0, r1, normalized[r0:r1])``, called once per chunk.
-ChunkCallback = Callable[[int, int, FloatArray], None]
 
 _EPSILON = 1e-12
 
@@ -77,31 +74,20 @@ def f_norm(table: FlowTable, rates: npt.ArrayLike,
            allow_scale_up: bool = True,
            link_load: FloatArray | None = None) -> FloatArray:
     """Per-flow normalization (Equation 9): each flow / its worst link."""
-    return _f_norm_chunks(table, np.asarray(rates, dtype=np.float64),
-                          allow_scale_up, link_load, None)
+    return _f_norm(table, rates, allow_scale_up, link_load, None)
 
 
-def _f_norm_chunks(table: FlowTable, rates: FloatArray, allow_scale_up: bool,
-                   link_load: FloatArray | None,
-                   on_chunk: ChunkCallback | None) -> FloatArray:
-    """F-NORM as the allocator's pass 2: each chunk's worst ratio is
-    clamped and divided into the fresh result, which ``on_chunk`` then
-    sees while it is still in cache."""
+def _f_norm(table: FlowTable, rates: npt.ArrayLike, allow_scale_up: bool,
+            link_load: FloatArray | None,
+            mask: tuple[Any, ...] | None) -> FloatArray:
+    """F-NORM as the allocator's pass 2 (:meth:`FlowTable.f_norm_pass`),
+    with the §6.4 ``mask = (last, pending, threshold, changed)`` run on
+    each chunk as it is normalized, unless ``None``."""
+    rates = np.ascontiguousarray(rates, dtype=np.float64)
     if len(rates) == 0:
         return rates.copy()
-    ratios = link_ratios(table, rates, link_load=link_load)
-    out = np.empty(len(rates))
-
-    def scale(r0: int, r1: int, worst: FloatArray) -> None:
-        np.maximum(worst, _EPSILON, out=worst)
-        if not allow_scale_up:
-            np.maximum(worst, 1.0, out=worst)
-        chunk = np.divide(rates[r0:r1], worst, out=out[r0:r1])
-        if on_chunk is not None:
-            on_chunk(r0, r1, chunk)
-
-    table.max_pass(ratios, scale)
-    return out
+    return table.f_norm_pass(link_ratios(table, rates, link_load=link_load),
+                             rates, _EPSILON, allow_scale_up, mask)
 
 
 class Normalizer:
@@ -118,29 +104,9 @@ class Normalizer:
 
     name = "none"
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        # A subclass that redefines __call__ alone (over F-NORM's, say)
-        # is normalized through it: the whole-vector default below.
-        if "__call__" in vars(cls) and "normalize_chunks" not in vars(cls):
-            setattr(cls, "normalize_chunks", Normalizer.normalize_chunks)
-
     def __call__(self, table: FlowTable, rates: npt.ArrayLike,
                  link_load: FloatArray | None = None) -> FloatArray:
         raise NotImplementedError
-
-    def normalize_chunks(self, table: FlowTable, rates: npt.ArrayLike,
-                         link_load: FloatArray | None,
-                         on_chunk: ChunkCallback) -> Any:
-        """``self(table, rates, link_load=link_load)``, whose float64
-        view is then handed to ``on_chunk(r0, r1, chunk)`` chunk by
-        chunk (the allocator runs the §6.4 mask there).  F-NORM
-        overrides this to normalize chunk by chunk as well."""
-        normalized = self(table, rates, link_load=link_load)
-        vec = np.asarray(normalized, dtype=np.float64)
-        for r0, r1 in chunk_spans(len(vec)):
-            on_chunk(r0, r1, vec[r0:r1])
-        return normalized
 
 
 class _CallableNormalizer(Normalizer):
@@ -180,15 +146,10 @@ class FNormalizer(Normalizer):
     def __call__(self, table: FlowTable, rates: npt.ArrayLike,
                  link_load: FloatArray | None = None) -> FloatArray:
         """Reach: api — every normalizer is a callable (fig. 13 compares
-        them); the allocator runs :meth:`normalize_chunks` instead."""
+        them); the allocator runs F-NORM's pass with its §6.4 mask
+        instead, unless a subclass overrides this method."""
         return f_norm(table, rates, allow_scale_up=self.allow_scale_up,
                       link_load=link_load)
-
-    def normalize_chunks(self, table: FlowTable, rates: npt.ArrayLike,
-                         link_load: FloatArray | None,
-                         on_chunk: ChunkCallback) -> FloatArray:
-        return _f_norm_chunks(table, np.asarray(rates, dtype=np.float64),
-                              self.allow_scale_up, link_load, on_chunk)
 
 
 class NullNormalizer(Normalizer):

@@ -74,19 +74,6 @@ class Utility:
         """
         raise NotImplementedError
 
-    def rate_and_derivative(self, price_sum: FloatArray, weight: FloatArray,
-                            rate_out: FloatArray, deriv_out: FloatArray,
-                            ) -> None:
-        """Write :meth:`rate` into ``rate_out`` and :meth:`rate_derivative`
-        into ``deriv_out`` (arrays of ``price_sum``'s shape), the same
-        floats the two methods return.
-
-        NED's pass calls this once per chunk; ``price_sum`` is scratch
-        the call may overwrite.  Override to share work between the two.
-        """
-        rate_out[:] = self.rate(price_sum, weight)
-        deriv_out[:] = self.rate_derivative(price_sum, weight)
-
     def inverse_rate(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
                      ) -> FloatArray:
         """Return ``U'(x)``, the price sum at which ``x`` is optimal.
@@ -102,7 +89,9 @@ class LogUtility(Utility):
 
     This is the paper's primary objective.  With ``rho`` the sum of
     link prices along the flow, the rate update is ``x = w / rho`` and
-    its derivative is ``-w / rho**2``.
+    its derivative is ``-w / rho**2``.  NED computes both inside its
+    compiled pass (:func:`repro.core.kernels.log_rate_pass`), whose C
+    is these methods' ufunc calls element for element.
     """
 
     def rate(self, price_sum: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
@@ -118,16 +107,6 @@ class LogUtility(Utility):
         np.multiply(rho, rho, out=rho)
         np.divide(weight, rho, out=rho)
         return np.negative(rho, out=rho)
-
-    def rate_and_derivative(self, price_sum: FloatArray, weight: FloatArray,
-                            rate_out: FloatArray, deriv_out: FloatArray,
-                            ) -> None:
-        # The two methods' ufunc calls on one clamp of price_sum.
-        rho = np.maximum(price_sum, MIN_PRICE_SUM, out=price_sum)
-        np.divide(weight, rho, out=rate_out)
-        np.multiply(rho, rho, out=rho)
-        np.divide(weight, rho, out=rho)
-        np.negative(rho, out=deriv_out)
 
     def inverse_rate(self, x: ArrayOrFloat, weight: ArrayOrFloat = 1.0,
                      ) -> FloatArray:

@@ -19,9 +19,10 @@ way :class:`~repro.core.allocator.FlowtuneAllocator` is: the table
 plus ``last`` (notified rate, NaN until the first notification) and
 ``pending`` (new since the last notification) columns.  Churn is the
 table's batched ``apply_churn``; a refresh is ``W = link_totals`` of
-the weights, ``max_link_value`` of the contention ratios and the
-shared §6.4 threshold mask, so the mice run the same kernels as the
-priced flows.  Two things keep this off the priced hot path when it
+the weights, then F-NORM of the weights against the contention ratios
+``W / avail`` with the shared §6.4 threshold mask (the allocator's
+compiled pass 2), so the mice run the same kernels as the priced
+flows.  Two things keep this off the priced hot path when it
 runs inside :class:`~repro.sampling.SampledAllocator` with 10x more
 mice than elephants:
 
@@ -46,7 +47,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from ..core.allocator import AllocationResult, threshold_update_indices
+from ..core.allocator import AllocationResult
 from ..core.network import FlowTable, LinkSet
 
 __all__ = ["EcmpScheduler"]
@@ -80,7 +81,7 @@ class EcmpScheduler:
         un-notified pricing error to absorb, only the share model).
     update_threshold:
         §6.4 notification filter, shared bit-for-bit with the priced
-        path via ``threshold_update_indices``.
+        path: the refresh runs F-NORM's compiled pass and its mask.
     refresh_every:
         Recompute every flow's share every this many iterates; in
         between, only new flows receive (estimated) rates.
@@ -163,11 +164,12 @@ class EcmpScheduler:
                                self._avail_floor)
             ratio = self._ratio_padded[:-1]
             np.divide(table.link_totals(table.weights), avail, out=ratio)
-            worst = table.max_link_value(ratio)
-            np.maximum(worst, _EPSILON, out=worst)
-            rates = table.weights / worst
-            update_idx = threshold_update_indices(
-                rates, last, pending, self.update_threshold)
+            # F-NORM of the weights, with the §6.4 mask on each chunk.
+            changed = np.empty(table.n_flows, dtype=np.bool_)
+            rates = table.f_norm_pass(
+                ratio, table.weights, _EPSILON, True,
+                (last, pending, self.update_threshold, changed))
+            update_idx = np.flatnonzero(changed)
             self._refreshed = True
         else:
             # Paced iterate: everyone keeps their notified rate; flows

@@ -37,9 +37,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (AlphaFairUtility, FlowTable, FlowtuneAllocator,
                         LinkSet, NedOptimizer, NedRtOptimizer,
                         NullNormalizer, UNormalizer,
-                        threshold_update_indices)
+                        threshold_update_mask)
 from repro.core import kernels
 from repro.core.normalization import FNormalizer, f_norm
+from repro.core.utility import MIN_PRICE_SUM
 from repro.topology import ThreeTierClos, TwoTierClos, paper_topology
 
 
@@ -337,6 +338,104 @@ class TestMultiChunkBitwise:
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.tobytes() == one.tobytes() == want.tobytes()
 
+    #: ``(pass, variant)``: NED with and without caps; F-NORM with and
+    #: without scale-up, with no mask or the mask at threshold 0 / 0.01;
+    #: the mask alone (what ``threshold_update_mask`` runs).
+    PASS_CASES = [("ned", True), ("ned", False),
+                  ("f_norm", (True, None)), ("f_norm", (False, None)),
+                  ("f_norm", (True, 0.0)), ("f_norm", (False, 0.0)),
+                  ("f_norm", (True, 0.01)), ("f_norm", (False, 0.01)),
+                  ("mask", 0.0), ("mask", 0.01)]
+    HOSTILE = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, np.inf, -np.inf,
+               np.nan, -np.nan, 1e-300, 1e300]
+
+    def hostile(self, rng, size, share=0.3):
+        """Uniform values with a ``share`` drawn from :data:`HOSTILE`."""
+        values = rng.random(size) * 10.0
+        odd = rng.random(size) < share
+        values[odd] = rng.choice(self.HOSTILE, odd.sum())
+        return values
+
+    @pytest.mark.parametrize("block", [BLOCK, 10**6])
+    @pytest.mark.parametrize("which,variant", PASS_CASES)
+    def test_passes_match_their_numpy_spelling(self, monkeypatch, block,
+                                               which, variant):
+        """Each compiled pass, element for element, equals the numpy
+        ufuncs it replaced, by ``tobytes()``: signed zeros, subnormals,
+        infinities and NaNs in the price sums, caps, ratios, rates and
+        ``last``, with ``last`` also 0 or equal to the new rate, and
+        ``pending`` rows, over many chunks and in one."""
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        routes, _, _, _, n, _, n_links = self.case(width=4)
+        rng = np.random.default_rng(block % 89 + len(str(variant)))
+        with np.errstate(all="ignore"):
+            if which == "ned":
+                padded = np.append(self.hostile(rng, n_links), 0.0)
+                caps = self.hostile(rng, n) if variant else None
+                weights = self.hostile(rng, n, share=0.1)
+                # The folds and scatters are pinned above; here they
+                # feed and take the numpy spelling.  (Neither np.add nor
+                # Python's float add fixes which sign a sum of two
+                # unequal NaNs takes: np.add's SIMD body and tail loop
+                # differ, and so do the interpreter's specialized and
+                # traced paths.)
+                rho = kernels.price_sums(padded, routes, n)
+                if caps is not None:
+                    np.maximum(rho, caps, out=rho)
+                np.maximum(rho, MIN_PRICE_SUM, out=rho)
+                want = np.divide(weights, rho)
+                deriv = np.negative(np.divide(weights, rho * rho))
+                want_load, want_hessian = kernels.link_totals2(
+                    want, deriv, routes, n, n_links + 1)
+                got = np.empty(n)
+                load, hessian = kernels.log_rate_pass(
+                    padded, routes, n, caps, weights, got)
+                assert load.tobytes() == want_load.tobytes()
+                assert hessian.tobytes() == want_hessian.tobytes()
+                assert got.tobytes() == want.tobytes()
+                return
+            if which == "f_norm":
+                scale_up, threshold = variant
+                padded = np.append(self.hostile(rng, n_links), -np.inf)
+                rates = self.hostile(rng, n)
+                worst = kernels.max_link_value(padded, routes, n,
+                                               np.empty(n))
+                np.maximum(worst, 1e-12, out=worst)
+                if not scale_up:
+                    np.maximum(worst, 1.0, out=worst)
+                want = np.divide(rates, worst)
+            else:
+                scale_up, threshold = True, variant
+                want = self.hostile(rng, n)
+            # last: hostile, 0, equal to the new rate, or near it.
+            last = self.hostile(rng, n)
+            pick = rng.integers(0, 4, n)
+            last[pick == 1] = 0.0
+            last[pick == 2] = want[pick == 2]
+            last[pick == 3] = want[pick == 3] * (1.0 + 0.005)
+            pending = rng.random(n) < 0.2
+            changed = np.empty(n, dtype=bool)
+            mask = (last.copy(), pending.copy(), threshold, changed)
+            if which == "mask":
+                got = want
+                kernels.threshold_mask(want, *mask)
+            else:
+                got = kernels.f_norm_pass(
+                    padded, routes, n, rates, 1e-12, scale_up,
+                    mask if threshold is not None else None)
+            assert got.tobytes() == want.tobytes()
+            if threshold is None:
+                return
+            # The numpy mask, spelled as it ran per chunk.
+            flag = np.greater(np.abs(np.subtract(want, last)),
+                              threshold * last)
+            flag |= np.isnan(last)
+            flag |= pending
+            np.copyto(last, want, where=flag)
+            assert changed.tobytes() == flag.tobytes()
+            assert mask[0].tobytes() == last.tobytes()
+            assert not mask[1].any()
+
     def test_min_link_value_matches_reference(self):
         rng = np.random.default_rng(9)
         n, width, n_links = 200, 4, 32
@@ -358,11 +457,8 @@ class TestMultiChunkBitwise:
         routes, padded, va, vb, n, width, n_links = self.case()
         assert len(padded) == n_links + 1 == 65
         routes[width - 1, n - 2] = bad   # last column, last chunk
-
-        def per_flow(r0, r1, rho, rate_out, deriv_out):
-            rate_out[:] = rho
-            deriv_out[:] = -rho
-
+        mask = (np.full(n, np.nan), np.zeros(n, dtype=bool), 0.01,
+                np.empty(n, dtype=bool))
         calls = {
             "price_sums": lambda: kernels.price_sums(padded, routes, n),
             "max_link_value": lambda: kernels.max_link_value(
@@ -373,13 +469,54 @@ class TestMultiChunkBitwise:
                 va, routes, n, n_links + 1),
             "link_totals2": lambda: kernels.link_totals2(
                 va, vb, routes, n, n_links + 1),
-            "rate_pass": lambda: kernels.rate_pass(
-                padded, routes, n, n_links + 1, np.empty(n), per_flow),
-            "max_pass": lambda: kernels.max_pass(
-                padded, routes, n, lambda r0, r1, worst: None),
+            "log_rate_pass": lambda: kernels.log_rate_pass(
+                padded, routes, n, vb, va, np.empty(n)),
+            "f_norm_pass": lambda: kernels.f_norm_pass(
+                padded, routes, n, va, 1e-12, True, mask),
         }
         for name, call in calls.items():
             with pytest.raises(IndexError):
+                call()
+                pytest.fail(name)
+
+    @pytest.mark.parametrize("block", [BLOCK, 10**6])
+    def test_passes_reject_a_short_vector(self, monkeypatch, block):
+        """Each per-flow vector a pass reads or writes is checked to
+        hold the table's n flows: a short one raises, never reads or
+        writes past its end."""
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        routes, padded, va, vb, n, _, _ = self.case()
+
+        def mask(last_len=n, pending_len=n, changed_len=n):
+            return (np.full(last_len, np.nan),
+                    np.zeros(pending_len, dtype=bool), 0.01,
+                    np.empty(changed_len, dtype=bool))
+
+        calls = {
+            "short weights": lambda: kernels.log_rate_pass(
+                padded, routes, n, vb, va[:-1], np.empty(n)),
+            "short caps": lambda: kernels.log_rate_pass(
+                padded, routes, n, vb[:-1], va, np.empty(n)),
+            "short rates out": lambda: kernels.log_rate_pass(
+                padded, routes, n, None, va, np.empty(n - 1)),
+            "short rates": lambda: kernels.f_norm_pass(
+                padded, routes, n, va[:-1], 1e-12, True),
+            "short last": lambda: kernels.f_norm_pass(
+                padded, routes, n, va, 1e-12, True, mask(last_len=n - 1)),
+            "short pending": lambda: kernels.f_norm_pass(
+                padded, routes, n, va, 1e-12, False,
+                mask(pending_len=n - 1)),
+            "short changed": lambda: kernels.f_norm_pass(
+                padded, routes, n, va, 1e-12, True,
+                mask(changed_len=n - 1)),
+            "n past the storage": lambda: kernels.f_norm_pass(
+                padded, routes, routes.shape[1] + 1,
+                np.empty(routes.shape[1] + 1), 1e-12, True),
+            "short mask last": lambda: kernels.threshold_mask(
+                va, *mask(last_len=n - 1)[:2], 0.01, np.empty(n, bool)),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError):
                 call()
                 pytest.fail(name)
 
@@ -895,10 +1032,10 @@ class TestFusedNedEquivalence:
             normalized = slow.normalizer(
                 slow.table, raw,
                 link_load=slow.optimizer.link_load_for(raw))
-            indices = threshold_update_indices(
+            indices = np.flatnonzero(threshold_update_mask(
                 np.asarray(normalized, dtype=np.float64),
                 slow._last_sent.data, slow._pending_new.data,
-                slow.update_threshold)
+                slow.update_threshold))
             assert result.rate_vector.tobytes() == normalized.tobytes()
             assert result.update_indices.tobytes() == indices.tobytes()
             assert (fast._last_sent.data.tobytes()
