@@ -37,12 +37,15 @@
  * element.  The folds are ``acc + v`` (np.add) and, for np.maximum /
  * np.minimum, the branchless ``a != a ? a : (a > v ? a : v)`` (and
  * ``<``), which keeps numpy's answers for NaN and for equal operands
- * (signed zeros: the second operand wins a tie).  One case is not
- * pinned, because numpy does not pin it either: a sum of two NaNs of
- * unequal sign (np.add's SIMD body and its tail loop answer
- * differently; here it is the compiler's operand order).  Prices and
- * rates are never NaN, so no allocation meets it.  The per-flow
- * arithmetic of the two passes is:
+ * (signed zeros: the second operand wins a tie).  One case is the
+ * compiler's, as numpy does not pin it either (np.add's SIMD body and
+ * its tail loop answer differently): a sum of two NaNs of unequal
+ * sign.  x86-64 returns the first operand's NaN, and gcc -O2 keeps the
+ * scatters' adds in source order, so the running sum's NaN wins;
+ * tests/test_csr_kernels.py pins that answer, and a compiler that
+ * commuted the add would fail it.  Prices and rates are never NaN, so
+ * no allocation meets it.  The per-flow arithmetic of the two passes
+ * is:
  *
  *   - NED's log-utility step: ``rho = maximum(rho, cap)`` (when capped),
  *     ``rho = maximum(rho, MIN_PRICE_SUM)``, the rate ``w / rho``

@@ -24,12 +24,13 @@ import numpy.typing as npt
 from . import kernels
 from .ned import NedOptimizer
 from .network import FlowTable, LinkSet
-from .normalization import (FNormalizer, Normalizer, _CallableNormalizer,
-                            _f_norm)
+from .normalization import (_EPSILON, FNormalizer, Normalizer,
+                            _CallableNormalizer, link_ratios)
 from .utility import Utility
 
-__all__ = ["RateUpdate", "AllocationResult", "FlowtuneAllocator",
-           "ChurnQueue", "group_by_owner", "threshold_update_mask"]
+__all__ = ["RateUpdate", "AllocationResult", "TableScheduler",
+           "FlowtuneAllocator", "ChurnQueue", "group_by_owner",
+           "threshold_update_mask"]
 
 
 class RateUpdate(NamedTuple):
@@ -173,7 +174,126 @@ def group_by_owner(owners: npt.ArrayLike, *columns: npt.NDArray[Any]):
         yield (owners[lo], *(column[lo:hi] for column in columns))
 
 
-class FlowtuneAllocator:
+class TableScheduler:
+    """The :class:`~repro.sampling.RateScheduler` plumbing of a scheme
+    whose flows live in one :class:`~repro.core.network.FlowTable`.
+
+    Holds the table (over the link set :meth:`_table_links` returns),
+    its ``last`` (notified rate, NaN until the first notification) and
+    ``pending`` (new since the last notification) columns and churn.  A
+    subclass supplies ``iterate``, whose F-NORM with the §6.4 mask is
+    :meth:`_f_norm_result`: :class:`FlowtuneAllocator` normalizes NED's
+    rates against headroom capacities, :class:`~repro.sampling.
+    EcmpScheduler` the weights against ``W / avail``.
+    """
+
+    #: Whether drivers should feed per-flow byte counts through
+    #: :meth:`report_usage`.  A table scheduler needs no usage stream;
+    #: the sampled scheduler flips this on.
+    wants_usage: bool = False
+
+    def __init__(self, links: LinkSet, update_threshold: float,
+                 max_route_len: int) -> None:
+        if not 0 <= update_threshold < 1:
+            raise ValueError("update_threshold must be in [0, 1)")
+        self.full_links = links
+        self.update_threshold = float(update_threshold)
+        self.table = FlowTable(self._table_links(links),
+                               max_route_len=max_route_len)
+        # Positionally-aligned per-flow state, maintained by the flow
+        # table under swap-remove churn; the column defaults make
+        # flowlet start/end pure table operations.
+        self._last_sent = self.table.add_column(default=np.nan)
+        self._pending_new = self.table.add_column(default=True,
+                                                  dtype=np.bool_)
+
+    def _table_links(self, links: LinkSet) -> LinkSet:
+        """The link set the table allocates against."""
+        return links
+
+    def flowlet_start(self, flow_id: Hashable, route: npt.ArrayLike,
+                      weight: float = 1.0) -> None:
+        """An endpoint reports a new backlogged flowlet on ``route``
+        (fig. 1's left-to-right arrows)."""
+        self.table.add_flow(flow_id, route, weight=weight)
+
+    def flowlet_end(self, flow_id: Hashable) -> None:
+        """An endpoint reports its queue for ``flow_id`` drained."""
+        self.table.remove_flow(flow_id)
+
+    def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
+                    ends: Iterable[Hashable] = ()) -> None:
+        """Apply a batch of flowlet events in one call.
+
+        ``ends`` (flow ids) are removed first, then ``starts``
+        (``(flow_id, route)`` or ``(flow_id, route, weight)`` tuples)
+        are added, so an id appearing in both is restarted and will be
+        re-notified as new (:meth:`repro.core.FlowTable.apply_churn`:
+        a bad end applies nothing, a bad start leaves the ends done and
+        no start applied).
+        """
+        self.table.apply_churn(starts=starts, ends=ends)
+
+    @property
+    def n_flows(self) -> int:
+        return self.table.n_flows
+
+    def __contains__(self, flow_id: Hashable) -> bool:
+        return flow_id in self.table
+
+    @property
+    def links(self) -> LinkSet:
+        """The link set the table allocates against."""
+        return self.table.links
+
+    @property
+    def max_route_len(self) -> int:
+        return self.table.max_route_len
+
+    def link_load(self, rates: npt.ArrayLike) -> npt.NDArray[np.float64]:
+        """Per-link load of a rate vector in result (table) order."""
+        rates = np.asarray(rates, dtype=np.float64)
+        if len(rates) != self.table.n_flows:
+            raise ValueError(f"rate vector length {len(rates)} does not "
+                             f"match {self.table.n_flows} active flows")
+        return self.table.link_totals(rates)
+
+    def report_usage(self, flow_id: Hashable, nbytes: float) -> None:
+        """Cumulative byte-count report for a flow (§6.2 usage stream).
+
+        Carries no scheduling signal here — it exists so drivers can
+        program against :class:`~repro.sampling.RateScheduler` without
+        caring which scheme is behind it.
+        """
+
+    def current_rates(self) -> dict[Any, float]:
+        """Latest *notified* rate per flow (what endpoints believe).
+
+        Reach: api — part of RateScheduler.
+        """
+        last = self._last_sent.data
+        notified = ~np.isnan(last)
+        return dict(zip(self.table.flow_id_array()[notified].tolist(),
+                        last[notified].tolist()))
+
+    def _f_norm_result(self, ratios: npt.NDArray[np.float64],
+                       raw: npt.NDArray[np.float64],
+                       allow_scale_up: bool) -> AllocationResult:
+        """F-NORM (Eq. 9) of the contiguous ``raw`` rates against the
+        per-link ``ratios``, as one compiled pass with the §6.4 mask
+        (:func:`threshold_update_mask`'s arithmetic) on each chunk."""
+        table = self.table
+        changed = np.empty(table.n_flows, dtype=np.bool_)
+        rates = table.f_norm_pass(
+            ratios, raw, _EPSILON, allow_scale_up,
+            (self._last_sent.data, self._pending_new.data,
+             self.update_threshold, changed))
+        return AllocationResult(flow_ids=table.flow_id_array(),
+                                rate_vector=rates,
+                                update_indices=np.flatnonzero(changed))
+
+
+class FlowtuneAllocator(TableScheduler):
     """Centralized flowlet-granularity rate allocator.
 
     Parameters
@@ -202,12 +322,7 @@ class FlowtuneAllocator:
                  update_threshold: float = 0.01, gamma: float = 1.0,
                  max_route_len: int = 8,
                  optimizer_kwargs: dict | None = None) -> None:
-        if not 0 <= update_threshold < 1:
-            raise ValueError("update_threshold must be in [0, 1)")
-        self.full_links = links
-        self.update_threshold = float(update_threshold)
-        effective = LinkSet(links.capacity * (1.0 - self.update_threshold))
-        self.table = FlowTable(effective, max_route_len=max_route_len)
+        super().__init__(links, update_threshold, max_route_len)
         kwargs = dict(optimizer_kwargs or {})
         accepts_gamma = "gamma" in inspect.signature(
             optimizer_cls.__init__).parameters
@@ -243,80 +358,12 @@ class FlowtuneAllocator:
         # runs as one compiled pass with the §6.4 mask on each chunk.
         self._f_norm_pass = (type(self.normalizer).__call__
                              is FNormalizer.__call__)
-        # Positionally-aligned per-flow state, maintained by the flow
-        # table under swap-remove churn: the rate each endpoint was
-        # last notified of (NaN = never notified) and whether the flow
-        # is new since its last notification.  Their column defaults
-        # make flowlet start/end pure table operations.
-        self._last_sent = self.table.add_column(default=np.nan)
-        self._pending_new = self.table.add_column(default=True,
-                                                  dtype=np.bool_)
 
-    # ------------------------------------------------------------------
-    # endpoint notifications (fig. 1 left-to-right arrows)
-    # ------------------------------------------------------------------
-    def flowlet_start(self, flow_id: Hashable, route: npt.ArrayLike,
-                      weight: float = 1.0) -> None:
-        """An endpoint reports a new backlogged flowlet on ``route``."""
-        self.table.add_flow(flow_id, route, weight=weight)
+    def _table_links(self, links: LinkSet) -> LinkSet:
+        """Capacities reduced by the threshold (§6.4), so the
+        un-notified rate error cannot over-fill a link."""
+        return LinkSet(links.capacity * (1.0 - self.update_threshold))
 
-    def flowlet_end(self, flow_id: Hashable) -> None:
-        """An endpoint reports its queue for ``flow_id`` drained."""
-        self.table.remove_flow(flow_id)
-
-    def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
-                    ends: Iterable[Hashable] = ()) -> None:
-        """Apply a batch of flowlet events in one call.
-
-        ``ends`` (flow ids) are removed first, then ``starts``
-        (``(flow_id, route)`` or ``(flow_id, route, weight)`` tuples)
-        are added, so an id appearing in both is restarted and will be
-        re-notified as new.  Drivers that buffer notifications per
-        allocator tick (the fluid simulator, the ns-style allocator
-        node) use this to amortize bookkeeping across the batch.
-        """
-        self.table.apply_churn(starts=starts, ends=ends)
-
-    @property
-    def n_flows(self) -> int:
-        return self.table.n_flows
-
-    def __contains__(self, flow_id: Hashable) -> bool:
-        return flow_id in self.table
-
-    # ------------------------------------------------------------------
-    # RateScheduler protocol surface (repro.sampling.scheduler)
-    # ------------------------------------------------------------------
-    #: Whether drivers should feed per-flow byte counts through
-    #: :meth:`report_usage`.  The full allocator prices every flow and
-    #: needs no usage stream; the sampled scheduler flips this on.
-    wants_usage: bool = False
-
-    @property
-    def links(self) -> LinkSet:
-        """Effective (headroom-adjusted) link set the allocator prices."""
-        return self.table.links
-
-    @property
-    def max_route_len(self) -> int:
-        return self.table.max_route_len
-
-    def link_load(self, rates: npt.ArrayLike) -> npt.NDArray[np.float64]:
-        """Per-link load of a rate vector aligned with the last result."""
-        return self.table.link_totals(rates)
-
-    def report_usage(self, flow_id: Hashable, nbytes: float) -> None:
-        """Cumulative byte-count report for a flow (§6.2 usage stream).
-
-        The full allocator prices every flow already, so the stream
-        carries no scheduling signal here — it exists so drivers can
-        program against :class:`~repro.sampling.RateScheduler` without
-        caring which scheme is behind it.
-        """
-
-    # ------------------------------------------------------------------
-    # allocation
-    # ------------------------------------------------------------------
     def iterate(self, n: int = 1) -> AllocationResult:
         """Run ``n`` optimizer iterations, normalize, emit notifications.
 
@@ -327,41 +374,24 @@ class FlowtuneAllocator:
         F-NORM the iteration is two compiled passes over the flows,
         chunk by chunk (:mod:`repro.core.kernels`): NED's price step,
         then F-NORM with the mask on each chunk as it is normalized.
-        Any other normalizer normalizes the whole vector, then the mask
-        runs over it.
+        Any other normalizer (and F-NORM of an empty table) normalizes
+        the whole vector, then the mask runs over it.
         """
         raw = self.optimizer.iterate(n)
         loader = getattr(self.optimizer, "link_load_for", None)
         load = loader(raw) if loader is not None else None
-        last, pending = self._last_sent.data, self._pending_new.data
-        threshold = self.update_threshold
-        if self._f_norm_pass:
-            changed = np.empty(self.table.n_flows, dtype=np.bool_)
-            normalized = _f_norm(self.table, raw,
-                                 self.normalizer.allow_scale_up, load,
-                                 (last, pending, threshold, changed))
-        else:
-            normalized = self.normalizer(self.table, raw, link_load=load)
-            changed = threshold_update_mask(normalized, last, pending,
-                                            threshold)
-        # O(1) view of the table's positionally-aligned id column —
-        # the per-iterate list rebuild this replaces used to cost a
-        # full O(n_flows) copy whether or not anyone read the ids.
+        if self._f_norm_pass and len(raw):
+            raw = np.ascontiguousarray(raw, dtype=np.float64)
+            return self._f_norm_result(
+                link_ratios(self.table, raw, link_load=load), raw,
+                self.normalizer.allow_scale_up)
+        normalized = self.normalizer(self.table, raw, link_load=load)
+        changed = threshold_update_mask(normalized, self._last_sent.data,
+                                        self._pending_new.data,
+                                        self.update_threshold)
         return AllocationResult(flow_ids=self.table.flow_id_array(),
                                 rate_vector=normalized,
                                 update_indices=np.flatnonzero(changed))
-
-    def current_rates(self) -> dict[Any, float]:
-        """Latest *notified* rate per flow (what endpoints believe).
-
-        Reach: api — part of RateScheduler.
-        """
-        last = self._last_sent.data
-        notified = ~np.isnan(last)
-        ids = self.table.flow_id_array()
-        return {ids[i]: rate for i, rate in
-                zip(np.nonzero(notified)[0].tolist(),
-                    last[notified].tolist())}
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"FlowtuneAllocator(n_flows={self.table.n_flows}, "

@@ -28,7 +28,6 @@ which some deployments may prefer during convergence from below.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -73,21 +72,13 @@ def u_norm(table: FlowTable, rates: npt.ArrayLike,
 def f_norm(table: FlowTable, rates: npt.ArrayLike,
            allow_scale_up: bool = True,
            link_load: FloatArray | None = None) -> FloatArray:
-    """Per-flow normalization (Equation 9): each flow / its worst link."""
-    return _f_norm(table, rates, allow_scale_up, link_load, None)
-
-
-def _f_norm(table: FlowTable, rates: npt.ArrayLike, allow_scale_up: bool,
-            link_load: FloatArray | None,
-            mask: tuple[Any, ...] | None) -> FloatArray:
-    """F-NORM as the allocator's pass 2 (:meth:`FlowTable.f_norm_pass`),
-    with the §6.4 ``mask = (last, pending, threshold, changed)`` run on
-    each chunk as it is normalized, unless ``None``."""
+    """Per-flow normalization (Equation 9): each flow / its worst link,
+    as one compiled pass (:meth:`FlowTable.f_norm_pass`)."""
     rates = np.ascontiguousarray(rates, dtype=np.float64)
     if len(rates) == 0:
         return rates.copy()
     return table.f_norm_pass(link_ratios(table, rates, link_load=link_load),
-                             rates, _EPSILON, allow_scale_up, mask)
+                             rates, _EPSILON, allow_scale_up)
 
 
 class Normalizer:

@@ -4,8 +4,9 @@ Flowtune's central NUM loop scales with the number of flows it
 prices.  This package bounds that number: an
 :class:`ElephantDetector` watches the §6.2 usage stream, an
 :class:`EcmpScheduler` gives unpriced mice hash-assigned paths and a
-fair-share rate model, and :class:`SampledAllocator` composes the two
-around the existing :class:`~repro.core.allocator.FlowtuneAllocator`.
+fair share (F-NORM of their weights, on the allocator's own table
+plumbing), and :class:`SampledAllocator` composes the two around the
+existing :class:`~repro.core.allocator.FlowtuneAllocator`.
 
 All three rate-assignment schemes — full Flowtune, sampled Flowtune,
 pure ECMP — implement the :class:`RateScheduler` protocol, and every

@@ -1,13 +1,10 @@
 """The ``RateScheduler`` protocol — one API over three schemes.
 
-Before this module existed every driver (the fluid simulator, the
-ns-style :class:`~repro.control.allocator_node.AllocatorNode`, the
-allocator service) hard-wired a
-:class:`~repro.core.allocator.FlowtuneAllocator`.  The sampling
-front-end adds two more ways to assign rates — pure ECMP fair-share
-and sampled Flowtune (elephants priced, mice on ECMP) — so the
-drivers now program against this protocol and construct whichever
-scheme via :func:`repro.sampling.make_scheduler`.
+Every driver (the fluid simulator, the ns-style
+:class:`~repro.control.allocator_node.AllocatorNode`, the allocator
+service) programs against this protocol and constructs full Flowtune,
+pure ECMP fair-share or sampled Flowtune (elephants priced, mice on
+ECMP) via :func:`repro.sampling.make_scheduler`.
 
 The surface is exactly what the drivers were already using, made
 explicit: flowlet churn in, :class:`~repro.core.allocator.
@@ -38,9 +35,11 @@ class RateScheduler(Protocol):
     """What a rate-assignment scheme owes its drivers.
 
     Implementations: :class:`~repro.core.allocator.FlowtuneAllocator`
-    (every flow priced), :class:`~repro.sampling.EcmpScheduler` (no
-    flow priced), :class:`~repro.sampling.SampledAllocator` (detected
-    elephants priced, mice on ECMP).
+    (every flow priced) and :class:`~repro.sampling.EcmpScheduler` (no
+    flow priced), which get this surface from their shared base
+    :class:`~repro.core.allocator.TableScheduler`, and
+    :class:`~repro.sampling.SampledAllocator` (detected elephants
+    priced, mice on ECMP), which composes one of each.
 
     All three share one churn error contract.  ``apply_churn`` removes
     ``ends`` first: an unknown or repeated id raises

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FlowtuneAllocator, LinkSet
+from repro import paper_topology
+from repro.core import FlowtuneAllocator, LinkSet, f_norm, kernels
 from repro.sampling import (SCHEDULER_MODES, EcmpScheduler,
                             ElephantDetector, SampledAllocator,
                             make_scheduler, replay_priced_journal)
@@ -223,6 +224,50 @@ class TestSchedulerProtocol:
         alloc.apply_churn(starts=[(0, [2, 3]), (8, [4])], ends=[0])
         assert live() == [0, 1, 8]
         assert len(alloc.iterate(1).rate_vector) == 3
+
+    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
+    @pytest.mark.parametrize("length", [5, 30])
+    def test_link_load_rejects_a_misaligned_vector(self, mode, length):
+        """A rate vector shorter or longer than the live population is
+        an error in every mode, not a load over its first entries."""
+        alloc = make_scheduler(make_links(), mode=mode)
+        alloc.apply_churn(starts=[(i, np.array([i % N_LINKS]))
+                                  for i in range(10)])
+        alloc.iterate(1)
+        with pytest.raises(ValueError, match="rate vector length"):
+            alloc.link_load(np.ones(length))
+
+    @pytest.mark.parametrize("n_flows", [1000, 34_000])
+    def test_ecmp_refresh_is_f_norm_of_the_weights(self, n_flows):
+        """The premise of their shared ``TableScheduler``: with no
+        external load, the ECMP share ``w / max_l (W_l / c_l)`` is
+        F-NORM of the weights, bit for bit, over one chunk and over
+        several with a short tail.  Each mode's ``links`` are what the
+        fluid sampler measures over-allocation against: physical for
+        ``ecmp`` and ``sampled``, the §6.4 headroom for ``flowtune``."""
+        topology = paper_topology()
+        links = topology.link_set()
+        rng = np.random.default_rng(n_flows)
+        src = rng.integers(0, topology.n_hosts, n_flows)
+        dst = rng.integers(0, topology.n_hosts - 1, n_flows)
+        dst += dst >= src
+        weights = rng.uniform(0.5, 4.0, n_flows)
+        ecmp = make_scheduler(links, mode="ecmp")
+        ecmp.apply_churn(starts=[
+            (i, topology.route(s, d, i), w) for i, (s, d, w) in enumerate(
+                zip(src.tolist(), dst.tolist(), weights.tolist()))])
+        table = ecmp.table
+        assert len(kernels.chunk_spans(n_flows)) == (
+            1 if n_flows < kernels.BLOCK_ROWS else 3)
+        want = f_norm(table, table.weights)
+        got = ecmp.iterate(1).rate_vector
+        assert got.tobytes() == want.tobytes()
+        for mode, headroom in (("ecmp", 1.0), ("sampled", 1.0),
+                               ("flowtune", 1.0 - 0.01)):
+            scheduler = ecmp if mode == "ecmp" else make_scheduler(
+                links, mode=mode)
+            assert (scheduler.links.capacity.tobytes()
+                    == (links.capacity * headroom).tobytes())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler mode"):
