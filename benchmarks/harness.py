@@ -6,8 +6,7 @@ allocator at 10k and 100k flows, sampled mode and one service client,
 calibrated and with spread; claims are made there.  This harness keeps
 the rest: churn + iterate at 1k flows (one chunk) and at 1M flows,
 one ``MulticoreNedEngine`` iteration on the 16-cell grid, the fluid
-simulator's tick rate, the worker pool's barrier, 100 service clients
-at once and the process backend's speedup over single-core NED.  It
+simulator's tick rate and 100 service clients at once.  It
 writes them to ``BENCH_hotpath.json`` with a pure-numpy *calibration*
 kernel's rate.  With ``--check`` a run fails when a gated benchmark's
 ops/sec over calibration ops/sec lands more than ``--tolerance``
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,9 +53,6 @@ _MODES = {
               # burst cannot move the best-of-repeats past the gate.
               "multicore_ops": 30,
               "fluid_ops": 20,
-              "speedup_flows": 4_096, "speedup_ops": 6,
-              "speedup_workers": (1, 2, 4),
-              "barrier_steps": 300,
               "fanout_clients": 100,
               "fanout_flows_per_client": 3,
               "fanout_events_per_client": 8,
@@ -67,12 +62,6 @@ _MODES = {
              "churn_ops": {1_000: 300, 1_000_000: 6},
              "multicore_ops": 40,
              "fluid_ops": 50,
-             # The regime where the process backend pays: two shm
-             # workers read 1.8-1.9x single-core NED at 262k flows on
-             # a 2-vCPU host (benchmarks/results/parallel-speedup-*.txt).
-             "speedup_flows": 262_144, "speedup_ops": 12,
-             "speedup_workers": (1, 2, 4, 8, 16),
-             "barrier_steps": 1_200,
              "fanout_clients": 120,
              "fanout_flows_per_client": 4,
              "fanout_events_per_client": 15,
@@ -81,13 +70,11 @@ _MODES = {
 }
 
 #: Benchmarks recorded in the JSON but *excluded* from the baseline
-#: regression gate.  ``parallel_speedup`` depends on the host's core
-#: count, which the single-threaded calibration kernel cannot
-#: normalize.  ``service_fanout`` read below a 30 % floor in 4 of 20
+#: regression gate.  ``service_fanout`` read below a 30 % floor in 4 of 20
 #: runs of the unchanged tree in one of two A/A studies
 #: (benchmarks/results/harness-aa-*.txt); every benchmark that still
 #: gates fired at most once in 20 in both.
-UNGATED = frozenset({"parallel_speedup", "service_fanout"})
+UNGATED = frozenset({"service_fanout"})
 
 #: Benchmarks too heavy for smoke runs: default quick runs (and the
 #: quick baseline the smoke gate compares against) skip them; full
@@ -256,100 +243,6 @@ def bench_fluid_ticks(mode, seed=5, ticks_per_op=20):
                        "n_active_end": simulator.n_active}}
 
 
-# ----------------------------------------------------------------------
-# real parallel speedup: worker-process backend vs single-core NED
-# ----------------------------------------------------------------------
-def bench_parallel_speedup(mode, n_blocks=4, seed=11):
-    """Measured wall-clock speedup of the worker-process NED backend.
-
-    Times one full parallel iteration on a ``n_blocks x n_blocks``
-    (default 16-FlowBlock) grid at several worker counts against
-    single-core NED over the *same* flows, in real processes — the
-    §6.1 experiment measured instead of modeled.  ``ops_per_sec`` is
-    the 8-worker rate (or the largest measured pool when the mode
-    stops earlier).  Recorded, not gated (see ``UNGATED``).
-    """
-    from repro.core.ned import NedOptimizer
-    from repro.core.network import FlowTable
-    from repro.parallel import MulticoreNedEngine
-    from repro.topology import TwoTierClos
-
-    config = _MODES[mode]
-    n_flows = config["speedup_flows"]
-    n_ops = config["speedup_ops"]
-    topology = TwoTierClos(n_racks=n_blocks * 2, hosts_per_rack=16,
-                           n_spines=4)
-    rng = np.random.default_rng(seed)
-    flows = []
-    for i in range(n_flows):
-        src, dst = _random_pair(topology, rng)
-        flows.append((i, src, dst))
-
-    table = FlowTable(topology.link_set())
-    table.apply_churn(starts=[(i, topology.route(src, dst, i))
-                              for i, src, dst in flows])
-    single = NedOptimizer(table)
-    single.iterate(3)
-    single_ops = best_rate(lambda _: single.iterate(1), n_ops,
-                           config["repeats"])
-
-    per_worker_ops = {}
-    reserve = max(64, n_flows // 4)
-    for n_workers in config["speedup_workers"]:
-        with MulticoreNedEngine(topology, n_blocks, backend="process",
-                                n_workers=n_workers,
-                                reserve_per_block=reserve) as engine:
-            engine.apply_churn(starts=flows)
-            engine.iterate(3)
-            per_worker_ops[str(n_workers)] = best_rate(
-                lambda _: engine.iterate(1), n_ops, config["repeats"])
-
-    target = per_worker_ops.get(
-        "8", per_worker_ops[str(max(config["speedup_workers"]))])
-    return {
-        "ops_per_sec": target,
-        "single_core_ops_per_sec": single_ops,
-        "workers_ops_per_sec": per_worker_ops,
-        "speedup_vs_single_core": {
-            w: ops / single_ops for w, ops in per_worker_ops.items()},
-        "params": {"n_blocks": n_blocks, "n_flows": n_flows,
-                   "n_ops": n_ops, "seed": seed,
-                   "cpu_count": os.cpu_count()},
-    }
-
-
-# ----------------------------------------------------------------------
-# worker-pool step-synchronization cost
-# ----------------------------------------------------------------------
-def bench_barrier_step(mode, n_workers=16):
-    """Per-step cost of the worker pool's barrier on the 16-worker grid.
-
-    One op is one full :class:`~repro.parallel.SenseReversingBarrier`
-    round across all workers (gated).  The barrier mode is pinned to
-    ``"block"`` so the gated score always measures the same code path:
-    the auto-selected mode flips to pure spinning on hosts with >= 16
-    cores, which would make the baseline compare different algorithms
-    across machines (the engine still auto-selects at run time; the
-    spin path's correctness is covered by ``tests/test_shm.py``).
-    """
-    from repro.parallel import measure_barrier_rate
-
-    n_steps = _MODES[mode]["barrier_steps"]
-    repeats = _MODES[mode]["repeats"]
-    # Best-of-repeats, like every other benchmark: a 16-process
-    # barrier sweep is hostage to scheduler bursts on shared hosts,
-    # and one clean window is what the gate should compare.
-    sense = max(measure_barrier_rate(n_workers, n_steps,
-                                     barrier_mode="block")
-                for _ in range(repeats))
-    return {
-        "ops_per_sec": sense,
-        "params": {"n_workers": n_workers, "n_steps": n_steps,
-                   "barrier_mode": "block",
-                   "cpu_count": os.cpu_count()},
-    }
-
-
 def bench_service_fanout(mode, seed=31):
     """Admission-to-rate-update latency with 100+ concurrent clients.
 
@@ -515,9 +408,7 @@ BENCHMARKS = {
     "iterate_churn_1m": lambda mode: bench_iterate_churn(1_000_000, mode),
     "multicore_16proc": lambda mode: bench_multicore(mode),
     "fluid_ticks": lambda mode: bench_fluid_ticks(mode),
-    "barrier_step": lambda mode: bench_barrier_step(mode),
     "service_fanout": lambda mode: bench_service_fanout(mode),
-    "parallel_speedup": lambda mode: bench_parallel_speedup(mode),
 }
 
 
@@ -559,11 +450,6 @@ def compare(results, baseline_results, tolerance, require_all=True):
                       f"{entry['client_p99_ms_median']:.1f}ms med / "
                       f"{entry['client_p99_ms_max']:.1f}ms max, "
                       f"Jain {entry['jain_fairness']:.3f}")
-        if "speedup_vs_single_core" in entry:
-            detail = "speedup vs 1-core: " + " ".join(
-                f"{w}w={s:.2f}x" for w, s in sorted(
-                    entry["speedup_vs_single_core"].items(),
-                    key=lambda kv: int(kv[0])))
         if name not in current:
             rows.append(row + [None, None, None, "ungated", detail])
         elif name not in base:

@@ -16,9 +16,9 @@ covers the common workflows::
     alloc.flowlet_start(0, topo.route(0, 9))
     print(alloc.iterate(50).rates)
 
-Every resource-owning object here (:class:`MulticoreNedEngine`,
-:class:`FlowtuneService`, :class:`FlowtuneClient`) is a context manager
-with an idempotent ``close()``.
+Every resource-owning object here (:class:`FlowtuneService`,
+:class:`FlowtuneClient`) is a context manager with an idempotent
+``close()``.
 
 Subpackages hold the deeper surface:
 
@@ -30,7 +30,7 @@ Subpackages hold the deeper surface:
     unify full Flowtune, sampled Flowtune and pure ECMP.
 ``repro.parallel``
     The FlowBlock/LinkBlock multicore partitioning (§5): the simulated
-    engine and the shared-memory worker-process backend.
+    engine and the §6.1 table.
 ``repro.service``
     The always-on allocator service and its wire schema.
 ``repro.net``

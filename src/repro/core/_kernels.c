@@ -9,7 +9,8 @@
  * the pad link, the last entry of ``padded`` / the last bin of a
  * scatter.  Every slot read is checked against [0, len) with one
  * unsigned compare; an out-of-range slot raises IndexError.  Every
- * per-flow vector a pass takes is checked to hold exactly n entries.
+ * per-flow vector a pass takes is checked to hold exactly n entries,
+ * and no output may share a byte with another argument (ValueError).
  *
  * Bitwise contract.  Float addition is not associative, so the
  * reduction order is fixed here and nowhere else:
@@ -32,6 +33,17 @@
  * fabrics in one column.  The per-flow folds equal the flow-major
  * ones for any route: the pad slots gather the fold's identity (0.0
  * for sums of non-negative prices, -inf / +inf for max / min).
+ *
+ * Threads.  One driver (walk) runs every whole-table entry point.
+ * With the GIL released it starts T - 1 threads, where T is the size
+ * of the process's CPU affinity mask, capped at the chunk count; chunk
+ * k goes to thread k mod T, the calling thread taking share 0, so a
+ * table of one chunk (and T = 1) runs on the calling thread alone.
+ * Each chunk scatters into its own partial buffer, and after the join
+ * the calling thread combines the partials in ascending chunk order,
+ * the rule above.  A chunk's folds and per-flow arithmetic touch only
+ * its own rows, so the bits do not depend on T.  Threads live only
+ * inside a call: none is alive at a fork.
  *
  * Every expression is the numpy ufunc it replaced, element for
  * element.  The folds are ``acc + v`` (np.add) and, for np.maximum /
@@ -69,11 +81,14 @@
  * tests/test_golden_kernels.py pins the bits against constants
  * recorded when these loops were numpy's bincount / np.add.at / ufunc
  * calls; tests/test_csr_kernels.py pins them against scalar references
- * and the passes against their numpy spelling on hostile values.
+ * and the passes against their numpy spelling on hostile values, and
+ * tests/test_kernel_threads.py at several thread counts.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -103,12 +118,6 @@ get_typed(PyObject *obj, Py_buffer *view, int writable, const char *what,
     return 0;
 }
 
-static int
-get_vector(PyObject *obj, Py_buffer *view, int writable, const char *what)
-{
-    return get_typed(obj, view, writable, what, "d");
-}
-
 /* The route storage: 2-D int64, each row contiguous. */
 static int
 get_routes(PyObject *obj, Py_buffer *view)
@@ -131,20 +140,93 @@ get_routes(PyObject *obj, Py_buffer *view)
     return 0;
 }
 
+/* One buffer argument of an entry point: args[arg], of kind 'r' (the
+ * route storage), 'd' (float64) or '?' (bool), writable if out, None
+ * allowed (and skipped) if optional. */
+typedef struct {
+    int arg, out, optional;
+    char kind;
+    const char *what;
+} Arg;
+
+/* Acquire the buffers spec[0, count) names into views (NULL for a
+ * skipped None); on failure release what was acquired. */
 static int
-get_span(PyObject *const *args, Py_ssize_t *r0, Py_ssize_t *r1,
-         Py_ssize_t *block, Py_ssize_t columns)
+acquire(PyObject *const *args, const Arg *spec, int count,
+        Py_buffer *bufs, Py_buffer **views)
 {
-    *r0 = PyLong_AsSsize_t(args[0]);
-    *r1 = PyLong_AsSsize_t(args[1]);
-    *block = PyLong_AsSsize_t(args[2]);
-    if (PyErr_Occurred())
-        return -1;
-    if (*r0 < 0 || *r1 < *r0 || *r1 > columns || *block < 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "bad row span [%zd, %zd) (block %zd) over %zd flows",
-                     *r0, *r1, *block, columns);
-        return -1;
+    int k, rc;
+    char format[2] = {0, 0};
+    for (k = 0; k < count; k++) {
+        PyObject *obj = args[spec[k].arg];
+        views[k] = NULL;
+        if (spec[k].optional && obj == Py_None)
+            continue;
+        format[0] = spec[k].kind;
+        rc = spec[k].kind == 'r'
+            ? get_routes(obj, &bufs[k])
+            : get_typed(obj, &bufs[k], spec[k].out, spec[k].what, format);
+        if (rc < 0) {
+            while (k-- > 0)
+                if (views[k] != NULL)
+                    PyBuffer_Release(views[k]);
+            return -1;
+        }
+        views[k] = &bufs[k];
+    }
+    return 0;
+}
+
+static void
+release(Py_buffer **views, int count)
+{
+    while (count-- > 0)
+        if (views[count] != NULL)
+            PyBuffer_Release(views[count]);
+}
+
+/* The bytes [lo, hi) a buffer spans, for strides of either sign. */
+static void
+span_of(const Py_buffer *v, const char **lo, const char **hi)
+{
+    const char *a = v->buf, *b = v->buf;
+    int d;
+    for (d = 0; d < v->ndim; d++) {
+        if (v->shape[d] == 0) {
+            *lo = *hi = v->buf;
+            return;
+        }
+        if (v->strides[d] < 0)
+            a += (v->shape[d] - 1) * v->strides[d];
+        else
+            b += (v->shape[d] - 1) * v->strides[d];
+    }
+    *lo = a;
+    *hi = b + v->itemsize;
+}
+
+/* Raise ValueError if an output shares a byte with another buffer:
+ * the threads write the outputs while they read the rest. */
+static int
+check_disjoint(const char *who, const Arg *spec, Py_buffer *const *views,
+               int count)
+{
+    const char *lo, *hi, *lo2, *hi2;
+    int i, j;
+    for (i = 0; i < count; i++) {
+        if (views[i] == NULL || !spec[i].out)
+            continue;
+        span_of(views[i], &lo, &hi);
+        for (j = 0; j < count; j++) {
+            if (j == i || views[j] == NULL)
+                continue;
+            span_of(views[j], &lo2, &hi2);
+            if (lo < hi2 && lo2 < hi) {
+                PyErr_Format(PyExc_ValueError, "%s: %s overlaps %s", who,
+                             spec[i].what, spec[j].what);
+                return -1;
+            }
+        }
     }
     return 0;
 }
@@ -164,14 +246,6 @@ check_lengths(const char *who, Py_ssize_t n, Py_buffer *const *views,
         }
     }
     return 0;
-}
-
-static void
-bad_slot(int64_t slot, Py_ssize_t len)
-{
-    PyErr_Format(PyExc_IndexError,
-                 "route slot %lld is out of bounds for %zd entries",
-                 (long long)slot, len);
 }
 
 /* The hop-major route storage as the loops read it. */
@@ -238,17 +312,15 @@ bad:
 }
 
 /* One chunk's link partial of the values ca[0, m) (and cb, unless
- * NULL) over rows [c0, c0 + m): a running sum per link from 0.0 in
- * column -> flow order, the pair interleaved in part, one cache line
- * for both.  The chunk at row 0 is written to out, a later one added
- * onto it. */
+ * NULL) over rows [c0, c0 + m) into part: a running sum per link from
+ * 0.0 in column -> flow order, the pair interleaved, one cache line
+ * for both. */
 static int
 scatter_chunk(const double *ca, const double *cb, const Storage *s,
-              Py_ssize_t c0, Py_ssize_t m, double *part, double *out_a,
-              double *out_b, int64_t *bad)
+              Py_ssize_t c0, Py_ssize_t m, double *part, int64_t *bad)
 {
     const int64_t *col;
-    Py_ssize_t i, h, l, len = s->len;
+    Py_ssize_t i, h, len = s->len;
     int64_t slot;
 
     memset(part, 0, (size_t)(cb ? 2 * len : len) * sizeof(double));
@@ -270,24 +342,6 @@ scatter_chunk(const double *ca, const double *cb, const Storage *s,
                 part[slot] = part[slot] + ca[i];
             }
         }
-    }
-    if (cb) {
-        if (c0 == 0) {
-            for (l = 0; l < len; l++) {
-                out_a[l] = part[2 * l];
-                out_b[l] = part[2 * l + 1];
-            }
-        } else {
-            for (l = 0; l < len; l++) {
-                out_a[l] = out_a[l] + part[2 * l];
-                out_b[l] = out_b[l] + part[2 * l + 1];
-            }
-        }
-    } else if (c0 == 0) {
-        memcpy(out_a, part, (size_t)len * sizeof(double));
-    } else {
-        for (l = 0; l < len; l++)
-            out_a[l] = out_a[l] + part[l];
     }
     return 0;
 bad:
@@ -312,147 +366,374 @@ mask_rows(const double *rates, double *last, char *pending,
     }
 }
 
+/* One call's walk over the chunk grid of rows [r0, r1): what a chunk
+ * computes (chunk, over rows [c0, c0 + m), scattering into part and
+ * using scratch doubles of its thread's), the arguments it reads and
+ * the per-flow vector it writes (out), and the chunks' scatter
+ * partials, parts * len doubles each (parts 0: no scatter), whose
+ * totals go to sum_a (and sum_b). */
+typedef struct Walk Walk;
+struct Walk {
+    int (*chunk)(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
+                 double *scratch, int64_t *bad);
+    Storage s;
+    Py_ssize_t r0, r1, block, nchunks, scratch;
+    int parts, op, scale_up;
+    const double *padded, *a, *b, *caps;
+    double *out, *sum_a, *sum_b, *last, *partials;
+    char *pending, *changed;
+    double min_price_sum, epsilon, threshold;
+};
+
+/* One thread's share of a walk: chunks t, t + T, ... in ascending
+ * order, up to the first that fails (failed; nchunks if none). */
+typedef struct {
+    const Walk *w;
+    Py_ssize_t t, T, failed;
+    int64_t slot;
+    double *scratch;
+    pthread_t thread;
+    int started;
+} Share;
+
+static void *
+run_share(void *arg)
+{
+    Share *sh = arg;
+    const Walk *w = sh->w;
+    Py_ssize_t k, c0, m;
+
+    for (k = sh->t; k < w->nchunks; k += sh->T) {
+        c0 = w->r0 + k * w->block;
+        m = w->r1 - c0 < w->block ? w->r1 - c0 : w->block;
+        if (w->chunk(w, c0, m,
+                     w->parts ? w->partials + k * w->parts * w->s.len
+                              : NULL,
+                     sh->scratch, &sh->slot) < 0) {
+            sh->failed = k;
+            break;
+        }
+    }
+    return NULL;
+}
+
+/* The thread count _force_threads sets; 0 reads the affinity mask. */
+static Py_ssize_t forced_threads;
+
+static Py_ssize_t
+thread_count(Py_ssize_t nchunks)
+{
+    Py_ssize_t t = forced_threads;
+    cpu_set_t set;
+
+    if (nchunks < 2)
+        return 1;
+    if (t < 1)
+        t = sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set)
+                                                        : 1;
+    return t < nchunks ? t : nchunks;
+}
+
+/* The scatter partials into sum_a (and sum_b), in ascending chunk
+ * order: the chunk at row 0 is written, each later one added onto it,
+ * so the rows of a table may arrive over several calls in chunk
+ * order. */
+static void
+combine(const Walk *w)
+{
+    Py_ssize_t k, l, len = w->s.len;
+    double *out = w->sum_a, *out_b = w->sum_b;
+
+    for (k = 0; k < w->nchunks; k++) {
+        const double *part = w->partials + k * w->parts * len;
+        int first = w->r0 + k * w->block == 0;
+        if (w->parts == 2) {
+            if (first) {
+                for (l = 0; l < len; l++) {
+                    out[l] = part[2 * l];
+                    out_b[l] = part[2 * l + 1];
+                }
+            } else {
+                for (l = 0; l < len; l++) {
+                    out[l] = out[l] + part[2 * l];
+                    out_b[l] = out_b[l] + part[2 * l + 1];
+                }
+            }
+        } else if (first) {
+            memcpy(out, part, (size_t)len * sizeof(double));
+        } else {
+            for (l = 0; l < len; l++)
+                out[l] = out[l] + part[l];
+        }
+    }
+}
+
+/* Run w's chunks on thread_count threads with the GIL released, then
+ * combine the partials on the calling thread.  A bad slot raises the
+ * IndexError of the lowest failing chunk, the one a walk in chunk
+ * order stops at, and combines nothing. */
+static int
+walk(Walk *w)
+{
+    Py_ssize_t T, t, failed;
+    Share *shares;
+    double *scratch = NULL;
+    int64_t slot = 0;
+
+    if (w->r1 == w->r0)
+        return 0;
+    w->nchunks = (w->r1 - w->r0 - 1) / w->block + 1;   /* no overflow */
+    T = thread_count(w->nchunks);
+    w->partials = NULL;
+    shares = calloc((size_t)T, sizeof(Share));
+    if (w->parts)
+        w->partials = malloc((size_t)(w->nchunks * w->parts)
+                             * (size_t)(w->s.len ? w->s.len : 1)
+                             * sizeof(double));
+    if (w->scratch)
+        scratch = malloc((size_t)(T * w->scratch) * sizeof(double));
+    if (shares == NULL || (w->parts && w->partials == NULL)
+            || (w->scratch && scratch == NULL)) {
+        free(scratch);
+        free(w->partials);
+        free(shares);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (t = 0; t < T; t++) {
+        shares[t].w = w;
+        shares[t].t = t;
+        shares[t].T = T;
+        shares[t].failed = w->nchunks;
+        shares[t].scratch = scratch ? scratch + t * w->scratch : NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    for (t = 1; t < T; t++)
+        shares[t].started = pthread_create(&shares[t].thread, NULL,
+                                           run_share, &shares[t]) == 0;
+    run_share(&shares[0]);
+    for (t = 1; t < T; t++) {
+        if (shares[t].started)
+            pthread_join(shares[t].thread, NULL);
+        else   /* no thread to be had: the share runs here */
+            run_share(&shares[t]);
+    }
+    failed = w->nchunks;
+    for (t = 0; t < T; t++) {
+        if (shares[t].failed < failed) {
+            failed = shares[t].failed;
+            slot = shares[t].slot;
+        }
+    }
+    if (failed == w->nchunks && w->parts)
+        combine(w);
+    Py_END_ALLOW_THREADS
+    free(scratch);
+    free(w->partials);
+    free(shares);
+    if (failed < w->nchunks) {
+        PyErr_Format(PyExc_IndexError,
+                     "route slot %lld is out of bounds for %zd entries",
+                     (long long)slot, w->s.len);
+        return -1;
+    }
+    return 0;
+}
+
+static int
+fold_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
+          double *scratch, int64_t *bad)
+{
+    return fold_chunk(w->op, w->padded, &w->s, c0, m,
+                      w->out + (c0 - w->r0), bad);
+}
+
+static int
+scatter_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
+             double *scratch, int64_t *bad)
+{
+    return scatter_chunk(w->a + (c0 - w->r0),
+                         w->b ? w->b + (c0 - w->r0) : NULL, &w->s, c0, m,
+                         part, bad);
+}
+
+/* NED's log-utility chunk: the price sums into scratch, clamped; the
+ * rates into out and the derivatives into the scratch's second half;
+ * the pair scatter of both.  a: the weights. */
+static int
+ned_log_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
+             double *scratch, int64_t *bad)
+{
+    double *rho = scratch, *deriv = scratch + w->scratch / 2;
+    double *rate = w->out + c0;
+    const double *wt = w->a + c0;
+    Py_ssize_t i;
+
+    if (fold_chunk(FOLD_SUM, w->padded, &w->s, c0, m, rho, bad) < 0)
+        return -1;
+    if (w->caps != NULL) {
+        const double *cap = w->caps + c0;
+        for (i = 0; i < m; i++)
+            rho[i] = MAXIMUM(rho[i], cap[i]);
+    }
+    for (i = 0; i < m; i++) {
+        double p = MAXIMUM(rho[i], w->min_price_sum);
+        rate[i] = wt[i] / p;
+        deriv[i] = -(wt[i] / (p * p));
+    }
+    return scatter_chunk(rate, deriv, &w->s, c0, m, part, bad);
+}
+
+/* F-NORM's chunk: the worst ratio into out, clamped, divided into the
+ * rates (a); then the mask on the chunk, unless last is NULL. */
+static int
+f_norm_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
+            double *scratch, int64_t *bad)
+{
+    double *worst = w->out + c0;
+    const double *rate = w->a + c0;
+    Py_ssize_t i;
+
+    if (fold_chunk(FOLD_MAX, w->padded, &w->s, c0, m, worst, bad) < 0)
+        return -1;
+    for (i = 0; i < m; i++) {
+        double x = MAXIMUM(worst[i], w->epsilon);
+        if (!w->scale_up)
+            x = MAXIMUM(x, 1.0);
+        worst[i] = rate[i] / x;
+    }
+    if (w->last != NULL)
+        mask_rows(worst, w->last + c0, w->pending + c0, w->threshold,
+                  w->changed + c0, m);
+    return 0;
+}
+
+/* A row span [r0, r1) over columns flows, walked in blocks. */
+static int
+get_span(const char *who, PyObject *const *args, Walk *w,
+         Py_ssize_t columns)
+{
+    w->r0 = PyLong_AsSsize_t(args[0]);
+    w->r1 = PyLong_AsSsize_t(args[1]);
+    w->block = PyLong_AsSsize_t(args[2]);
+    if (PyErr_Occurred())
+        return -1;
+    if (w->r0 < 0 || w->r1 < w->r0 || w->r1 > columns || w->block < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s: bad row span [%zd, %zd) (block %zd) over %zd "
+                     "flows", who, w->r0, w->r1, w->block, columns);
+        return -1;
+    }
+    return 0;
+}
+
+static const Arg FOLD_ARGS[] = {
+    {6, 1, 0, 'd', "out"}, {1, 0, 0, 'd', "padded"},
+    {2, 0, 0, 'r', "routes"},
+};
+
 /* fold(op, padded, routes, r0, r1, block, out): out[r - r0] = the
- * left-to-right fold of padded[routes[:, r]] over rows [r0, r1),
- * walked one block-row chunk at a time. */
+ * left-to-right fold of padded[routes[:, r]] over rows [r0, r1). */
 static PyObject *
 fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer pv, rv, ov;
-    Py_ssize_t r0, r1, block, c0, m;
-    Storage s;
-    int op;
-    int64_t slot = 0;
+    Py_buffer bufs[3], *v[3];
+    Walk w = {fold_walk};
+    int rc = -1;
 
     if (nargs != 7) {
         PyErr_SetString(PyExc_TypeError, "fold takes 7 arguments");
         return NULL;
     }
-    op = (int)PyLong_AsLong(args[0]);
-    if (op == -1 && PyErr_Occurred())
+    w.op = (int)PyLong_AsLong(args[0]);
+    if (w.op == -1 && PyErr_Occurred())
         return NULL;
-    if (get_vector(args[1], &pv, 0, "padded") < 0)
+    if (acquire(args, FOLD_ARGS, 3, bufs, v) < 0)
         return NULL;
-    if (get_routes(args[2], &rv) < 0) {
-        PyBuffer_Release(&pv);
-        return NULL;
-    }
-    if (get_vector(args[6], &ov, 1, "out") < 0) {
-        PyBuffer_Release(&rv);
-        PyBuffer_Release(&pv);
-        return NULL;
-    }
-    if (get_span(args + 3, &r0, &r1, &block, rv.shape[1]) < 0)
-        goto fail;
-    if (ov.shape[0] != r1 - r0 || rv.shape[0] < 1
-            || op < FOLD_SUM || op > FOLD_MIN) {
+    if (get_span("fold", args + 3, &w, v[2]->shape[1]) < 0)
+        goto release;
+    if (v[0]->shape[0] != w.r1 - w.r0 || v[2]->shape[0] < 1
+            || w.op < FOLD_SUM || w.op > FOLD_MIN) {
         PyErr_SetString(PyExc_ValueError,
                         "fold: out must hold r1 - r0 rows, routes one "
                         "column, op be 0, 1 or 2");
-        goto fail;
+        goto release;
     }
-    storage_of(&s, &rv, pv.shape[0]);
-    for (c0 = r0; c0 < r1; c0 += block) {
-        m = r1 - c0 < block ? r1 - c0 : block;
-        if (fold_chunk(op, pv.buf, &s, c0, m,
-                       (double *)ov.buf + (c0 - r0), &slot) < 0)
-            goto bad;
-    }
-    PyBuffer_Release(&ov);
-    PyBuffer_Release(&rv);
-    PyBuffer_Release(&pv);
+    if (check_disjoint("fold", FOLD_ARGS, v, 3) < 0)
+        goto release;
+    storage_of(&w.s, v[2], v[1]->shape[0]);
+    w.padded = v[1]->buf;
+    w.out = v[0]->buf;
+    rc = walk(&w);
+release:
+    release(v, 3);
+    if (rc < 0)
+        return NULL;
     Py_RETURN_NONE;
-bad:
-    bad_slot(slot, s.len);
-fail:
-    PyBuffer_Release(&ov);
-    PyBuffer_Release(&rv);
-    PyBuffer_Release(&pv);
-    return NULL;
 }
+
+static const Arg SCATTER_ARGS[] = {
+    {6, 1, 0, 'd', "out"}, {7, 1, 1, 'd', "out_b"},
+    {0, 0, 0, 'd', "values"}, {1, 0, 1, 'd', "values_b"},
+    {2, 0, 0, 'r', "routes"},
+};
 
 /* scatter(a, b, routes, r0, r1, block, out_a, out_b): link totals of
  * the per-flow values a (and b, unless it is None) over rows
- * [r0, r1), a[0] being row r0's value.  The chunks' partials are
- * combined in chunk order (scatter_chunk), so the rows of a table may
- * arrive over several calls in chunk order. */
+ * [r0, r1), a[0] being row r0's value, combined onto out (combine). */
 static PyObject *
 scatter(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer av, bv, rv, oav, obv;
-    int pair, held_b = 0, held_ob = 0;
-    Py_ssize_t r0, r1, block, c0, m, len;
-    const double *a, *b = NULL;
-    double *out_b = NULL, *part = NULL;
-    Storage s;
-    int64_t slot = 0;
-    PyObject *result = NULL;
+    Py_buffer bufs[5], *v[5];
+    Walk w = {scatter_walk};
+    Py_ssize_t len;
+    int rc = -1;
 
     if (nargs != 8) {
         PyErr_SetString(PyExc_TypeError, "scatter takes 8 arguments");
         return NULL;
     }
-    pair = args[1] != Py_None;
-    if (get_vector(args[0], &av, 0, "values") < 0)
+    if ((args[1] == Py_None) != (args[7] == Py_None)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "scatter: b and out_b are both None or neither");
         return NULL;
-    if (get_routes(args[2], &rv) < 0)
-        goto release_a;
-    if (get_vector(args[6], &oav, 1, "out") < 0)
-        goto release_r;
-    if (pair) {
-        if (get_vector(args[1], &bv, 0, "values") < 0)
-            goto release;
-        held_b = 1;
-        if (get_vector(args[7], &obv, 1, "out") < 0)
-            goto release;
-        held_ob = 1;
     }
-    if (get_span(args + 3, &r0, &r1, &block, rv.shape[1]) < 0)
+    if (acquire(args, SCATTER_ARGS, 5, bufs, v) < 0)
+        return NULL;
+    if (get_span("scatter", args + 3, &w, v[4]->shape[1]) < 0)
         goto release;
-    len = oav.shape[0];
-    if (av.shape[0] < r1 - r0 || (pair && (bv.shape[0] < r1 - r0
-                                           || obv.shape[0] != len))) {
+    len = v[0]->shape[0];
+    if (v[2]->shape[0] < w.r1 - w.r0 || (v[3] != NULL
+            && (v[3]->shape[0] < w.r1 - w.r0 || v[1]->shape[0] != len))) {
         PyErr_SetString(PyExc_ValueError,
                         "scatter: values shorter than the span, or "
                         "outputs of unequal length");
         goto release;
     }
-    a = av.buf;
-    if (pair) {
-        b = bv.buf;
-        out_b = obv.buf;
-    }
-    storage_of(&s, &rv, len);
-    part = malloc((size_t)(pair ? 2 : 1) * (size_t)(len ? len : 1)
-                  * sizeof(double));
-    if (part == NULL) {
-        PyErr_NoMemory();
+    if (check_disjoint("scatter", SCATTER_ARGS, v, 5) < 0)
         goto release;
+    storage_of(&w.s, v[4], len);
+    w.parts = v[3] != NULL ? 2 : 1;
+    w.a = v[2]->buf;
+    w.sum_a = v[0]->buf;
+    if (v[3] != NULL) {
+        w.b = v[3]->buf;
+        w.sum_b = v[1]->buf;
     }
-    for (c0 = r0; c0 < r1; c0 += block) {
-        m = r1 - c0 < block ? r1 - c0 : block;
-        if (scatter_chunk(a + (c0 - r0), pair ? b + (c0 - r0) : NULL, &s,
-                          c0, m, part, oav.buf, out_b, &slot) < 0)
-            goto bad;
-    }
-    result = Py_None;
-    Py_INCREF(result);
-    goto release;
-bad:
-    bad_slot(slot, len);
+    rc = walk(&w);
 release:
-    free(part);
-    if (held_ob)
-        PyBuffer_Release(&obv);
-    if (held_b)
-        PyBuffer_Release(&bv);
-    PyBuffer_Release(&oav);
-release_r:
-    PyBuffer_Release(&rv);
-release_a:
-    PyBuffer_Release(&av);
-    return result;
+    release(v, 5);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
+
+static const Arg NED_ARGS[] = {
+    {7, 1, 0, 'd', "rates"}, {4, 0, 1, 'd', "caps"},
+    {5, 0, 0, 'd', "weights"}, {8, 1, 0, 'd', "load"},
+    {9, 1, 0, 'd', "hessian"}, {0, 0, 0, 'd', "padded"},
+    {1, 0, 0, 'r', "routes"},
+};
 
 /* ned_log_pass(padded, routes, n, block, caps, weights, min_price_sum,
  * rates, load, hessian): NED's pass for the log utility.  Per chunk:
@@ -463,104 +744,58 @@ release_a:
 static PyObject *
 ned_log_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer pv, rv, cv, wv, ov, lv, hv;
-    Py_buffer *views[7] = {NULL};
-    Py_ssize_t n, block, c0, i, m, len;
-    const double *caps = NULL, *weights;
-    double min_price_sum, *rates, *rho = NULL, *deriv = NULL, *part = NULL;
-    Storage s;
-    int64_t slot = 0;
-    PyObject *result = NULL;
+    Py_buffer bufs[7], *v[7];
+    Walk w = {ned_log_walk};
+    Py_ssize_t len;
+    int rc = -1;
 
     if (nargs != 10) {
         PyErr_SetString(PyExc_TypeError, "ned_log_pass takes 10 arguments");
         return NULL;
     }
-    n = PyLong_AsSsize_t(args[2]);
-    block = PyLong_AsSsize_t(args[3]);
-    min_price_sum = PyFloat_AsDouble(args[6]);
+    w.r1 = PyLong_AsSsize_t(args[2]);
+    w.block = PyLong_AsSsize_t(args[3]);
+    w.min_price_sum = PyFloat_AsDouble(args[6]);
     if (PyErr_Occurred())
         return NULL;
-    if (get_vector(args[0], &pv, 0, "padded") < 0)
-        goto release;
-    views[0] = &pv;
-    if (get_routes(args[1], &rv) < 0)
-        goto release;
-    views[1] = &rv;
-    if (args[4] != Py_None) {
-        if (get_vector(args[4], &cv, 0, "caps") < 0)
-            goto release;
-        views[2] = &cv;
-    }
-    if (get_vector(args[5], &wv, 0, "weights") < 0)
-        goto release;
-    views[3] = &wv;
-    if (get_vector(args[7], &ov, 1, "rates") < 0)
-        goto release;
-    views[4] = &ov;
-    if (get_vector(args[8], &lv, 1, "load") < 0)
-        goto release;
-    views[5] = &lv;
-    if (get_vector(args[9], &hv, 1, "hessian") < 0)
-        goto release;
-    views[6] = &hv;
-    len = pv.shape[0];
-    if (n < 0 || n > rv.shape[1] || block < 1 || rv.shape[0] < 1
-            || lv.shape[0] != len || hv.shape[0] != len) {
+    if (acquire(args, NED_ARGS, 7, bufs, v) < 0)
+        return NULL;
+    len = v[5]->shape[0];
+    if (w.r1 < 0 || w.r1 > v[6]->shape[1] || w.block < 1
+            || v[6]->shape[0] < 1 || v[3]->shape[0] != len
+            || v[4]->shape[0] != len) {
         PyErr_Format(PyExc_ValueError, "ned_log_pass: bad span of %zd "
                      "flows (block %zd) over %zd, or load / hessian not "
-                     "one bin per padded entry", n, block, rv.shape[1]);
+                     "one bin per padded entry", w.r1, w.block,
+                     v[6]->shape[1]);
         goto release;
     }
-    if (check_lengths("ned_log_pass", n, views + 2, 3) < 0)
+    if (check_lengths("ned_log_pass", w.r1, v, 3) < 0
+            || check_disjoint("ned_log_pass", NED_ARGS, v, 7) < 0)
         goto release;
-    storage_of(&s, &rv, len);
-    if (views[2] != NULL)
-        caps = cv.buf;
-    weights = wv.buf;
-    rates = ov.buf;
-    m = n < block ? n : block;
-    rho = malloc((size_t)(m ? m : 1) * sizeof(double));
-    deriv = malloc((size_t)(m ? m : 1) * sizeof(double));
-    part = malloc((size_t)2 * (size_t)(len ? len : 1) * sizeof(double));
-    if (rho == NULL || deriv == NULL || part == NULL) {
-        PyErr_NoMemory();
-        goto release;
-    }
-    for (c0 = 0; c0 < n; c0 += block) {
-        const double *w = weights + c0;
-        double *rate = rates + c0;
-        m = n - c0 < block ? n - c0 : block;
-        if (fold_chunk(FOLD_SUM, pv.buf, &s, c0, m, rho, &slot) < 0)
-            goto bad;
-        if (caps != NULL) {
-            const double *cap = caps + c0;
-            for (i = 0; i < m; i++)
-                rho[i] = MAXIMUM(rho[i], cap[i]);
-        }
-        for (i = 0; i < m; i++) {
-            double p = MAXIMUM(rho[i], min_price_sum);
-            rate[i] = w[i] / p;
-            deriv[i] = -(w[i] / (p * p));
-        }
-        if (scatter_chunk(rate, deriv, &s, c0, m, part, lv.buf, hv.buf,
-                          &slot) < 0)
-            goto bad;
-    }
-    result = Py_None;
-    Py_INCREF(result);
-    goto release;
-bad:
-    bad_slot(slot, len);
+    storage_of(&w.s, v[6], len);
+    w.parts = 2;
+    w.scratch = 2 * (w.r1 < w.block ? w.r1 : w.block);
+    w.padded = v[5]->buf;
+    w.a = v[2]->buf;
+    w.caps = v[1] != NULL ? v[1]->buf : NULL;
+    w.out = v[0]->buf;
+    w.sum_a = v[3]->buf;
+    w.sum_b = v[4]->buf;
+    rc = walk(&w);
 release:
-    free(part);
-    free(deriv);
-    free(rho);
-    for (i = 6; i >= 0; i--)
-        if (views[i] != NULL)
-            PyBuffer_Release(views[i]);
-    return result;
+    release(v, 7);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
+
+static const Arg F_NORM_ARGS[] = {
+    {7, 1, 0, 'd', "out"}, {8, 1, 1, 'd', "last"},
+    {9, 1, 1, '?', "pending"}, {11, 1, 1, '?', "changed"},
+    {4, 0, 0, 'd', "rates"}, {0, 0, 0, 'd', "padded"},
+    {1, 0, 0, 'r', "routes"},
+};
 
 /* f_norm_pass(padded, routes, n, block, rates, epsilon, scale_up, out,
  * last, pending, threshold, changed): F-NORM's pass.  Per chunk: the
@@ -571,99 +806,70 @@ release:
 static PyObject *
 f_norm_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer pv, rv, av, ov, sv, qv, fv;
-    Py_buffer *views[7] = {NULL};
-    Py_ssize_t n, block, c0, i, m;
-    int scale_up;
-    double epsilon, threshold = 0.0, *out;
-    const double *rates;
-    Storage s;
-    int64_t slot = 0;
+    Py_buffer bufs[7], *v[7];
+    Walk w = {f_norm_walk};
+    int rc = -1, masked;
 
     if (nargs != 12) {
         PyErr_SetString(PyExc_TypeError, "f_norm_pass takes 12 arguments");
         return NULL;
     }
-    n = PyLong_AsSsize_t(args[2]);
-    block = PyLong_AsSsize_t(args[3]);
-    epsilon = PyFloat_AsDouble(args[5]);
-    scale_up = PyObject_IsTrue(args[6]);
-    if (args[8] != Py_None)
-        threshold = PyFloat_AsDouble(args[10]);
+    w.r1 = PyLong_AsSsize_t(args[2]);
+    w.block = PyLong_AsSsize_t(args[3]);
+    w.epsilon = PyFloat_AsDouble(args[5]);
+    w.scale_up = PyObject_IsTrue(args[6]);
+    masked = args[8] != Py_None;
+    if (masked)
+        w.threshold = PyFloat_AsDouble(args[10]);
     if (PyErr_Occurred())
         return NULL;
-    if (get_vector(args[0], &pv, 0, "padded") < 0)
-        goto fail;
-    views[0] = &pv;
-    if (get_routes(args[1], &rv) < 0)
-        goto fail;
-    views[1] = &rv;
-    if (get_vector(args[4], &av, 0, "rates") < 0)
-        goto fail;
-    views[2] = &av;
-    if (get_vector(args[7], &ov, 1, "out") < 0)
-        goto fail;
-    views[3] = &ov;
-    if (args[8] != Py_None) {
-        if (get_vector(args[8], &sv, 1, "last") < 0)
-            goto fail;
-        views[4] = &sv;
-        if (get_typed(args[9], &qv, 1, "pending", "?") < 0)
-            goto fail;
-        views[5] = &qv;
-        if (get_typed(args[11], &fv, 1, "changed", "?") < 0)
-            goto fail;
-        views[6] = &fv;
+    if (masked && (args[9] == Py_None || args[11] == Py_None)) {
+        PyErr_SetString(PyExc_ValueError, "f_norm_pass: the mask needs "
+                        "last, pending and changed");
+        return NULL;
     }
-    if (n < 0 || n > rv.shape[1] || block < 1 || rv.shape[0] < 1) {
+    if (acquire(args, F_NORM_ARGS, 7, bufs, v) < 0)
+        return NULL;
+    if (w.r1 < 0 || w.r1 > v[6]->shape[1] || w.block < 1
+            || v[6]->shape[0] < 1) {
         PyErr_Format(PyExc_ValueError, "f_norm_pass: bad span of %zd "
-                     "flows (block %zd) over %zd", n, block, rv.shape[1]);
-        goto fail;
+                     "flows (block %zd) over %zd", w.r1, w.block,
+                     v[6]->shape[1]);
+        goto release;
     }
-    if (check_lengths("f_norm_pass", n, views + 2, 5) < 0)
-        goto fail;
-    storage_of(&s, &rv, pv.shape[0]);
-    rates = av.buf;
-    out = ov.buf;
-    for (c0 = 0; c0 < n; c0 += block) {
-        double *worst = out + c0;
-        const double *rate = rates + c0;
-        m = n - c0 < block ? n - c0 : block;
-        if (fold_chunk(FOLD_MAX, pv.buf, &s, c0, m, worst, &slot) < 0) {
-            bad_slot(slot, s.len);
-            goto fail;
-        }
-        for (i = 0; i < m; i++) {
-            double w = MAXIMUM(worst[i], epsilon);
-            if (!scale_up)
-                w = MAXIMUM(w, 1.0);
-            worst[i] = rate[i] / w;
-        }
-        if (views[4] != NULL)
-            mask_rows(worst, (double *)sv.buf + c0, (char *)qv.buf + c0,
-                      threshold, (char *)fv.buf + c0, m);
+    if (check_lengths("f_norm_pass", w.r1, v, 5) < 0
+            || check_disjoint("f_norm_pass", F_NORM_ARGS, v, 7) < 0)
+        goto release;
+    storage_of(&w.s, v[6], v[5]->shape[0]);
+    w.padded = v[5]->buf;
+    w.a = v[4]->buf;
+    w.out = v[0]->buf;
+    if (masked) {
+        w.last = v[1]->buf;
+        w.pending = v[2]->buf;
+        w.changed = v[3]->buf;
     }
-    for (i = 6; i >= 0; i--)
-        if (views[i] != NULL)
-            PyBuffer_Release(views[i]);
+    rc = walk(&w);
+release:
+    release(v, 7);
+    if (rc < 0)
+        return NULL;
     Py_RETURN_NONE;
-fail:
-    for (i = 6; i >= 0; i--)
-        if (views[i] != NULL)
-            PyBuffer_Release(views[i]);
-    return NULL;
 }
+
+static const Arg MASK_ARGS[] = {
+    {1, 1, 0, 'd', "last"}, {2, 1, 0, '?', "pending"},
+    {4, 1, 0, '?', "changed"}, {0, 0, 0, 'd', "rates"},
+};
 
 /* threshold_mask(rates, last, pending, threshold, changed): the
  * section 6.4 mask (mask_rows) over whole vectors of one length. */
 static PyObject *
 threshold_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer av, sv, qv, fv;
-    Py_buffer *views[4] = {NULL};
+    Py_buffer bufs[4], *v[4];
     double threshold;
-    int k;
-    PyObject *result = NULL;
+    int rc = -1;
 
     if (nargs != 5) {
         PyErr_SetString(PyExc_TypeError,
@@ -673,28 +879,36 @@ threshold_mask(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     threshold = PyFloat_AsDouble(args[3]);
     if (PyErr_Occurred())
         return NULL;
-    if (get_vector(args[0], &av, 0, "rates") < 0)
+    if (acquire(args, MASK_ARGS, 4, bufs, v) < 0)
+        return NULL;
+    if (check_lengths("threshold_mask", v[0]->shape[0], v, 4) < 0
+            || check_disjoint("threshold_mask", MASK_ARGS, v, 4) < 0)
         goto release;
-    views[0] = &av;
-    if (get_vector(args[1], &sv, 1, "last") < 0)
-        goto release;
-    views[1] = &sv;
-    if (get_typed(args[2], &qv, 1, "pending", "?") < 0)
-        goto release;
-    views[2] = &qv;
-    if (get_typed(args[4], &fv, 1, "changed", "?") < 0)
-        goto release;
-    views[3] = &fv;
-    if (check_lengths("threshold_mask", sv.shape[0], views, 4) < 0)
-        goto release;
-    mask_rows(av.buf, sv.buf, qv.buf, threshold, fv.buf, sv.shape[0]);
-    result = Py_None;
-    Py_INCREF(result);
+    mask_rows(v[3]->buf, v[0]->buf, v[1]->buf, threshold, v[2]->buf,
+              v[0]->shape[0]);
+    rc = 0;
 release:
-    for (k = 3; k >= 0; k--)
-        if (views[k] != NULL)
-            PyBuffer_Release(views[k]);
-    return result;
+    release(v, 4);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _force_threads(t): walk on t threads (capped at the chunk count)
+ * instead of the affinity mask's count, or on that count again if t
+ * is 0.  Tests only: the bits must not depend on t. */
+static PyObject *
+force_threads(PyObject *self, PyObject *arg)
+{
+    Py_ssize_t t = PyLong_AsSsize_t(arg);
+    if (t == -1 && PyErr_Occurred())
+        return NULL;
+    if (t < 0 || t > 64) {
+        PyErr_SetString(PyExc_ValueError, "_force_threads takes 0 to 64");
+        return NULL;
+    }
+    forced_threads = t;
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
@@ -711,6 +925,7 @@ static PyMethodDef methods[] = {
     {"threshold_mask", (PyCFunction)(void (*)(void))threshold_mask,
      METH_FASTCALL, "threshold_mask(rates, last, pending, threshold, "
      "changed)"},
+    {"_force_threads", force_threads, METH_O, "_force_threads(t)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -20,11 +20,21 @@ is bounds-checked, so a bad one raises ``IndexError``.  The loops
 replaced numpy's ``bincount``, ``np.add.at`` and ufunc calls, whose
 order numpy does not document; ``tests/test_golden_kernels.py`` checks
 them against constants recorded on the numpy path, and
-``tests/test_csr_kernels.py`` against scalar references.  Every caller
-— the FlowTable (which also holds the ECMP mice) and the
-process-backend workers, reading the same shared route storage — runs
-these same functions, which is what makes their results bitwise
-comparable.
+``tests/test_csr_kernels.py`` against scalar references.  Every
+FlowTable (the ECMP mice's too) runs these same functions, which is
+what makes their results bitwise comparable.
+
+**Threads.**  A call over more than one chunk releases the GIL and
+walks the chunks on as many threads as the process's CPU affinity mask
+holds (capped at the chunk count): chunk k on thread k mod T, each
+chunk scattering into its own partial, the partials combined in chunk
+order on the calling thread.  So the bits do not depend on the thread
+count, a table of one chunk runs on the calling thread, and a process
+pinned to one CPU runs every call there.  No thread outlives a call.
+There is no setting for the count; ``tests/test_kernel_threads.py``
+forces it through the extension's private ``_force_threads``.  With the
+GIL released, two Python threads that hand one output array to
+concurrent calls race on it; no caller in this package does.
 
 **Build.**  The first import compiles the source with :data:`CFLAGS`
 (no fast-math and no contraction: either would move bits) into
@@ -92,8 +102,8 @@ BLOCK_ROWS = 16384
 
 #: The compiler flags of the kernel library.  ``-ffp-contract=off``
 #: keeps ``a * b + c`` from fusing; nothing here lets the compiler
-#: reassociate a sum.
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: reassociate a sum.  ``-pthread``: the chunk walks run on threads.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _SUM, _MAX, _MIN = 0, 1, 2

@@ -26,9 +26,8 @@ longest route the table has held (:attr:`FlowTable.width`: it starts
 at one slot, widens on demand up to ``max_route_len`` and never
 shrinks; widening moves the right-aligned half to the new right
 edge), so a two-tier Clos table is 4 slots wide rather than
-``max_route_len``.  The storage itself is what the NUM kernels read
-and what the shm arena shares with worker processes; there is no
-derived index to keep in sync.  One optimizer iteration is then a
+``max_route_len``.  The storage itself is what the NUM kernels read;
+there is no derived index to keep in sync.  One optimizer iteration is then a
 handful of vectorized operations per column (contiguous gathers,
 scatters that add the per-flow values into per-link sums, column
 folds for per-flow sums/maxima), with no Python-level per-flow work.  The
@@ -42,7 +41,7 @@ arrays stay dense.  Ids reach rows through fixed per-flow *handles*
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 from operator import attrgetter, countOf
 from typing import Any, TypeVar
 
@@ -55,8 +54,6 @@ __all__ = ["LinkSet", "FlowTable", "FlowColumn"]
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
-#: Storage hook signature: ``alloc(tag, shape, dtype) -> array``.
-AllocatorFn = Callable[[str, tuple[int, ...], Any], npt.NDArray[Any]]
 
 _INITIAL_CAPACITY = 64
 _V = TypeVar("_V")
@@ -64,12 +61,6 @@ _BAD_ROUTE = "route must be a non-empty 1-D sequence of links"
 _INT64 = np.dtype(np.int64)
 _DTYPE = attrgetter("dtype")
 _NDIM = attrgetter("ndim")
-
-
-def _numpy_allocator(tag: str, shape: tuple[int, ...],
-                     dtype: Any) -> npt.NDArray[Any]:
-    """Default storage: ordinary process-local numpy arrays."""
-    return np.empty(shape, dtype=dtype)
 
 
 def _pop_ends(ids: list[Hashable],
@@ -209,9 +200,7 @@ class FlowColumn:
     def __init__(self, table, default, dtype):
         self._table = table
         self.default = default
-        self._data = table._alloc(f"column{len(table._columns)}",
-                                  (len(table._weights),), dtype)
-        self._data[:] = default
+        self._data = np.full(len(table._weights), default, dtype=dtype)
 
     @property
     def data(self):
@@ -258,36 +247,24 @@ class FlowTable:
     dict write each, and the dense layout is unchanged (:meth:`audit`).
     """
 
-    def __init__(self, links: LinkSet, max_route_len: int = 8,
-                 allocator: AllocatorFn | None = None) -> None:
+    def __init__(self, links: LinkSet, max_route_len: int = 8) -> None:
         if max_route_len < 1:
             raise ValueError("max_route_len must be at least 1")
         self.links = links
         self.max_route_len = int(max_route_len)
         self.pad_link = links.n_links  # virtual link used for padding
-        # Storage hook: routes, weights and every FlowColumn go through
-        # ``allocator(tag, shape, dtype)`` so a caller can back them
-        # with ``multiprocessing.shared_memory`` (the process-parallel
-        # NED backend) instead of private heap arrays.  Re-allocating
-        # an existing tag (on grow) supersedes the old array.
-        self._alloc = allocator if allocator is not None else _numpy_allocator
         self._columns = []
         # Hop-major: one column wide until a longer route arrives
         # (_widen).  Flows at and past n hold only the pad link, so a
         # single add writes just the real hops.
-        self._routes = self._alloc("routes", (1, _INITIAL_CAPACITY),
-                                   np.int64)
-        self._routes[:] = self.pad_link
+        self._routes = np.full((1, _INITIAL_CAPACITY), self.pad_link,
+                               dtype=np.int64)
         self._slot_masks = _slot_masks(1)
-        self._weights = self._alloc("weights", (_INITIAL_CAPACITY,),
-                                    np.float64)
-        self._weights[:] = 1.0
+        self._weights = np.ones(_INITIAL_CAPACITY)
         # Positionally-aligned flow ids, maintained under swap-remove
         # and batched churn exactly like every other column.  An object
-        # ndarray (never routed through the allocator hook — ids are
-        # Python references, meaningless in shared memory) so
-        # :meth:`flow_id_array` can expose an O(1) view instead of
-        # rebuilding a list per allocator iterate.
+        # ndarray so :meth:`flow_id_array` can expose an O(1) view
+        # instead of rebuilding a list per allocator iterate.
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=object)
         # id -> handle -> row (class docstring); ``_handle_at[n:]`` is
         # the stack of free handles, top at ``n``.  Process-local.
@@ -573,7 +550,7 @@ class FlowTable:
     def _grow(self):
         new_cap = max(_INITIAL_CAPACITY, 2 * len(self._weights))
         self._reallocate_routes(new_cap, self.width)
-        weights = self._alloc("weights", (new_cap,), np.float64)
+        weights = np.empty(new_cap)
         weights[self._n:] = 1.0
         weights[: self._n] = self._weights[: self._n]
         ids = np.empty(new_cap, dtype=object)
@@ -583,9 +560,8 @@ class FlowTable:
         new = np.arange(len(self._handle_at), new_cap)
         self._handle_at = np.concatenate((self._handle_at, new))
         self._row_of = np.concatenate((self._row_of, new))
-        for i, column in enumerate(self._columns):
-            data = self._alloc(f"column{i}", (new_cap,),
-                               column._data.dtype)
+        for column in self._columns:
+            data = np.empty(new_cap, dtype=column._data.dtype)
             data[self._n:] = column.default
             data[: self._n] = column._data[: self._n]
             column._data = data
@@ -596,15 +572,12 @@ class FlowTable:
         self._reallocate_routes(len(self._weights), width)
 
     def _reallocate_routes(self, capacity, width):
-        # Through the allocator hook, so shared-memory storage follows
-        # (the process backend re-attaches a worker when the shape moves).
         # Every held route keeps its first half in the left columns
         # [0, ceil(w/2)) and its second half in the right columns, so
         # widening keeps the left zone and moves the right one to the
         # new right edge: the routes stay middle-aligned at the new
         # width, as if inserted there.
-        routes = self._alloc("routes", (width, capacity), np.int64)
-        routes[:] = self.pad_link
+        routes = np.full((width, capacity), self.pad_link, dtype=np.int64)
         old, n = self._routes, self._n
         left = (len(old) + 1) // 2
         routes[:left, :n] = old[:left, :n]

@@ -58,9 +58,7 @@ class BlockPartition:
         return self.n_blocks * self.n_blocks
 
     def grid_cells(self):
-        """Row-major processor coordinates — the canonical cell order
-        shared by the engine and the process backend (shared-array row
-        ``i`` is ``grid_cells()[i]``)."""
+        """Row-major processor coordinates — the engine's cell order."""
         n = self.n_blocks
         return [(r, c) for r in range(n) for c in range(n)]
 

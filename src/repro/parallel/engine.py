@@ -17,18 +17,11 @@ simulated core:
 The result is numerically identical (up to float associativity) to
 single-core NED — a property the test suite asserts — while the engine
 counts its work and communication (LinkBlock messages, intra- and
-inter-CPU steps under the paper's core->CPU mapping).
-
-Execution is pluggable behind :class:`ParallelBackend`:
-
-* ``backend="simulated"`` (default) runs every processor in this
-  process, exactly as described above — fast to construct, counts the
-  §6.1 work/communication stats, no real parallelism;
-* ``backend="process"`` runs the same phase structure on a persistent
-  pool of **worker processes** on one host (see
-  :mod:`repro.parallel.process_backend`): shared memory plus a
-  sense-reversing flag-array barrier, measuring *actual* parallel
-  speedup instead of modeling it.
+inter-CPU steps under the paper's core->CPU mapping).  Every processor
+runs in this process: the engine models §5's structure and §6.1's
+costs, and owns no thread, process or shared memory.  Real parallelism
+is the allocator's own: its compiled passes walk the flow table's
+chunks on threads (:mod:`repro.core.kernels`).
 """
 
 from __future__ import annotations
@@ -49,59 +42,7 @@ from .aggregation import (aggregation_schedule, distribution_schedule,
 from .blocks import BlockPartition
 from .paper_table import cpu_of
 
-__all__ = ["IterationStats", "MulticoreNedEngine", "ParallelBackend",
-           "SimulatedBackend", "ned_price_update"]
-
-
-def ned_price_update(prices_row, load_row, hessian_row, link_idx,
-                     capacity, idle_price, gamma):
-    """NED Equation 4 on one LinkBlock, in place.
-
-    Factored out of the engine so the simulated and worker-process
-    backends run the *same float operations in the same order* — the
-    cross-backend equivalence suite leans on that.
-    """
-    over = load_row[link_idx] - capacity[link_idx]
-    hessian = hessian_row[link_idx]
-    prices = prices_row[link_idx]
-    carrying = hessian < 0.0
-    step = np.zeros_like(prices)
-    step[carrying] = over[carrying] / hessian[carrying]
-    new_prices = np.where(carrying, prices - gamma * step,
-                          idle_price[link_idx])
-    np.maximum(new_prices, 0.0, out=new_prices)
-    prices_row[link_idx] = new_prices
-
-
-class ParallelBackend:
-    """Execution strategy for :class:`MulticoreNedEngine` iterations."""
-
-    name = "base"
-
-    def run(self, n, stats):
-        """Execute ``n`` full iterations, accumulating into ``stats``."""
-        raise NotImplementedError
-
-    def close(self):
-        """Release any resources (worker processes, shared memory)."""
-
-    def refresh_capacity(self):
-        """Republish capacity-derived state after
-        :meth:`MulticoreNedEngine.refresh_capacity`; no-op for
-        backends that read the engine's arrays directly."""
-
-
-class SimulatedBackend(ParallelBackend):
-    """In-process execution of the simulated processor grid."""
-
-    name = "simulated"
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def run(self, n, stats):
-        for _ in range(n):
-            self.engine._iterate_once(stats)
+__all__ = ["IterationStats", "MulticoreNedEngine"]
 
 
 @dataclass
@@ -125,23 +66,14 @@ class IterationStats:
 
 
 class _Processor:
-    """One core's state: a FlowBlock plus private LinkBlock copies.
+    """One core's state: a FlowBlock plus private LinkBlock copies."""
 
-    For the simulated backend the table and price vector are ordinary
-    process-local arrays; the process backend passes in a shared-memory
-    FlowTable and a row view of the shared price matrix so the parent
-    and the owning worker see the same bytes.
-    """
-
-    def __init__(self, coords, links, max_route_len, table=None,
-                 prices=None):
+    def __init__(self, coords, links, max_route_len):
         self.coords = coords
-        self.table = (table if table is not None
-                      else FlowTable(links, max_route_len=max_route_len))
+        self.table = FlowTable(links, max_route_len=max_route_len)
         # Private, full-length price vector; only entries of this
         # processor's two LinkBlocks are ever read.
-        self.prices = (prices if prices is not None
-                       else np.ones(links.n_links, dtype=np.float64))
+        self.prices = np.ones(links.n_links, dtype=np.float64)
         self.partial_load = None
         self.partial_hessian = None
         # Per-flow price floor U'(bottleneck), cached between churn
@@ -160,8 +92,7 @@ class MulticoreNedEngine:
 
     def __init__(self, topology: Topology, n_blocks: int,
                  utility: Utility | None = None, gamma: float = 1.0,
-                 max_route_len: int = 8, backend: str = "simulated",
-                 n_workers: int | None = None,
+                 max_route_len: int = 8,
                  reserve_per_block: int = 0) -> None:
         self.partition = BlockPartition(topology, n_blocks)
         self.links = topology.link_set()
@@ -178,28 +109,13 @@ class MulticoreNedEngine:
             self.utility.inverse_rate(self.links.capacity, 1.0),
             dtype=np.float64)
         self._flow_home = {}
-        if backend == "simulated":
-            if n_workers is not None:
-                raise ValueError("n_workers applies to backend='process'")
-            self.processors = {
-                cell: _Processor(cell, self.links, max_route_len)
-                for cell in self.partition.grid_cells()
-            }
-            if reserve_per_block:
-                for proc in self.processors.values():
-                    proc.table.reserve(int(reserve_per_block))
-            self.backend = SimulatedBackend(self)
-        elif backend == "process":
-            from .process_backend import ProcessBackend
-            # The backend allocates the shared-memory state and
-            # populates ``self.processors`` with shm-backed tables and
-            # price rows.
-            self.backend = ProcessBackend(
-                self, n_workers=n_workers,
-                reserve_per_block=reserve_per_block)
-        else:
-            raise ValueError(f"unknown backend {backend!r}; "
-                             "choose 'simulated' or 'process'")
+        self.processors = {
+            cell: _Processor(cell, self.links, max_route_len)
+            for cell in self.partition.grid_cells()
+        }
+        if reserve_per_block:
+            for proc in self.processors.values():
+                proc.table.reserve(int(reserve_per_block))
 
     # ------------------------------------------------------------------
     # churn
@@ -226,11 +142,10 @@ class MulticoreNedEngine:
         unchanged.  Removals are applied first — batched per block
         through :meth:`FlowTable.remove_flows` — then the adds go
         through each block's vectorized ``apply_churn``, so an id
-        appearing in both is restarted.  Under the process backend the
-        block tables are shared memory, so a churn batch reaches the
-        workers without rebuilding any buffer; only a block outgrowing
-        its capacity or meeting a longer route than it has held
-        triggers a (rare) re-attach message.
+        appearing in both is restarted.
+
+        Reach: api — the engine's batched churn, which the README shows;
+        the figure benches add flows one at a time.
         """
         ends = list(ends)
         end_cells = _pop_ends(ends, self._flow_home)
@@ -268,25 +183,6 @@ class MulticoreNedEngine:
             for flow_id, _, _ in cell_starts:
                 self._flow_home[flow_id] = cell
 
-    def refresh_capacity(self) -> None:
-        """Re-read link capacities after an in-place change (§7).
-
-        This is the supported way to change capacities under the
-        engine: it re-derives the idle-price constants, invalidates
-        every FlowBlock's capacity-derived caches, and (through the
-        backend) republishes capacity-derived state to worker
-        processes — mutating ``links.capacity`` without calling this
-        leaves the backends free to diverge.
-
-        Reach: deferred — documented in the README; ROADMAP item 7 replaces the
-        engine's private paths.
-        """
-        self._idle_price[:] = self.utility.inverse_rate(
-            self.links.capacity, 1.0)
-        for proc in self.processors.values():
-            proc.table.refresh_capacity()
-        self.backend.refresh_capacity()
-
     @property
     def n_flows(self) -> int:
         return len(self._flow_home)
@@ -298,25 +194,9 @@ class MulticoreNedEngine:
         stats = IterationStats(
             n_processors=self.partition.n_processors,
             links_per_block=self.partition.links_per_block)
-        self.backend.run(n, stats)
+        for _ in range(n):
+            self._iterate_once(stats)
         return stats
-
-    def close(self) -> None:
-        """Shut down the backend (worker pool, shared memory); no-op
-        for the simulated backend.  Idempotent, and safe to call even
-        if backend construction failed partway or a worker died mid-run
-        — the backend tears down every process and segment it
-        allocated.  The engine is unusable afterwards if the backend
-        held real resources."""
-        backend = getattr(self, "backend", None)
-        if backend is not None:
-            backend.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def _iterate_once(self, stats):
         # Phase 1: local rate computation and partial accumulation.
@@ -393,9 +273,16 @@ class MulticoreNedEngine:
 
     def _price_update(self, proc, link_idx):
         """NED Equation 4 on one LinkBlock of the authoritative holder."""
-        ned_price_update(proc.prices, proc.partial_load,
-                         proc.partial_hessian, link_idx,
-                         self.links.capacity, self._idle_price, self.gamma)
+        over = proc.partial_load[link_idx] - self.links.capacity[link_idx]
+        hessian = proc.partial_hessian[link_idx]
+        prices = proc.prices[link_idx]
+        carrying = hessian < 0.0
+        step = np.zeros_like(prices)
+        step[carrying] = over[carrying] / hessian[carrying]
+        new_prices = np.where(carrying, prices - self.gamma * step,
+                              self._idle_price[link_idx])
+        np.maximum(new_prices, 0.0, out=new_prices)
+        proc.prices[link_idx] = new_prices
 
     # ------------------------------------------------------------------
     # inspection

@@ -26,7 +26,7 @@ layout safe:
   ``version``, which the optimizers' per-flow caches are keyed on.
 """
 
-import multiprocessing
+import os
 import sys
 import threading
 import warnings
@@ -583,12 +583,13 @@ class TestMultiChunkBitwise:
             kernels.link_totals(va, routes, n, n_links + 1),
             ref_chunked_totals(va, routes, n, n_links + 1, self.BLOCK))
 
-    def test_kernels_start_no_thread(self):
-        """One path, on the calling thread: a multi-chunk table runs
-        every kernel without spawning helpers."""
+    def test_kernels_leave_no_thread(self):
+        """A multi-chunk table runs every kernel without leaving a
+        thread behind: the compiled walks join theirs before they
+        return."""
         rng = np.random.default_rng(4)
         table = FlowTable(LinkSet(np.full(12, 10.0)), max_route_len=4)
-        before = threading.active_count()
+        before = threading.active_count(), len(os.listdir("/proc/self/task"))
         table.apply_churn(starts=[
             (i, rng.integers(0, 12, int(rng.integers(1, 5))))
             for i in range(10 * self.BLOCK)])
@@ -596,39 +597,11 @@ class TestMultiChunkBitwise:
         assert_kernels_match(table, rng)
         table.refresh_capacity()
         table.bottleneck_capacity()
-        assert threading.active_count() == before
+        assert (threading.active_count(),
+                len(os.listdir("/proc/self/task"))) == before
 
     def test_describe_is_c(self):
         assert kernels.describe() == "c"
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="process backend needs the fork start method")
-    def test_process_backend_matches_simulated_multi_chunk(self):
-        """Forked workers run the same chunk grid as the parent, so
-        every cell's multi-chunk scatter lands on the same bits."""
-        from repro.parallel import MulticoreNedEngine
-
-        topology = TwoTierClos(n_racks=4, hosts_per_rack=4, n_spines=2)
-        rng = np.random.default_rng(0)
-        starts = []
-        for i in range(120):
-            src = int(rng.integers(topology.n_hosts))
-            dst = int(rng.integers(topology.n_hosts - 1))
-            dst += dst >= src
-            starts.append((i, src, dst))
-
-        simulated = MulticoreNedEngine(topology, 2)
-        simulated.apply_churn(starts=starts)
-        assert all(cell.table.n_flows > self.BLOCK
-                   for cell in simulated.processors.values())
-        simulated.iterate(10)
-        with MulticoreNedEngine(topology, 2, backend="process",
-                                n_workers=2) as engine:
-            engine.apply_churn(starts=starts)
-            engine.iterate(10)
-            rates = engine.rates()
-        assert rates == simulated.rates()
 
 
 # ----------------------------------------------------------------------

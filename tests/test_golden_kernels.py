@@ -237,8 +237,7 @@ SPANNING_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def spanning_allocator():
+def build_spanning_allocator():
     rng = np.random.default_rng(36)
     links = LinkSet(1.0 + 10.0 * rng.random(N_SPAN_LINKS))
     lengths = rng.integers(1, 6, N_SPAN_FLOWS)
@@ -247,6 +246,11 @@ def spanning_allocator():
         (i, rng.choice(N_SPAN_LINKS, k, replace=False))
         for i, k in enumerate(lengths.tolist())])
     return allocator
+
+
+@pytest.fixture(scope="module")
+def spanning_allocator():
+    return build_spanning_allocator()
 
 
 def test_spanning_table_spans_columns_and_chunks(spanning_allocator):

@@ -9,16 +9,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
 from repro.parallel import (PAPER_TABLE, BlockPartition, MulticoreNedEngine,
                             aggregation_schedule, cpu_of,
                             distribution_schedule, final_down_holder,
                             final_up_holder, step_breakdown)
 from repro.topology import TwoTierClos
+from test_kernel_threads import threads
 
 
 def clos_for_blocks(n_blocks, racks_per_block=2, hosts_per_rack=4):
     return TwoTierClos(n_racks=n_blocks * racks_per_block,
                        hosts_per_rack=hosts_per_rack, n_spines=2)
+
+
+def random_starts(topology, rng, flow_ids):
+    starts = []
+    for flow_id in flow_ids:
+        src = int(rng.integers(topology.n_hosts))
+        dst = int(rng.integers(topology.n_hosts - 1))
+        if dst >= src:
+            dst += 1
+        starts.append((flow_id, src, dst))
+    return starts
 
 
 class TestPartition:
@@ -156,6 +169,240 @@ class TestEngine:
         engine.add_flow(0, 0, topo.n_hosts - 1)
         stats = engine.iterate(1)
         assert 0 < stats.inter_cpu_messages < stats.messages
+
+    def test_stats_accumulate_over_iterations(self):
+        topo = clos_for_blocks(4)
+        engine = MulticoreNedEngine(topo, 4)
+        engine.add_flow(0, 0, topo.n_hosts - 1)
+        one = engine.iterate(1)
+        two = engine.iterate(2)
+        for field in ("messages", "inter_cpu_messages",
+                      "link_entries_moved", "aggregation_steps"):
+            assert getattr(two, field) == 2 * getattr(one, field), field
+        assert two.max_flows_per_processor == 1
+        assert two.total_flows == 1
+
+    def test_reserve_per_block_applies_to_every_cell(self):
+        engine = MulticoreNedEngine(clos_for_blocks(2), 2,
+                                    reserve_per_block=512)
+        assert all(len(p.table._weights) >= 512
+                   for p in engine.processors.values())
+
+
+def churn_schedule(topology, seed, rounds, burst, n_initial):
+    """Deterministic (starts, ends) batches: a first batch, then rounds
+    of random ends and new starts."""
+    rng = np.random.default_rng(seed)
+    alive = list(range(n_initial))
+    next_id = n_initial
+    batches = [(random_starts(topology, rng, alive), [])]
+    for _ in range(rounds):
+        n_ends = min(len(alive), int(rng.integers(0, burst)))
+        ends = [alive.pop(int(rng.integers(len(alive))))
+                for _ in range(n_ends)]
+        new_ids = list(range(next_id, next_id + int(rng.integers(1, burst))))
+        next_id = new_ids[-1] + 1
+        alive.extend(new_ids)
+        batches.append((random_starts(topology, rng, new_ids), ends))
+    return batches
+
+
+def single_core_rates(engine):
+    """Rates a single-core NED with the engine's prices would emit."""
+    reference = engine.reference_optimizer()
+    reference.prices = engine.global_prices().copy()
+    return dict(zip(reference.table.flow_ids(),
+                    (float(r) for r in reference.rate_update())))
+
+
+class TestEngineEquivalence:
+    """The engine's rates are single-core NED's at the engine's prices,
+    and its bits do not depend on how many threads the compiled passes
+    walk a cell's chunks on: across grid sizes, before and after
+    mid-run churn, with weights, through regrowth, widening and emptied
+    cells.  ``BLOCK_ROWS`` is cut so that every cell spans chunks."""
+
+    BLOCK = 8
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", self.BLOCK)
+
+    @staticmethod
+    def run(topology, n_blocks, batches, iters, t, **kwargs):
+        """(rates, price bytes, single-core rates) after each batch."""
+        engine = MulticoreNedEngine(topology, n_blocks, **kwargs)
+        out = []
+        with threads(t):
+            for starts, ends in batches:
+                engine.apply_churn(starts=starts, ends=ends)
+                engine.iterate(iters)
+                out.append((engine.rates(), engine.global_prices().tobytes(),
+                            single_core_rates(engine)))
+        return engine, out
+
+    def assert_equivalent(self, topology, n_blocks, batches, iters, t,
+                          **kwargs):
+        engine, got = self.run(topology, n_blocks, batches, iters, t,
+                               **kwargs)
+        _, want = self.run(topology, n_blocks, batches, iters, 1, **kwargs)
+        assert got == want
+        for rates, _, expected in got:
+            assert rates == expected
+        return engine
+
+    @pytest.mark.parametrize("t", [2, 3, 7])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 4])
+    def test_static_flows_match_single_core(self, n_blocks, t):
+        topology = clos_for_blocks(n_blocks)
+        batches = [(random_starts(topology, np.random.default_rng(0),
+                                  range(40 * n_blocks * n_blocks)), [])]
+        engine = self.assert_equivalent(topology, n_blocks, batches, 15, t)
+        assert all(p.table.n_flows > self.BLOCK
+                   for p in engine.processors.values())
+
+    @pytest.mark.parametrize("n_blocks,t,seed", [
+        (2, 2, 3), (2, 3, 1), (2, 4, 2), (2, 7, 4), (4, 3, 5)])
+    def test_mid_run_churn_batches_match(self, n_blocks, t, seed):
+        topology = clos_for_blocks(n_blocks)
+        batches = churn_schedule(topology, seed, rounds=5, burst=25,
+                                 n_initial=40)
+        self.assert_equivalent(topology, n_blocks, batches, 4, t)
+
+    def test_regrow_matches_single_core(self):
+        """Bursts past a cell's first capacity re-allocate its arrays."""
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(9)
+        batches = [(random_starts(topology, rng, range(30)), []),
+                   (random_starts(topology, rng, range(1000, 1400)),
+                    list(range(0, 30, 2)))]
+        engine = MulticoreNedEngine(topology, 2)
+        initial = max(len(p.table._weights)
+                      for p in engine.processors.values())
+        engine = self.assert_equivalent(topology, 2, batches, 3, 3)
+        assert max(len(p.table._weights)
+                   for p in engine.processors.values()) > initial
+
+    def test_wider_routes_match_single_core(self):
+        """Same-rack (2-hop) flows, then cross-rack (4-hop) flows that
+        widen every cell's table, with capacity reserved so widening is
+        the only re-allocation."""
+        topology = clos_for_blocks(2)
+        per_rack = topology.hosts_per_rack
+        near = [(i, i, i ^ 1) for i in range(topology.n_hosts)]
+        far = [(100 + i, i, (i + per_rack) % topology.n_hosts)
+               for i in range(topology.n_hosts)]
+        engine = self.assert_equivalent(topology, 2, [(near, []), (far, [])],
+                                        5, 2, reserve_per_block=256)
+        assert max(p.table.width for p in engine.processors.values()) == 4
+        assert all(len(p.table._weights) == 256
+                   for p in engine.processors.values())
+
+    def test_weighted_flows_match_single_core(self):
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(12)
+        starts = [(flow_id, src, dst, float(rng.choice([0.5, 1.0, 4.0])))
+                  for flow_id, src, dst
+                  in random_starts(topology, rng, range(60))]
+        self.assert_equivalent(topology, 2, [(starts, [])], 10, 2)
+
+    def test_emptied_cells_then_refilled_match_single_core(self):
+        """Every cell drains to zero flows and then refills."""
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(13)
+        first = random_starts(topology, rng, range(40))
+        batches = [(first, []),
+                   ([], [flow_id for flow_id, _, _ in first]),
+                   (random_starts(topology, rng, range(40, 90)), [])]
+        engine = self.assert_equivalent(topology, 2, batches, 4, 3)
+        assert engine.n_flows == 50
+
+    @pytest.mark.parametrize("t", [2, 5, 16])
+    def test_larger_grid_under_churn(self, t):
+        """A 16-cell grid, T below, at and past the chunks per cell."""
+        topology = clos_for_blocks(4)
+        batches = churn_schedule(topology, seed=3, rounds=4, burst=60,
+                                 n_initial=200)
+        self.assert_equivalent(topology, 4, batches, 3, t)
+
+
+class TestEngineApplyChurn:
+    """engine.apply_churn (batched) == one event at a time."""
+
+    def test_matches_per_event_churn(self):
+        topology = clos_for_blocks(2)
+        rng = np.random.default_rng(5)
+        starts = random_starts(topology, rng, range(50))
+        batched = MulticoreNedEngine(topology, 2)
+        sequential = MulticoreNedEngine(topology, 2)
+        batched.apply_churn(starts=starts)
+        for flow_id, src, dst in starts:
+            sequential.add_flow(flow_id, src, dst)
+        batched.iterate(5)
+        sequential.iterate(5)
+        ends = [flow_id for flow_id, _, _ in starts[::3]]
+        batched.apply_churn(ends=ends)
+        for flow_id in ends:
+            sequential.apply_churn(ends=[flow_id])
+        batched.iterate(5)
+        sequential.iterate(5)
+        r_batched, r_sequential = batched.rates(), sequential.rates()
+        assert r_batched == r_sequential
+
+    def test_restart_id_in_both_lists(self):
+        topology = clos_for_blocks(2)
+        engine = MulticoreNedEngine(topology, 2)
+        engine.add_flow("a", 0, topology.n_hosts - 1)
+        engine.apply_churn(starts=[("a", 1, 2)], ends=["a"])
+        assert engine.n_flows == 1
+        cell = engine._flow_home["a"]
+        assert "a" in engine.processors[cell].table
+
+    def test_bad_end_id_leaves_engine_unchanged(self):
+        topology = clos_for_blocks(2)
+        engine = MulticoreNedEngine(topology, 2)
+        engine.apply_churn(starts=[(0, 0, 5), (1, 1, 6)])
+        with pytest.raises(KeyError):
+            engine.apply_churn(ends=[0, "ghost"])
+        assert engine.n_flows == 2
+        assert 0 in engine._flow_home
+        engine.apply_churn(ends=[0, 1])  # still removable: no orphan
+        assert engine.n_flows == 0
+
+    def test_duplicate_start_leaves_engine_unchanged(self):
+        topology = clos_for_blocks(2)
+        engine = MulticoreNedEngine(topology, 2)
+        engine.apply_churn(starts=[(0, 0, 5)])
+        for bad in ([(1, 1, 6), (1, 2, 7)],   # dup within batch
+                    [(0, 1, 6)]):             # dup of active flow
+            with pytest.raises(KeyError):
+                engine.apply_churn(starts=bad)
+            assert engine.n_flows == 1
+            assert sum(p.table.n_flows
+                       for p in engine.processors.values()) == 1
+
+    def test_bad_weight_leaves_engine_unchanged(self):
+        topology = clos_for_blocks(2)
+        engine = MulticoreNedEngine(topology, 2)
+        with pytest.raises(ValueError):
+            engine.apply_churn(starts=[(0, 0, 5), (1, 1, 6, -1.0)])
+        assert engine.n_flows == 0
+        assert all(p.table.n_flows == 0
+                   for p in engine.processors.values())
+        # A bad start next to valid ends leaves the ends undone too.
+        engine.apply_churn(starts=[(0, 0, 5)])
+        home = dict(engine._flow_home)
+        with pytest.raises(ValueError):
+            engine.apply_churn(starts=[(2, 1, 6, -1.0)], ends=[0])
+        assert engine._flow_home == home and engine.n_flows == 1
+
+    def test_weighted_starts(self):
+        topology = clos_for_blocks(2)
+        engine = MulticoreNedEngine(topology, 2)
+        engine.apply_churn(starts=[("w", 0, topology.n_hosts - 1, 3.0)])
+        cell = engine._flow_home["w"]
+        table = engine.processors[cell].table
+        assert table.weights[table.index_of("w")] == 3.0
 
 
 class TestPaperTable:
