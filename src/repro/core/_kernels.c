@@ -47,9 +47,10 @@
  *
  * Every expression is the numpy ufunc it replaced, element for
  * element.  The folds are ``acc + v`` (np.add) and, for np.maximum /
- * np.minimum, the branchless ``a != a ? a : (a > v ? a : v)`` (and
- * ``<``), which keeps numpy's answers for NaN and for equal operands
- * (signed zeros: the second operand wins a tie).  One case is the
+ * np.minimum, ``a != a ? a : (a > v ? a : v)`` (and ``<``), which
+ * keeps numpy's answers for NaN and for equal operands (signed zeros:
+ * the second operand wins a tie); the min fold is spelled so,
+ * branchless, the max fold in lanes (below).  One case is the
  * compiler's, as numpy does not pin it either (np.add's SIMD body and
  * its tail loop answer differently): a sum of two NaNs of unequal
  * sign.  x86-64 returns the first operand's NaN, and gcc -O2 keeps the
@@ -75,6 +76,37 @@
  *     then ``s = r`` and ``pending = 0`` on the flagged rows.  Every
  *     pending row is flagged, so every pending flag ends cleared.
  *
+ * Lanes.  The per-flow arithmetic above and the max fold run two rows
+ * per 128-bit register (v2d, SSE2 on x86-64), which moves no bit: a
+ * packed quotient, product or difference is the IEEE result in each
+ * lane, and a NaN operand propagates per lane as in the scalar
+ * instruction.  The maxima are spelled with maxpd, which returns its
+ * second operand on NaN and on ties:
+ *
+ *   - a clamp at a constant c is maxpd(c, x): x wins a NaN, c > x
+ *     picks c, and a tie is one value as long as c is neither NaN nor
+ *     zero (no signed-zero tie), so ned_log_pass and f_norm_pass
+ *     refuse a min_price_sum or epsilon that is not positive;
+ *   - where either operand may be NaN (the cap clamp, the max fold),
+ *     np.maximum(a, v) is a where a is NaN, else maxpd(a, v): a
+ *     cmpunordpd mask and an and / andnot / or select around maxpd;
+ *   - the mask's flag is one packed compare, unordered test and or,
+ *     with pending's two bytes widened to lane masks, last the same
+ *     select, and changed the two bits of movmskpd.
+ *
+ * An odd last row of a chunk goes through the same lanes on two-row
+ * stack copies of itself, so there is one spelling of each step.
+ * The selects are SSE2 intrinsics, not GCC vector-extension
+ * expressions: gcc 12 -O2 turns a NaN-aware select written in the
+ * extension into a cmove per lane, slower than the scalar loop, and
+ * tests/test_kernel_build.py disassembles the library to keep the
+ * loops packed.  Targets without SSE2 get the same helpers spelled
+ * lane by lane in the vector extension (the loops are unchanged); CI
+ * builds and tests x86-64 only.  The gathers and the scatters stay
+ * scalar: a scatter adds into one bin per slot in flow order, and a
+ * packed pair add gave no gain and put the new value first, which
+ * changes which NaN a sum of two NaNs keeps (the pinned case above).
+ *
  * The build passes -ffp-contract=off and no fast-math flag, so no
  * operation is fused or reordered (``t * s`` and ``rho * rho`` stay
  * rounded products, never parts of a fused multiply-add).
@@ -86,17 +118,137 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <math.h>
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 enum { FOLD_SUM = 0, FOLD_MAX = 1, FOLD_MIN = 2 };
 
-/* np.maximum, element for element. */
-#define MAXIMUM(a, v) ((a) != (a) ? (a) : ((a) > (v) ? (a) : (v)))
+/* Two rows of float64 in one register.  A load or store is
+ * V2(p) on a double *p, which needs only the 8-byte alignment of a
+ * float64 array; + - * / and unary - are the IEEE operation in each
+ * lane.  The helpers below are the only target-specific spelling:
+ * SSE2 intrinsics on x86-64 (what CI builds and tests), lane by lane
+ * in GCC's vector extension elsewhere.  Selects stay intrinsics on
+ * SSE2 because gcc 12 -O2 turns a NaN-aware select written in the
+ * vector extension into a cmove per lane. */
+typedef double v2d __attribute__((vector_size(16), aligned(8), may_alias));
+typedef int64_t v2i __attribute__((vector_size(16), aligned(8), may_alias));
+#define V2(p) (*(v2d *)(p))
+
+/* maxpd: a > v ? a : v per lane, so the second operand wins on NaN
+ * and on ties.  For a constant c that is neither NaN nor zero,
+ * v2_max(c, x) is np.maximum(x, c) bit for bit (a tie of non-zeros is
+ * one value). */
+static inline v2d
+v2_max(v2d a, v2d v)
+{
+#if defined(__SSE2__)
+    return (v2d)_mm_max_pd((__m128d)a, (__m128d)v);
+#else
+    return (v2d){a[0] > v[0] ? a[0] : v[0], a[1] > v[1] ? a[1] : v[1]};
+#endif
+}
+
+/* All-ones lanes where a is NaN. */
+static inline v2d
+v2_isnan(v2d a)
+{
+#if defined(__SSE2__)
+    return (v2d)_mm_cmpunord_pd((__m128d)a, (__m128d)a);
+#else
+    return (v2d)(a != a);
+#endif
+}
+
+/* All-ones lanes where a > v (false on NaN). */
+static inline v2d
+v2_gt(v2d a, v2d v)
+{
+#if defined(__SSE2__)
+    return (v2d)_mm_cmpgt_pd((__m128d)a, (__m128d)v);
+#else
+    return (v2d)(a > v);
+#endif
+}
+
+/* k ? a : b per lane, k all-ones or all-zeros, bit for bit. */
+static inline v2d
+v2_select(v2d k, v2d a, v2d b)
+{
+#if defined(__SSE2__)
+    return (v2d)_mm_or_pd(_mm_and_pd((__m128d)k, (__m128d)a),
+                          _mm_andnot_pd((__m128d)k, (__m128d)b));
+#else
+    return (v2d)(((v2i)k & (v2i)a) | (~(v2i)k & (v2i)b));
+#endif
+}
+
+/* k | j per lane. */
+static inline v2d
+v2_or(v2d k, v2d j)
+{
+#if defined(__SSE2__)
+    return (v2d)_mm_or_pd((__m128d)k, (__m128d)j);
+#else
+    return (v2d)((v2i)k | (v2i)j);
+#endif
+}
+
+/* fabs per lane: the sign bit cleared. */
+static inline v2d
+v2_abs(v2d a)
+{
+#if defined(__SSE2__)
+    return (v2d)_mm_andnot_pd(_mm_set1_pd(-0.0), (__m128d)a);
+#else
+    return (v2d)((v2i)a & ~(v2i)(v2d){-0.0, -0.0});
+#endif
+}
+
+/* All-ones lanes where the bytes p[0], p[1] are non-zero. */
+static inline v2d
+v2_nonzero(const char *p)
+{
+#if defined(__SSE2__)
+    uint16_t two;
+    __m128i b, zero = _mm_setzero_si128();
+    memcpy(&two, p, 2);
+    b = _mm_cvtsi32_si128(two);
+    b = _mm_unpacklo_epi8(b, b);      /* byte j fills lane j's 8 bytes */
+    b = _mm_unpacklo_epi16(b, b);
+    b = _mm_unpacklo_epi32(b, b);
+    return (v2d)_mm_andnot_si128(_mm_cmpeq_epi8(b, zero),
+                                 _mm_cmpeq_epi8(zero, zero));
+#else
+    return (v2d)(v2i){-(int64_t)(p[0] != 0), -(int64_t)(p[1] != 0)};
+#endif
+}
+
+/* Bit j set where lane j of the mask k is all-ones. */
+static inline int
+v2_bits(v2d k)
+{
+#if defined(__SSE2__)
+    return _mm_movemask_pd((__m128d)k);
+#else
+    return (int)(((v2i)k)[0] & 1) | (int)(((v2i)k)[1] & 2);
+#endif
+}
+
+/* np.maximum(a, v) per lane for any a, v: a where a is NaN, else
+ * maxpd(a, v), which takes v on a NaN v and on a tie. */
+static inline v2d
+v2_maximum(v2d a, v2d v)
+{
+    return v2_select(v2_isnan(a), a, v2_max(a, v));
+}
 
 /* A 1-D C-contiguous vector of 8-byte float64 ("d") or 1-byte bool
  * ("?") items. */
@@ -206,22 +358,26 @@ span_of(const Py_buffer *v, const char **lo, const char **hi)
 }
 
 /* Raise ValueError if an output shares a byte with another buffer:
- * the threads write the outputs while they read the rest. */
+ * the threads write the outputs while they read the rest.  (No entry
+ * point takes more than MAX_BUFFERS buffers.) */
+enum { MAX_BUFFERS = 8 };
+
 static int
 check_disjoint(const char *who, const Arg *spec, Py_buffer *const *views,
                int count)
 {
-    const char *lo, *hi, *lo2, *hi2;
+    const char *lo[MAX_BUFFERS], *hi[MAX_BUFFERS];
     int i, j;
+    for (i = 0; i < count; i++)
+        if (views[i] != NULL)
+            span_of(views[i], &lo[i], &hi[i]);
     for (i = 0; i < count; i++) {
         if (views[i] == NULL || !spec[i].out)
             continue;
-        span_of(views[i], &lo, &hi);
         for (j = 0; j < count; j++) {
             if (j == i || views[j] == NULL)
                 continue;
-            span_of(views[j], &lo2, &hi2);
-            if (lo < hi2 && lo2 < hi) {
+            if (lo[i] < hi[j] && lo[j] < hi[i]) {
                 PyErr_Format(PyExc_ValueError, "%s: %s overlaps %s", who,
                              spec[i].what, spec[j].what);
                 return -1;
@@ -297,8 +453,28 @@ fold_chunk(int op, const double *padded, const Storage *s, Py_ssize_t c0,
         case FOLD_SUM:
             FOLD_COLUMN(a + v)
             break;
-        case FOLD_MAX:
-            FOLD_COLUMN(MAXIMUM(a, v))
+        case FOLD_MAX:   /* two rows per maxpd; the odd last on copies */
+            for (i = 0; i + 1 < m; i += 2) {
+                int64_t next = col[i + 1];
+                slot = col[i];
+                if ((uint64_t)slot >= (uint64_t)len)
+                    goto bad;
+                if ((uint64_t)next >= (uint64_t)len) {
+                    slot = next;
+                    goto bad;
+                }
+                V2(dst + i) = v2_maximum(V2(dst + i), (v2d){padded[slot],
+                                                            padded[next]});
+            }
+            if (i < m) {
+                double a[2] = {dst[i], dst[i]};
+                slot = col[i];
+                if ((uint64_t)slot >= (uint64_t)len)
+                    goto bad;
+                V2(a) = v2_maximum(V2(a), (v2d){padded[slot],
+                                                padded[slot]});
+                dst[i] = a[0];
+            }
             break;
         default:
             FOLD_COLUMN(a != a ? a : (a < v ? a : v))
@@ -349,20 +525,40 @@ bad:
     return -1;
 }
 
-/* The section 6.4 filter on rows [0, m). */
+/* The section 6.4 filter on two rows. */
+static inline void
+mask_pair(const double *rates, double *last, char *pending, v2d t,
+          char *changed)
+{
+    v2d r = V2(rates), s = V2(last);
+    v2d flag = v2_or(v2_or(v2_gt(v2_abs(r - s), t * s), v2_isnan(s)),
+                     v2_nonzero(pending));
+    int bits = v2_bits(flag);
+
+    V2(last) = v2_select(flag, r, s);
+    pending[0] = pending[1] = 0;
+    changed[0] = (char)(bits & 1);
+    changed[1] = (char)(bits >> 1);
+}
+
+/* The section 6.4 filter on rows [0, m), two at a time; an odd last
+ * row goes through the same lanes on two-row copies of itself. */
 static void
 mask_rows(const double *rates, double *last, char *pending,
           double threshold, char *changed, Py_ssize_t m)
 {
+    v2d t = {threshold, threshold};
     Py_ssize_t i;
-    for (i = 0; i < m; i++) {
-        double r = rates[i], s = last[i];
-        char flag = (fabs(r - s) > threshold * s) | (s != s)
-                    | (pending[i] != 0);
-        if (flag)
-            last[i] = r;
+
+    for (i = 0; i + 1 < m; i += 2)
+        mask_pair(rates + i, last + i, pending + i, t, changed + i);
+    if (i < m) {
+        double r[2] = {rates[i], rates[i]}, s[2] = {last[i], last[i]};
+        char p[2] = {pending[i], pending[i]}, c[2];
+        mask_pair(r, s, p, t, c);
+        last[i] = s[0];
         pending[i] = 0;
-        changed[i] = flag;
+        changed[i] = c[0];
     }
 }
 
@@ -468,44 +664,51 @@ combine(const Walk *w)
     }
 }
 
+/* A walk whose partials and scratch fit this many doubles keeps them
+ * on the stack: no malloc for a small table. */
+enum { STACK_DOUBLES = 1024 };
+
 /* Run w's chunks on thread_count threads with the GIL released, then
  * combine the partials on the calling thread.  A bad slot raises the
  * IndexError of the lowest failing chunk, the one a walk in chunk
- * order stops at, and combines nothing. */
+ * order stops at, and combines nothing.  At T = 1 the one share is on
+ * the stack. */
 static int
 walk(Walk *w)
 {
     Py_ssize_t T, t, failed;
-    Share *shares;
-    double *scratch = NULL;
+    Share one, *shares = &one;
+    double stack[STACK_DOUBLES], *buf = stack, *heap = NULL;
+    size_t nparts, need;
     int64_t slot = 0;
 
     if (w->r1 == w->r0)
         return 0;
     w->nchunks = (w->r1 - w->r0 - 1) / w->block + 1;   /* no overflow */
     T = thread_count(w->nchunks);
-    w->partials = NULL;
-    shares = calloc((size_t)T, sizeof(Share));
-    if (w->parts)
-        w->partials = malloc((size_t)(w->nchunks * w->parts)
-                             * (size_t)(w->s.len ? w->s.len : 1)
-                             * sizeof(double));
-    if (w->scratch)
-        scratch = malloc((size_t)(T * w->scratch) * sizeof(double));
-    if (shares == NULL || (w->parts && w->partials == NULL)
-            || (w->scratch && scratch == NULL)) {
-        free(scratch);
-        free(w->partials);
-        free(shares);
+    nparts = (size_t)(w->nchunks * w->parts) * (size_t)w->s.len;
+    need = nparts + (size_t)(T * w->scratch);
+    if (T > 1)
+        shares = calloc((size_t)T, sizeof(Share));
+    else
+        memset(&one, 0, sizeof one);
+    if (need > STACK_DOUBLES)
+        buf = heap = malloc(need * sizeof(double));
+    if (shares == NULL || buf == NULL) {
+        free(heap);
+        if (shares != &one)
+            free(shares);
         PyErr_NoMemory();
         return -1;
     }
+    w->partials = buf;
     for (t = 0; t < T; t++) {
         shares[t].w = w;
         shares[t].t = t;
         shares[t].T = T;
         shares[t].failed = w->nchunks;
-        shares[t].scratch = scratch ? scratch + t * w->scratch : NULL;
+        shares[t].scratch = w->scratch ? buf + nparts + t * w->scratch
+                                       : NULL;
     }
     Py_BEGIN_ALLOW_THREADS
     for (t = 1; t < T; t++)
@@ -528,9 +731,9 @@ walk(Walk *w)
     if (failed == w->nchunks && w->parts)
         combine(w);
     Py_END_ALLOW_THREADS
-    free(scratch);
-    free(w->partials);
-    free(shares);
+    free(heap);
+    if (shares != &one)
+        free(shares);
     if (failed < w->nchunks) {
         PyErr_Format(PyExc_IndexError,
                      "route slot %lld is out of bounds for %zd entries",
@@ -557,50 +760,85 @@ scatter_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
                          part, bad);
 }
 
-/* NED's log-utility chunk: the price sums into scratch, clamped; the
- * rates into out and the derivatives into the scratch's second half;
- * the pair scatter of both.  a: the weights. */
+/* NED's log-utility step on two rows: the price sums rho clamped at
+ * cap (unless NULL) and at least, the rates w / rho and the
+ * derivatives -(w / (rho * rho)). */
+static inline void
+ned_pair(const double *rho, const double *cap, const double *wt,
+         v2d least, double *rate, double *deriv)
+{
+    v2d p = V2(rho), w = V2(wt);
+
+    if (cap != NULL)
+        p = v2_maximum(p, V2(cap));
+    p = v2_max(least, p);
+    V2(rate) = w / p;
+    V2(deriv) = -(w / (p * p));
+}
+
+/* NED's log-utility chunk: the price sums into scratch; the rates
+ * into out and the derivatives into the scratch's second half, two
+ * rows at a time (an odd last row on two-row copies); the pair
+ * scatter of both.  a: the weights. */
 static int
 ned_log_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
              double *scratch, int64_t *bad)
 {
     double *rho = scratch, *deriv = scratch + w->scratch / 2;
     double *rate = w->out + c0;
-    const double *wt = w->a + c0;
+    const double *wt = w->a + c0, *cap = w->caps ? w->caps + c0 : NULL;
+    v2d least = {w->min_price_sum, w->min_price_sum};
     Py_ssize_t i;
 
     if (fold_chunk(FOLD_SUM, w->padded, &w->s, c0, m, rho, bad) < 0)
         return -1;
-    if (w->caps != NULL) {
-        const double *cap = w->caps + c0;
-        for (i = 0; i < m; i++)
-            rho[i] = MAXIMUM(rho[i], cap[i]);
-    }
-    for (i = 0; i < m; i++) {
-        double p = MAXIMUM(rho[i], w->min_price_sum);
-        rate[i] = wt[i] / p;
-        deriv[i] = -(wt[i] / (p * p));
+    for (i = 0; i + 1 < m; i += 2)
+        ned_pair(rho + i, cap ? cap + i : NULL, wt + i, least, rate + i,
+                 deriv + i);
+    if (i < m) {
+        double p[2] = {rho[i], rho[i]}, c[2] = {0.0, 0.0};
+        double x[2] = {wt[i], wt[i]}, r[2], d[2];
+        if (cap != NULL)
+            c[0] = c[1] = cap[i];
+        ned_pair(p, cap ? c : NULL, x, least, r, d);
+        rate[i] = r[0];
+        deriv[i] = d[0];
     }
     return scatter_chunk(rate, deriv, &w->s, c0, m, part, bad);
 }
 
-/* F-NORM's chunk: the worst ratio into out, clamped, divided into the
- * rates (a); then the mask on the chunk, unless last is NULL. */
+/* F-NORM's step on two rows: the worst ratio clamped at eps and,
+ * unless scale_up, at 1.0, divided into the rates, in place. */
+static inline void
+f_norm_pair(double *worst, const double *rate, v2d eps, int scale_up)
+{
+    v2d x = v2_max(eps, V2(worst));
+
+    if (!scale_up)
+        x = v2_max((v2d){1.0, 1.0}, x);
+    V2(worst) = V2(rate) / x;
+}
+
+/* F-NORM's chunk: the worst ratio into out, then the normalized rates
+ * over it, two rows at a time (an odd last row on two-row copies);
+ * then the mask on the chunk, unless last is NULL. */
 static int
 f_norm_walk(const Walk *w, Py_ssize_t c0, Py_ssize_t m, double *part,
             double *scratch, int64_t *bad)
 {
     double *worst = w->out + c0;
     const double *rate = w->a + c0;
+    v2d eps = {w->epsilon, w->epsilon};
     Py_ssize_t i;
 
     if (fold_chunk(FOLD_MAX, w->padded, &w->s, c0, m, worst, bad) < 0)
         return -1;
-    for (i = 0; i < m; i++) {
-        double x = MAXIMUM(worst[i], w->epsilon);
-        if (!w->scale_up)
-            x = MAXIMUM(x, 1.0);
-        worst[i] = rate[i] / x;
+    for (i = 0; i + 1 < m; i += 2)
+        f_norm_pair(worst + i, rate + i, eps, w->scale_up);
+    if (i < m) {
+        double x[2] = {worst[i], worst[i]}, r[2] = {rate[i], rate[i]};
+        f_norm_pair(x, r, eps, w->scale_up);
+        worst[i] = x[0];
     }
     if (w->last != NULL)
         mask_rows(worst, w->last + c0, w->pending + c0, w->threshold,
@@ -758,6 +996,11 @@ ned_log_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     w.min_price_sum = PyFloat_AsDouble(args[6]);
     if (PyErr_Occurred())
         return NULL;
+    if (!(w.min_price_sum > 0.0)) {   /* the one-maxpd clamp's premise */
+        PyErr_SetString(PyExc_ValueError,
+                        "ned_log_pass: min_price_sum must be positive");
+        return NULL;
+    }
     if (acquire(args, NED_ARGS, 7, bufs, v) < 0)
         return NULL;
     len = v[5]->shape[0];
@@ -823,6 +1066,11 @@ f_norm_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         w.threshold = PyFloat_AsDouble(args[10]);
     if (PyErr_Occurred())
         return NULL;
+    if (!(w.epsilon > 0.0)) {   /* the one-maxpd clamp's premise */
+        PyErr_SetString(PyExc_ValueError,
+                        "f_norm_pass: epsilon must be positive");
+        return NULL;
+    }
     if (masked && (args[9] == Py_None || args[11] == Py_None)) {
         PyErr_SetString(PyExc_ValueError, "f_norm_pass: the mask needs "
                         "last, pending and changed");

@@ -63,8 +63,11 @@ header lists them), and the folds and scatters are the whole-table
 kernels' own chunk loops, so the passes equal the kernels and the
 ufuncs called one after another, bit for bit
 (``tests/test_csr_kernels.py`` checks them against that numpy spelling
-on hostile values; the churn program of ``tests/test_golden_kernels.py``
-against constants).  Another utility runs the same steps as
+on hostile values, in both SIMD lanes; the churn program of
+``tests/test_golden_kernels.py`` against constants).  The per-flow
+arithmetic and the max fold run two rows per SSE2 register, which
+moves no bit (the C header says why); the clamp constants must be
+positive.  Another utility runs the same steps as
 ``price_sums``, its own ``rate`` / ``rate_derivative`` and
 :func:`link_totals2`.
 """

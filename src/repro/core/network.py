@@ -193,14 +193,22 @@ class FlowColumn:
     last slot into removal holes, so ``data`` always lines up with
     ``FlowTable.flow_ids()`` — consumers (e.g. the allocator's
     ``last_sent`` rates) never do per-flow dict bookkeeping.
+
+    ``stale_from`` is a watermark: no row below it holds a ``default``
+    the table wrote.  The table lowers it to the first row it fills
+    with ``default`` and to a removal hole whose mover came from at or
+    above it; a consumer that has replaced the defaults in rows
+    ``[stale_from, n)`` may raise it to ``n`` and scan only from there
+    next time (the optimizer's cap prices do).
     """
 
-    __slots__ = ("_table", "default", "_data")
+    __slots__ = ("_table", "default", "_data", "stale_from")
 
     def __init__(self, table, default, dtype):
         self._table = table
         self.default = default
         self._data = np.full(len(table._weights), default, dtype=dtype)
+        self.stale_from = 0
 
     @property
     def data(self):
@@ -349,6 +357,7 @@ class FlowTable:
         self._index_of[flow_id] = handle
         for column in self._columns:
             column._data[idx] = column.default
+            column.stale_from = min(column.stale_from, idx)
         self._bottleneck._data[idx] = self._capacity_padded()[route].min()
         self._n += 1
         self.version += 1
@@ -368,6 +377,8 @@ class FlowTable:
             self._row_of[moved] = idx
             for column in self._columns:
                 column._data[idx] = column._data[last]
+                if last >= column.stale_from:
+                    column.stale_from = min(column.stale_from, idx)
         self._handle_at[last] = handle
         self._ids[last] = None
         self._routes[:, last] = self.pad_link
@@ -437,6 +448,13 @@ class FlowTable:
             self._weights[holes] = self._weights[movers]
             for column in self._columns:
                 column._data[holes] = column._data[movers]
+                # Movers lie in [new_n, n): none is at or above the
+                # watermark when n <= stale_from (the common case).
+                if 0 < column.stale_from < n:
+                    reached = holes[movers >= column.stale_from]
+                    if len(reached):
+                        column.stale_from = min(column.stale_from,
+                                                int(reached.min()))
             self._ids[holes] = self._ids[movers]
             moved = self._handle_at[movers]
             self._handle_at[holes] = moved
@@ -507,6 +525,7 @@ class FlowTable:
         self._weights[block] = 1.0 if weights is None else weights
         for column in self._columns:
             column._data[block] = column.default
+            column.stale_from = min(column.stale_from, n0)
         kernels.min_link_value(self._capacity_padded(), routes, k,
                                self._bottleneck._data[block])
         # fromiter keeps tuple ids scalar — a slice-assign of a list

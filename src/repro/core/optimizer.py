@@ -64,7 +64,8 @@ class PriceOptimizer:
         # U'(cap) per flow, NaN until computed.  A flow's bottleneck
         # and weight never change while it lives and the table carries
         # column entries through swap-removes, so only rows new since
-        # the last call are evaluated; a capacity refresh voids all.
+        # the last call are evaluated, found from the column's
+        # watermark up; a capacity refresh voids all.
         self._price_at_cap = table.add_column(default=np.nan)
         self._caps_version = -1
         self._caps_capacity_version = table.capacity_version
@@ -77,15 +78,19 @@ class PriceOptimizer:
     def _cap_prices(self):
         """Per-flow price sum at which Equation 3 hits the flow's cap."""
         table = self.table
-        price_at_cap = self._price_at_cap.data
+        column = self._price_at_cap
+        price_at_cap = column.data
         if self._caps_version != table.version:
             if self._caps_capacity_version != table.capacity_version:
                 price_at_cap[:] = np.nan
+                column.stale_from = 0
                 self._caps_capacity_version = table.capacity_version
-            new = np.flatnonzero(np.isnan(price_at_cap))
+            start = column.stale_from
+            new = start + np.flatnonzero(np.isnan(price_at_cap[start:]))
             if len(new):
                 price_at_cap[new] = self.utility.inverse_rate(
                     table.bottleneck_capacity()[new], table.weights[new])
+            column.stale_from = table.n_flows
             self._caps_version = table.version
         return price_at_cap
 

@@ -605,6 +605,148 @@ class TestMultiChunkBitwise:
 
 
 # ----------------------------------------------------------------------
+# the passes' lanes: two rows per SSE2 register, bit for bit
+# ----------------------------------------------------------------------
+#: Values that could tell a packed lane from the scalar spelling: NaNs
+#: of both signs, signed zeros, each clamp constant itself (a tie),
+#: infinities, the smallest subnormal, and values either side of 1.0.
+LANE_SPECIAL = [np.nan, -np.nan, 0.0, -0.0, MIN_PRICE_SUM, 1e-12, 1.0,
+                -1.0, np.inf, -np.inf, 5e-324, 0.5, 2.0]
+
+
+def lane_pick(k):
+    """The k-th of a walk through :data:`LANE_SPECIAL` that does not
+    repeat in step with the 13 x 13 pairings it rides along."""
+    return LANE_SPECIAL[(k + k // len(LANE_SPECIAL)) % len(LANE_SPECIAL)]
+
+
+def in_both_lanes(rows, filler):
+    """``rows`` (tuples of one value per input) each placed at an even
+    and at an odd index, i.e. in lane 0 and in lane 1 of a chunk that
+    starts even, with ``filler`` rows between, plus one last row so
+    ``n`` is odd.  Returns one array per input."""
+    out = []
+    for row in rows:
+        out += [row, filler, filler, row]
+    out.append(rows[-1])
+    return [np.array(column) for column in zip(*out)]
+
+
+class TestLanes:
+    """NED's and F-NORM's per-flow arithmetic, the section 6.4 mask and
+    the max fold run two rows at a time, an odd last row on two-row
+    copies.  Each hostile value sits in lane 0 and in lane 1, each
+    pairing of NaN and non-NaN meets in the cap select and the max fold,
+    -0.0 meets each clamp constant, over one odd chunk, even chunks with
+    an odd tail and odd chunks (a tail in each), at forced T = 1, 2, 3:
+    the bytes equal the numpy spelling's."""
+
+    BLOCKS = (10**6, 8, 7)
+    THREADS = (1, 2, 3)
+
+    @staticmethod
+    def run_at(t, call):
+        kernels._lib._force_threads(t)
+        try:
+            return call()
+        finally:
+            kernels._lib._force_threads(0)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_ned_lanes(self, monkeypatch, block, capped):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        rows = [(r, c, lane_pick(k)) for k, (r, c) in enumerate(
+            (r, c) for r in LANE_SPECIAL for c in LANE_SPECIAL)]
+        rho_in, caps, weights = in_both_lanes(rows, (3.0, 0.25, 1.5))
+        n = len(rho_in)
+        assert n % 2 and n % block
+        # Width-1 routes, one link per flow: the price sum is the price.
+        routes = np.arange(n, dtype=np.int64)[None, :]
+        padded = np.append(rho_in, 0.0)
+        caps = caps if capped else None
+        with np.errstate(all="ignore"):
+            rho = kernels.price_sums(padded, routes, n)
+            assert rho.tobytes() == rho_in.tobytes()
+            if caps is not None:
+                np.maximum(rho, caps, out=rho)
+            np.maximum(rho, MIN_PRICE_SUM, out=rho)
+            want = np.divide(weights, rho)
+            deriv = np.negative(np.divide(weights, rho * rho))
+            want_sums = kernels.link_totals2(want, deriv, routes, n, n + 1)
+            for t in self.THREADS:
+                got = np.empty(n)
+                sums = self.run_at(t, lambda: kernels.log_rate_pass(
+                    padded, routes, n, caps, weights, got))
+                assert got.tobytes() == want.tobytes(), t
+                assert [s.tobytes() for s in sums] == [
+                    s.tobytes() for s in want_sums], t
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("scale_up", [True, False])
+    def test_f_norm_and_mask_lanes(self, monkeypatch, block, scale_up):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        rng = np.random.default_rng(block)
+        # Two hop columns: the worst ratio is the max fold of a pair.
+        rows = [(a, v, lane_pick(k), lane_pick(3 * k + 1))
+                for k, (a, v) in enumerate(
+                    (a, v) for a in LANE_SPECIAL for v in LANE_SPECIAL)]
+        first, second, rates, last = in_both_lanes(rows, (0.5, 2.0, 1.0, 0.9))
+        n = len(first)
+        assert n % 2 and n % block
+        routes = np.stack([np.arange(n), n + np.arange(n)])
+        padded = np.concatenate([first, second, [-np.inf]])
+        with np.errstate(all="ignore"):
+            worst = ref_fold_rows(np.maximum, [first, second])
+            assert kernels.max_link_value(padded, routes, n, np.empty(n)
+                                          ).tobytes() == worst.tobytes()
+            np.maximum(worst, 1e-12, out=worst)
+            if not scale_up:
+                np.maximum(worst, 1.0, out=worst)
+            want = np.divide(rates, worst)
+            # last: the hostile values, or equal to the new rate.
+            same = rng.random(n) < 0.2
+            last[same] = want[same]
+            pending = rng.random(n) < 0.3
+            for threshold in (0.0, 0.01):
+                flag = np.greater(np.abs(np.subtract(want, last)),
+                                  threshold * last)
+                flag |= np.isnan(last) | pending
+                want_last = last.copy()
+                np.copyto(want_last, want, where=flag)
+                for t in self.THREADS:
+                    mask = (last.copy(), pending.copy(), threshold,
+                            np.empty(n, dtype=bool))
+                    got = self.run_at(t, lambda: kernels.f_norm_pass(
+                        padded, routes, n, rates, 1e-12, scale_up, mask))
+                    assert got.tobytes() == want.tobytes(), t
+                    assert mask[3].tobytes() == flag.tobytes(), t
+                    assert mask[0].tobytes() == want_last.tobytes(), t
+                    assert not mask[1].any(), t
+                    # The mask alone, over the whole odd-length vector.
+                    alone = (last.copy(), pending.copy(), threshold,
+                             np.empty(n, dtype=bool))
+                    kernels.threshold_mask(want, *alone)
+                    assert alone[3].tobytes() == flag.tobytes()
+                    assert alone[0].tobytes() == want_last.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, -1e-12])
+    def test_clamp_constants_must_be_positive(self, bad):
+        """A clamp constant is one maxpd only when it is neither NaN
+        nor zero, so the passes refuse anything but a positive one."""
+        routes, padded = np.zeros((1, 3), dtype=np.int64), np.ones(2)
+        rates = np.ones(3)
+        with pytest.raises(ValueError, match="min_price_sum"):
+            kernels._lib.ned_log_pass(padded, routes, 3, 8, None, rates,
+                                      bad, np.empty(3), np.empty(2),
+                                      np.empty(2))
+        with pytest.raises(ValueError, match="epsilon"):
+            kernels._lib.f_norm_pass(padded, routes, 3, 8, rates, bad,
+                                     True, np.empty(3), None, None, 0.0,
+                                     None)
+
+
+# ----------------------------------------------------------------------
 # staleness: mutation without a version bump must be impossible
 # ----------------------------------------------------------------------
 class TestCsrStaleness:

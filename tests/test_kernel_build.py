@@ -99,3 +99,79 @@ def test_compile_error_is_an_import_error(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "ImportError" in done.stderr and "failed" in done.stderr
+
+
+#: The packed instructions each lane loop must hold (``_kernels.c``'s
+#: 2-lane helpers), by function.  fold_chunk's is the max fold's.
+PACKED = {"ned_log_walk": ("divpd", "maxpd", "cmpunordpd"),
+          "f_norm_walk": ("divpd", "maxpd"),
+          "mask_rows": ("cmpunordpd", "movmskpd"),
+          "fold_chunk": ("maxpd", "cmpunordpd")}
+
+
+def disassembly(library):
+    """``{function: [(address, mnemonic, operands)]}`` of a library."""
+    import re
+
+    out = subprocess.run(["objdump", "-d", "--no-show-raw-insn",
+                          str(library)], check=True, capture_output=True,
+                         text=True).stdout
+    functions, body = {}, None
+    for line in out.splitlines():
+        head = re.match(r"[0-9a-f]+ <([^>]+)>:$", line)
+        if head:
+            body = functions.setdefault(head.group(1), [])
+            continue
+        insn = re.match(r"\s+([0-9a-f]+):\s+(\S+)\s*(.*)", line)
+        if insn and body is not None:
+            body.append((int(insn.group(1), 16), insn.group(2),
+                         insn.group(3)))
+    return functions
+
+
+def innermost_loop(body, mnemonic):
+    """The instructions of the smallest loop (a backward jump's range)
+    that holds ``mnemonic``, or None."""
+    import re
+
+    best = None
+    for address, op, operands in body:
+        target = re.match(r"([0-9a-f]+) <", operands)
+        if not op.startswith("j") or not target:
+            continue
+        start = int(target.group(1), 16)
+        if start >= address:
+            continue
+        loop = [i for i in body if start <= i[0] <= address]
+        if any(i[1] == mnemonic for i in loop) and (
+                best is None or len(loop) < len(best)):
+            best = loop
+    return best
+
+
+def test_lane_loops_stay_packed():
+    """The per-flow loops of NED's and F-NORM's passes, the mask and
+    the max fold hold packed SSE2 instructions and no cmov: gcc
+    rewrites a select it can see through into one cmove per lane,
+    which reads slower than the scalar loop did."""
+    import platform
+    import shutil as sh
+
+    import pytest
+
+    from repro.core import kernels
+
+    if sh.which("objdump") is None:
+        pytest.skip("no objdump")
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the lane helpers are SSE2 intrinsics on x86-64 only")
+    if any(flag.startswith("-fsanitize") for flag in kernels.CFLAGS):
+        pytest.skip("a sanitizer build instruments the loops")
+    functions = disassembly(kernels._lib.__file__)
+    for name, packed in PACKED.items():
+        assert name in functions, name
+        for mnemonic in packed:
+            loop = innermost_loop(functions[name], mnemonic)
+            assert loop is not None, (name, mnemonic)
+            cmovs = [i for i in loop if i[1].startswith("cmov")]
+            assert not cmovs, (name, mnemonic, cmovs)

@@ -268,6 +268,67 @@ class TestIncrementalCapPrices:
                 self.check(opt)
         self.check(opt)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_watermark_scan_equals_full_rescan(self, data):
+        """The cap prices scan only from their column's watermark up.
+        Through batched churn (its removals tangled or not), single adds
+        and removes, batched removes, regrowth and capacity changes,
+        with several steps piling up between reads: no row below the
+        watermark ever holds the NaN default, and every read equals a
+        rescan of the whole column by bytes."""
+        n_links = data.draw(st.integers(2, 8), label="n_links")
+        seed = data.draw(st.integers(0, 2**31), label="seed")
+        rng = np.random.default_rng(seed)
+        table = FlowTable(LinkSet(rng.random(n_links) * 10 + 0.1),
+                          max_route_len=4)
+        opt = NedOptimizer(table)
+        column = opt._price_at_cap
+
+        def start(flow_id):
+            return (flow_id, rng.integers(0, n_links, int(rng.integers(1, 5))),
+                    float(rng.random() * 3 + 0.1))
+
+        next_id = 0
+        ops = data.draw(st.lists(st.sampled_from(
+            ["batch", "tail_batch", "add", "remove", "remove_many",
+             "capacity", "grow", "read"]), min_size=1, max_size=20),
+            label="ops")
+        for op in ["batch", "read"] + ops:
+            alive = table.flow_ids()
+            if op in ("batch", "tail_batch"):
+                k = int(rng.integers(1, 12))
+                ends = (alive[len(alive) - min(k, len(alive)):]
+                        if op == "tail_batch"
+                        else [fid for fid in alive if rng.random() < 0.3])
+                table.apply_churn(
+                    starts=[start(next_id + j) for j in range(k)], ends=ends)
+                next_id += k
+            elif op == "add":
+                _, route, weight = start(next_id)
+                table.add_flow(next_id, route, weight)
+                next_id += 1
+            elif op == "remove" and alive:
+                table.remove_flow(alive[int(rng.integers(len(alive)))])
+            elif op == "remove_many" and alive:
+                table.remove_flows([fid for fid in alive
+                                    if rng.random() < 0.4])
+            elif op == "capacity":
+                table.links.capacity[:] = rng.random(n_links) * 10 + 0.1
+                opt.refresh_capacity()
+            elif op == "grow":
+                table.reserve(len(table._weights) + 1)
+            elif op == "read":
+                got = opt._cap_prices()
+                want = np.asarray(opt.utility.inverse_rate(
+                    table.bottleneck_capacity(), table.weights))
+                assert got.tobytes() == want.tobytes()
+            below = column.data[:column.stale_from]
+            assert not np.isnan(below).any(), op
+        assert opt._cap_prices().tobytes() == np.asarray(
+            opt.utility.inverse_rate(table.bottleneck_capacity(),
+                                     table.weights)).tobytes()
+
     def test_solving_a_clone_leaves_the_live_table_alone(self):
         table = n_flows_one_link(3)
         columns = len(table._columns)
