@@ -27,11 +27,11 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .network import FlowTable
+from .network import FloatArray, FlowTable
 from .optimizer import PriceOptimizer
 from .utility import LogUtility, Utility
 
-__all__ = ["NedOptimizer"]
+__all__ = ["NedOptimizer", "ned_prices"]
 
 
 class NedOptimizer(PriceOptimizer):
@@ -84,15 +84,17 @@ class NedOptimizer(PriceOptimizer):
         per_flow = self.utility.rate_derivative(rho, self.table.weights)
         return self.table.link_totals(per_flow)
 
-    def _step(self) -> npt.NDArray[np.float64]:
-        # Equation 3 and both scatters in one pass over the flows: the
-        # log utility's (kernels.log_rate_pass) keeps each chunk's price
-        # sums, capped rates and rate derivatives chunk-sized in C;
-        # another utility's runs its own rate and derivative over the
-        # capped price sums.  The pair scatter gives the load (memoized
-        # for the allocator's normalizer) and the Hessian diagonal.
-        # Same floats as rate_update + over_allocation +
-        # hessian_diagonal.
+    def partials(self) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """Equation 3 at the current prices: ``(rates, load, hessian)``.
+
+        One pass over the flows: the log utility's
+        (kernels.log_rate_pass) keeps each chunk's price sums, capped
+        rates and rate derivatives chunk-sized in C; another utility's
+        runs its own rate and derivative over the capped price sums.
+        The pair scatter gives the load (memoized for the allocator's
+        normalizer) and the Hessian diagonal.  Same floats as
+        rate_update + over_allocation + hessian_diagonal.
+        """
         table = self.table
         if type(self.utility) is LogUtility:
             rates = np.empty(table.n_flows)
@@ -104,14 +106,26 @@ class NedOptimizer(PriceOptimizer):
             load, hessian = table.link_totals2(
                 rates, self.utility.rate_derivative(rho, table.weights))
         self._load_memo = (table.version, rates, load)
-        over = load - table.links.capacity
-        carrying = hessian < 0.0
-        # H_ll < 0, so G/H_ll has the opposite sign of G; subtracting it
-        # raises the price of an over-allocated link (Equation 4).
-        step = np.divide(over, hessian, out=np.zeros_like(self.prices),
-                         where=carrying)
-        new_prices = np.where(carrying, self.prices - self.gamma * step,
-                              self._idle_price)
-        np.maximum(new_prices, 0.0, out=new_prices)
-        self.prices = new_prices
+        return rates, load, hessian
+
+    def _step(self) -> FloatArray:
+        rates, load, hessian = self.partials()
+        self.prices = ned_prices(self.prices, load - self.table.links.capacity,
+                                 hessian, self._idle_price, self.gamma)
         return rates
+
+
+def ned_prices(prices: FloatArray, over: FloatArray, hessian: FloatArray,
+               idle_price: FloatArray, gamma: float) -> FloatArray:
+    """Equation 4 per link, into a fresh array: ``max(0, p - gamma *
+    G / H)`` on a link carrying flows (``H < 0``), ``idle_price`` on the
+    others.  Element-wise, so it prices the whole link vector or one
+    LinkBlock's slice of it alike."""
+    carrying = hessian < 0.0
+    # H_ll < 0, so G/H_ll has the opposite sign of G; subtracting it
+    # raises the price of an over-allocated link.
+    step = np.divide(over, hessian, out=np.zeros_like(prices),
+                     where=carrying)
+    new_prices = np.where(carrying, prices - gamma * step, idle_price)
+    np.maximum(new_prices, 0.0, out=new_prices)
+    return new_prices

@@ -4,24 +4,28 @@ Executes NED with the FlowBlock/LinkBlock partitioning *exactly as the
 paper's multicore implementation does*, with each "processor" as a
 simulated core:
 
-1. every processor computes Equation-3 rates for its FlowBlock using
-   its private copies of the two LinkBlocks' prices, and accumulates
-   load (``G``) and Hessian (``H``) partials into private LinkBlock
-   copies — zero shared-state writes;
+1. every processor runs Equation 3 over its FlowBlock at its private
+   copies of the two LinkBlocks' prices, accumulating load (``G``) and
+   Hessian (``H``) partials into private LinkBlock copies — zero
+   shared-state writes;
 2. partials are aggregated to authoritative copies following the
    fig. 3 diagonal schedule (``log2 n`` steps, uniform bandwidth);
 3. authoritative holders run the Equation-4 price update for their
    LinkBlocks;
 4. updated prices are distributed back along the reverse schedule.
 
-The result is numerically identical (up to float associativity) to
-single-core NED — a property the test suite asserts — while the engine
-counts its work and communication (LinkBlock messages, intra- and
-inter-CPU steps under the paper's core->CPU mapping).  Every processor
-runs in this process: the engine models §5's structure and §6.1's
-costs, and owns no thread, process or shared memory.  Real parallelism
-is the allocator's own: its compiled passes walk the flow table's
-chunks on threads (:mod:`repro.core.kernels`).
+Each processor is a :class:`~repro.core.ned.NedOptimizer` over its own
+:class:`~repro.core.network.FlowTable`: phase 1 is its
+:meth:`~repro.core.ned.NedOptimizer.partials` and phase 3 is
+:func:`~repro.core.ned.ned_prices` on one LinkBlock's slice, so the
+engine's prices differ from single-core NED's only by the order in
+which phase 2 adds each link's partials.  The engine counts its work
+and communication (LinkBlock messages, intra- and inter-CPU steps
+under the paper's core->CPU mapping).  Every processor runs in this
+process: the engine models §5's structure and §6.1's costs, and owns
+no thread, process or shared memory.  Real parallelism is the
+allocator's own: its compiled passes walk the flow table's chunks on
+threads (:mod:`repro.core.kernels`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from ..core.ned import NedOptimizer
+from ..core.ned import NedOptimizer, ned_prices
 from ..core.network import FlowTable, _pop_ends
 from ..core.utility import LogUtility, Utility
 from ..topology.graph import Topology
@@ -66,28 +70,26 @@ class IterationStats:
 
 
 class _Processor:
-    """One core's state: a FlowBlock plus private LinkBlock copies."""
+    """One core's state: a FlowBlock and the NED over it.
 
-    def __init__(self, coords, links, max_route_len):
+    ``ned.prices`` is the processor's private, full-length price
+    vector; only entries of its two LinkBlocks are ever read.
+    """
+
+    def __init__(self, coords, links, max_route_len, utility, gamma):
         self.coords = coords
         self.table = FlowTable(links, max_route_len=max_route_len)
-        # Private, full-length price vector; only entries of this
-        # processor's two LinkBlocks are ever read.
-        self.prices = np.ones(links.n_links, dtype=np.float64)
+        self.ned = NedOptimizer(self.table, utility=utility, gamma=gamma)
         self.partial_load = None
         self.partial_hessian = None
-        # Per-flow price floor U'(bottleneck), cached between churn
-        # events (same role as PriceOptimizer's cap cache).
-        self.price_floor = None
-        self.floor_version = -1
 
 
 class MulticoreNedEngine:
     """NED across an ``n_blocks x n_blocks`` simulated processor grid.
 
-    The engine deliberately mirrors :class:`~repro.core.ned.NedOptimizer`
-    — same utility, same gamma, same idle-price rule — so that
-    equivalence can be checked flow-for-flow.
+    Each processor runs :class:`~repro.core.ned.NedOptimizer`'s own
+    pass and price step with the engine's utility and gamma, so its
+    rates are single-core NED's at the engine's prices, flow for flow.
     """
 
     def __init__(self, topology: Topology, n_blocks: int,
@@ -103,14 +105,10 @@ class MulticoreNedEngine:
         self.grid_side = n
         self._agg_steps = aggregation_schedule(n)
         self._dist_steps = distribution_schedule(n)
-        # Reference single-core optimizer state (prices) kept for the
-        # idle-price constant only; cheap.
-        self._idle_price = np.asarray(
-            self.utility.inverse_rate(self.links.capacity, 1.0),
-            dtype=np.float64)
         self._flow_home = {}
         self.processors = {
-            cell: _Processor(cell, self.links, max_route_len)
+            cell: _Processor(cell, self.links, max_route_len, self.utility,
+                             self.gamma)
             for cell in self.partition.grid_cells()
         }
         if reserve_per_block:
@@ -121,14 +119,10 @@ class MulticoreNedEngine:
     # churn
     # ------------------------------------------------------------------
     def add_flow(self, flow_id: Hashable, src_host: int, dst_host: int,
-                 route: npt.ArrayLike | None = None,
-                 weight: float = 1.0) -> tuple[int, int]:
-        if route is None:
-            route = self.partition.topology.route(src_host, dst_host, flow_id)
-        coords = self.partition.flowblock_of(src_host, dst_host)
-        self.processors[coords].table.add_flow(flow_id, route, weight=weight)
-        self._flow_home[flow_id] = coords
-        return coords
+                 weight: float = 1.0) -> None:
+        """One start: :meth:`apply_churn` of ``(flow_id, src_host,
+        dst_host, weight)``."""
+        self.apply_churn(starts=[(flow_id, src_host, dst_host, weight)])
 
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
                     ends: Iterable[Hashable] = ()) -> None:
@@ -136,16 +130,13 @@ class MulticoreNedEngine:
 
         ``ends`` is an iterable of flow ids; ``starts`` of ``(flow_id,
         src_host, dst_host)`` or ``(flow_id, src_host, dst_host,
-        weight)`` tuples (routes are computed here, like
-        :meth:`add_flow`).  The whole batch is validated before
+        weight)`` tuples (routes are computed here, from the
+        topology).  The whole batch is validated before
         anything mutates — a bad id or weight raises with the engine
         unchanged.  Removals are applied first — batched per block
         through :meth:`FlowTable.remove_flows` — then the adds go
         through each block's vectorized ``apply_churn``, so an id
         appearing in both is restarted.
-
-        Reach: api — the engine's batched churn, which the README shows;
-        the figure benches add flows one at a time.
         """
         ends = list(ends)
         end_cells = _pop_ends(ends, self._flow_home)
@@ -202,18 +193,8 @@ class MulticoreNedEngine:
         # Phase 1: local rate computation and partial accumulation.
         max_flows = 0
         for proc in self.processors.values():
-            table = proc.table
-            max_flows = max(max_flows, table.n_flows)
-            if table.n_flows:
-                rho = table.price_sums(proc.prices)
-                rho = np.maximum(rho, self._price_floor(proc))
-                rates = self.utility.rate(rho, table.weights)
-                derivative = self.utility.rate_derivative(rho, table.weights)
-                proc.partial_load, proc.partial_hessian = \
-                    table.link_totals2(rates, derivative)
-            else:
-                proc.partial_load = np.zeros(self.links.n_links)
-                proc.partial_hessian = np.zeros(self.links.n_links)
+            max_flows = max(max_flows, proc.table.n_flows)
+            _, proc.partial_load, proc.partial_hessian = proc.ned.partials()
         stats.max_flows_per_processor = max(stats.max_flows_per_processor,
                                             max_flows)
         stats.total_flows = self.n_flows
@@ -253,36 +234,24 @@ class MulticoreNedEngine:
             staged = []
             for t in step:
                 idx = self.partition.link_block(t.block, t.upward)
-                staged.append((t, idx, self.processors[t.src].prices[idx].copy()))
+                staged.append(
+                    (t, idx, self.processors[t.src].ned.prices[idx].copy()))
             for t, idx, prices_part in staged:
-                self.processors[t.dst].prices[idx] = prices_part
+                self.processors[t.dst].ned.prices[idx] = prices_part
                 stats.messages += 1
                 stats.link_entries_moved += len(idx)
                 if cpu_of(t.src, self.grid_side) != \
                         cpu_of(t.dst, self.grid_side):
                     stats.inter_cpu_messages += 1
 
-    def _price_floor(self, proc):
-        """Cached per-flow cap prices for one processor's FlowBlock."""
-        table = proc.table
-        if proc.floor_version != table.version:
-            proc.price_floor = self.utility.inverse_rate(
-                table.bottleneck_capacity(), table.weights)
-            proc.floor_version = table.version
-        return proc.price_floor
-
     def _price_update(self, proc, link_idx):
         """NED Equation 4 on one LinkBlock of the authoritative holder."""
-        over = proc.partial_load[link_idx] - self.links.capacity[link_idx]
-        hessian = proc.partial_hessian[link_idx]
-        prices = proc.prices[link_idx]
-        carrying = hessian < 0.0
-        step = np.zeros_like(prices)
-        step[carrying] = over[carrying] / hessian[carrying]
-        new_prices = np.where(carrying, prices - self.gamma * step,
-                              self._idle_price[link_idx])
-        np.maximum(new_prices, 0.0, out=new_prices)
-        proc.prices[link_idx] = new_prices
+        ned = proc.ned
+        ned.prices[link_idx] = ned_prices(
+            ned.prices[link_idx],
+            proc.partial_load[link_idx] - self.links.capacity[link_idx],
+            proc.partial_hessian[link_idx], ned._idle_price[link_idx],
+            self.gamma)
 
     # ------------------------------------------------------------------
     # inspection
@@ -291,13 +260,8 @@ class MulticoreNedEngine:
         """flow_id -> current rate, combining all processors."""
         out = {}
         for proc in self.processors.values():
-            table = proc.table
-            if not table.n_flows:
-                continue
-            rho = table.price_sums(proc.prices)
-            rho = np.maximum(rho, self._price_floor(proc))
-            rates = self.utility.rate(rho, table.weights)
-            out.update(zip(table.flow_ids(), (float(r) for r in rates)))
+            out.update(zip(proc.table.flow_ids(),
+                           proc.ned.rate_update().tolist()))
         return out
 
     def global_prices(self) -> npt.NDArray[np.float64]:
@@ -311,10 +275,10 @@ class MulticoreNedEngine:
         for block in range(n):
             up_idx = self.partition.upward_links[block]
             prices[up_idx] = self.processors[
-                final_up_holder(n, block)].prices[up_idx]
+                final_up_holder(n, block)].ned.prices[up_idx]
             down_idx = self.partition.downward_links[block]
             prices[down_idx] = self.processors[
-                final_down_holder(n, block)].prices[down_idx]
+                final_down_holder(n, block)].ned.prices[down_idx]
         return prices
 
     def reference_optimizer(self) -> NedOptimizer:

@@ -15,6 +15,9 @@
   kernel tests (the two kernel files, the thread-count tests and the
   argument fuzz) with gcc's runtimes preloaded.  The CI ``sanitize``
   lane runs all of tier-1 that way.
+- **The generic lane helpers.**  The same kernel tests on a copy built
+  with ``-U__SSE2__``, so the helpers' non-SSE2 spelling, which no
+  x86-64 build compiles, is held to the same bits.
 """
 
 import os
@@ -141,18 +144,18 @@ def test_threaded_walk_is_race_free_under_tsan(tmp_path):
     assert "bytes equal at T = 1, 2, 3, 7" in run.stdout
 
 
-def test_kernel_tests_pass_under_asan_and_ubsan(tmp_path):
-    preload = " ".join(runtime(name)
-                       for name in ("libasan.so", "libubsan.so"))
+def run_kernel_tests(tmp_path, flags, env):
+    """Run :data:`KERNEL_TESTS` on a copy of ``src/repro`` whose
+    ``kernels.CFLAGS`` end in ``flags``; return the library it built."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "repro", src / "repro",
                     ignore=shutil.ignore_patterns("__pycache__"))
     kernels_py = src / "repro" / "core" / "kernels.py"
     text = kernels_py.read_text()
-    flags = '"-fPIC", "-pthread"'
-    assert text.count(flags) == 1
+    cflags = '"-fPIC", "-pthread"'
+    assert text.count(cflags) == 1
     kernels_py.write_text(text.replace(
-        flags, flags + "".join(f', "{flag}"' for flag in SANITIZE)))
+        cflags, cflags + "".join(f', "{flag}"' for flag in flags)))
     tests = tmp_path / "tests"
     tests.mkdir()
     for name in ("conftest.py",) + KERNEL_TESTS:
@@ -162,10 +165,26 @@ def test_kernel_tests_pass_under_asan_and_ubsan(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests"], cwd=tmp_path, capture_output=True, text=True,
-        timeout=900,
-        env=clean_env(LD_PRELOAD=preload, ASAN_OPTIONS="detect_leaks=0"))
+        timeout=900, env=env)
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
     built, = (src / "repro" / "core" / "__pycache__").glob("_kernels.*")
+    return built
+
+
+def test_kernel_tests_pass_under_asan_and_ubsan(tmp_path):
+    preload = " ".join(runtime(name)
+                       for name in ("libasan.so", "libubsan.so"))
+    built = run_kernel_tests(
+        tmp_path, SANITIZE,
+        clean_env(LD_PRELOAD=preload, ASAN_OPTIONS="detect_leaks=0"))
     symbols = subprocess.run(["nm", "-D", str(built)], capture_output=True,
                              text=True).stdout
     assert "__asan_" in symbols and "__ubsan_" in symbols
+
+
+def test_kernel_tests_pass_on_the_generic_lane_helpers(tmp_path):
+    """``-U__SSE2__`` builds the lane helpers' vector-extension spelling
+    instead of their SSE2 intrinsics; the same bits must come out.  The
+    environment passes through: under a sanitizer build its runtimes
+    are already preloaded."""
+    run_kernel_tests(tmp_path, ("-U__SSE2__",), dict(os.environ))

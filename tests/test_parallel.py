@@ -1,5 +1,6 @@
 """§5 multicore machinery: partitioning, schedule, engine, §6.1 table."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
+from repro.core.utility import AlphaFairUtility, LogUtility
 from repro.parallel import (PAPER_TABLE, BlockPartition, MulticoreNedEngine,
                             aggregation_schedule, cpu_of,
                             distribution_schedule, final_down_holder,
@@ -326,6 +328,66 @@ class TestEngineEquivalence:
         self.assert_equivalent(topology, 4, batches, 3, t)
 
 
+class TestEngineGolden:
+    """sha256 of the 16-cell engine's ``global_prices()`` and sorted
+    ``rates()`` after every op of a fixed weighted churn program, with
+    each cell in one chunk and spanning chunks.  Recorded on the engine
+    that still spelled Equation 3 and 4 out in numpy; they pass unedited
+    on the one that runs :class:`NedOptimizer`'s pass and price step,
+    and fail on a change to either that moves a float.  A change that
+    moves floats on purpose updates them and says why."""
+
+    OPS, N_INITIAL, CHURN = 12, 600, 40
+    GOLDEN = {
+        ("log", None):
+            "ef8bd7a90f4e4caf3aa5f88b01eca28a6b688b73f1a59a94ac9235990a1999a9",
+        ("log", 8):
+            "a9b1d65bfb969822e799e574d7e490a63b37f17547755c1cb8bf88cbd9ddc690",
+        ("alpha2", None):
+            "0505e5bc37f99f927d5d2120812907a9c9c485d8b7954a802ce69d4142363094",
+        ("alpha2", 8):
+            "1b46a85ef1fbf465c19bf60bcb18175d7ff26811f70d177d8c12b31ae8c42ccd",
+    }
+    UTILITIES = {"log": LogUtility, "alpha2": lambda: AlphaFairUtility(2.0)}
+
+    @classmethod
+    def program(cls, topology):
+        """(starts, ends) per op: weights 0.5-3, 40 ends + 40 starts."""
+        rng = np.random.default_rng(44)
+        alive, next_id, ops = [], 0, []
+        for op in range(cls.OPS):
+            n_new = cls.N_INITIAL if op == 0 else cls.CHURN
+            ends = [alive.pop(int(rng.integers(len(alive))))
+                    for _ in range(cls.CHURN if op else 0)]
+            new_ids = range(next_id, next_id + n_new)
+            next_id += n_new
+            alive.extend(new_ids)
+            starts = [(flow_id, src, dst, float(rng.uniform(0.5, 3.0)))
+                      for flow_id, src, dst
+                      in random_starts(topology, rng, new_ids)]
+            ops.append((starts, ends))
+        return ops
+
+    @pytest.mark.parametrize("utility,block", list(GOLDEN))
+    def test_churn_program_digest(self, utility, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        topology = clos_for_blocks(4)
+        engine = MulticoreNedEngine(topology, 4,
+                                    utility=self.UTILITIES[utility](),
+                                    gamma=0.7)
+        h = hashlib.sha256()
+        for starts, ends in self.program(topology):
+            engine.apply_churn(starts=starts, ends=ends)
+            engine.iterate(3)
+            rates = engine.rates()
+            h.update(engine.global_prices().tobytes())
+            h.update(np.array([rates[flow_id] for flow_id in sorted(rates)],
+                              dtype=np.float64).tobytes())
+        assert engine.n_flows == self.N_INITIAL
+        assert h.hexdigest() == self.GOLDEN[utility, block]
+
+
 class TestEngineApplyChurn:
     """engine.apply_churn (batched) == one event at a time."""
 
@@ -357,6 +419,17 @@ class TestEngineApplyChurn:
         assert engine.n_flows == 1
         cell = engine._flow_home["a"]
         assert "a" in engine.processors[cell].table
+
+    def test_add_flow_rejects_an_id_live_in_another_cell(self):
+        """add_flow checks the engine's ids, not only one cell's."""
+        topology = TwoTierClos(n_racks=4, hosts_per_rack=8, n_spines=4)
+        engine = MulticoreNedEngine(topology, 2)
+        engine.add_flow(0, 0, 1)
+        with pytest.raises(KeyError):
+            engine.add_flow(0, 31, 30)  # would land in another cell
+        assert sum(p.table.n_flows for p in engine.processors.values()) == 1
+        engine.apply_churn(ends=[0])
+        assert engine.n_flows == 0 and engine.rates() == {}
 
     def test_bad_end_id_leaves_engine_unchanged(self):
         topology = clos_for_blocks(2)
