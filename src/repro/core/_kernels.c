@@ -107,6 +107,13 @@
  * packed pair add gave no gain and put the new value first, which
  * changes which NaN a sum of two NaNs keeps (the pinned case above).
  *
+ * Churn intake.  pack_starts and insert_routes are FlowTable's starts
+ * parser and columnar route write for the common batch.  Both hold the
+ * GIL and start no thread: pack_starts calls back into Python (an id's
+ * hash and ==), and a batch is too short to split.  pack_starts moves
+ * no float; insert_routes' bottleneck is the min fold's MIN_STEP over
+ * the same columns in the same order, so it equals min_link_value.
+ *
  * The build passes -ffp-contract=off and no fast-math flag, so no
  * operation is fused or reordered (``t * s`` and ``rho * rho`` stay
  * rounded products, never parts of a fused multiply-add).
@@ -250,8 +257,43 @@ v2_maximum(v2d a, v2d v)
     return v2_select(v2_isnan(a), a, v2_max(a, v));
 }
 
-/* A 1-D C-contiguous vector of 8-byte float64 ("d") or 1-byte bool
- * ("?") items. */
+/* A buffer's item format without its byte-order prefix; *swapped is
+ * set when the prefix names the byte order the host does not use. */
+static const char *
+item_format(const Py_buffer *view, int *swapped)
+{
+    const char *format = view->format;
+
+    *swapped = 0;
+    if (format == NULL)
+        return "B";
+    switch (format[0]) {
+    case '@':
+    case '=':
+        return format + 1;
+    case '<':
+        *swapped = !PY_LITTLE_ENDIAN;
+        return format + 1;
+    case '>':
+    case '!':
+        *swapped = PY_LITTLE_ENDIAN;
+        return format + 1;
+    }
+    return format;
+}
+
+/* Native-order int64 items. */
+static int
+is_int64(const Py_buffer *view)
+{
+    int swapped;
+    const char *format = item_format(view, &swapped);
+    return view->itemsize == 8 && !swapped
+        && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0);
+}
+
+/* A 1-D C-contiguous vector of 8-byte float64 ("d"), 1-byte bool ("?")
+ * or native int64 ("q", any of its spellings) items. */
 static int
 get_typed(PyObject *obj, Py_buffer *view, int writable, const char *what,
           const char *format)
@@ -261,9 +303,11 @@ get_typed(PyObject *obj, Py_buffer *view, int writable, const char *what,
         flags |= PyBUF_WRITABLE;
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
-    if (view->ndim != 1 || strcmp(view->format, format) != 0) {
+    if (view->ndim != 1 || (format[0] == 'q' ? !is_int64(view)
+                            : strcmp(view->format, format) != 0)) {
         PyErr_Format(PyExc_TypeError, "%s must be a 1-D contiguous %s "
-                     "array", what, format[0] == 'd' ? "float64" : "bool");
+                     "array", what, format[0] == 'd' ? "float64"
+                     : format[0] == 'q' ? "int64" : "bool");
         PyBuffer_Release(view);
         return -1;
     }
@@ -272,16 +316,12 @@ get_typed(PyObject *obj, Py_buffer *view, int writable, const char *what,
 
 /* The route storage: 2-D int64, each row contiguous. */
 static int
-get_routes(PyObject *obj, Py_buffer *view)
+get_routes(PyObject *obj, Py_buffer *view, int writable)
 {
-    const char *format;
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+    if (PyObject_GetBuffer(obj, view, writable ? PyBUF_RECORDS
+                                               : PyBUF_RECORDS_RO) < 0)
         return -1;
-    format = view->format;
-    if (format[0] == '=' || format[0] == '<' || format[0] == '@')
-        format++;
-    if (view->ndim != 2 || view->itemsize != 8
-            || (strcmp(format, "l") != 0 && strcmp(format, "q") != 0)
+    if (view->ndim != 2 || !is_int64(view)
             || view->strides[1] != 8 || view->strides[0] % 8 != 0) {
         PyErr_SetString(PyExc_TypeError,
                         "routes must be a 2-D int64 array with "
@@ -293,8 +333,8 @@ get_routes(PyObject *obj, Py_buffer *view)
 }
 
 /* One buffer argument of an entry point: args[arg], of kind 'r' (the
- * route storage), 'd' (float64) or '?' (bool), writable if out, None
- * allowed (and skipped) if optional. */
+ * route storage), 'd' (float64), '?' (bool) or 'q' (int64), writable
+ * if out, None allowed (and skipped) if optional. */
 typedef struct {
     int arg, out, optional;
     char kind;
@@ -316,7 +356,7 @@ acquire(PyObject *const *args, const Arg *spec, int count,
             continue;
         format[0] = spec[k].kind;
         rc = spec[k].kind == 'r'
-            ? get_routes(obj, &bufs[k])
+            ? get_routes(obj, &bufs[k], spec[k].out)
             : get_typed(obj, &bufs[k], spec[k].out, spec[k].what, format);
         if (rc < 0) {
             while (k-- > 0)
@@ -419,6 +459,9 @@ storage_of(Storage *s, const Py_buffer *routes, Py_ssize_t len)
     s->len = len;
 }
 
+/* np.minimum(a, v): a on a NaN a, else the smaller, v on a tie. */
+#define MIN_STEP(a, v) ((a) != (a) ? (a) : ((a) < (v) ? (a) : (v)))
+
 /* One column of a fold into dst[0, m): dst = OP(dst, padded[col]). */
 #define FOLD_COLUMN(EXPR)                                               \
     for (i = 0; i < m; i++) {                                           \
@@ -477,7 +520,7 @@ fold_chunk(int op, const double *padded, const Storage *s, Py_ssize_t c0,
             }
             break;
         default:
-            FOLD_COLUMN(a != a ? a : (a < v ? a : v))
+            FOLD_COLUMN(MIN_STEP(a, v))
             break;
         }
     }
@@ -1142,6 +1185,286 @@ release:
     Py_RETURN_NONE;
 }
 
+/* How pack_starts reads a route's items: native int64, or uint32 in
+ * either byte order (the wire's big-endian, or native once decoded);
+ * ROUTE_OTHER for anything else. */
+enum { ROUTE_OTHER, ROUTE_INT64, ROUTE_U32, ROUTE_U32_SWAPPED };
+
+static int
+route_kind(const Py_buffer *view)
+{
+    int swapped;
+    const char *format = item_format(view, &swapped);
+
+    if (view->ndim != 1 || view->strides[0] != view->itemsize)
+        return ROUTE_OTHER;
+    if (is_int64(view))
+        return ROUTE_INT64;
+    if (view->itemsize == 4
+            && (strcmp(format, "I") == 0 || strcmp(format, "L") == 0))
+        return swapped ? ROUTE_U32_SWAPPED : ROUTE_U32;
+    return ROUTE_OTHER;
+}
+
+/* Copy one route's m hops into dst as int64; -1 if a hop is not a
+ * link in [0, n_links). */
+static int
+copy_route(const Py_buffer *view, int kind, Py_ssize_t m, int64_t n_links,
+           int64_t *dst)
+{
+    Py_ssize_t j;
+
+    for (j = 0; j < m; j++) {
+        int64_t hop;
+        if (kind == ROUTE_INT64) {
+            hop = ((const int64_t *)view->buf)[j];
+        } else {
+            uint32_t item = ((const uint32_t *)view->buf)[j];
+            if (kind == ROUTE_U32_SWAPPED)
+                item = (item >> 24) | ((item >> 8) & 0xff00u)
+                    | ((item << 8) & 0xff0000u) | (item << 24);
+            hop = item;
+        }
+        if ((uint64_t)hop >= (uint64_t)n_links)
+            return -1;
+        dst[j] = hop;
+    }
+    return 0;
+}
+
+static const Arg PACK_ARGS[] = {
+    {4, 1, 0, 'q', "lengths"}, {5, 1, 0, 'q', "flat"},
+    {6, 1, 0, 'd', "weights"},
+};
+
+/* pack_starts(starts, index_of, max_route_len, n_links, lengths, flat,
+ * weights): FlowTable's starts parser for the batch it meets in the
+ * common case, in one pass per check.  starts is a list of k tuples of
+ * one arity, (flow_id, route) or (flow_id, route, weight): every
+ * weight a float > 0, no flow_id in the dict index_of, every route a
+ * 1-D contiguous buffer of a static type (an ndarray) of native int64
+ * or uint32 items, 1 to max_route_len hops over links [0, n_links).
+ * Fills lengths[0, k) with the hop counts, flat with the concatenated
+ * routes (it holds k * max_route_len entries) and, for 3-tuples,
+ * weights[0, k); returns (ids, total hops, whether weights were
+ * given).  For any other batch it clears any error and returns None:
+ * the Python parser then decides and raises what it always raised.
+ *
+ * The checks run in the Python parser's order: the tuples and weights
+ * (no Python code), then the ids (hash and == may run Python code),
+ * then the routes.  The pass holds its own reference to every id and
+ * route, so nothing that code does to starts can free them. */
+static PyObject *
+pack_starts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer bufs[3], *v[3], route;
+    PyObject *starts, *index, **held = NULL, *ids, *result = NULL;
+    Py_ssize_t k, i, max_len, arity = 0, taken = 0, total = 0;
+    int64_t n_links, *lengths, *flat;
+    double *weights;
+
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "pack_starts takes 7 arguments");
+        return NULL;
+    }
+    starts = args[0];
+    index = args[1];
+    if (!PyList_Check(starts) || !PyDict_Check(index)) {
+        PyErr_SetString(PyExc_TypeError, "pack_starts: starts must be a "
+                        "list and index_of a dict");
+        return NULL;
+    }
+    max_len = PyLong_AsSsize_t(args[2]);
+    n_links = PyLong_AsLongLong(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (max_len < 1 || n_links < 0) {
+        PyErr_SetString(PyExc_ValueError, "pack_starts: max_route_len must "
+                        "be positive and n_links not negative");
+        return NULL;
+    }
+    if (acquire(args, PACK_ARGS, 3, bufs, v) < 0)
+        return NULL;
+    k = PyList_GET_SIZE(starts);
+    if (v[0]->shape[0] != k || v[2]->shape[0] != k
+            || (k > 0 && v[1]->shape[0] / k < max_len)) {
+        PyErr_Format(PyExc_ValueError, "pack_starts: lengths and weights "
+                     "must hold the %zd starts, flat %zd hops each", k,
+                     max_len);
+        goto release;
+    }
+    if (check_disjoint("pack_starts", PACK_ARGS, v, 3) < 0)
+        goto release;
+    lengths = v[0]->buf;
+    flat = v[1]->buf;
+    weights = v[2]->buf;
+    if (k == 0 || (held = PyMem_Malloc(2 * k * sizeof(PyObject *))) == NULL)
+        goto fallback;
+    /* The tuples and weights; held[i] the id, held[k + i] the route. */
+    for (i = 0; i < k; i++) {
+        PyObject *start = PyList_GET_ITEM(starts, i), *weight;
+        if (!PyTuple_CheckExact(start))
+            goto fallback;
+        if (i == 0)
+            arity = PyTuple_GET_SIZE(start);
+        if (PyTuple_GET_SIZE(start) != arity || (arity != 2 && arity != 3))
+            goto fallback;
+        if (arity == 3) {
+            weight = PyTuple_GET_ITEM(start, 2);
+            if (!PyFloat_CheckExact(weight)
+                    || !(PyFloat_AS_DOUBLE(weight) > 0.0))
+                goto fallback;
+            weights[i] = PyFloat_AS_DOUBLE(weight);
+        }
+        held[i] = PyTuple_GET_ITEM(start, 0);
+        held[k + i] = PyTuple_GET_ITEM(start, 1);
+        Py_INCREF(held[i]);
+        Py_INCREF(held[k + i]);
+        taken = i + 1;
+    }
+    /* The ids: a present one, or one whose lookup raises, falls back. */
+    for (i = 0; i < k; i++)
+        if (PyDict_Contains(index, held[i]) != 0)
+            goto fallback;
+    /* The routes, copied as they are read. */
+    for (i = 0; i < k; i++) {
+        PyObject *obj = held[k + i];
+        Py_ssize_t m;
+        int kind, rc;
+        if (PyType_HasFeature(Py_TYPE(obj), Py_TPFLAGS_HEAPTYPE)
+                || PyObject_GetBuffer(obj, &route, PyBUF_RECORDS_RO) < 0)
+            goto fallback;
+        kind = route_kind(&route);
+        m = kind == ROUTE_OTHER ? 0 : route.shape[0];
+        rc = m < 1 || m > max_len
+            || copy_route(&route, kind, m, n_links, flat + total) < 0;
+        PyBuffer_Release(&route);
+        if (rc)
+            goto fallback;
+        lengths[i] = m;
+        total += m;
+    }
+    if ((ids = PyList_New(k)) == NULL)
+        goto fallback;
+    for (i = 0; i < k; i++)
+        PyList_SET_ITEM(ids, i, held[i]);   /* the list takes the id */
+    for (i = 0; i < k; i++)
+        Py_DECREF(held[k + i]);
+    PyMem_Free(held);
+    held = NULL;
+    result = Py_BuildValue("(NnO)", ids, total,
+                           arity == 3 ? Py_True : Py_False);
+    goto release;
+fallback:
+    PyErr_Clear();
+    for (i = 0; i < taken; i++) {
+        Py_DECREF(held[i]);
+        Py_DECREF(held[k + i]);
+    }
+    PyMem_Free(held);
+    result = Py_NewRef(Py_None);
+release:
+    release(v, 3);
+    return result;
+}
+
+static const Arg INSERT_ARGS[] = {
+    {2, 1, 0, 'r', "routes"}, {6, 1, 0, 'd', "bottleneck"},
+    {0, 0, 0, 'q', "flat"}, {1, 0, 0, 'q', "lengths"},
+    {5, 0, 0, 'd', "padded_capacity"},
+};
+
+/* insert_routes(flat, lengths, routes, n0, pad, padded_capacity,
+ * bottleneck): write the k = len(lengths) concatenated routes of flat
+ * into storage columns [n0, n0 + k) of routes, middle-aligned (a route
+ * of m hops: its first ceil(m/2) in rows 0, 1, ..., the rest ending in
+ * the last row, pad in between), and each flow's bottleneck: the
+ * left-to-right min fold of padded_capacity over its column, min_link
+ * _value's fold (MIN_STEP) bit for bit.  Every hop count must be in
+ * [1, width] and sum to len(flat) (ValueError); every hop and pad must
+ * index padded_capacity (IndexError).  All is checked before the first
+ * write. */
+static PyObject *
+insert_routes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer bufs[5], *v[5];
+    Py_ssize_t k, i, c, n0, width, stride, len, total = 0;
+    const int64_t *flat, *lengths;
+    const double *padded;
+    int64_t pad, *dst;
+    double *bottleneck;
+    int rc = -1;
+
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "insert_routes takes 7 arguments");
+        return NULL;
+    }
+    n0 = PyLong_AsSsize_t(args[3]);
+    pad = PyLong_AsLongLong(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (acquire(args, INSERT_ARGS, 5, bufs, v) < 0)
+        return NULL;
+    k = v[3]->shape[0];
+    width = v[0]->shape[0];
+    len = v[4]->shape[0];
+    if (v[1]->shape[0] != k || width < 1 || n0 < 0
+            || n0 > v[0]->shape[1] - k) {
+        PyErr_Format(PyExc_ValueError, "insert_routes: %zd routes at column "
+                     "%zd do not fit %zd columns, or bottleneck does not "
+                     "hold them", k, n0, v[0]->shape[1]);
+        goto release;
+    }
+    if (check_disjoint("insert_routes", INSERT_ARGS, v, 5) < 0)
+        goto release;
+    flat = v[2]->buf;
+    lengths = v[3]->buf;
+    for (i = 0; i < k; i++) {
+        if (lengths[i] < 1 || lengths[i] > width) {
+            PyErr_Format(PyExc_ValueError, "insert_routes: a route of %lld "
+                         "hops in %zd rows", (long long)lengths[i], width);
+            goto release;
+        }
+        total += lengths[i];
+    }
+    if (total != v[2]->shape[0]) {
+        PyErr_Format(PyExc_ValueError, "insert_routes: the hop counts sum "
+                     "to %zd, flat holds %zd", total, v[2]->shape[0]);
+        goto release;
+    }
+    for (i = -1; i < total; i++) {
+        int64_t slot = i < 0 ? pad : flat[i];
+        if ((uint64_t)slot >= (uint64_t)len) {
+            PyErr_Format(PyExc_IndexError, "route slot %lld is out of "
+                         "bounds for %zd entries", (long long)slot, len);
+            goto release;
+        }
+    }
+    padded = v[4]->buf;
+    bottleneck = v[1]->buf;
+    stride = v[0]->strides[0] / 8;
+    dst = (int64_t *)v[0]->buf + n0;
+    for (i = 0; i < k; i++) {
+        Py_ssize_t left = (lengths[i] + 1) / 2, gap = width - lengths[i];
+        double a = 0.0;
+        for (c = 0; c < width; c++) {
+            int64_t slot = c < left ? flat[c]
+                : c < left + gap ? pad : flat[c - gap];
+            double value = padded[slot];
+            dst[c * stride + i] = slot;
+            a = c == 0 ? value : MIN_STEP(a, value);
+        }
+        bottleneck[i] = a;
+        flat += lengths[i];
+    }
+    rc = 0;
+release:
+    release(v, 5);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 /* _force_threads(t): walk on t threads (capped at the chunk count)
  * instead of the affinity mask's count, or on that count again if t
  * is 0.  Tests only: the bits must not depend on t. */
@@ -1173,6 +1496,12 @@ static PyMethodDef methods[] = {
     {"threshold_mask", (PyCFunction)(void (*)(void))threshold_mask,
      METH_FASTCALL, "threshold_mask(rates, last, pending, threshold, "
      "changed)"},
+    {"pack_starts", (PyCFunction)(void (*)(void))pack_starts,
+     METH_FASTCALL, "pack_starts(starts, index_of, max_route_len, n_links, "
+     "lengths, flat, weights)"},
+    {"insert_routes", (PyCFunction)(void (*)(void))insert_routes,
+     METH_FASTCALL, "insert_routes(flat, lengths, routes, n0, pad, "
+     "padded_capacity, bottleneck)"},
     {"_force_threads", force_threads, METH_O, "_force_threads(t)"},
     {NULL, NULL, 0, NULL},
 };

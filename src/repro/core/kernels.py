@@ -70,6 +70,16 @@ moves no bit (the C header says why); the clamp constants must be
 positive.  Another utility runs the same steps as
 ``price_sums``, its own ``rate`` / ``rate_derivative`` and
 :func:`link_totals2`.
+
+**The churn intake.**  The extension also holds ``FlowTable``'s starts
+parser for the common batch (:func:`pack_starts`: tuples of one arity,
+float weights, int64 or uint32 ndarray routes, every check in one
+pass, ``None`` for any other batch, which the Python parser then
+takes) and its columnar insert (:func:`insert_routes`: each hop column
+written straight from the flat routes, middle-aligned, with the
+bottleneck capacity folded in the same loop).  Both hold the GIL and
+thread nothing; neither moves a float (``tests/test_network_state.py``
+checks them against the Python parser and the masked write).
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ import importlib.util
 import os
 from pathlib import Path
 from types import ModuleType
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -89,7 +100,8 @@ from .utility import MIN_PRICE_SUM
 __all__ = [
     "BLOCK_ROWS", "chunk_spans", "describe", "price_sums",
     "max_link_value", "link_totals", "link_totals2", "min_link_value",
-    "log_rate_pass", "f_norm_pass", "threshold_mask",
+    "log_rate_pass", "f_norm_pass", "threshold_mask", "pack_starts",
+    "insert_routes",
 ]
 
 FloatArray = npt.NDArray[np.float64]
@@ -195,11 +207,8 @@ def max_link_value(padded: FloatArray, routes: IntArray, n: int,
 
 def min_link_value(padded: FloatArray, routes: IntArray, n: int,
                    out: FloatArray) -> FloatArray:
-    """Per-flow min of padded[routes] into ``out`` (pad slots +inf).
-
-    The churn-apply bottleneck gather: ``routes`` may be a column
-    slice of the storage (the flows just inserted).
-    """
+    """Per-flow min of padded[routes] into ``out`` (pad slots +inf):
+    the bottleneck column's recompute after a capacity change."""
     _lib.fold(_MIN, padded, routes, 0, n, BLOCK_ROWS, out)
     return out
 
@@ -274,3 +283,43 @@ def threshold_mask(rates: FloatArray, last: FloatArray, pending: BoolArray,
     ``pending`` flag clears, in place."""
     _lib.threshold_mask(rates, last, pending, threshold, changed)
     return changed
+
+
+# ----------------------------------------------------------------------
+# the churn intake
+# ----------------------------------------------------------------------
+
+def pack_starts(starts: list[tuple[Any, ...]], index_of: dict[Any, Any],
+                max_route_len: int, n_links: int,
+                ) -> tuple[list[Any], IntArray, IntArray,
+                           FloatArray | None] | None:
+    """A batch of ``(flow_id, route[, weight])`` starts as the columns
+    ``(ids, lengths, flat, weights)`` in one compiled pass, or ``None``
+    for a batch it does not take.
+
+    It takes the common case: tuples of one arity, float weights > 0,
+    no id in ``index_of``, every route a 1-D contiguous ndarray of int64
+    or uint32 with 1 to ``max_route_len`` hops over links
+    ``[0, n_links)``.  ``weights`` is ``None`` for 2-tuples."""
+    k = len(starts)
+    lengths = np.empty(k, dtype=np.int64)
+    flat = np.empty(k * max_route_len, dtype=np.int64)
+    weights = np.empty(k)
+    packed = _lib.pack_starts(starts, index_of, max_route_len, n_links,
+                              lengths, flat, weights)
+    if packed is None:
+        return None
+    ids, total, weighted = packed
+    return ids, lengths, flat[:total], weights if weighted else None
+
+
+def insert_routes(flat: IntArray, lengths: IntArray, routes: IntArray,
+                  n0: int, pad: int, padded_capacity: FloatArray,
+                  bottleneck: FloatArray) -> None:
+    """Write the concatenated routes ``flat`` (``lengths`` hops each)
+    middle-aligned into storage columns ``[n0, n0 + len(lengths))`` of
+    ``routes``, ``pad`` in the unused slots, and each flow's
+    :func:`min_link_value` of ``padded_capacity`` into ``bottleneck``,
+    bit for bit, in one pass."""
+    _lib.insert_routes(flat, lengths, routes, n0, pad, padded_capacity,
+                       bottleneck)

@@ -18,8 +18,10 @@ carrying flows, so an over-allocated link (``G_l > 0``) raises its
 price proportionally to how *insensitive* its flows are — exactly the
 second-order scaling a Newton step provides, at first-order cost.
 
-Links with no flows have ``H_ll = 0``; their price is driven straight
-to zero (nothing to price).
+Links with no flows have ``H_ll = 0`` and no Newton step; their price
+is parked at the idle price ``U'(c)`` that a lone flow filling the
+link's capacity would see (:func:`ned_prices`), so the first
+allocation after an arrival there is near line rate.
 """
 
 from __future__ import annotations

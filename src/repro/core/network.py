@@ -42,7 +42,6 @@ arrays stay dense.  Ids reach rows through fixed per-flow *handles*
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from operator import attrgetter, countOf
 from typing import Any, TypeVar
 
 import numpy as np
@@ -58,9 +57,6 @@ IntArray = npt.NDArray[np.int64]
 _INITIAL_CAPACITY = 64
 _V = TypeVar("_V")
 _BAD_ROUTE = "route must be a non-empty 1-D sequence of links"
-_INT64 = np.dtype(np.int64)
-_DTYPE = attrgetter("dtype")
-_NDIM = attrgetter("ndim")
 
 
 def _pop_ends(ids: list[Hashable],
@@ -86,18 +82,6 @@ def _pop_ends(ids: list[Hashable],
     return found
 
 
-def _slot_masks(width: int) -> npt.NDArray[np.bool_]:
-    """``masks[k]``: the storage columns a middle-aligned ``k``-hop
-    route occupies in ``width`` (its first ``ceil(k/2)`` hops left, the
-    rest right-aligned).  Row-major order of ``masks[lengths]`` is hop
-    order, so ``block[masks[lengths]] = flat`` lays out a batch of
-    concatenated routes."""
-    lengths = np.arange(width + 1)[:, None]
-    left = (lengths + 1) // 2
-    cols = np.arange(width)
-    return (cols < left) | (cols >= width - (lengths - left))
-
-
 def _pack_starts(starts: list[tuple[Any, ...]],
                  index_of: dict[Hashable, Any], max_route_len: int,
                  n_links: int) -> tuple[list[Hashable], IntArray,
@@ -106,23 +90,25 @@ def _pack_starts(starts: list[tuple[Any, ...]],
     turn it into columns ``(ids, lengths, flat, weights)``.
 
     ``flat`` is the int64 concatenation of the routes, ``lengths``
-    their hop counts, ``weights`` is ``None`` when every weight is the
-    default 1.0.  The one starts parser of :class:`FlowTable`: ids
-    must be absent from ``index_of`` (``KeyError`` naming the first
-    offender in batch order; the insert catches in-batch repeats),
-    routes non-empty, 1-D, at most ``max_route_len`` hops over links
-    ``[0, n_links)``, weights positive (``ValueError``).  Every check
-    is one pass over a column; a scalar loop runs only to unpack a
-    mixed 2-/3-tuple batch and to name an offending id.
+    their hop counts, ``weights`` is ``None`` for a batch of 2-tuples.
+    The one starts parser of :class:`FlowTable`: ids must be absent
+    from ``index_of`` (``KeyError`` naming the first offender in batch
+    order; the insert catches in-batch repeats), routes non-empty,
+    1-D, at most ``max_route_len`` hops over links ``[0, n_links)``,
+    weights positive (``ValueError``).
 
-    Two packing paths accept and reject the same inputs.  When every
-    route is a contiguous 1-D int64 ndarray, their buffers are joined
-    into one ``bytes`` read back as int64, skipping ``np.concatenate``'s
-    per-array conversion (numpy then keeps a ~56-byte buffer
-    description on each route array until it dies).  Any other batch
-    (lists, tuples, the wire's uint32, 2-D arrays, non-contiguous
-    views) is concatenated and cast; the same checks run on either.
+    The common batch (tuples of one arity, float weights, int64 or
+    uint32 ndarray routes, all valid) is checked and packed in one
+    compiled pass, :func:`kernels.pack_starts`.  Any other batch (lists
+    or tuples as routes, other dtypes, 2-D or strided arrays, mixed
+    arities, any error) comes here instead, where every check is one
+    pass over a column and a scalar loop runs only to unpack a mixed
+    2-/3-tuple batch and to name an offending id; so the errors and
+    their messages are this path's.
     """
+    packed = kernels.pack_starts(starts, index_of, max_route_len, n_links)
+    if packed is not None:
+        return packed
     k = len(starts)
     ids: list[Hashable]
     weights: FloatArray | None = None
@@ -165,15 +151,7 @@ def _pack_starts(starts: list[tuple[Any, ...]],
     if widest > max_route_len:
         raise ValueError(
             f"route has {widest} hops; table supports {max_route_len}")
-    flat = None
-    try:  # countOf compares by identity first: one C pass each
-        if (countOf(map(_DTYPE, routes), _INT64) == k
-                and countOf(map(_NDIM, routes), 1) == k):
-            flat = np.frombuffer(b"".join(routes), np.int64)
-    except (AttributeError, TypeError, BufferError):
-        pass
-    if flat is None:
-        flat = np.concatenate(routes)
+    flat = np.concatenate(routes)
     if flat.ndim != 1 or len(flat) != int(lengths.sum()):
         raise ValueError(_BAD_ROUTE)
     flat = flat.astype(np.int64, copy=False)
@@ -267,7 +245,6 @@ class FlowTable:
         # single add writes just the real hops.
         self._routes = np.full((1, _INITIAL_CAPACITY), self.pad_link,
                                dtype=np.int64)
-        self._slot_masks = _slot_masks(1)
         self._weights = np.ones(_INITIAL_CAPACITY)
         # Positionally-aligned flow ids, maintained under swap-remove
         # and batched churn exactly like every other column.  An object
@@ -314,54 +291,26 @@ class FlowTable:
     # ------------------------------------------------------------------
     # churn
     # ------------------------------------------------------------------
-    def _check_new_flow(self, flow_id, route):
-        """Scalar admission checks of :meth:`add_flow` (a batch goes
-        through :func:`_pack_starts`); returns the route as an array.
-        Link-index range and weight positivity are checked by the
-        caller.
-        """
-        if flow_id in self._index_of:
-            raise KeyError(f"flow {flow_id!r} is already active")
-        route = np.asarray(route, dtype=np.int64)
-        if route.ndim != 1 or len(route) == 0:
-            raise ValueError(_BAD_ROUTE)
-        if len(route) > self.max_route_len:
-            raise ValueError(
-                f"route has {len(route)} hops; table supports {self.max_route_len}"
-            )
-        return route
-
     def add_flow(self, flow_id: Hashable, route: npt.ArrayLike,
                  weight: float = 1.0) -> int:
         """Register a flow; returns its (unstable) positional index.
 
         ``route`` is a sequence of link indices.  Every flow must
         traverse at least one link (the paper's feasibility condition
-        ``L(s) != {}``).
+        ``L(s) != {}``).  The columnar insert of one start: the route
+        goes through :func:`_pack_starts`'s checks, then ``weight``
+        must be ``> 0`` (compared as given, so a non-number raises
+        ``TypeError`` where a batch would parse it).
         """
-        route = self._check_new_flow(flow_id, route)
-        if np.any(route < 0) or np.any(route >= self.links.n_links):
-            raise ValueError("route contains an unknown link index")
+        ids, lengths, flat, _ = _pack_starts(
+            [(flow_id, route)], self._index_of, self.max_route_len,
+            self.links.n_links)
         if not weight > 0:
             raise ValueError("flow weight must be positive")
-        if self._n == len(self._weights):
-            self._grow()
-        if len(route) > self.width:
-            self._widen(len(route))
-        idx = self._n
-        self._routes[self._slot_masks[len(route)], idx] = route
-        self._weights[idx] = weight
-        self._ids[idx] = flow_id
-        handle = int(self._handle_at[idx])
-        self._row_of[handle] = idx
-        self._index_of[flow_id] = handle
-        for column in self._columns:
-            column._data[idx] = column.default
-            column.stale_from = min(column.stale_from, idx)
-        self._bottleneck._data[idx] = self._capacity_padded()[route].min()
-        self._n += 1
-        self.version += 1
-        return idx
+        weights = np.empty(1)
+        weights[0] = weight  # converted as a weight-column write would
+        self._insert(ids, lengths, flat, weights)
+        return self._n - 1
 
     def remove_flow(self, flow_id: Hashable) -> int:
         """Remove a flow by id (swap-remove keeps flows dense)."""
@@ -475,10 +424,10 @@ class FlowTable:
         Removing first means an id appearing in both is restarted
         (fresh column state), matching flowlet end-then-start.  The
         tuple form is a thin adaptor: :func:`_pack_starts` validates
-        the batch and turns it into columns (column-wise unpack, one
-        vectorized pass per check), and the columnar insert writes
-        them with a handful of slice assignments (one capacity check,
-        one version bump), which is how the simulation and real-time
+        the batch and turns it into columns (one compiled pass for the
+        common batch), and the columnar insert writes them (one
+        capacity check, one compiled route write, one version bump),
+        which is how the simulation and real-time
         drivers amortize bookkeeping across many flowlet events per
         allocator tick.  Removals go through the batched
         :meth:`remove_flows` (validated atomically) and are applied
@@ -499,7 +448,10 @@ class FlowTable:
         The flows take the top ``k`` free handles, as ``k`` add_flow
         calls would.  The index entries go in first; an in-batch repeat
         (the index grows by less than ``k``) takes them out again and
-        raises ``KeyError`` naming it, before anything else is written."""
+        raises ``KeyError`` naming it, before anything else is written.
+        One compiled pass (:func:`kernels.insert_routes`) then writes
+        each hop column of the block straight from ``flat``, the routes
+        middle-aligned, and folds each flow's bottleneck capacity."""
         k = len(lengths)
         n0 = self._n
         self.reserve(n0 + k)
@@ -515,19 +467,13 @@ class FlowTable:
         if widest > self.width:
             self._widen(widest)
         block = slice(n0, n0 + k)
-        # Middle-aligned scatter into a flow-major pad block (row-major
-        # order of the mask is the concatenation order of the batch's
-        # routes), stored with one transposed copy.
-        rows = np.full((k, self.width), self.pad_link)
-        rows[self._slot_masks[lengths]] = flat
-        routes = self._routes[:, block]
-        routes[:] = rows.T
         self._weights[block] = 1.0 if weights is None else weights
         for column in self._columns:
             column._data[block] = column.default
             column.stale_from = min(column.stale_from, n0)
-        kernels.min_link_value(self._capacity_padded(), routes, k,
-                               self._bottleneck._data[block])
+        kernels.insert_routes(flat, lengths, self._routes, n0, self.pad_link,
+                              self._capacity_padded(),
+                              self._bottleneck._data[block])
         # fromiter keeps tuple ids scalar — a slice-assign of a list
         # would make numpy broadcast them as nested sequences.
         self._ids[block] = np.fromiter(ids, dtype=object, count=k)
@@ -602,7 +548,6 @@ class FlowTable:
         routes[:left, :n] = old[:left, :n]
         routes[width - (len(old) - left):, :n] = old[left:, :n]
         self._routes = routes
-        self._slot_masks = _slot_masks(width)
 
     # ------------------------------------------------------------------
     # queries (views aligned with positional order)

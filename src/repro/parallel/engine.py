@@ -74,14 +74,18 @@ class _Processor:
 
     ``ned.prices`` is the processor's private, full-length price
     vector; only entries of its two LinkBlocks are ever read.
+    ``partial_load`` / ``partial_hessian`` are the engine's own copies
+    of its partials, which phase 2 adds other cells' partials into; the
+    arrays ``ned.partials()`` returned (its load is the optimizer's
+    ``link_load_for`` memo) keep this cell's own sums.
     """
 
     def __init__(self, coords, links, max_route_len, utility, gamma):
         self.coords = coords
         self.table = FlowTable(links, max_route_len=max_route_len)
         self.ned = NedOptimizer(self.table, utility=utility, gamma=gamma)
-        self.partial_load = None
-        self.partial_hessian = None
+        self.partial_load = np.empty(links.n_links)
+        self.partial_hessian = np.empty(links.n_links)
 
 
 class MulticoreNedEngine:
@@ -194,7 +198,9 @@ class MulticoreNedEngine:
         max_flows = 0
         for proc in self.processors.values():
             max_flows = max(max_flows, proc.table.n_flows)
-            _, proc.partial_load, proc.partial_hessian = proc.ned.partials()
+            _, load, hessian = proc.ned.partials()
+            proc.partial_load[:] = load
+            proc.partial_hessian[:] = hessian
         stats.max_flows_per_processor = max(stats.max_flows_per_processor,
                                             max_flows)
         stats.total_flows = self.n_flows

@@ -10,7 +10,11 @@ a block <= 0, one argument too few.  Each call must raise
 valid call (None for an optional vector, reversed or zero-width routes,
 fewer bins for both scatter outputs) may also return.  So must a bad
 route slot, in one chunk or in the last of many, at T = 1 and 2, and an
-output that shares bytes with another argument.
+output that shares bytes with another argument.  The churn intake's
+``pack_starts`` and ``insert_routes`` get the same treatment from an
+explicit list of swaps (wrong arity or types, short, read-only or
+overlapping outputs, a row offset past the storage, bad hop counts and
+slots), and an ``insert_routes`` that raises has written nothing.
 ``tests/test_kernel_sanitizers.py`` runs this file under ASan + UBSan,
 where an out-of-bounds access aborts instead of passing by luck.
 """
@@ -173,3 +177,111 @@ def test_force_threads_rejects_a_bad_count():
     for bad, error in ((-1, ValueError), (65, ValueError), ("2", TypeError)):
         with pytest.raises(error):
             lib._force_threads(bad)
+
+
+def intake_calls(n=N):
+    """Valid calls of the churn intake's two entry points: ``n`` starts
+    of 1 to WIDTH hops, and ``n`` routes inserted at column 2."""
+    rng = np.random.default_rng(2)
+    starts = [(j, rng.integers(0, BINS, size=1 + j % WIDTH))
+              for j in range(n)]
+    lengths = rng.integers(1, WIDTH + 1, size=n)
+    flat = rng.integers(0, BINS, size=int(lengths.sum()))
+    return {
+        "pack_starts": [starts, {}, WIDTH, BINS, np.empty(n, dtype=np.int64),
+                        np.empty(WIDTH * n, dtype=np.int64), np.empty(n)],
+        "insert_routes": [flat, lengths, np.full((WIDTH, n + 4), BINS - 1),
+                          2, BINS - 1, rng.random(BINS), np.empty(n)],
+    }
+
+
+def read_only(x):
+    x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
+def intake_swaps(name, args):
+    """(position, label, value) swaps of one intake call that must raise."""
+    vectors = {pos: args[pos] for pos, value in enumerate(args)
+               if isinstance(value, np.ndarray) and value.ndim == 1}
+    swaps = [(pos, label, value) for pos, x in vectors.items()
+             for label, value in (
+                 ("short", x[:-1]), ("2-D", x.reshape(1, -1)),
+                 ("strided", x[::2]), ("reversed", x[::-1]),
+                 ("list", x.tolist()), ("None", None),
+                 ("wrong dtype", x.astype(np.float64 if x.dtype == np.int64
+                                          else np.int64)))]
+    if name == "pack_starts":
+        swaps += [(0, "tuple", tuple(args[0])), (0, "None", None),
+                  (1, "list", []), (1, "None", None),
+                  (2, "no hops", 0), (2, "negative", -1),
+                  (2, "float", float(WIDTH)), (3, "negative", -1),
+                  (3, "float", float(BINS)),
+                  (4, "too long", np.empty(N + 1, dtype=np.int64)),
+                  (5, "a hop short", np.empty(WIDTH * N - 1, dtype=np.int64))]
+        swaps += [(pos, "read-only", read_only(args[pos])) for pos in (4, 5, 6)]
+    else:
+        lengths = args[1]
+        swaps += [(2, "read-only", read_only(args[2])),
+                  (2, "int32", args[2].astype(np.int32)),
+                  (2, "float", args[2].astype(float)), (2, "1-D", args[2][0]),
+                  (2, "strided", args[2][:, ::2]), (2, "list", args[2].tolist()),
+                  (3, "negative", -1), (3, "past the storage", 5),
+                  (3, "float", 2.0), (4, "negative", -1), (4, "past", BINS),
+                  (4, "float", float(BINS - 1)),
+                  (5, "short", args[5][:3]),
+                  (6, "read-only", read_only(args[6]))]
+        for label, value in (("no hops", 0), ("too many", WIDTH + 1),
+                             ("negative", -1)):
+            bad = lengths.copy()
+            bad[N // 2] = value
+            swaps.append((1, label, bad))
+        for slot in (BINS, -1, 10**6):
+            bad = args[0].copy()
+            bad[-1] = slot
+            swaps.append((0, f"slot {slot}", bad))
+    return swaps
+
+
+@pytest.mark.parametrize("name", ["pack_starts", "insert_routes"])
+def test_the_churn_intake_rejects_every_bad_argument(name):
+    made = 0
+    for pos, label, value in intake_swaps(name, intake_calls()[name]):
+        args = intake_calls()[name]
+        routes = args[2].copy() if name == "insert_routes" else None
+        args[pos] = value
+        with pytest.raises(TYPED):
+            getattr(lib, name)(*args)
+            pytest.fail(f"{name}: arg {pos} {label} returned")
+        if routes is not None and pos != 2:
+            assert args[2].tobytes() == routes.tobytes(), label
+        made += 1
+    with pytest.raises(TypeError):
+        getattr(lib, name)(*intake_calls()[name][:-1])
+    assert made > 30, made
+
+
+def test_the_churn_intake_rejects_overlapping_outputs():
+    ints = np.empty(WIDTH * N + N, dtype=np.int64)
+    floats = np.random.default_rng(3).random(N + BINS)
+    cases = [
+        ("pack_starts", {4: ints[:N], 5: ints[N - 1:N - 1 + WIDTH * N]}),
+        ("pack_starts", {5: ints[:WIDTH * N],
+                         6: ints[:N].view(np.float64)}),
+        ("insert_routes", {6: floats[:N], 5: floats[N - 1:N - 1 + BINS]}),
+        ("insert_routes", {}),   # flat: a row of the storage it writes
+    ]
+    for name, swap in cases:
+        args = intake_calls()[name]
+        for pos, value in swap.items():
+            args[pos] = value
+        if not swap:
+            args[2][0, :len(args[0])] = args[0][:args[2].shape[1]]
+            args[0] = args[2][0, :len(args[0])]
+        with pytest.raises(ValueError, match="overlaps"):
+            getattr(lib, name)(*args)
+            pytest.fail(f"{name}: {sorted(swap)}")
+    for name, args in intake_calls().items():   # the valid calls pass
+        assert (getattr(lib, name)(*args) is None) == (name != "pack_starts")
+

@@ -12,8 +12,9 @@
 - **AddressSanitizer + UndefinedBehaviorSanitizer.**  A copy of
   ``src/repro`` whose ``kernels.CFLAGS`` add ``-g
   -fsanitize=address,undefined -fno-sanitize-recover=all`` runs the
-  kernel tests (the two kernel files, the thread-count tests and the
-  argument fuzz) with gcc's runtimes preloaded.  The CI ``sanitize``
+  kernel tests (the two kernel files, the thread-count tests, the
+  argument fuzz and the flow table's, which drive the churn intake's
+  accepted and handed-back batches) with gcc's runtimes preloaded.  The CI ``sanitize``
   lane runs all of tier-1 that way.
 - **The generic lane helpers.**  The same kernel tests on a copy built
   with ``-U__SSE2__``, so the helpers' non-SSE2 spelling, which no
@@ -37,7 +38,8 @@ CORE = ROOT / "src" / "repro" / "core"
 SANITIZE = ("-g", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=all")
 KERNEL_TESTS = ("test_csr_kernels.py", "test_golden_kernels.py",
-                "test_kernel_threads.py", "test_kernel_args.py")
+                "test_kernel_threads.py", "test_kernel_args.py",
+                "test_network_state.py")
 
 HARNESS = r"""
 #include "_kernels.c"

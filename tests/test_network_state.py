@@ -1,10 +1,12 @@
 """FlowTable: churn bookkeeping and the vectorized NUM kernels."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FlowTable, LinkSet
+from repro.core import FlowTable, LinkSet, kernels
 from repro.core.network import _BAD_ROUTE, _pack_starts
 
 
@@ -773,6 +775,10 @@ def reference_pack(starts, index_of, max_route_len, n_links):
     return ids, lengths, flat, weights
 
 
+class RouteArray(np.ndarray):
+    """An ndarray subclass: a Python class could change what it reads as."""
+
+
 ROUTE_FORMS = {
     "int64": lambda: np.array([0, 3, 5]),
     "int64_one_hop": lambda: np.array([4]),
@@ -785,6 +791,13 @@ ROUTE_FORMS = {
     "list": lambda: [1, 2],
     "tuple": lambda: (5, 0, 1),
     "uint32": lambda: np.array([3, 4], dtype=np.uint32),
+    "uint32_little_endian": lambda: np.array([5, 0, 2], dtype="<u4"),
+    "uint32_big_endian": lambda: np.array([3, 4], dtype=">u4"),
+    "uint32_big_endian_out_of_range": lambda: np.array([1, 2**32 - 1],
+                                                       dtype=">u4"),
+    "uint32_out_of_range": lambda: np.array([6], dtype=np.uint32),
+    "memoryview": lambda: memoryview(np.array([0, 5])),
+    "subclass": lambda: np.array([1, 2]).view(RouteArray),
     "int32": lambda: np.array([2, 5, 0], dtype=np.int32),
     "bool": lambda: np.array([True, False, True]),
     "float64_integral": lambda: np.array([1.0, 2.0, 5.0]),
@@ -810,6 +823,60 @@ def pack_outcome(packer, starts):
         return type(exc), str(exc)
     return (ids, lengths.dtype, lengths.tolist(), flat.dtype,
             flat.tobytes(), None if weights is None else weights.tolist())
+
+
+#: The route forms the compiled pass packs itself.
+COMPILED_FORMS = {"int64", "int64_one_hop", "int64_read_only", "uint32",
+                  "uint32_little_endian", "uint32_big_endian", "memoryview"}
+PACK_WEIGHTS = (2, True, np.float64(2.0), float("nan"), 0.0, -0.0,
+                float("inf"), -1.0, "2", None, 1e-300)
+HOSTILE_CAPACITIES = (float("nan"), -float("nan"), 0.0, -0.0, float("inf"),
+                      -float("inf"), 5e-324, 1.0, 2.0, 2.0)
+
+
+class HashRaises:
+    def __hash__(self):
+        raise RuntimeError("no hash for this id")
+
+
+class Collider:
+    """Hashes like ``"active"``, so the index compares it with that
+    key; its == then drops ``"active"`` or inserts itself."""
+
+    def __init__(self, index, insert):
+        self.index, self.insert, self.inserted = index, insert, False
+
+    def __hash__(self):
+        return hash("active")
+
+    def __eq__(self, other):
+        if not self.insert:
+            self.index.pop("active", None)
+        elif not self.inserted:
+            self.inserted = True
+            self.index[self] = 9
+        return False
+
+    def __repr__(self):
+        return f"Collider(insert={self.insert})"
+
+
+HOSTILE_STARTS = {
+    "unhashable_id": lambda index: [(0, np.array([1])),
+                                    (["a"], np.array([2]))],
+    "tuple_ids": lambda index: [(("c", j), np.array([j, 4]))
+                                for j in range(3)],
+    "hash_raises": lambda index: [(0, np.array([1])),
+                                  (HashRaises(), np.array([2]))],
+    "eq_drops_a_key": lambda index: [(0, np.array([1])),
+                                     (Collider(index, False), np.array([2]))],
+    "eq_inserts_the_id": lambda index: [
+        (0, np.array([1])), (Collider(index, True), np.array([2]))],
+    "lists": lambda index: [[j, np.array([j])] for j in range(3)],
+    "one_tuple": lambda index: [(0,)],
+    "four_tuple": lambda index: [(0, np.array([1]), 1.0, "extra")],
+    "active_id_last": lambda index: [(j, np.array([j])) for j in (0, 1, 7)],
+}
 
 
 class TestRoutePacking:
@@ -839,3 +906,184 @@ class TestRoutePacking:
         starts = [("new", [0]), ("active", np.array([9.5]))]
         assert pack_outcome(_pack_starts, starts) == (
             KeyError, "\"flow 'active' is already active\"")
+
+    @pytest.mark.parametrize("form", sorted(ROUTE_FORMS))
+    def test_the_compiled_pass_takes_exactly_the_common_forms(self, form):
+        """It packs a valid batch of int64 or uint32 buffers of a static
+        type, as the reference does, and hands anything else back."""
+        starts = [(j, ROUTE_FORMS[form]()) for j in range(3)]
+        packed = kernels.pack_starts(starts, {"active": 0}, 4, 6)
+        assert (packed is not None) == (form in COMPILED_FORMS)
+        if packed is not None:
+            assert (pack_outcome(kernels.pack_starts, starts)
+                    == pack_outcome(reference_pack, starts))
+
+    @pytest.mark.parametrize("weight", PACK_WEIGHTS,
+                             ids=[repr(w) for w in PACK_WEIGHTS])
+    def test_every_weight(self, weight):
+        for odd in range(3):  # first, in the middle, last
+            starts = [(j, np.array([j, 5]), weight if j == odd else 0.5 + j)
+                      for j in range(3)]
+            assert (pack_outcome(_pack_starts, starts)
+                    == pack_outcome(reference_pack, starts))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_STARTS))
+    def test_hostile_ids_and_start_shapes(self, case):
+        """Ids whose hash or == runs code, and starts that are not
+        2-/3-tuples: the same outcome, and the same index after it."""
+        outcomes = []
+        for packer in (_pack_starts, reference_pack):
+            index = {"active": 0, 7: 1}
+            try:
+                ids, lengths, flat, weights = packer(
+                    HOSTILE_STARTS[case](index), index, 4, 6)
+                outcome = (list(map(repr, ids)), lengths.tobytes(),
+                           flat.tobytes(), weights is None)
+            except Exception as exc:  # the outcome under test
+                outcome = (type(exc), str(exc))
+            outcomes.append((outcome, [(repr(key), value)
+                                       for key, value in index.items()]))
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_generator_of_starts(self):
+        starts = [(j, np.array([j % 6, 5]), 1.5) for j in range(5)]
+        tables = make_table(), make_table()
+        tables[0].apply_churn(starts=(start for start in starts))
+        tables[1].apply_churn(starts=starts)
+        assert tables[0].flow_ids() == tables[1].flow_ids()
+        assert tables[0].routes.tobytes() == tables[1].routes.tobytes()
+        assert tables[0].weights.tobytes() == tables[1].weights.tobytes()
+
+    def test_no_reference_is_leaked_or_lost(self):
+        """1000 packed and 1000 handed-back batches of each kind leave
+        every route's and id's reference count as it was."""
+        routes = [np.array([j % 6, 5]) for j in range(6)]
+        routes.append(np.array([2, 3], dtype=">u4"))
+        ids = [f"flow-{j}" for j in range(len(routes))]
+        index = {ids[3]: 0}
+        fresh = [(ids[j], routes[j]) for j in range(len(routes)) if j != 3]
+        weighted = [start + (1.5,) for start in fresh]
+        batches = [
+            (fresh, True), (weighted, True),
+            (fresh + [(ids[3], routes[3])], False),        # an active id
+            (fresh[:-1] + [(ids[6], [2, 3])], False),      # a list route
+            (weighted[:2] + [(ids[2], routes[2], 0.0)], False),
+            (fresh[:2] + [weighted[2]], False),            # mixed arity
+            (fresh[:2] + [(ids[2], np.arange(6)[::2])], False),  # strided
+            ([(["unhashable"], routes[0])], False),
+        ]
+        counts = [sys.getrefcount(x) for x in routes + ids]
+        for starts, packs in batches:
+            for _ in range(1000):
+                packed = kernels.pack_starts(starts, index, 4, 6)
+                assert (packed is not None) == packs
+            del packed
+        assert [sys.getrefcount(x) for x in routes + ids] == counts
+
+    def test_insert_routes_equals_the_masked_write_and_min_fold(self):
+        """Every hop column straight from the flat routes, middle-aligned,
+        and the bottleneck of min_link_value's fold, NaNs and signed
+        zeros included, whatever the pad entry holds."""
+        rng = np.random.default_rng(4)
+        for width in range(1, 6):
+            for trial in range(20):
+                k, n0, pad = int(rng.integers(1, 40)), 3, 6
+                lengths = rng.integers(1, width + 1, size=k)
+                flat = rng.integers(0, 7, size=int(lengths.sum()))
+                padded = rng.choice(HOSTILE_CAPACITIES, size=7)
+                routes = np.full((width, k + 9), pad)
+                before = routes.copy()
+                bottleneck = np.empty(k)
+                kernels.insert_routes(flat, lengths, routes, n0, pad,
+                                      padded, bottleneck)
+                rows = np.full((k, width), pad)
+                rows[middle_aligned(lengths, width).T] = flat
+                before[:, n0:n0 + k] = rows.T
+                assert routes.tobytes() == before.tobytes()
+                want = kernels.min_link_value(padded, routes[:, n0:n0 + k],
+                                              k, np.empty(k))
+                assert bottleneck.tobytes() == want.tobytes(), (width, trial)
+
+
+
+# ----------------------------------------------------------------------
+# add_flow against the scalar insert it was before it packed one start
+# ----------------------------------------------------------------------
+def reference_add_flow(table, flow_id, route, weight=1.0):
+    """``FlowTable.add_flow`` as a scalar insert: its own checks, one
+    masked column write, ``min`` over the padded capacities.  The
+    oracle every route form and weight must add or fail exactly like."""
+    if flow_id in table._index_of:
+        raise KeyError(f"flow {flow_id!r} is already active")
+    route = np.asarray(route, dtype=np.int64)
+    if route.ndim != 1 or len(route) == 0:
+        raise ValueError(_BAD_ROUTE)
+    if len(route) > table.max_route_len:
+        raise ValueError(
+            f"route has {len(route)} hops; table supports "
+            f"{table.max_route_len}")
+    if np.any(route < 0) or np.any(route >= table.links.n_links):
+        raise ValueError("route contains an unknown link index")
+    if not weight > 0:
+        raise ValueError("flow weight must be positive")
+    if table._n == len(table._weights):
+        table._grow()
+    if len(route) > table.width:
+        table._widen(len(route))
+    idx = table._n
+    slots = middle_aligned(np.array([len(route)]), table.width)[:, 0]
+    table._routes[slots, idx] = route
+    table._weights[idx] = weight
+    table._ids[idx] = flow_id
+    handle = int(table._handle_at[idx])
+    table._row_of[handle] = idx
+    table._index_of[flow_id] = handle
+    for column in table._columns:
+        column._data[idx] = column.default
+        column.stale_from = min(column.stale_from, idx)
+    table._bottleneck._data[idx] = table._capacity_padded()[route].min()
+    table._n += 1
+    table.version += 1
+    return idx
+
+
+ADD_WEIGHTS = (1.0, 2, True, np.float64(0.5), np.float32(0.1), float("nan"),
+               0.0, -0.0, float("inf"), -1.0, "2", None)
+ADD_IDS = ("new", "active", ("tuple", 1), ["unhashable"])
+
+
+def add_outcome(add, flow_id, route, weight):
+    """What one add does to a 63-flow table (one add from a growth):
+    the exception, or the returned index and every array's bytes."""
+    table = FlowTable(LinkSet([10.0, 4.0, 40.0, 7.0, 5.0, 2.5]),
+                      max_route_len=4)
+    column = table.add_column(default=-2.0)
+    table.apply_churn(starts=[("active", [0, 1])]
+                      + [(j, [j % 6]) for j in range(62)])
+    column.stale_from = table.n_flows
+    try:
+        result = add(table, flow_id, route, weight)
+    except Exception as exc:  # the outcome under test
+        result = (type(exc), str(exc))
+    table.audit()
+    return (result, table._routes.tobytes(), table._weights.tobytes(),
+            table._ids.tolist(), table.bottleneck_capacity().tobytes(),
+            dict(table._index_of), table._handle_at.tobytes(),
+            table._row_of.tobytes(), column._data.tobytes(),
+            column.stale_from, table.version, table.n_flows)
+
+
+class TestAddFlowOutcome:
+    """``add_flow`` keeps the scalar insert's outcome for every route
+    form, weight and kind of id: the same exception and message, or
+    the same index and table bytes."""
+
+    @pytest.mark.parametrize("form", sorted(ROUTE_FORMS))
+    def test_every_weight_and_id(self, form):
+        for flow_id in ADD_IDS:
+            for weight in ADD_WEIGHTS:
+                route = ROUTE_FORMS[form]
+                assert (add_outcome(FlowTable.add_flow, flow_id, route(),
+                                    weight)
+                        == add_outcome(reference_add_flow, flow_id, route(),
+                                       weight)), (flow_id, weight)

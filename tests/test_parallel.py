@@ -431,6 +431,23 @@ class TestEngineApplyChurn:
         engine.apply_churn(ends=[0])
         assert engine.n_flows == 0 and engine.rates() == {}
 
+    def test_a_processor_keeps_its_own_load_after_aggregation(self):
+        """Phase 2 adds into the engine's copies of the partials, so each
+        processor's load memo (``link_load_for``) stays its cell's own
+        load, while the aggregated copies differ from it."""
+        topology = clos_for_blocks(2)
+        engine = MulticoreNedEngine(topology, 2)
+        engine.apply_churn(starts=random_starts(
+            topology, np.random.default_rng(9), range(80)))
+        engine.iterate(2)
+        aggregated = 0
+        for proc in engine.processors.values():
+            rates = proc.ned._load_memo[1]
+            own = proc.table.link_totals(rates)
+            assert proc.ned.link_load_for(rates).tobytes() == own.tobytes()
+            aggregated += proc.partial_load.tobytes() != own.tobytes()
+        assert aggregated
+
     def test_bad_end_id_leaves_engine_unchanged(self):
         topology = clos_for_blocks(2)
         engine = MulticoreNedEngine(topology, 2)
