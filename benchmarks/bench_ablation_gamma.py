@@ -7,6 +7,8 @@ over-allocation and throughput — the two quantities a bad step size
 would wreck — to confirm the plateau the paper describes.
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro.analysis import format_table
@@ -23,8 +25,8 @@ def test_gamma_sweep(benchmark):
         results = {}
         for gamma in GAMMAS:
             _, _, _, simulator = build_fluid_setup(
-                workload="web", load=0.6, optimizer_cls=NedOptimizer,
-                optimizer_kwargs={"gamma": gamma}, seed=31,
+                workload="web", load=0.6,
+                optimizer_cls=partial(NedOptimizer, gamma=gamma), seed=31,
                 n_racks=SCALE.n_racks, hosts_per_rack=SCALE.hosts_per_rack,
                 n_spines=SCALE.n_spines)
             metrics = simulator.run(SCALE.fluid_duration,

@@ -9,9 +9,7 @@ pass; F-NORM with the §6.4 mask) on paper-topology tables of 32, 1024,
 ``multicore_16proc`` (512 flows, ~32 per cell), where the per-call
 cost decides.  Every checkout's ``repro`` is imported into one process
 (warm heap) and the checkouts are timed in alternating order per
-round, so a host speed shift hits them alike.  A checkout whose
-``FlowTable`` has no compiled passes runs them as its allocator did:
-``rate_pass`` / ``max_pass`` with numpy callbacks per chunk.
+round, so a host speed shift hits them alike.
 
     python benchmarks/results/kernel_sweep.py PARENT_CHECKOUT CHECKOUT
 """
@@ -44,10 +42,10 @@ def table_ops(repro, n):
     return [lambda: table.link_totals2(a, b),
             lambda: table.price_sums(per_link),
             lambda: table.max_link_value(per_link),
-            *pass_ops(repro, table, rng)]
+            *pass_ops(table, rng)]
 
 
-def pass_ops(repro, table, rng):
+def pass_ops(table, rng):
     """NED's pass (capped log utility) and F-NORM's pass with the mask,
     as the checkout's allocator runs them."""
     n = table.n_flows
@@ -56,33 +54,9 @@ def pass_ops(repro, table, rng):
     caps, raw, rates = 0.1 * rng.random(n), rng.random(n), np.empty(n)
     last, pending = np.full(n, np.nan), np.zeros(n, dtype=np.bool_)
     changed = np.empty(n, dtype=np.bool_)
-    if hasattr(table, "log_rate_pass"):
-        return [lambda: table.log_rate_pass(prices, caps, rates),
-                lambda: table.f_norm_pass(ratios, raw, 1e-12, True,
-                                          (last, pending, 0.01, changed))]
-    # The callback passes as the parent's NedOptimizer._step and
-    # allocator (F-NORM's chunk scale + _mask_chunk) spelled them.
-    weights, utility = table.weights, repro.core.LogUtility()
-    mask_chunk = repro.core.allocator._mask_chunk
-
-    def per_flow(r0, r1, rho, rate_out, deriv_out):
-        np.maximum(rho, caps[r0:r1], out=rho)
-        utility.rate_and_derivative(rho, weights[r0:r1], rate_out,
-                                    deriv_out)
-
-    def f_norm_pass():
-        out = np.empty(n)
-
-        def scale(r0, r1, worst):
-            np.maximum(worst, 1e-12, out=worst)
-            chunk = np.divide(raw[r0:r1], worst, out=out[r0:r1])
-            mask_chunk(chunk, last[r0:r1], pending[r0:r1], 0.01,
-                       changed[r0:r1])
-
-        table.max_pass(ratios, scale)
-        return out
-
-    return [lambda: table.rate_pass(prices, rates, per_flow), f_norm_pass]
+    return [lambda: table.log_rate_pass(prices, caps, rates),
+            lambda: table.f_norm_pass(ratios, raw, 1e-12, True,
+                                      (last, pending, 0.01, changed))]
 
 
 def engine_op(repro):

@@ -23,14 +23,12 @@ most ``MAX_ORPHAN_TICKS``.
 from __future__ import annotations
 
 from ..core.allocator import ChurnQueue, group_by_owner
-from ..core.ned import NedOptimizer
 from ..core.normalization import FNormalizer
 from ..sampling import make_scheduler
 from ..sampling.scheduler import RateScheduler
 from ..sim.devices import Device
 from ..sim.packet import Packet
-from .endpoint import control_frame_bytes
-from .messages import RATE_UPDATE_BYTES
+from .messages import RATE_UPDATE_BYTES, control_frame_bytes
 
 __all__ = ["AllocatorNode"]
 
@@ -42,38 +40,23 @@ MAX_ORPHAN_TICKS = 64
 class AllocatorNode(Device):
     """The centralized allocator as a network-attached device."""
 
-    def __init__(self, network, allocator: RateScheduler | None = None,
-                 mode: str | None = None):
+    def __init__(self, network):
         self.network = network
         self.sim = network.sim
         self.config = network.config
         topology = network.topology
-        if allocator is None:
-            # Reserve headroom for reverse-path ACKs and control frames
-            # (the allocator prices data flows only), and use
-            # scale-down-only F-NORM: in the online setting, scaling
-            # flows *up* the instant a flowlet departs double-books
-            # links for the ~2 ticks it takes the scale-downs to reach
-            # other endpoints.  Both trade a sliver of throughput for
-            # the near-empty queues §6.5 measures.
-            links = topology.link_set()
-            links.capacity *= 1.0 - self.config.allocator_capacity_margin
-            if mode is None:
-                mode = getattr(self.config, "scheduler_mode", "flowtune")
-            scheduler_kwargs = {}
-            if mode != "ecmp":
-                scheduler_kwargs = dict(
-                    optimizer_cls=NedOptimizer,
-                    normalizer=FNormalizer(allow_scale_up=False),
-                    gamma=self.config.allocator_gamma)
-            allocator = make_scheduler(
-                links, mode=mode,
-                update_threshold=self.config.update_threshold,
-                **scheduler_kwargs)
-        elif mode is not None:
-            raise ValueError("pass either a constructed allocator or "
-                             "mode=, not both")
-        self.allocator = allocator
+        # Reserve headroom for reverse-path ACKs and control frames (the
+        # allocator prices data flows only), and use scale-down-only
+        # F-NORM: in the online setting, scaling flows *up* the instant
+        # a flowlet departs double-books links for the ~2 ticks it
+        # takes the scale-downs to reach other endpoints.  Both trade a
+        # sliver of throughput for the near-empty queues §6.5 measures.
+        links = topology.link_set()
+        links.capacity *= 1.0 - self.config.allocator_capacity_margin
+        self.allocator: RateScheduler = make_scheduler(
+            links, normalizer=FNormalizer(allow_scale_up=False),
+            gamma=self.config.allocator_gamma,
+            update_threshold=self.config.update_threshold)
         self.topology = topology
         network.attach_allocator(self)
         self.queue = ChurnQueue()
@@ -133,10 +116,11 @@ class AllocatorNode(Device):
 
     def _ack(self, host_id, seq):
         route = self.network.control_route_from_allocator(host_id)
-        ack = Packet(None, seq, 64, Packet.CONTROL, route)
+        frame = control_frame_bytes(0)
+        ack = Packet(None, seq, frame, Packet.CONTROL, route)
         ack.payload = ("ctrl_ack", seq)
         ack.hop = 0
-        self.network.stats.control_bytes_from_allocator += 64
+        self.network.stats.control_bytes_from_allocator += frame
         route[0].send(ack)
 
     # ------------------------------------------------------------------

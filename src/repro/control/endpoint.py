@@ -14,20 +14,13 @@ from __future__ import annotations
 from ..sim.engine import Timer
 from ..sim.packet import Packet
 from .messages import (FLOWLET_END_BYTES, FLOWLET_START_BYTES,
-                       TCP_IP_HEADER_BYTES)
+                       control_frame_bytes)
 
-__all__ = ["HostControlAgent", "control_frame_bytes"]
+__all__ = ["HostControlAgent"]
 
-_ETHERNET = 18
-_MIN_FRAME = 64
 #: ARQ retransmissions before declaring the allocator unreachable and
 #: dropping the notification (endpoints then rely on rate expiry).
 MAX_RETRIES = 64
-
-
-def control_frame_bytes(payload_bytes):
-    """On-wire frame size for a control payload (no preamble/IFG)."""
-    return max(_MIN_FRAME, payload_bytes + TCP_IP_HEADER_BYTES + _ETHERNET)
 
 
 class HostControlAgent:

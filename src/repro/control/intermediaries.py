@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .messages import (PREAMBLE_IFG_BYTES, RATE_UPDATE_BYTES,
-                       wire_bytes)
+from .messages import (ETHERNET_HEADER_BYTES, PREAMBLE_IFG_BYTES,
+                       RATE_UPDATE_BYTES, TCP_IP_HEADER_BYTES, wire_bytes)
 
 __all__ = ["UpdatePlane", "direct_update_plane", "intermediary_update_plane"]
 
 MTU_BYTES = 1500
-_FRAME_OVERHEAD = 58 + PREAMBLE_IFG_BYTES  # TCP/IP + Ethernet + preamble
+_FRAME_OVERHEAD = (TCP_IP_HEADER_BYTES + ETHERNET_HEADER_BYTES
+                   + PREAMBLE_IFG_BYTES)
 
 
 @dataclass(frozen=True)

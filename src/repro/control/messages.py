@@ -20,7 +20,8 @@ __all__ = [
     "FLOWLET_START_BYTES", "FLOWLET_END_BYTES", "FLOWLET_USAGE_BYTES",
     "RATE_UPDATE_BYTES",
     "TCP_IP_HEADER_BYTES", "ETHERNET_HEADER_BYTES", "MIN_FRAME_BYTES",
-    "PREAMBLE_IFG_BYTES", "wire_bytes", "batched_wire_bytes",
+    "PREAMBLE_IFG_BYTES", "control_frame_bytes", "wire_bytes",
+    "batched_wire_bytes",
 ]
 
 #: §6.2 payload encodings.
@@ -77,11 +78,17 @@ class ControlMessage:
     weight: float = 1.0
 
 
+def control_frame_bytes(payload_bytes: int) -> int:
+    """Ethernet frame size of one TCP segment carrying ``payload_bytes``
+    (no preamble/IFG): what the packet simulator's control packets
+    carry, a payload-less ack included."""
+    return max(MIN_FRAME_BYTES,
+               payload_bytes + TCP_IP_HEADER_BYTES + ETHERNET_HEADER_BYTES)
+
+
 def wire_bytes(payload_bytes: int) -> int:
     """Bytes one message consumes on the wire as its own TCP segment."""
-    frame = max(MIN_FRAME_BYTES,
-                payload_bytes + TCP_IP_HEADER_BYTES + ETHERNET_HEADER_BYTES)
-    return frame + PREAMBLE_IFG_BYTES
+    return control_frame_bytes(payload_bytes) + PREAMBLE_IFG_BYTES
 
 
 def batched_wire_bytes(payload_list: Iterable[int]) -> int:

@@ -13,9 +13,9 @@ link for threshold 0.01), exactly as described in the paper.
 
 from __future__ import annotations
 
-import inspect
 import threading
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
+from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -24,13 +24,16 @@ import numpy.typing as npt
 from . import kernels
 from .ned import NedOptimizer
 from .network import FlowTable, LinkSet
-from .normalization import (_EPSILON, FNormalizer, Normalizer,
-                            _CallableNormalizer, link_ratios)
+from .normalization import _EPSILON, FNormalizer, Normalizer, link_ratios
 from .utility import Utility
 
 __all__ = ["RateUpdate", "AllocationResult", "TableScheduler",
            "FlowtuneAllocator", "ChurnQueue", "group_by_owner",
-           "threshold_update_mask"]
+           "threshold_update_mask", "UPDATE_THRESHOLD"]
+
+#: The §6.4 notification threshold, also the capacity headroom: the
+#: schedulers' default, and the paper's §6.2 setting.
+UPDATE_THRESHOLD = 0.01
 
 
 class RateUpdate(NamedTuple):
@@ -185,6 +188,10 @@ class TableScheduler:
     :meth:`_f_norm_result`: :class:`FlowtuneAllocator` normalizes NED's
     rates against headroom capacities, :class:`~repro.sampling.
     EcmpScheduler` the weights against ``W / avail``.
+
+    ``update_threshold`` is the §6.4 notification threshold;
+    ``table_options`` (``max_route_len``) go to the
+    :class:`~repro.core.network.FlowTable`.
     """
 
     #: Whether drivers should feed per-flow byte counts through
@@ -192,14 +199,14 @@ class TableScheduler:
     #: the sampled scheduler flips this on.
     wants_usage: bool = False
 
-    def __init__(self, links: LinkSet, update_threshold: float,
-                 max_route_len: int) -> None:
+    def __init__(self, links: LinkSet,
+                 update_threshold: float = UPDATE_THRESHOLD,
+                 **table_options: Any) -> None:
         if not 0 <= update_threshold < 1:
             raise ValueError("update_threshold must be in [0, 1)")
         self.full_links = links
         self.update_threshold = float(update_threshold)
-        self.table = FlowTable(self._table_links(links),
-                               max_route_len=max_route_len)
+        self.table = FlowTable(self._table_links(links), **table_options)
         # Positionally-aligned per-flow state, maintained by the flow
         # table under swap-remove churn; the column defaults make
         # flowlet start/end pure table operations.
@@ -304,56 +311,43 @@ class FlowtuneAllocator(TableScheduler):
     utility:
         NUM objective; default proportional fairness.
     optimizer_cls:
-        Price-update algorithm (default
+        Price-update algorithm: a class, or a ``functools.partial`` of
+        one carrying its own options, called as ``optimizer_cls(table,
+        utility=utility)`` (default
         :class:`~repro.core.ned.NedOptimizer`).
     normalizer:
-        Feasibility post-processor (default F-NORM).
-    update_threshold:
-        Relative rate-change threshold for notifying endpoints (§6.4);
-        also the capacity headroom fraction.
+        Feasibility post-processor, a
+        :class:`~repro.core.normalization.Normalizer` (default F-NORM).
     gamma:
-        Optimizer step size (§6.2 uses 0.4 in simulation, 1.0 in the
-        allocator microbenchmarks).
+        The optimizer's step size, passed on only when given, so each
+        algorithm otherwise keeps its own default (§6.2 uses 0.4 in
+        simulation, 1.0 in the allocator microbenchmarks).  An
+        optimizer without one (FGM) rejects it with ``TypeError``.
+    update_threshold, max_route_len:
+        :class:`TableScheduler`'s relative rate-change threshold for
+        notifying endpoints (§6.4), also the capacity headroom
+        fraction, and :class:`~repro.core.network.FlowTable`'s hop
+        limit; both keep their defaults unless given.
     """
 
     def __init__(self, links: LinkSet, utility: Utility | None = None,
-                 optimizer_cls: type = NedOptimizer,
-                 normalizer: Normalizer | None = None,
-                 update_threshold: float = 0.01, gamma: float = 1.0,
-                 max_route_len: int = 8,
-                 optimizer_kwargs: dict | None = None) -> None:
-        super().__init__(links, update_threshold, max_route_len)
-        kwargs = dict(optimizer_kwargs or {})
-        accepts_gamma = "gamma" in inspect.signature(
-            optimizer_cls.__init__).parameters
-        if accepts_gamma:
-            kwargs.setdefault("gamma", gamma)
-        self.optimizer = optimizer_cls(self.table, utility=utility, **kwargs)
+                 optimizer_cls: Callable[..., Any] = NedOptimizer,
+                 normalizer: Normalizer | None = None, *,
+                 gamma: float | None = None,
+                 **table_options: Any) -> None:
+        super().__init__(links, **table_options)
+        if gamma is not None:
+            optimizer_cls = partial(optimizer_cls, gamma=gamma)
+        self.optimizer = optimizer_cls(self.table, utility=utility)
         if normalizer is None:
             normalizer = FNormalizer()
-        # The normalizer must accept the optimizer's per-link load
-        # (saves F-NORM's re-scatter of the very rates the price
-        # update just scattered).  The two-argument compatibility
-        # fallback is gone; fail at construction, not mid-iterate.
-        try:
-            # signature() on the callable itself follows __call__ for
-            # instances and reports real parameters for plain
-            # functions (inspecting .__call__ directly would see the
-            # generic (*args, **kwargs) method-wrapper for those).
-            params = inspect.signature(normalizer).parameters.values()
-            takes_load = any(p.name == "link_load" or p.kind == p.VAR_KEYWORD
-                             for p in params)
-        except (TypeError, ValueError):  # builtins, odd callables
-            takes_load = False
-        if not takes_load:
+        elif not isinstance(normalizer, Normalizer):
+            # Fail at construction, not mid-iterate.
             raise TypeError(
-                "normalizer must accept a link_load= keyword: add "
-                "link_load=None to "
-                f"{type(normalizer).__name__}.__call__ (see "
-                "repro.core.normalization.Normalizer); the legacy "
-                "two-argument form is no longer called")
-        self.normalizer = (normalizer if isinstance(normalizer, Normalizer)
-                           else _CallableNormalizer(normalizer))
+                "normalizer must be a repro.core.normalization.Normalizer,"
+                " called as (table, rates, link_load=None); got "
+                f"{type(normalizer).__name__}")
+        self.normalizer = normalizer
         # F-NORM, unless a subclass normalizes through its own __call__,
         # runs as one compiled pass with the §6.4 mask on each chunk.
         self._f_norm_pass = (type(self.normalizer).__call__

@@ -27,20 +27,16 @@ __all__ = ["FgmOptimizer"]
 class FgmOptimizer(PriceOptimizer):
     """Nesterov-accelerated dual gradient with a crude Lipschitz bound.
 
-    Parameters
-    ----------
-    max_rate:
-        Cap used in the curvature bound; defaults to the largest link
-        capacity (no flow can sustainably exceed it).
+    It has no step size: the bound scales each link's step.  Its rate
+    cap ``max_rate`` is the largest link capacity (no flow can
+    sustainably exceed it).
     """
 
     name = "FGM"
 
-    def __init__(self, table, utility=None, max_rate: float | None = None,
-                 initial_price: float = 1.0):
-        super().__init__(table, utility=utility, initial_price=initial_price)
-        self.max_rate = (float(max_rate) if max_rate is not None
-                         else float(np.max(table.links.capacity)))
+    def __init__(self, table, utility=None):
+        super().__init__(table, utility=utility)
+        self.max_rate = float(np.max(table.links.capacity))
         self._momentum_t = 1.0
         self._previous_prices = self.prices.copy()
 

@@ -36,9 +36,8 @@ class GradientOptimizer(PriceOptimizer):
 
     name = "Gradient"
 
-    def __init__(self, table, utility=None, gamma: float = 1e-3,
-                 initial_price: float = 1.0):
-        super().__init__(table, utility=utility, initial_price=initial_price)
+    def __init__(self, table, utility=None, gamma: float = 1e-3):
+        super().__init__(table, utility=utility)
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)

@@ -33,7 +33,12 @@ from .network import FloatArray, FlowTable
 from .optimizer import PriceOptimizer
 from .utility import LogUtility, Utility
 
-__all__ = ["NedOptimizer", "ned_prices"]
+__all__ = ["NedOptimizer", "ned_prices", "SIMULATION_GAMMA"]
+
+#: §6.2's step size for the simulations ("experiments have gamma =
+#: 0.4"); the packet simulator's ``SimConfig.allocator_gamma`` and the
+#: fluid setup read it.  NED's own default stays ``gamma = 1``.
+SIMULATION_GAMMA = 0.4
 
 
 class NedOptimizer(PriceOptimizer):
@@ -50,10 +55,8 @@ class NedOptimizer(PriceOptimizer):
     name = "NED"
 
     def __init__(self, table: FlowTable, utility: Utility | None = None,
-                 gamma: float = 1.0, initial_price: float = 1.0,
-                 cap_rates: bool = True) -> None:
-        super().__init__(table, utility=utility, initial_price=initial_price,
-                         cap_rates=cap_rates)
+                 gamma: float = 1.0, cap_rates: bool = True) -> None:
+        super().__init__(table, utility=utility, cap_rates=cap_rates)
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)

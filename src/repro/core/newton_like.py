@@ -23,6 +23,12 @@ from .optimizer import PriceOptimizer
 
 __all__ = ["NewtonLikeOptimizer"]
 
+#: EWMA weight of a new slope measurement (``beta`` in the original
+#: paper's averaging; higher reacts faster but is noisier).
+_SMOOTHING = 0.3
+#: Magnitude of the Hessian-diagonal guess before any measurement.
+_INITIAL_DIAGONAL = 1.0
+
 
 class NewtonLikeOptimizer(PriceOptimizer):
     """Diagonal-scaled dual ascent with a *measured* diagonal.
@@ -31,29 +37,17 @@ class NewtonLikeOptimizer(PriceOptimizer):
     ----------
     gamma:
         Step-size scale (same role as in NED).
-    smoothing:
-        EWMA weight for new slope measurements (``beta`` in the
-        original paper's averaging; higher reacts faster but is
-        noisier).
-    initial_diagonal:
-        Magnitude of the initial Hessian-diagonal guess before any
-        measurement exists.
     """
 
     name = "Newton-like"
 
-    def __init__(self, table, utility=None, gamma: float = 1.0,
-                 smoothing: float = 0.3, initial_diagonal: float = 1.0,
-                 initial_price: float = 1.0):
-        super().__init__(table, utility=utility, initial_price=initial_price)
+    def __init__(self, table, utility=None, gamma: float = 1.0):
+        super().__init__(table, utility=utility)
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        if not 0 < smoothing <= 1:
-            raise ValueError("smoothing must be in (0, 1]")
         self.gamma = float(gamma)
-        self.smoothing = float(smoothing)
-        n_links = table.links.n_links
-        self._diag_estimate = np.full(n_links, -abs(initial_diagonal))
+        self._diag_estimate = np.full(table.links.n_links,
+                                      -_INITIAL_DIAGONAL)
         self._previous_prices = None
         self._previous_over = None
 
@@ -67,8 +61,8 @@ class NewtonLikeOptimizer(PriceOptimizer):
                              self._diag_estimate)
             # The true diagonal is negative; discard wrong-signed noise.
             slope = np.minimum(slope, -1e-12)
-            self._diag_estimate = ((1.0 - self.smoothing) * self._diag_estimate
-                                   + self.smoothing * slope)
+            self._diag_estimate = ((1.0 - _SMOOTHING) * self._diag_estimate
+                                   + _SMOOTHING * slope)
         self._previous_prices = self.prices.copy()
         self._previous_over = over.copy()
         step = over / self._diag_estimate

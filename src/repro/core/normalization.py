@@ -27,8 +27,6 @@ which some deployments may prefer during convergence from below.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 import numpy.typing as npt
 
@@ -86,11 +84,9 @@ class Normalizer:
 
     ``link_load`` is an optional precomputed ``table.link_totals(rates)``
     (the allocator passes the price update's own scatter); subclasses
-    that don't consume it must still accept it.  The ``link_load=``
-    form is the only supported signature: constructing an allocator
-    with a two-argument legacy normalizer raises :class:`TypeError`
-    with a migration hint — the signature-sniffing fallback that used
-    to run such callables has been removed.
+    that don't consume it must still accept it.  The allocator takes
+    only instances of this class: anything else, such as a plain
+    function, raises :class:`TypeError` at construction.
     """
 
     name = "none"
@@ -98,22 +94,6 @@ class Normalizer:
     def __call__(self, table: FlowTable, rates: npt.ArrayLike,
                  link_load: FloatArray | None = None) -> FloatArray:
         raise NotImplementedError
-
-
-class _CallableNormalizer(Normalizer):
-    """A plain ``fn(table, rates, link_load=None)`` as a
-    :class:`Normalizer` (the allocator wraps one at construction)."""
-
-    def __init__(self, fn: Callable[..., FloatArray]) -> None:
-        """Reach: api — a plain function is a normalizer (README); no
-        consumer passes one."""
-        self.fn = fn
-        self.name = getattr(fn, "name", getattr(fn, "__name__", "custom"))
-
-    def __call__(self, table: FlowTable, rates: npt.ArrayLike,
-                 link_load: FloatArray | None = None) -> FloatArray:
-        """Reach: api — the wrapped function, as the allocator calls it."""
-        return self.fn(table, rates, link_load=link_load)
 
 
 class UNormalizer(Normalizer):

@@ -38,19 +38,18 @@ class PriceOptimizer:
     utility:
         A :class:`~repro.core.utility.Utility`; defaults to
         proportional fairness (``log x``), the paper's objective.
-    initial_price:
-        Boot-time price for every link (the paper uses 1).
+
+    Every link's price starts at 1, the paper's boot price.
     """
 
     #: human-readable algorithm name, overridden by subclasses
     name = "base"
 
     def __init__(self, table: FlowTable, utility: Utility | None = None,
-                 initial_price: float = 1.0, cap_rates: bool = True):
+                 cap_rates: bool = True):
         self.table = table
         self.utility = utility if utility is not None else LogUtility()
-        self.prices = np.full(table.links.n_links, float(initial_price),
-                              dtype=np.float64)
+        self.prices = np.ones(table.links.n_links, dtype=np.float64)
         self.iterations = 0
         #: Clamp Equation-3 rates at each flow's bottleneck capacity
         #: (physically: the sender NIC line rate).  The capped rate
@@ -177,17 +176,18 @@ class PriceOptimizer:
 
 def solve_to_optimal(table: FlowTable, utility: Utility | None = None,
                      tol: float = 1e-9, max_iterations: int = 50_000,
-                     gamma: float = 1.0):
+                     gamma: float | None = None):
     """Solve the NUM problem to (near-)optimality with NED.
 
-    Runs a fresh NED instance until the relative over-allocation of
-    every link falls below ``tol`` and prices stop moving.  Used as the
-    "optimal" reference in fig. 13 and in tests; returns ``(rates,
-    prices)``.
+    Runs a fresh NED instance (at ``gamma`` if given, else NED's own
+    default) until the relative over-allocation of every link falls
+    below ``tol`` and prices stop moving.  Used as the "optimal"
+    reference in fig. 13 and in tests; returns ``(rates, prices)``.
     """
     from .ned import NedOptimizer  # local import avoids a cycle
 
-    opt = NedOptimizer(table, utility=utility, gamma=gamma)
+    opt = (NedOptimizer(table, utility=utility) if gamma is None
+           else NedOptimizer(table, utility=utility, gamma=gamma))
     capacity = table.links.capacity
     # Links with no flows are parked at the idle price by design and
     # are exempt from the complementary-slackness check.

@@ -44,7 +44,8 @@ def fast_reciprocal(values):
 
 
 class _Float32RateMixin:
-    """float32 rate update with approximate reciprocals (shared by RTs)."""
+    """float32 prices and rate update with approximate reciprocals
+    (shared by RTs); the options are the reference optimizer's."""
 
     _w32_version = -1
     _w32 = None
@@ -53,6 +54,10 @@ class _Float32RateMixin:
     #: *cast into* this buffer instead of ``astype``-copied; it only
     #: ever re-allocates when the flow population outgrows it.
     _rho32 = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prices = self.prices.astype(np.float32)
 
     def _weights32(self):
         # float32 copy of the weight vector, cached between churn
@@ -89,12 +94,6 @@ class NedRtOptimizer(_Float32RateMixin, NedOptimizer):
     # not float64 NED's fused pass.
     _step = PriceOptimizer._step
 
-    def __init__(self, table, utility=None, gamma: float = 1.0,
-                 initial_price: float = 1.0):
-        super().__init__(table, utility=utility, gamma=gamma,
-                         initial_price=initial_price)
-        self.prices = self.prices.astype(np.float32)
-
     def _update_prices(self, rates):
         # Same fused pair scatter as the float64 NED (rates and
         # rate derivatives share indices; the float32 per-flow values
@@ -124,12 +123,6 @@ class GradientRtOptimizer(_Float32RateMixin, GradientOptimizer):
     """Gradient projection with float32 state (fig. 12)."""
 
     name = "Gradient-RT"
-
-    def __init__(self, table, utility=None, gamma: float = 1e-3,
-                 initial_price: float = 1.0):
-        super().__init__(table, utility=utility, gamma=gamma,
-                         initial_price=initial_price)
-        self.prices = self.prices.astype(np.float32)
 
     def _update_prices(self, rates):
         over = self.over_allocation(rates).astype(np.float32)

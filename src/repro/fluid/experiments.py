@@ -9,11 +9,14 @@ tiny scale.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from ..core.allocator import UPDATE_THRESHOLD
 from ..core.fgm import FgmOptimizer
 from ..core.gradient import GradientOptimizer
-from ..core.ned import NedOptimizer
+from ..core.ned import SIMULATION_GAMMA, NedOptimizer
 from ..core.normalization import FNormalizer, NullNormalizer, UNormalizer
 from ..core.realtime import GradientRtOptimizer, NedRtOptimizer
 from ..sampling import SCHEDULER_MODES, make_scheduler
@@ -28,45 +31,42 @@ __all__ = [
     "fct_by_scheme", "OVERALLOCATION_ALGORITHMS",
 ]
 
-#: fig. 12's algorithm set.
+#: fig. 12's algorithm set: each optimizer with its step size.
 OVERALLOCATION_ALGORITHMS = {
-    "NED": (NedOptimizer, {"gamma": 1.0}),
-    "NED-RT": (NedRtOptimizer, {"gamma": 1.0}),
-    "Gradient": (GradientOptimizer, {"gamma": 0.02}),
-    "Gradient-RT": (GradientRtOptimizer, {"gamma": 0.02}),
-    "FGM": (FgmOptimizer, {}),
+    "NED": partial(NedOptimizer, gamma=1.0),
+    "NED-RT": partial(NedRtOptimizer, gamma=1.0),
+    "Gradient": partial(GradientOptimizer, gamma=0.02),
+    "Gradient-RT": partial(GradientRtOptimizer, gamma=0.02),
+    "FGM": FgmOptimizer,
 }
 
 
 def build_fluid_setup(workload="web", load=0.6, n_racks=9, hosts_per_rack=16,
-                      n_spines=4, threshold=0.01, optimizer_cls=NedOptimizer,
-                      optimizer_kwargs=None, normalizer=None, gamma=0.4,
-                      tick=10e-6, seed=0, optimal_every=0, mode="flowtune",
+                      n_spines=4, threshold=UPDATE_THRESHOLD,
+                      optimizer_cls=None, normalizer=None,
+                      gamma=SIMULATION_GAMMA, tick=10e-6, seed=0,
+                      optimal_every=0, mode="flowtune",
                       scheduler_kwargs=None):
     """Construct (topology, scheduler, generator, simulator) for §6.2.
 
     ``mode`` selects the rate-assignment scheme through
     :func:`repro.make_scheduler` (``"flowtune"``, ``"sampled"``,
-    ``"ecmp"``); the NUM knobs (``optimizer_cls`` … ``gamma``) apply
-    to the priced modes only, and ``scheduler_kwargs`` passes extra
-    construction arguments (detector knobs, ``mice_refresh``, …)
-    straight to the factory.
+    ``"ecmp"``).  The priced modes take ``optimizer_cls`` (a class or
+    a ``functools.partial`` carrying its own step size) and
+    ``normalizer`` (default F-NORM); with no ``optimizer_cls`` they run
+    NED at ``gamma``, §6.2's 0.4, the one place ``gamma`` applies.
+    ``scheduler_kwargs`` passes extra construction arguments (detector
+    knobs, ``mice_refresh``, …) straight to the factory.
     """
     topology = TwoTierClos(n_racks=n_racks, hosts_per_rack=hosts_per_rack,
                            n_spines=n_spines)
-    extra = dict(scheduler_kwargs or {})
-    if mode == "ecmp":
-        allocator = make_scheduler(topology.link_set(), mode="ecmp",
-                                   update_threshold=threshold, **extra)
-    else:
-        kwargs = dict(optimizer_kwargs or {})
-        if "gamma" not in kwargs and optimizer_cls is not FgmOptimizer:
-            kwargs["gamma"] = gamma
-        allocator = make_scheduler(
-            topology.link_set(), mode=mode, optimizer_cls=optimizer_cls,
-            normalizer=(normalizer if normalizer is not None
-                        else FNormalizer()),
-            update_threshold=threshold, optimizer_kwargs=kwargs, **extra)
+    options = dict(scheduler_kwargs or {})
+    if mode != "ecmp":
+        options.update(normalizer=normalizer, optimizer_cls=(
+            optimizer_cls if optimizer_cls is not None
+            else partial(NedOptimizer, gamma=gamma)))
+    allocator = make_scheduler(topology.link_set(), mode=mode,
+                               update_threshold=threshold, **options)
     workload_dist = WORKLOADS[workload]() if isinstance(workload, str) else workload
     generator = PoissonFlowletGenerator(
         workload_dist, n_hosts=topology.n_hosts, load=load,
@@ -76,7 +76,8 @@ def build_fluid_setup(workload="web", load=0.6, n_racks=9, hosts_per_rack=16,
     return topology, allocator, generator, simulator
 
 
-def measure_update_traffic(workload="web", load=0.6, threshold=0.01,
+def measure_update_traffic(workload="web", load=0.6,
+                           threshold=UPDATE_THRESHOLD,
                            duration=5e-3, warmup=1e-3, seed=0, **scale):
     """Fig. 5 point: control-traffic fractions of network capacity."""
     topology, _, _, simulator = build_fluid_setup(
@@ -158,11 +159,10 @@ def over_allocation_by_algorithm(load=0.6, workload="web", duration=3e-3,
     algorithms = algorithms if algorithms is not None \
         else OVERALLOCATION_ALGORITHMS
     results = {}
-    for name, (cls, kwargs) in algorithms.items():
+    for name, optimizer_cls in algorithms.items():
         _, _, _, simulator = build_fluid_setup(
-            workload=workload, load=load, optimizer_cls=cls,
-            optimizer_kwargs=dict(kwargs), normalizer=NullNormalizer(),
-            threshold=0.0, seed=seed, **scale)
+            workload=workload, load=load, optimizer_cls=optimizer_cls,
+            normalizer=NullNormalizer(), threshold=0.0, seed=seed, **scale)
         metrics = simulator.run(duration, warmup=warmup)
         results[name] = metrics.mean_over_allocation()
     return results
@@ -173,19 +173,19 @@ def normalization_throughput(load=0.6, workload="web", duration=3e-3,
                              **scale):
     """Fig. 13 series: achieved/optimal throughput per (algo, norm)."""
     combos = {
-        ("NED", "F-NORM"): (NedOptimizer, {"gamma": 1.0}, FNormalizer()),
-        ("NED", "U-NORM"): (NedOptimizer, {"gamma": 1.0}, UNormalizer()),
-        ("Gradient", "F-NORM"): (GradientOptimizer, {"gamma": 0.02},
+        ("NED", "F-NORM"): (OVERALLOCATION_ALGORITHMS["NED"], FNormalizer()),
+        ("NED", "U-NORM"): (OVERALLOCATION_ALGORITHMS["NED"], UNormalizer()),
+        ("Gradient", "F-NORM"): (OVERALLOCATION_ALGORITHMS["Gradient"],
                                  FNormalizer()),
-        ("Gradient", "U-NORM"): (GradientOptimizer, {"gamma": 0.02},
+        ("Gradient", "U-NORM"): (OVERALLOCATION_ALGORITHMS["Gradient"],
                                  UNormalizer()),
     }
     results = {}
-    for (algo, norm), (cls, kwargs, normalizer) in combos.items():
+    for (algo, norm), (optimizer_cls, normalizer) in combos.items():
         _, _, _, simulator = build_fluid_setup(
-            workload=workload, load=load, optimizer_cls=cls,
-            optimizer_kwargs=dict(kwargs), normalizer=normalizer,
-            threshold=0.0, seed=seed, optimal_every=optimal_every, **scale)
+            workload=workload, load=load, optimizer_cls=optimizer_cls,
+            normalizer=normalizer, threshold=0.0, seed=seed,
+            optimal_every=optimal_every, **scale)
         metrics = simulator.run(duration, warmup=warmup)
         results[(algo, norm)] = metrics.throughput_fraction_of_optimal()
     return results

@@ -80,10 +80,10 @@ class _Processor:
     ``link_load_for`` memo) keep this cell's own sums.
     """
 
-    def __init__(self, coords, links, max_route_len, utility, gamma):
+    def __init__(self, coords, links, table_options, ned_options):
         self.coords = coords
-        self.table = FlowTable(links, max_route_len=max_route_len)
-        self.ned = NedOptimizer(self.table, utility=utility, gamma=gamma)
+        self.table = FlowTable(links, **table_options)
+        self.ned = NedOptimizer(self.table, **ned_options)
         self.partial_load = np.empty(links.n_links)
         self.partial_hessian = np.empty(links.n_links)
 
@@ -94,27 +94,34 @@ class MulticoreNedEngine:
     Each processor runs :class:`~repro.core.ned.NedOptimizer`'s own
     pass and price step with the engine's utility and gamma, so its
     rates are single-core NED's at the engine's prices, flow for flow.
+    ``gamma`` and ``max_route_len`` are passed on only when given, so
+    NED and the flow tables otherwise keep their own defaults.
     """
 
     def __init__(self, topology: Topology, n_blocks: int,
-                 utility: Utility | None = None, gamma: float = 1.0,
-                 max_route_len: int = 8,
+                 utility: Utility | None = None, gamma: float | None = None,
+                 max_route_len: int | None = None,
                  reserve_per_block: int = 0) -> None:
         self.partition = BlockPartition(topology, n_blocks)
         self.links = topology.link_set()
         self.utility = utility if utility is not None else LogUtility()
-        self.gamma = float(gamma)
-        self.max_route_len = max_route_len
         n = self.partition.n_blocks
         self.grid_side = n
         self._agg_steps = aggregation_schedule(n)
         self._dist_steps = distribution_schedule(n)
         self._flow_home = {}
+        table_options = ({} if max_route_len is None
+                         else {"max_route_len": max_route_len})
+        ned_options: dict[str, Any] = {"utility": self.utility}
+        if gamma is not None:
+            ned_options["gamma"] = gamma
         self.processors = {
-            cell: _Processor(cell, self.links, max_route_len, self.utility,
-                             self.gamma)
+            cell: _Processor(cell, self.links, table_options, ned_options)
             for cell in self.partition.grid_cells()
         }
+        some = next(iter(self.processors.values()))
+        self.gamma = some.ned.gamma
+        self.max_route_len = some.table.max_route_len
         if reserve_per_block:
             for proc in self.processors.values():
                 proc.table.reserve(int(reserve_per_block))

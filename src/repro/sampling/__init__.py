@@ -24,8 +24,6 @@ from typing import Any
 
 from ..core.allocator import FlowtuneAllocator
 from ..core.network import LinkSet
-from ..core.normalization import Normalizer
-from ..core.utility import Utility
 from .detector import ElephantDetector
 from .ecmp import EcmpScheduler
 from .sampled import SampledAllocator, replay_priced_journal
@@ -40,56 +38,40 @@ SCHEDULER_MODES = ("flowtune", "sampled", "ecmp")
 
 
 def make_scheduler(links: LinkSet, mode: str = "flowtune",
-                   *, utility: Utility | None = None,
-                   optimizer_cls: type | None = None,
-                   normalizer: Normalizer | None = None,
-                   update_threshold: float = 0.01, gamma: float = 1.0,
-                   max_route_len: int = 8,
-                   optimizer_kwargs: dict[str, Any] | None = None,
-                   promote_bytes: float = float(1 << 20),
-                   idle_epochs: int = 100, mice_refresh: int = 4,
-                   **kwargs: Any) -> RateScheduler:
+                   **options: Any) -> RateScheduler:
     """The one construction point for every rate-assignment scheme.
 
-    ``mode`` selects the scheme:
+    ``mode`` picks the class; ``options`` pass straight to it, so each
+    keeps its own defaults and rejects what it does not take with
+    ``TypeError``:
 
-    * ``"flowtune"`` — the paper's allocator: every flow priced by the
-      NUM optimizer (default NED) and normalized (default F-NORM).
-    * ``"sampled"`` — sieve sampling: only detector-promoted elephants
-      priced; mice on ECMP fair share.  ``promote_bytes``,
-      ``idle_epochs`` and ``mice_refresh`` configure the front-end.
-    * ``"ecmp"`` — no pricing at all; the fair-share baseline.  The
-      optimizer/normalizer/detector knobs do not apply.
-
-    The NUM knobs (``utility`` … ``optimizer_kwargs``) pass through to
-    the priced allocator in the first two modes; extra keyword
-    arguments pass to the selected class (e.g. ``record_priced=`` for
-    ``"sampled"``).
+    * ``"flowtune"`` — the paper's allocator,
+      :class:`~repro.core.allocator.FlowtuneAllocator`: every flow
+      priced by the NUM optimizer (``optimizer_cls``, default NED, at
+      step size ``gamma``) and normalized (``normalizer``, default
+      F-NORM); ``utility``, ``update_threshold``, ``max_route_len``.
+    * ``"sampled"`` — sieve sampling, :class:`SampledAllocator`: only
+      detector-promoted elephants priced, mice on ECMP fair share.  It
+      takes the ``"flowtune"`` options for its priced half, plus
+      ``promote_bytes``, ``idle_epochs``, ``mice_refresh``,
+      ``detector`` and ``record_priced``.
+    * ``"ecmp"`` — no pricing at all, :class:`EcmpScheduler`: the
+      fair-share baseline (``update_threshold``, ``max_route_len``,
+      ``refresh_every``).  A pricing option (``utility``,
+      ``optimizer_cls``, ``normalizer``, ``gamma``) raises
+      ``ValueError``: it does not apply.
     """
     if mode not in SCHEDULER_MODES:
         raise ValueError(
             f"unknown scheduler mode {mode!r}; pick one of "
             f"{', '.join(SCHEDULER_MODES)}")
     if mode == "ecmp":
-        for name, value in (("utility", utility),
-                            ("optimizer_cls", optimizer_cls),
-                            ("normalizer", normalizer),
-                            ("optimizer_kwargs", optimizer_kwargs)):
-            if value is not None:
+        for name in ("utility", "optimizer_cls", "normalizer", "gamma"):
+            if options.pop(name, None) is not None:
                 raise ValueError(
                     f"{name}= does not apply to mode='ecmp' (nothing "
                     "is priced); drop it or pick a priced mode")
-        return EcmpScheduler(links, update_threshold=update_threshold,
-                             max_route_len=max_route_len, **kwargs)
-    num_kwargs: dict[str, Any] = dict(
-        utility=utility, normalizer=normalizer,
-        update_threshold=update_threshold, gamma=gamma,
-        max_route_len=max_route_len, optimizer_kwargs=optimizer_kwargs)
-    if optimizer_cls is not None:
-        num_kwargs["optimizer_cls"] = optimizer_cls
+        return EcmpScheduler(links, **options)
     if mode == "flowtune":
-        return FlowtuneAllocator(links, **num_kwargs, **kwargs)
-    return SampledAllocator(links, promote_bytes=promote_bytes,
-                            idle_epochs=idle_epochs,
-                            mice_refresh=mice_refresh,
-                            **num_kwargs, **kwargs)
+        return FlowtuneAllocator(links, **options)
+    return SampledAllocator(links, **options)

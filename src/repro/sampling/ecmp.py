@@ -25,6 +25,8 @@ sweep per refresh) and move the paced estimates' clip.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 import numpy.typing as npt
 
@@ -48,12 +50,13 @@ class EcmpScheduler(TableScheduler):
     :class:`~repro.sampling.SampledAllocator` and the ``mode="ecmp"``
     baseline.  ``links`` are full capacities (no headroom: there is no
     pricing error to absorb); ``refresh_every`` is the full recompute's
-    period in iterates.
+    period in iterates; ``update_threshold`` and ``max_route_len`` go
+    to :class:`~repro.core.allocator.TableScheduler`.
     """
 
-    def __init__(self, links: LinkSet, update_threshold: float = 0.01,
-                 refresh_every: int = 1, max_route_len: int = 8) -> None:
-        super().__init__(links, update_threshold, max_route_len)
+    def __init__(self, links: LinkSet, refresh_every: int = 1,
+                 **table_options: Any) -> None:
+        super().__init__(links, **table_options)
         if refresh_every < 1:
             raise ValueError("refresh_every must be at least 1")
         self.refresh_every = int(refresh_every)

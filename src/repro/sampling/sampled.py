@@ -53,10 +53,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.allocator import AllocationResult, FlowtuneAllocator
-from ..core.ned import NedOptimizer
 from ..core.network import LinkSet
-from ..core.normalization import Normalizer
-from ..core.utility import Utility
 from .detector import ElephantDetector
 from .ecmp import EcmpScheduler
 
@@ -120,12 +117,19 @@ class _MergedResult(AllocationResult):
 class SampledAllocator:
     """Sieve-style sampling front-end over the Flowtune allocator.
 
-    Parameters mirror :class:`~repro.core.allocator.FlowtuneAllocator`
-    (they configure the inner priced allocator), plus:
-
+    Parameters
+    ----------
+    links:
+        The network's full-capacity link set, shared by both halves.
+    priced_options:
+        Everything :class:`~repro.core.allocator.FlowtuneAllocator`
+        takes (``utility``, ``optimizer_cls``, ``normalizer``,
+        ``gamma``, ``update_threshold``, ``max_route_len``): they
+        configure the priced half, and the mice half reads the
+        threshold and hop limit back from it.
     promote_bytes, idle_epochs:
-        Detector knobs — see
-        :class:`~repro.sampling.ElephantDetector`.
+        The :class:`~repro.sampling.ElephantDetector`'s knobs, passed
+        on when given (ignored when ``detector`` is).
     mice_refresh:
         The ECMP fair-share model's full-recompute period in iterates.
         Mice are latency-bound, not rate-bound, and in a real sieve
@@ -143,30 +147,27 @@ class SampledAllocator:
 
     wants_usage: bool = True
 
-    def __init__(self, links: LinkSet, utility: Utility | None = None,
-                 optimizer_cls: type = NedOptimizer,
-                 normalizer: Normalizer | None = None,
-                 update_threshold: float = 0.01, gamma: float = 1.0,
-                 max_route_len: int = 8,
-                 optimizer_kwargs: dict[str, Any] | None = None,
-                 promote_bytes: float = float(1 << 20),
-                 idle_epochs: int = 100, mice_refresh: int = 4,
+    def __init__(self, links: LinkSet, *,
+                 promote_bytes: float | None = None,
+                 idle_epochs: int | None = None, mice_refresh: int = 4,
                  detector: ElephantDetector | None = None,
-                 record_priced: bool = False) -> None:
-        self.priced = FlowtuneAllocator(
-            links, utility=utility, optimizer_cls=optimizer_cls,
-            normalizer=normalizer, update_threshold=update_threshold,
-            gamma=gamma, max_route_len=max_route_len,
-            optimizer_kwargs=optimizer_kwargs)
+                 record_priced: bool = False,
+                 **priced_options: Any) -> None:
+        self.priced = FlowtuneAllocator(links, **priced_options)
+        self.update_threshold = self.priced.update_threshold
         self.mice = EcmpScheduler(
-            links, update_threshold=update_threshold,
-            refresh_every=mice_refresh, max_route_len=max_route_len)
-        self.detector = (detector if detector is not None
-                         else ElephantDetector(promote_bytes=promote_bytes,
-                                               idle_epochs=idle_epochs))
+            links, refresh_every=mice_refresh,
+            update_threshold=self.update_threshold,
+            max_route_len=self.priced.max_route_len)
+        if detector is None:
+            knobs: dict[str, Any] = {"promote_bytes": promote_bytes,
+                                     "idle_epochs": idle_epochs}
+            detector = ElephantDetector(**{
+                name: value for name, value in knobs.items()
+                if value is not None})
+        self.detector = detector
         self.detector.bind_membership(self.__contains__)
         self.full_links = links
-        self.update_threshold = float(update_threshold)
         # The priced half's boot capacities (already headroom-adjusted
         # by the inner allocator) — the base the mice load shrinks.
         self._priced_base = self.priced.links.capacity.copy()

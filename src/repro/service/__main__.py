@@ -43,14 +43,21 @@ def main(argv=None):
                         help="rate-assignment scheme: full Flowtune, "
                              "sieve-sampled Flowtune (elephants priced, "
                              "mice on ECMP) or pure ECMP fair share")
-    parser.add_argument("--promote-bytes", type=float, default=float(1 << 20),
+    parser.add_argument("--promote-bytes", type=float,
                         help="sampled mode: new-byte accumulation at "
-                             "which a flow is promoted to elephant")
-    parser.add_argument("--idle-epochs", type=int, default=100,
+                             "which a flow is promoted to elephant "
+                             "(default: the detector's)")
+    parser.add_argument("--idle-epochs", type=int,
                         help="sampled mode: allocation epochs without "
-                             "byte growth before an elephant is demoted")
-    parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--threshold", type=float, default=0.01)
+                             "byte growth before an elephant is demoted "
+                             "(default: the detector's)")
+    parser.add_argument("--gamma", type=float,
+                        help="the optimizer's step size (default: its own; "
+                             "the paper's simulations run NED at 0.4); "
+                             "not for --scheduler-mode ecmp")
+    parser.add_argument("--threshold", type=float,
+                        help="relative rate change that triggers a rate "
+                             "update (default: the scheduler's)")
     parser.add_argument("--iters-per-cycle", type=int, default=1)
     parser.add_argument("--min-cycle", type=float, default=0.0005,
                         help="minimum seconds between convergence cycles; "
@@ -79,16 +86,20 @@ def main(argv=None):
     topology = TwoTierClos(n_racks=args.racks,
                            hosts_per_rack=args.hosts_per_rack,
                            n_spines=args.spines)
+    # Scheduler options the command line left unset keep the
+    # scheduler's own defaults.
+    given = {"gamma": args.gamma, "update_threshold": args.threshold,
+             "promote_bytes": args.promote_bytes,
+             "idle_epochs": args.idle_epochs}
     service = FlowtuneService(
         topology, host=args.host, port=args.port, token=token,
-        mode=args.mode, gamma=args.gamma,
-        scheduler_mode=args.scheduler_mode,
-        promote_bytes=args.promote_bytes, idle_epochs=args.idle_epochs,
-        update_threshold=args.threshold,
+        mode=args.mode, scheduler_mode=args.scheduler_mode,
         iters_per_cycle=args.iters_per_cycle, min_cycle=args.min_cycle,
         resume_grace=args.resume_grace, churn_rate=args.churn_rate,
         churn_burst=args.churn_burst, max_pending=args.max_pending,
-        max_outbox=args.max_outbox)
+        max_outbox=args.max_outbox,
+        **{name: value for name, value in given.items()
+           if value is not None})
     print(f"SERVICE-READY {service.address[0]} {service.address[1]}",
           flush=True)
     try:

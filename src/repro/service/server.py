@@ -191,28 +191,29 @@ class FlowtuneService:
         sockets (tests use this to exercise the slow-reader path with
         small pushes).
 
-    Allocator knobs (``utility``, ``update_threshold``, ``gamma``,
-    ``max_route_len``) are passed through to
-    :func:`repro.make_scheduler`; ``scheduler_mode`` selects the
-    scheme (``"flowtune"``, ``"sampled"`` or ``"ecmp"``), and
-    ``promote_bytes``/``idle_epochs`` tune the sampled mode's elephant
-    detector, which consumes the clients' USAGE reports.
+    scheduler_mode:
+        The scheme :func:`repro.make_scheduler` builds
+        (``"flowtune"``, ``"sampled"`` or ``"ecmp"``).
+    scheduler_options:
+        Passed to :func:`repro.make_scheduler` as given, so the
+        scheduler keeps its own defaults for the rest: ``utility``,
+        ``gamma``, ``update_threshold``, ``max_route_len``, and the
+        sampled mode's ``promote_bytes`` / ``idle_epochs`` (its
+        elephant detector consumes the clients' USAGE reports).  An
+        option the scheme does not take raises at construction.
     """
 
-    def __init__(self, network: Any, *, utility: Any = None,
+    def __init__(self, network: Any, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 token: bytes | str | None = None,
-                 update_threshold: float = 0.01, gamma: float = 1.0,
-                 max_route_len: int = 8, mode: str = "auto",
+                 token: bytes | str | None = None, mode: str = "auto",
                  scheduler_mode: str = "flowtune",
-                 promote_bytes: float = float(1 << 20),
-                 idle_epochs: int = 100,
                  iters_per_cycle: int = 1, min_cycle: float = 0.0005,
                  resume_grace: float = 2.0,
                  churn_rate: float | None = None,
                  churn_burst: float | None = None,
                  max_pending: int | None = None, max_outbox: int = 1 << 23,
-                 sockbuf: int | None = None) -> None:
+                 sockbuf: int | None = None,
+                 **scheduler_options: Any) -> None:
         if mode not in ("auto", "manual"):
             raise ValueError(f"mode must be 'auto' or 'manual', got {mode!r}")
         if max_pending is not None and mode == "manual":
@@ -220,17 +221,8 @@ class FlowtuneService:
                              "manual mode drains only on STEP — the pause "
                              "would deadlock; use auto mode")
         links = network.link_set() if hasattr(network, "link_set") else network
-        scheduler_kwargs: dict[str, Any] = {}
-        if scheduler_mode != "ecmp":
-            scheduler_kwargs["utility"] = utility
-            scheduler_kwargs["gamma"] = gamma
-        if scheduler_mode == "sampled":
-            scheduler_kwargs["promote_bytes"] = promote_bytes
-            scheduler_kwargs["idle_epochs"] = idle_epochs
-        self.allocator = make_scheduler(
-            links, mode=scheduler_mode,
-            update_threshold=update_threshold,
-            max_route_len=max_route_len, **scheduler_kwargs)
+        self.allocator = make_scheduler(links, mode=scheduler_mode,
+                                        **scheduler_options)
         self.queue = ChurnQueue()
         self.mode = mode
         self.iters_per_cycle = int(iters_per_cycle)
@@ -1038,8 +1030,10 @@ def _await_ready_line(process, timeout):
 
 
 def spawn_service(*, racks: int = 3, hosts_per_rack: int = 8,
-                  spines: int = 2, mode: str = "auto", gamma: float = 1.0,
-                  update_threshold: float = 0.01, iters_per_cycle: int = 1,
+                  spines: int = 2, mode: str = "auto",
+                  gamma: float | None = None,
+                  update_threshold: float | None = None,
+                  iters_per_cycle: int = 1,
                   min_cycle: float = 0.0005, host: str = "127.0.0.1",
                   scheduler_mode: str | None = None,
                   promote_bytes: float | None = None,
@@ -1059,11 +1053,11 @@ def spawn_service(*, racks: int = 3, hosts_per_rack: int = 8,
     its stderr surfaced in the ``RuntimeError``), and returns a
     :class:`ServiceHandle` with the bound address.
 
-    ``resume_grace``, ``churn_rate``, ``churn_burst`` and
-    ``max_pending`` forward the PR 7 hardening knobs when given
-    (``None`` keeps the CLI defaults); ``scheduler_mode``,
-    ``promote_bytes`` and ``idle_epochs`` likewise forward the
-    sampling front-end knobs.
+    ``gamma``, ``update_threshold``, ``scheduler_mode``,
+    ``promote_bytes``, ``idle_epochs``, ``resume_grace``,
+    ``churn_rate``, ``churn_burst`` and ``max_pending`` are forwarded
+    as CLI flags only when given (``None`` keeps the CLI's, and so the
+    scheduler's, defaults).
     """
     token_hex = secrets.token_bytes(_TOKEN_LEN).hex()
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -1075,10 +1069,11 @@ def spawn_service(*, racks: int = 3, hosts_per_rack: int = 8,
            "--host", host, "--port", "0",
            "--racks", str(racks), "--hosts-per-rack", str(hosts_per_rack),
            "--spines", str(spines), "--mode", mode,
-           "--gamma", str(gamma), "--threshold", str(update_threshold),
            "--iters-per-cycle", str(iters_per_cycle),
            "--min-cycle", str(min_cycle)]
-    for flag, value in (("--scheduler-mode", scheduler_mode),
+    for flag, value in (("--gamma", gamma),
+                        ("--threshold", update_threshold),
+                        ("--scheduler-mode", scheduler_mode),
                         ("--promote-bytes", promote_bytes),
                         ("--idle-epochs", idle_epochs),
                         ("--resume-grace", resume_grace),

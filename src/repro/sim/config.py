@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.allocator import UPDATE_THRESHOLD
+from ..core.ned import SIMULATION_GAMMA
+
 __all__ = ["SimConfig", "SCHEMES"]
 
 #: the five compared schemes of §6.5 plus plain TCP as a substrate.
@@ -48,8 +51,8 @@ class SimConfig:
 
     # --- Flowtune control plane (§6.2) ---------------------------------
     allocator_period: float = 10e-6
-    allocator_gamma: float = 0.4
-    update_threshold: float = 0.01
+    allocator_gamma: float = SIMULATION_GAMMA
+    update_threshold: float = UPDATE_THRESHOLD
     #: window during the pre-allocation TCP phase; the first rate
     #: update lands ~2 RTTs in, so this bounds the unscheduled burst.
     flowtune_initial_cwnd: float = 2.0

@@ -1,11 +1,15 @@
 """FlowtuneAllocator: notification thresholds, headroom, churn."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (FlowtuneAllocator, GradientOptimizer, LinkSet,
-                        NullNormalizer, UNormalizer, threshold_update_mask)
+from repro.core import (FgmOptimizer, FlowTable, FlowtuneAllocator,
+                        GradientOptimizer, GradientRtOptimizer, LinkSet,
+                        NewtonLikeOptimizer, NullNormalizer, UNormalizer,
+                        threshold_update_mask)
 from repro.core.allocator import group_by_owner
 
 
@@ -337,11 +341,26 @@ class TestNotificationEdgeCases:
 
 class TestConfigurability:
     def test_custom_optimizer(self):
-        allocator = make_allocator(optimizer_cls=GradientOptimizer,
-                                   optimizer_kwargs={"gamma": 0.01})
+        allocator = make_allocator(
+            optimizer_cls=partial(GradientOptimizer, gamma=0.01))
         allocator.flowlet_start("a", [0])
         rates = [allocator.iterate(200).rates["a"] for _ in range(3)]
         assert rates[-1] == pytest.approx(9.9, rel=0.05)
+
+    @pytest.mark.parametrize("optimizer_cls", [
+        GradientOptimizer, GradientRtOptimizer, NewtonLikeOptimizer])
+    def test_optimizer_keeps_its_own_gamma(self, optimizer_cls):
+        """With no ``gamma=``, the allocator sets none: each algorithm
+        runs at its own default step size, not NED's."""
+        allocator = make_allocator(optimizer_cls=optimizer_cls)
+        own = optimizer_cls(FlowTable(LinkSet([1.0])))
+        assert allocator.optimizer.gamma == own.gamma
+        assert make_allocator(optimizer_cls=optimizer_cls,
+                              gamma=0.25).optimizer.gamma == 0.25
+
+    def test_gamma_for_an_optimizer_without_one_raises(self):
+        with pytest.raises(TypeError, match="gamma"):
+            make_allocator(optimizer_cls=FgmOptimizer, gamma=0.4)
 
     def test_custom_normalizer(self):
         allocator = make_allocator(normalizer=NullNormalizer())

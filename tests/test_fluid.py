@@ -1,5 +1,7 @@
 """Fluid flowlet-level simulator: conservation and metric plumbing."""
 
+from functools import partial
+
 import pytest
 
 from repro.core import NullNormalizer
@@ -83,9 +85,9 @@ class TestExperiments:
     def test_over_allocation_by_algorithm_keys(self):
         results = over_allocation_by_algorithm(
             load=0.4, duration=0.8e-3, warmup=0.2e-3,
-            algorithms={"NED": (type(
-                build_fluid_setup(**SCALE)[1].optimizer), {"gamma": 1.0}),
-                "Gradient": (GradientOptimizer, {"gamma": 0.02})},
+            algorithms={"NED": partial(type(
+                build_fluid_setup(**SCALE)[1].optimizer), gamma=1.0),
+                "Gradient": partial(GradientOptimizer, gamma=0.02)},
             **SCALE)
         assert set(results) == {"NED", "Gradient"}
         assert all(v >= 0 for v in results.values())

@@ -45,21 +45,23 @@ BAD_INTS = {"r0": [-1, N + 1], "block": [0, -5]}
 
 
 def valid_calls(n=N, block=BLOCK):
+    # Outputs start zeroed, so a swap that casts one (wrong dtype)
+    # casts defined values.
     rng = np.random.default_rng(0)
     routes = rng.integers(0, BINS, size=(WIDTH, n + 4))
     padded, a = rng.random(BINS), rng.random(n)
     last, pending = rng.random(n), rng.random(n) < 0.2
     return {
-        "fold": [0, padded, routes, 0, n, block, np.empty(n)],
+        "fold": [0, padded, routes, 0, n, block, np.zeros(n)],
         "scatter": [a, -a, routes, 0, n, block, np.zeros(BINS),
                     np.zeros(BINS)],
         "ned_log_pass": [padded, routes, n, block, rng.random(n), a, 1e-9,
-                         np.empty(n), np.empty(BINS), np.empty(BINS)],
+                         np.zeros(n), np.zeros(BINS), np.zeros(BINS)],
         "f_norm_pass": [padded, routes, n, block, a, 1e-12, True,
-                        np.empty(n), last, pending, 0.01,
-                        np.empty(n, dtype=bool)],
+                        np.zeros(n), last, pending, 0.01,
+                        np.zeros(n, dtype=bool)],
         "threshold_mask": [a, last, pending, 0.01,
-                           np.empty(n, dtype=bool)],
+                           np.zeros(n, dtype=bool)],
     }
 
 
@@ -188,10 +190,10 @@ def intake_calls(n=N):
     lengths = rng.integers(1, WIDTH + 1, size=n)
     flat = rng.integers(0, BINS, size=int(lengths.sum()))
     return {
-        "pack_starts": [starts, {}, WIDTH, BINS, np.empty(n, dtype=np.int64),
-                        np.empty(WIDTH * n, dtype=np.int64), np.empty(n)],
+        "pack_starts": [starts, {}, WIDTH, BINS, np.zeros(n, dtype=np.int64),
+                        np.zeros(WIDTH * n, dtype=np.int64), np.zeros(n)],
         "insert_routes": [flat, lengths, np.full((WIDTH, n + 4), BINS - 1),
-                          2, BINS - 1, rng.random(BINS), np.empty(n)],
+                          2, BINS - 1, rng.random(BINS), np.zeros(n)],
     }
 
 

@@ -279,6 +279,18 @@ class TestSchedulerProtocol:
             make_scheduler(make_links(), mode="ecmp",
                            optimizer_cls=NedOptimizer)
 
+    def test_ecmp_rejects_gamma(self):
+        with pytest.raises(ValueError, match="gamma= does not apply"):
+            make_scheduler(make_links(), mode="ecmp", gamma=0.4)
+
+    @pytest.mark.parametrize("option", [
+        {"promote_bytes": 1000.0}, {"idle_epochs": 3}, {"mice_refresh": 2}])
+    def test_flowtune_rejects_sampled_options(self, option):
+        """The sampled front-end's options reach FlowtuneAllocator
+        as given, which does not take them."""
+        with pytest.raises(TypeError):
+            make_scheduler(make_links(), mode="flowtune", **option)
+
 
 def _slot_is_set(result, name):
     """Whether a lazy result slot has materialized (hasattr would
