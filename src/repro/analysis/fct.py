@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..control.messages import ETHERNET_HEADER_BYTES, TCP_IP_HEADER_BYTES
 from ..sim.packet import packets_for
 
 __all__ = ["SIZE_BINS", "bin_of", "ideal_fct", "normalized_fcts",
@@ -37,7 +38,8 @@ def ideal_fct(size_bytes, one_way_delay, bottleneck_gbps,
               per_packet_overhead=0.0):
     """Empty-network completion time: propagation + serialization."""
     n_packets = packets_for(size_bytes)
-    wire_bytes = size_bytes + n_packets * 58  # headers per segment
+    wire_bytes = size_bytes + n_packets * (TCP_IP_HEADER_BYTES
+                                           + ETHERNET_HEADER_BYTES)
     serialization = wire_bytes * 8.0 / (bottleneck_gbps * 1e9)
     return one_way_delay + serialization + per_packet_overhead * n_packets
 

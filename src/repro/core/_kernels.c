@@ -107,12 +107,25 @@
  * packed pair add gave no gain and put the new value first, which
  * changes which NaN a sum of two NaNs keeps (the pinned case above).
  *
- * Churn intake.  pack_starts and insert_routes are FlowTable's starts
- * parser and columnar route write for the common batch.  Both hold the
- * GIL and start no thread: pack_starts calls back into Python (an id's
- * hash and ==), and a batch is too short to split.  pack_starts moves
- * no float; insert_routes' bottleneck is the min fold's MIN_STEP over
- * the same columns in the same order, so it equals min_link_value.
+ * Churn intake.  Every per-flow step of FlowTable.apply_churn is here
+ * but the id index (a dict) and the rare tangled removal's replay:
+ * swap_remove moves the rows of a removal batch and frees its tail,
+ * pack_starts parses the common starts batch, insert_routes writes its
+ * route columns and bottlenecks, and place_ids its ids and handles'
+ * rows.  They hold the GIL and start no thread: pack_starts calls back
+ * into Python (an id's hash and ==), the others write object
+ * references, and a batch is too short to split.  None moves a float:
+ * swap_remove copies items, and insert_routes' bottleneck is the min
+ * fold's MIN_STEP over the same columns in the same order, so it
+ * equals min_link_value.
+ *
+ * numpy's headers.  The library compiles against numpy's C API (the
+ * build passes np.get_include(), and the module init imports numpy's
+ * array API), for one reason: pack_starts reads each route's ndim,
+ * stride, dtype, byte order and data pointer from the ndarray struct,
+ * a few loads, where the buffer protocol cost a PyObject_GetBuffer per
+ * route (~71 ns with its format string).  The whole-table entry points
+ * keep the buffer protocol: one buffer per argument per call.
  *
  * The build passes -ffp-contract=off and no fast-math flag, so no
  * operation is fused or reordered (``t * s`` and ``rho * rho`` stay
@@ -125,6 +138,8 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
@@ -292,22 +307,31 @@ is_int64(const Py_buffer *view)
         && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0);
 }
 
-/* A 1-D C-contiguous vector of 8-byte float64 ("d"), 1-byte bool ("?")
- * or native int64 ("q", any of its spellings) items. */
+/* A 1-D C-contiguous vector of 8-byte float64 ("d"), 1-byte bool ("?"),
+ * native int64 ("q", any of its spellings), object references ("O") or,
+ * for kind '*', items of any one-character numeric format (a FlowColumn,
+ * whose items swap-remove copies as bytes). */
 static int
 get_typed(PyObject *obj, Py_buffer *view, int writable, const char *what,
           const char *format)
 {
-    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT, swapped, ok;
+    const char *item;
     if (writable)
         flags |= PyBUF_WRITABLE;
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
-    if (view->ndim != 1 || (format[0] == 'q' ? !is_int64(view)
-                            : strcmp(view->format, format) != 0)) {
+    item = item_format(view, &swapped);
+    ok = view->ndim == 1 && (
+        format[0] == 'q' ? is_int64(view)
+        : format[0] == '*' ? (item[0] != '\0' && item[1] == '\0'
+                              && strchr("?bBhHiIlLqQefd", item[0]) != NULL)
+        : strcmp(view->format, format) == 0);
+    if (!ok) {
         PyErr_Format(PyExc_TypeError, "%s must be a 1-D contiguous %s "
                      "array", what, format[0] == 'd' ? "float64"
-                     : format[0] == 'q' ? "int64" : "bool");
+                     : format[0] == 'q' ? "int64" : format[0] == 'O'
+                     ? "object" : format[0] == '*' ? "numeric" : "bool");
         PyBuffer_Release(view);
         return -1;
     }
@@ -398,15 +422,12 @@ span_of(const Py_buffer *v, const char **lo, const char **hi)
 }
 
 /* Raise ValueError if an output shares a byte with another buffer:
- * the threads write the outputs while they read the rest.  (No entry
- * point takes more than MAX_BUFFERS buffers.) */
-enum { MAX_BUFFERS = 8 };
-
+ * the threads write the outputs while they read the rest. */
 static int
 check_disjoint(const char *who, const Arg *spec, Py_buffer *const *views,
                int count)
 {
-    const char *lo[MAX_BUFFERS], *hi[MAX_BUFFERS];
+    const char *lo[count], *hi[count];
     int i, j;
     for (i = 0; i < count; i++)
         if (views[i] != NULL)
@@ -1190,26 +1211,37 @@ release:
  * ROUTE_OTHER for anything else. */
 enum { ROUTE_OTHER, ROUTE_INT64, ROUTE_U32, ROUTE_U32_SWAPPED };
 
+/* A route's items as pack_starts takes them, read from numpy's array
+ * struct (no buffer is acquired): an exact ndarray of one dimension,
+ * aligned, its stride its item size, of one of the kinds above.  Sets
+ * *data and *m (the hop count) unless it returns ROUTE_OTHER. */
 static int
-route_kind(const Py_buffer *view)
+route_items(PyObject *obj, const char **data, Py_ssize_t *m)
 {
-    int swapped;
-    const char *format = item_format(view, &swapped);
+    PyArrayObject *a = (PyArrayObject *)obj;
+    npy_intp size;
+    char kind;
 
-    if (view->ndim != 1 || view->strides[0] != view->itemsize)
+    if (!PyArray_CheckExact(obj) || PyArray_NDIM(a) != 1
+            || !PyArray_ISALIGNED(a))
         return ROUTE_OTHER;
-    if (is_int64(view))
+    size = PyArray_ITEMSIZE(a);
+    kind = PyArray_DESCR(a)->kind;
+    if (PyArray_STRIDE(a, 0) != size)
+        return ROUTE_OTHER;
+    *data = PyArray_BYTES(a);
+    *m = PyArray_DIM(a, 0);
+    if (kind == 'i' && size == 8 && PyArray_ISNOTSWAPPED(a))
         return ROUTE_INT64;
-    if (view->itemsize == 4
-            && (strcmp(format, "I") == 0 || strcmp(format, "L") == 0))
-        return swapped ? ROUTE_U32_SWAPPED : ROUTE_U32;
+    if (kind == 'u' && size == 4)
+        return PyArray_ISNOTSWAPPED(a) ? ROUTE_U32 : ROUTE_U32_SWAPPED;
     return ROUTE_OTHER;
 }
 
 /* Copy one route's m hops into dst as int64; -1 if a hop is not a
  * link in [0, n_links). */
 static int
-copy_route(const Py_buffer *view, int kind, Py_ssize_t m, int64_t n_links,
+copy_route(const char *data, int kind, Py_ssize_t m, int64_t n_links,
            int64_t *dst)
 {
     Py_ssize_t j;
@@ -1217,9 +1249,9 @@ copy_route(const Py_buffer *view, int kind, Py_ssize_t m, int64_t n_links,
     for (j = 0; j < m; j++) {
         int64_t hop;
         if (kind == ROUTE_INT64) {
-            hop = ((const int64_t *)view->buf)[j];
+            hop = ((const int64_t *)data)[j];
         } else {
-            uint32_t item = ((const uint32_t *)view->buf)[j];
+            uint32_t item = ((const uint32_t *)data)[j];
             if (kind == ROUTE_U32_SWAPPED)
                 item = (item >> 24) | ((item >> 8) & 0xff00u)
                     | ((item << 8) & 0xff0000u) | (item << 24);
@@ -1241,9 +1273,9 @@ static const Arg PACK_ARGS[] = {
  * weights): FlowTable's starts parser for the batch it meets in the
  * common case, in one pass per check.  starts is a list of k tuples of
  * one arity, (flow_id, route) or (flow_id, route, weight): every
- * weight a float > 0, no flow_id in the dict index_of, every route a
- * 1-D contiguous buffer of a static type (an ndarray) of native int64
- * or uint32 items, 1 to max_route_len hops over links [0, n_links).
+ * weight a float > 0, no flow_id in the dict index_of, every route an
+ * exact 1-D contiguous ndarray (route_items) of native int64 or uint32
+ * items, 1 to max_route_len hops over links [0, n_links).
  * Fills lengths[0, k) with the hop counts, flat with the concatenated
  * routes (it holds k * max_route_len entries) and, for 3-tuples,
  * weights[0, k); returns (ids, total hops, whether weights were
@@ -1257,7 +1289,7 @@ static const Arg PACK_ARGS[] = {
 static PyObject *
 pack_starts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer bufs[3], *v[3], route;
+    Py_buffer bufs[3], *v[3];
     PyObject *starts, *index, **held = NULL, *ids, *result = NULL;
     Py_ssize_t k, i, max_len, arity = 0, taken = 0, total = 0;
     int64_t n_links, *lengths, *flat;
@@ -1328,18 +1360,11 @@ pack_starts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto fallback;
     /* The routes, copied as they are read. */
     for (i = 0; i < k; i++) {
-        PyObject *obj = held[k + i];
-        Py_ssize_t m;
-        int kind, rc;
-        if (PyType_HasFeature(Py_TYPE(obj), Py_TPFLAGS_HEAPTYPE)
-                || PyObject_GetBuffer(obj, &route, PyBUF_RECORDS_RO) < 0)
-            goto fallback;
-        kind = route_kind(&route);
-        m = kind == ROUTE_OTHER ? 0 : route.shape[0];
-        rc = m < 1 || m > max_len
-            || copy_route(&route, kind, m, n_links, flat + total) < 0;
-        PyBuffer_Release(&route);
-        if (rc)
+        const char *data = NULL;
+        Py_ssize_t m = 0;
+        int kind = route_items(held[k + i], &data, &m);
+        if (kind == ROUTE_OTHER || m < 1 || m > max_len
+                || copy_route(data, kind, m, n_links, flat + total) < 0)
             goto fallback;
         lengths[i] = m;
         total += m;
@@ -1465,6 +1490,335 @@ release:
     Py_RETURN_NONE;
 }
 
+static const Arg PLACE_ARGS[] = {
+    {2, 1, 0, 'O', "id_column"}, {4, 1, 0, 'q', "row_of"},
+    {3, 0, 0, 'q', "handle_at"},
+};
+
+/* place_ids(ids, n0, id_column, handle_at, row_of): the id and handle
+ * half of FlowTable's columnar insert of k = len(ids) flows at rows
+ * [n0, n0 + k): id_column[n0 + i] = ids[i] and row_of[handle_at[n0 +
+ * i]] = n0 + i.  The three vectors must be equally long and the rows
+ * fit (ValueError), every handle must index row_of (IndexError), and
+ * no output may share a byte with another buffer (ValueError), all
+ * checked before the first write.  Each placed id gains a reference;
+ * the ids it overwrites (None, on a consistent table) lose theirs
+ * after the last write, as in swap_remove. */
+static PyObject *
+place_ids(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer bufs[3], *v[3];
+    PyObject *ids, **column, **dropped = NULL;
+    Py_ssize_t k, n0, cap, i;
+    const int64_t *handle_at;
+    int64_t *row_of;
+    int rc = -1;
+
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "place_ids takes 5 arguments");
+        return NULL;
+    }
+    ids = args[0];
+    if (!PyList_Check(ids)) {
+        PyErr_SetString(PyExc_TypeError, "place_ids: ids must be a list");
+        return NULL;
+    }
+    n0 = PyLong_AsSsize_t(args[1]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (acquire(args, PLACE_ARGS, 3, bufs, v) < 0)
+        return NULL;
+    k = PyList_GET_SIZE(ids);
+    cap = v[0]->shape[0];
+    if (v[1]->shape[0] != cap || v[2]->shape[0] != cap || n0 < 0
+            || n0 > cap - k) {
+        PyErr_Format(PyExc_ValueError, "place_ids: %zd ids at row %zd do "
+                     "not fit %zd rows, or the vectors differ in length",
+                     k, n0, cap);
+        goto release;
+    }
+    if (check_disjoint("place_ids", PLACE_ARGS, v, 3) < 0)
+        goto release;
+    handle_at = (const int64_t *)v[2]->buf + n0;
+    for (i = 0; i < k; i++)
+        if ((uint64_t)handle_at[i] >= (uint64_t)cap) {
+            PyErr_Format(PyExc_IndexError, "place_ids: handle %lld is out "
+                         "of bounds for %zd rows", (long long)handle_at[i],
+                         cap);
+            goto release;
+        }
+    if ((dropped = PyMem_Malloc((k + 1) * sizeof(PyObject *))) == NULL) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    column = (PyObject **)v[0]->buf + n0;
+    row_of = v[1]->buf;
+    for (i = 0; i < k; i++) {
+        dropped[i] = column[i];
+        column[i] = Py_NewRef(PyList_GET_ITEM(ids, i));
+        row_of[handle_at[i]] = n0 + i;
+    }
+    rc = 0;
+release:
+    release(v, 3);
+    if (rc == 0)
+        for (i = 0; i < k; i++)
+            Py_XDECREF(dropped[i]);
+    PyMem_Free(dropped);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* swap_remove's fixed buffers, in argument order; the columns follow. */
+static const Arg REMOVE_ARGS[] = {
+    {4, 1, 0, 'r', "routes"}, {6, 1, 0, 'd', "weights"},
+    {8, 1, 0, 'O', "ids"}, {9, 1, 0, 'q', "handle_at"},
+    {10, 1, 0, 'q', "row_of"}, {1, 0, 1, 'q', "holes"},
+    {2, 0, 1, 'q', "movers"},
+};
+enum { REMOVE_FIXED = 7 };
+
+/* Copy the item of row movers[j] into row holes[j], j in [0, m), of a
+ * 1-D vector of size-byte items. */
+static void
+move_items(char *base, Py_ssize_t size, const Py_ssize_t *holes,
+           const Py_ssize_t *movers, Py_ssize_t m)
+{
+    Py_ssize_t j;
+    switch (size) {
+    case 8:
+        for (j = 0; j < m; j++)
+            ((int64_t *)base)[holes[j]] = ((int64_t *)base)[movers[j]];
+        break;
+    case 1:
+        for (j = 0; j < m; j++)
+            base[holes[j]] = base[movers[j]];
+        break;
+    default:
+        for (j = 0; j < m; j++)
+            memcpy(base + holes[j] * size, base + movers[j] * size, size);
+    }
+}
+
+/* swap_remove(handles, holes, movers, n, routes, pad, weights, columns,
+ * ids, handle_at, row_of): FlowTable's removal of the k flows whose
+ * handles the list handles holds, in batch order, from a table of n
+ * rows, landing where k sequential swap-removes would.
+ *
+ * Each net move "row movers[j] into row holes[j]" copies the mover's
+ * hop column entries, weight, item of every columns vector (float64,
+ * bool or any numeric dtype) and id into the hole, and re-keys its
+ * handle: handle_at[hole] = the mover's handle, row_of[that] = hole.
+ * Then the freed tail [n - k, n) takes the pad link in every hop
+ * column, None as its id, and the handles in reverse batch order (the
+ * free stack k sequential removals leave).  A freed handle's row_of
+ * entry keeps the row it left.  With holes and movers None the moves
+ * are the untangled swap chain's: hole j is row_of[handles[j]], mover j
+ * row n - 1 - j; if a hole lies in the tail [n - k, n), the chain is
+ * tangled, and the call writes nothing and returns False, for the
+ * caller to replay and pass the net moves.  Otherwise it returns True.
+ *
+ * Checked before the first write: the argument types, 0 <= k <= n <=
+ * the capacity, every vector of capacity length and holes as long as
+ * movers (ValueError); every handle, moved handle and row_of entry an
+ * index of row_of, every hole in [0, n - k) and every mover in [n - k,
+ * n), so no row is both read and written (IndexError); no output
+ * sharing a byte with another buffer (ValueError).  The id references: each moved id gains
+ * one in its hole, each id overwritten (a removed flow's, and the
+ * tail's) loses one, and None gains one per tail row; the losses are
+ * released after the last write and the buffers' release, so Python
+ * code a release runs sees a finished table.  No Python code runs
+ * before that, so the handles list cannot change under the pass. */
+static PyObject *
+swap_remove(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *handles, *columns, **objs = NULL, **dropped = NULL;
+    PyObject *result = NULL;
+    Py_buffer *bufs = NULL, **v = NULL;
+    Arg *spec = NULL;
+    Py_ssize_t k, n, cap, m, i, j, c, n_columns, count, *rows = NULL;
+    Py_ssize_t *holes, *movers, stride, n_dropped = 0;
+    int64_t pad, *routes, *handle_at, *row_of;
+    PyObject **ids;
+    int acquired = 0;
+
+    if (nargs != 11) {
+        PyErr_SetString(PyExc_TypeError, "swap_remove takes 11 arguments");
+        return NULL;
+    }
+    handles = args[0];
+    columns = args[7];
+    if (!PyList_Check(handles) || !PyList_Check(columns)) {
+        PyErr_SetString(PyExc_TypeError, "swap_remove: handles and columns "
+                        "must be lists");
+        return NULL;
+    }
+    if ((args[1] == Py_None) != (args[2] == Py_None)) {
+        PyErr_SetString(PyExc_TypeError, "swap_remove: holes and movers "
+                        "are both None or both arrays");
+        return NULL;
+    }
+    n = PyLong_AsSsize_t(args[3]);
+    pad = PyLong_AsLongLong(args[5]);
+    if (PyErr_Occurred())
+        return NULL;
+    k = PyList_GET_SIZE(handles);
+    n_columns = PyList_GET_SIZE(columns);
+    count = REMOVE_FIXED + n_columns;
+    objs = PyMem_Malloc((nargs + n_columns) * sizeof(PyObject *));
+    spec = PyMem_Malloc(count * sizeof(Arg));
+    bufs = PyMem_Malloc(count * sizeof(Py_buffer));
+    v = PyMem_Malloc(count * sizeof(Py_buffer *));
+    rows = PyMem_Malloc((3 * k + 1) * sizeof(Py_ssize_t));
+    if (objs == NULL || spec == NULL || bufs == NULL || v == NULL
+            || rows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(objs, args, nargs * sizeof(PyObject *));
+    memcpy(spec, REMOVE_ARGS, sizeof REMOVE_ARGS);
+    for (c = 0; c < n_columns; c++) {
+        Arg column = {(int)(nargs + c), 1, 0, '*', "a column"};
+        objs[nargs + c] = PyList_GET_ITEM(columns, c);
+        spec[REMOVE_FIXED + c] = column;
+    }
+    if (acquire(objs, spec, (int)count, bufs, v) < 0)
+        goto done;
+    acquired = 1;
+    cap = v[1]->shape[0];
+    if (v[0]->shape[1] != cap || k > n || n < 0 || n > cap
+            || (v[5] != NULL && v[5]->shape[0] != v[6]->shape[0])) {
+        PyErr_Format(PyExc_ValueError, "swap_remove: %zd removals from %zd "
+                     "rows of a %zd-row table, or holes and movers of "
+                     "unequal length", k, n, v[0]->shape[1]);
+        goto done;
+    }
+    for (c = 2; c < count; c++)
+        if (c != 5 && c != 6 && v[c]->shape[0] != cap) {
+            PyErr_Format(PyExc_ValueError, "swap_remove: %s holds %zd "
+                         "rows, not the table's %zd", spec[c].what,
+                         v[c]->shape[0], cap);
+            goto done;
+        }
+    if (check_disjoint("swap_remove", spec, v, (int)count) < 0)
+        goto done;
+    routes = v[0]->buf;
+    stride = v[0]->strides[0] / 8;
+    ids = v[2]->buf;
+    handle_at = v[3]->buf;
+    row_of = v[4]->buf;
+    /* rows: the handles in [0, k), the holes in [k, 2k), the movers in
+     * [2k, 3k). */
+    holes = rows + k;
+    movers = rows + 2 * k;
+    for (j = 0; j < k; j++) {
+        PyObject *item = PyList_GET_ITEM(handles, j);
+        Py_ssize_t handle;
+        if (!PyLong_Check(item)) {
+            PyErr_SetString(PyExc_TypeError, "swap_remove: a handle is not "
+                            "an int");
+            goto done;
+        }
+        handle = PyLong_AsSsize_t(item);
+        if (handle == -1 && PyErr_Occurred())
+            PyErr_Clear();      /* past Py_ssize_t: out of bounds too */
+        if (handle < 0 || handle >= cap) {
+            PyErr_Format(PyExc_IndexError, "swap_remove: handle %zd is out "
+                         "of bounds for %zd rows", handle, cap);
+            goto done;
+        }
+        rows[j] = handle;
+    }
+    if (v[5] == NULL) {
+        m = k;
+        for (j = 0; j < k; j++) {
+            int64_t hole = row_of[rows[j]];
+            if (hole < 0 || hole >= n) {
+                PyErr_Format(PyExc_IndexError, "swap_remove: handle %zd "
+                             "names row %lld of %zd", rows[j],
+                             (long long)hole, n);
+                goto done;
+            }
+            if (hole >= n - k) {    /* tangled: the caller replays */
+                result = Py_NewRef(Py_False);
+                goto done;
+            }
+            holes[j] = hole;
+            movers[j] = n - 1 - j;
+        }
+    } else {
+        m = v[5]->shape[0];
+        if (m > k) {
+            PyErr_Format(PyExc_ValueError, "swap_remove: %zd moves for %zd "
+                         "removals", m, k);
+            goto done;
+        }
+        for (j = 0; j < m; j++) {
+            holes[j] = ((const int64_t *)v[5]->buf)[j];
+            movers[j] = ((const int64_t *)v[6]->buf)[j];
+        }
+    }
+    for (j = 0; j < m; j++) {
+        if (holes[j] < 0 || holes[j] >= n - k || movers[j] < n - k
+                || movers[j] >= n) {
+            PyErr_Format(PyExc_IndexError, "swap_remove: a move from row "
+                         "%zd into row %zd: holes lie in [0, %zd), movers "
+                         "in [%zd, %zd)", movers[j], holes[j], n - k, n - k,
+                         n);
+            goto done;
+        }
+        if ((uint64_t)handle_at[movers[j]] >= (uint64_t)cap) {
+            PyErr_Format(PyExc_IndexError, "swap_remove: row %zd holds "
+                         "handle %lld, out of bounds for %zd rows",
+                         movers[j], (long long)handle_at[movers[j]], cap);
+            goto done;
+        }
+    }
+    if ((dropped = PyMem_Malloc((m + k + 1) * sizeof(PyObject *))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* The writes. */
+    for (c = 0; c < v[0]->shape[0]; c++)
+        move_items((char *)(routes + c * stride), 8, holes, movers, m);
+    move_items(v[1]->buf, 8, holes, movers, m);
+    for (c = REMOVE_FIXED; c < count; c++)
+        move_items(v[c]->buf, v[c]->itemsize, holes, movers, m);
+    for (j = 0; j < m; j++) {
+        PyObject *moved = ids[movers[j]];
+        Py_XINCREF(moved);
+        dropped[n_dropped++] = ids[holes[j]];
+        ids[holes[j]] = moved;
+    }
+    for (j = 0; j < m; j++) {
+        int64_t moved = handle_at[movers[j]];
+        handle_at[holes[j]] = moved;
+        row_of[moved] = holes[j];
+    }
+    for (c = 0; c < v[0]->shape[0]; c++)
+        for (i = n - k; i < n; i++)
+            routes[c * stride + i] = pad;
+    for (i = n - k; i < n; i++) {
+        dropped[n_dropped++] = ids[i];
+        ids[i] = Py_NewRef(Py_None);
+        handle_at[i] = rows[n - 1 - i];    /* handles[::-1] */
+    }
+    result = Py_NewRef(Py_True);
+done:
+    if (acquired)
+        release(v, (int)count);
+    PyMem_Free(objs);
+    PyMem_Free(spec);
+    PyMem_Free(bufs);
+    PyMem_Free(v);
+    PyMem_Free(rows);
+    for (i = 0; i < n_dropped; i++)
+        Py_XDECREF(dropped[i]);
+    PyMem_Free(dropped);
+    return result;
+}
+
 /* _force_threads(t): walk on t threads (capped at the chunk count)
  * instead of the affinity mask's count, or on that count again if t
  * is 0.  Tests only: the bits must not depend on t. */
@@ -1502,6 +1856,11 @@ static PyMethodDef methods[] = {
     {"insert_routes", (PyCFunction)(void (*)(void))insert_routes,
      METH_FASTCALL, "insert_routes(flat, lengths, routes, n0, pad, "
      "padded_capacity, bottleneck)"},
+    {"place_ids", (PyCFunction)(void (*)(void))place_ids, METH_FASTCALL,
+     "place_ids(ids, n0, id_column, handle_at, row_of)"},
+    {"swap_remove", (PyCFunction)(void (*)(void))swap_remove, METH_FASTCALL,
+     "swap_remove(handles, holes, movers, n, routes, pad, weights, columns, "
+     "ids, handle_at, row_of)"},
     {"_force_threads", force_threads, METH_O, "_force_threads(t)"},
     {NULL, NULL, 0, NULL},
 };
@@ -1515,5 +1874,6 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
+    import_array();
     return PyModule_Create(&module);
 }

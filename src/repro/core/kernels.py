@@ -37,10 +37,12 @@ GIL released, two Python threads that hand one output array to
 concurrent calls race on it; no caller in this package does.
 
 **Build.**  The first import compiles the source with :data:`CFLAGS`
-(no fast-math and no contraction: either would move bits) into
-``__pycache__/`` beside it, keyed by the sha256 of the source and the
-flags; the library is written under a temporary name and renamed into
-place, so processes importing at once never load a partial file.
+(no fast-math and no contraction: either would move bits) against the
+Python and numpy headers into ``__pycache__/`` beside it, keyed by the
+sha256 of the source, the flags and the numpy version and headers
+(:func:`cache_key`); the library is written under a temporary name and
+renamed into place, so processes importing at once never load a
+partial file.
 There is no numpy fallback: without a compiler the import fails with
 an ``ImportError`` saying so.
 
@@ -71,15 +73,19 @@ positive.  Another utility runs the same steps as
 ``price_sums``, its own ``rate`` / ``rate_derivative`` and
 :func:`link_totals2`.
 
-**The churn intake.**  The extension also holds ``FlowTable``'s starts
-parser for the common batch (:func:`pack_starts`: tuples of one arity,
-float weights, int64 or uint32 ndarray routes, every check in one
-pass, ``None`` for any other batch, which the Python parser then
-takes) and its columnar insert (:func:`insert_routes`: each hop column
-written straight from the flat routes, middle-aligned, with the
-bottleneck capacity folded in the same loop).  Both hold the GIL and
-thread nothing; neither moves a float (``tests/test_network_state.py``
-checks them against the Python parser and the masked write).
+**The churn intake.**  The extension also holds every per-flow step
+of ``FlowTable.apply_churn`` but the id index: the batched swap-remove
+(:func:`swap_remove`: every array's rows moved and the tail freed in
+one pass), the starts parser for the common batch (:func:`pack_starts`:
+tuples of one arity, float weights, exact int64 or uint32 ndarray
+routes read from numpy's array struct, every check in one pass,
+``None`` for any other batch, which the Python parser then takes) and
+the columnar insert (:func:`insert_routes`: each hop column written
+straight from the flat routes, middle-aligned, with the bottleneck
+capacity folded in the same loop; :func:`place_ids`: the ids and the
+handles' rows).  They hold the GIL and thread nothing; none moves a
+float (``tests/test_network_state.py`` checks them against the Python
+parser, the masked write and the scalar swap-remove).
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ __all__ = [
     "BLOCK_ROWS", "chunk_spans", "describe", "price_sums",
     "max_link_value", "link_totals", "link_totals2", "min_link_value",
     "log_rate_pass", "f_norm_pass", "threshold_mask", "pack_starts",
-    "insert_routes",
+    "insert_routes", "place_ids", "swap_remove",
 ]
 
 FloatArray = npt.NDArray[np.float64]
@@ -126,11 +132,14 @@ _SUM, _MAX, _MIN = 0, 1, 2
 
 def build_command(source: os.PathLike[str] | str,
                   target: os.PathLike[str] | str) -> list[str]:
-    """The compiler invocation that builds ``source`` into ``target``."""
+    """The compiler invocation that builds ``source`` into ``target``:
+    against the Python headers and numpy's (the churn intake reads
+    routes from numpy's array struct)."""
     import sysconfig
 
     return ["gcc", *CFLAGS, "-I" + sysconfig.get_paths()["include"],
-            os.fspath(source), "-o", os.fspath(target)]
+            "-I" + np.get_include(), os.fspath(source), "-o",
+            os.fspath(target)]
 
 
 def _build(target: Path) -> None:
@@ -155,10 +164,18 @@ def _build(target: Path) -> None:
         partial.unlink(missing_ok=True)
 
 
+def cache_key() -> str:
+    """The library's cache key: the sha256 of the source, the flags and
+    the numpy it compiles against (version and include directory), so
+    an edit, a flag or a numpy upgrade builds a new library."""
+    stamp = " ".join((*CFLAGS, np.__version__, np.get_include()))
+    return hashlib.sha256(_SOURCE.read_bytes()
+                          + stamp.encode()).hexdigest()[:16]
+
+
 def _load() -> ModuleType:
     """The compiled kernel module, built into the cache if missing."""
-    key = hashlib.sha256(_SOURCE.read_bytes()
-                         + " ".join(CFLAGS).encode()).hexdigest()[:16]
+    key = cache_key()
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     target = _SOURCE.parent / "__pycache__" / f"_kernels.{key}{suffix}"
     if not target.exists():
@@ -323,3 +340,35 @@ def insert_routes(flat: IntArray, lengths: IntArray, routes: IntArray,
     bit for bit, in one pass."""
     _lib.insert_routes(flat, lengths, routes, n0, pad, padded_capacity,
                        bottleneck)
+
+
+def place_ids(ids: list[Any], n0: int, id_column: npt.NDArray[Any],
+              handle_at: IntArray, row_of: IntArray) -> None:
+    """The rest of the columnar insert of ``len(ids)`` flows at rows
+    ``[n0, n0 + len(ids))``: each id into ``id_column`` (a tuple id
+    stays one object) and each row into ``row_of`` at its handle,
+    ``handle_at[n0 + i]``.  Every index is checked first."""
+    _lib.place_ids(ids, n0, id_column, handle_at, row_of)
+
+
+def swap_remove(handles: list[int], holes: IntArray | None,
+                movers: IntArray | None, n: int, routes: IntArray, pad: int,
+                weights: FloatArray, columns: list[npt.NDArray[Any]],
+                ids: npt.NDArray[Any], handle_at: IntArray,
+                row_of: IntArray) -> bool:
+    """Remove the flows of ``handles`` (in batch order) from an
+    ``n``-row table, as that many sequential swap-removes would, in one
+    compiled pass: each net move "row ``movers[j]`` into row
+    ``holes[j]``" copies the hop column entries, weight, every
+    ``columns`` item and id and re-keys the mover's handle; the freed
+    tail takes the pad link, ``None`` and ``handles`` reversed.
+
+    With ``holes`` and ``movers`` ``None`` the moves are the untangled
+    chain's (hole j ``row_of[handles[j]]``, mover j row ``n - 1 - j``);
+    if a hole lies in the freed tail the chain is tangled, nothing is
+    written and it returns ``False``, for the caller to replay the chain
+    and pass the net moves.  Every index is checked before the first
+    write (``IndexError``, ``ValueError``)."""
+    done: bool = _lib.swap_remove(handles, holes, movers, n, routes, pad,
+                                  weights, columns, ids, handle_at, row_of)
+    return done

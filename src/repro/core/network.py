@@ -99,8 +99,9 @@ def _pack_starts(starts: list[tuple[Any, ...]],
 
     The common batch (tuples of one arity, float weights, int64 or
     uint32 ndarray routes, all valid) is checked and packed in one
-    compiled pass, :func:`kernels.pack_starts`.  Any other batch (lists
-    or tuples as routes, other dtypes, 2-D or strided arrays, mixed
+    compiled pass, :func:`kernels.pack_starts`.  Any other batch (lists,
+    tuples, memoryviews or ndarray subclasses as routes, other dtypes,
+    2-D or strided arrays, mixed
     arities, any error) comes here instead, where every check is one
     pass over a column and a scalar loop runs only to unpack a mixed
     2-/3-tuple batch and to name an offending id; so the errors and
@@ -229,8 +230,8 @@ class FlowTable:
 
     An id maps to a *handle*, fixed for the flow's lifetime, and
     ``_row_of[handle]`` to its row; ``_handle_at[row]`` moves with the
-    row.  A batch re-keys its moved flows with one numpy scatter, not a
-    dict write each, and the dense layout is unchanged (:meth:`audit`).
+    row.  A batch re-keys its moved flows in its compiled pass, not with
+    a dict write each, and the dense layout is unchanged (:meth:`audit`).
     """
 
     def __init__(self, links: LinkSet, max_route_len: int = 8) -> None:
@@ -313,59 +314,70 @@ class FlowTable:
         return self._n - 1
 
     def remove_flow(self, flow_id: Hashable) -> int:
-        """Remove a flow by id (swap-remove keeps flows dense)."""
-        handle = self._index_of.pop(flow_id)
-        idx = int(self._row_of[handle])
-        last = self._n - 1
-        if idx != last:
-            self._routes[:, idx] = self._routes[:, last]
-            self._weights[idx] = self._weights[last]
-            self._ids[idx] = self._ids[last]
-            moved = self._handle_at[last]
-            self._handle_at[idx] = moved
-            self._row_of[moved] = idx
-            for column in self._columns:
-                column._data[idx] = column._data[last]
-                if last >= column.stale_from:
-                    column.stale_from = min(column.stale_from, idx)
-        self._handle_at[last] = handle
-        self._ids[last] = None
-        self._routes[:, last] = self.pad_link
-        self._n = last
-        self.version += 1
-        return idx
+        """Remove a flow by id: :meth:`remove_flows` of one id.  Returns
+        the row it left (the hole the last row moved into), which a
+        freed handle's ``_row_of`` entry keeps."""
+        handle = self._index_of.get(flow_id)
+        self.remove_flows((flow_id,))
+        return int(self._row_of[handle])
 
     def remove_flows(self, flow_ids: Iterable[Hashable]) -> None:
-        """Batched removal: the vectorized mirror of the batched add.
+        """Batched removal: the mirror of the batched add.
 
         Validates the whole batch up front at C speed, popping the ids
         from the index in one pass (an unknown or duplicated id raises
         ``KeyError`` naming the first offender in batch order, with
-        *no* flow removed and the index restored) and lands in exactly the
-        positional layout sequential :meth:`remove_flow` calls in the
-        same order would produce (a property the drivers rely on for
+        *no* flow removed and the index restored) and lands in exactly
+        the positional layout one-at-a-time swap-removes in the same
+        order would produce (a property the drivers rely on for
         cross-revision rate comparisons).  Step ``i`` of that chain
         removes row ``r_i`` while the last slot is ``l_i = n - 1 - i``;
         it is *tangled* with another step only if ``r_i`` lies in the
         doomed tail (``r_i >= n - k``) or ``l_i`` is itself a removed
-        row.  Every other step is exactly "row ``l_i`` moves into hole
-        ``r_i``" and is computed as array arithmetic; only the tangled
-        steps (none under FIFO churn, about ``2k/n`` of a random
-        batch) replay the swap chain with dict bookkeeping.  The net
-        movement is applied as one fancy-indexed gather per array (per
-        hop column for the routes), ids and handles included, plus one
-        ``_row_of`` scatter; every registered :class:`FlowColumn` entry
-        moves with its flow, and the whole batch costs one version bump.
+        row.  With no tangled step (none under FIFO churn) one compiled
+        pass, :func:`kernels.swap_remove`, moves row ``l_i`` into hole
+        ``r_i`` in every array (hop columns, weights, ids, handles and
+        every registered :class:`FlowColumn`) and frees the tail; a
+        tangled batch (about ``2k/n`` of its steps) is replayed here
+        (:meth:`_net_moves`) and its net moves go through the same
+        pass.  The whole batch costs one version bump.
         """
         ids = list(flow_ids)
-        k = len(ids)
-        if not k:
+        if not ids:
             return
-        handles = np.fromiter(_pop_ends(ids, self._index_of),
-                              dtype=np.int64, count=k)
+        handles = _pop_ends(ids, self._index_of)
+        n = self._n
+        # A column whose watermark lies below n needs the moves to lower
+        # it (rare: a second batch before a consumer raised it to n).
+        watched = [column for column in self._columns
+                   if 0 < column.stale_from < n]
+        if watched or not self._swap_remove(handles):
+            holes, movers = self._net_moves(handles)
+            for column in watched:
+                reached = holes[movers >= column.stale_from]
+                if len(reached):
+                    column.stale_from = min(column.stale_from,
+                                            int(reached.min()))
+            self._swap_remove(handles, holes, movers)
+        self._n = n - len(ids)
+        self.version += 1
+
+    def _swap_remove(self, handles, holes=None, movers=None):
+        """:func:`kernels.swap_remove` over this table's arrays."""
+        return kernels.swap_remove(
+            handles, holes, movers, self._n, self._routes, self.pad_link,
+            self._weights, [column._data for column in self._columns],
+            self._ids, self._handle_at, self._row_of)
+
+    def _net_moves(self, handles):
+        """``(holes, movers)``: the rows the swap chain of removing
+        ``handles`` in order moves, each from its original row into its
+        final one.  Untangled steps are array arithmetic; only the
+        tangled ones replay the chain with dict bookkeeping."""
+        handles = np.fromiter(handles, dtype=np.int64, count=len(handles))
         holes = self._row_of[handles]
         n = self._n
-        new_n = n - k
+        new_n = n - len(handles)
         movers = np.arange(n - 1, new_n - 1, -1)
         if holes.max() >= new_n:
             tangled = holes >= new_n
@@ -388,32 +400,7 @@ class FlowTable:
                 content.keys(), dtype=np.int64, count=len(content))))
             movers = np.concatenate((movers[simple], np.fromiter(
                 content.values(), dtype=np.int64, count=len(content))))
-        if len(holes):
-            # Sources are original tail rows (>= new_n), destinations
-            # are final slots (< new_n): disjoint, so one gather per
-            # array is safe.
-            for hop_column in self._routes:
-                hop_column[holes] = hop_column[movers]
-            self._weights[holes] = self._weights[movers]
-            for column in self._columns:
-                column._data[holes] = column._data[movers]
-                # Movers lie in [new_n, n): none is at or above the
-                # watermark when n <= stale_from (the common case).
-                if 0 < column.stale_from < n:
-                    reached = holes[movers >= column.stale_from]
-                    if len(reached):
-                        column.stale_from = min(column.stale_from,
-                                                int(reached.min()))
-            self._ids[holes] = self._ids[movers]
-            moved = self._handle_at[movers]
-            self._handle_at[holes] = moved
-            self._row_of[moved] = holes
-        # Sequential removal i frees its handle into slot n - 1 - i.
-        self._handle_at[new_n:n] = handles[::-1]
-        self._ids[new_n:n] = None
-        self._routes[:, new_n:n] = self.pad_link
-        self._n = new_n
-        self.version += 1
+        return holes, movers
 
     def apply_churn(self, starts: Iterable[tuple[Any, ...]] = (),
                     ends: Iterable[Hashable] = ()) -> None:
@@ -426,13 +413,13 @@ class FlowTable:
         tuple form is a thin adaptor: :func:`_pack_starts` validates
         the batch and turns it into columns (one compiled pass for the
         common batch), and the columnar insert writes them (one
-        capacity check, one compiled route write, one version bump),
-        which is how the simulation and real-time
+        capacity check, compiled route and id writes, one version
+        bump), which is how the simulation and real-time
         drivers amortize bookkeeping across many flowlet events per
         allocator tick.  Removals go through the batched
-        :meth:`remove_flows` (validated atomically) and are applied
-        before the starts are validated, so a bad start leaves the
-        ends done and no start applied.
+        :meth:`remove_flows` (validated atomically, one compiled pass)
+        and are applied before the starts are validated, so a bad start
+        leaves the ends done and no start applied.
         """
         self.remove_flows(ends)
         starts = list(starts)
@@ -451,12 +438,13 @@ class FlowTable:
         raises ``KeyError`` naming it, before anything else is written.
         One compiled pass (:func:`kernels.insert_routes`) then writes
         each hop column of the block straight from ``flat``, the routes
-        middle-aligned, and folds each flow's bottleneck capacity."""
+        middle-aligned, and folds each flow's bottleneck capacity, and
+        another (:func:`kernels.place_ids`) the ids and the handles'
+        rows."""
         k = len(lengths)
         n0 = self._n
         self.reserve(n0 + k)
-        handles = self._handle_at[n0:n0 + k]
-        self._index_of.update(zip(ids, handles.tolist()))
+        self._index_of.update(zip(ids, self._handle_at[n0:n0 + k].tolist()))
         if len(self._index_of) != n0 + k:
             for flow_id in ids:
                 self._index_of.pop(flow_id, None)
@@ -474,10 +462,7 @@ class FlowTable:
         kernels.insert_routes(flat, lengths, self._routes, n0, self.pad_link,
                               self._capacity_padded(),
                               self._bottleneck._data[block])
-        # fromiter keeps tuple ids scalar — a slice-assign of a list
-        # would make numpy broadcast them as nested sequences.
-        self._ids[block] = np.fromiter(ids, dtype=object, count=k)
-        self._row_of[handles] = np.arange(n0, n0 + k)
+        kernels.place_ids(ids, n0, self._ids, self._handle_at, self._row_of)
         self._n += k
         self.version += 1
 

@@ -64,10 +64,10 @@ def main(argv=None):
                              "the epoll selector rounds the wait up to a "
                              "whole millisecond, so the default 0.0005 "
                              "paces cycles ~1.2 ms apart")
-    parser.add_argument("--resume-grace", type=float, default=2.0,
+    parser.add_argument("--resume-grace", type=float,
                         help="seconds a dropped client's flows stay "
                              "alive awaiting a RESUME (0 disables "
-                             "resumption)")
+                             "resumption; default: the service's)")
     parser.add_argument("--churn-rate", type=float, default=None,
                         help="per-client churn-event budget, events/sec "
                              "(default: unlimited)")
@@ -77,27 +77,29 @@ def main(argv=None):
     parser.add_argument("--max-pending", type=int, default=None,
                         help="per-client bound on queued-but-unapplied "
                              "churn events (auto mode only)")
-    parser.add_argument("--max-outbox", type=int, default=1 << 23,
+    parser.add_argument("--max-outbox", type=int,
                         help="slow-reader bound: unsent push bytes "
-                             "before a client is dropped")
+                             "before a client is dropped (default: the "
+                             "service's)")
     args = parser.parse_args(argv)
 
     token = parse_token(os.environ.get(_TOKEN_ENV), env_var=_TOKEN_ENV)
     topology = TwoTierClos(n_racks=args.racks,
                            hosts_per_rack=args.hosts_per_rack,
                            n_spines=args.spines)
-    # Scheduler options the command line left unset keep the
+    # Options the command line left unset keep the service's and the
     # scheduler's own defaults.
     given = {"gamma": args.gamma, "update_threshold": args.threshold,
              "promote_bytes": args.promote_bytes,
-             "idle_epochs": args.idle_epochs}
+             "idle_epochs": args.idle_epochs,
+             "resume_grace": args.resume_grace,
+             "max_outbox": args.max_outbox}
     service = FlowtuneService(
         topology, host=args.host, port=args.port, token=token,
         mode=args.mode, scheduler_mode=args.scheduler_mode,
         iters_per_cycle=args.iters_per_cycle, min_cycle=args.min_cycle,
-        resume_grace=args.resume_grace, churn_rate=args.churn_rate,
-        churn_burst=args.churn_burst, max_pending=args.max_pending,
-        max_outbox=args.max_outbox,
+        churn_rate=args.churn_rate, churn_burst=args.churn_burst,
+        max_pending=args.max_pending,
         **{name: value for name, value in given.items()
            if value is not None})
     print(f"SERVICE-READY {service.address[0]} {service.address[1]}",

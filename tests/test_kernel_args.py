@@ -14,7 +14,10 @@ output that shares bytes with another argument.  The churn intake's
 ``pack_starts`` and ``insert_routes`` get the same treatment from an
 explicit list of swaps (wrong arity or types, short, read-only or
 overlapping outputs, a row offset past the storage, bad hop counts and
-slots), and an ``insert_routes`` that raises has written nothing.
+slots), and an ``insert_routes`` that raises has written nothing; so
+does the swap-remove's ``swap_remove`` (short, 2-D, wrong-dtype and
+read-only arrays, rows and handles out of range, overlapping outputs),
+after whose raise no array has changed.
 ``tests/test_kernel_sanitizers.py`` runs this file under ASan + UBSan,
 where an out-of-bounds access aborts instead of passing by luck.
 """
@@ -182,18 +185,21 @@ def test_force_threads_rejects_a_bad_count():
 
 
 def intake_calls(n=N):
-    """Valid calls of the churn intake's two entry points: ``n`` starts
-    of 1 to WIDTH hops, and ``n`` routes inserted at column 2."""
+    """Valid calls of the churn intake's entry points: ``n`` starts of
+    1 to WIDTH hops, and ``n`` routes and ids inserted at column 2."""
     rng = np.random.default_rng(2)
     starts = [(j, rng.integers(0, BINS, size=1 + j % WIDTH))
               for j in range(n)]
     lengths = rng.integers(1, WIDTH + 1, size=n)
     flat = rng.integers(0, BINS, size=int(lengths.sum()))
+    id_column = np.empty(n + 4, dtype=object)
     return {
         "pack_starts": [starts, {}, WIDTH, BINS, np.zeros(n, dtype=np.int64),
                         np.zeros(WIDTH * n, dtype=np.int64), np.zeros(n)],
         "insert_routes": [flat, lengths, np.full((WIDTH, n + 4), BINS - 1),
                           2, BINS - 1, rng.random(BINS), np.zeros(n)],
+        "place_ids": [[("id", j) for j in range(n)], 2, id_column,
+                      np.arange(n + 4)[::-1].copy(), np.arange(n + 4)],
     }
 
 
@@ -206,7 +212,8 @@ def read_only(x):
 def intake_swaps(name, args):
     """(position, label, value) swaps of one intake call that must raise."""
     vectors = {pos: args[pos] for pos, value in enumerate(args)
-               if isinstance(value, np.ndarray) and value.ndim == 1}
+               if isinstance(value, np.ndarray) and value.ndim == 1
+               and value.dtype != object}
     swaps = [(pos, label, value) for pos, x in vectors.items()
              for label, value in (
                  ("short", x[:-1]), ("2-D", x.reshape(1, -1)),
@@ -223,6 +230,20 @@ def intake_swaps(name, args):
                   (4, "too long", np.empty(N + 1, dtype=np.int64)),
                   (5, "a hop short", np.empty(WIDTH * N - 1, dtype=np.int64))]
         swaps += [(pos, "read-only", read_only(args[pos])) for pos in (4, 5, 6)]
+    elif name == "place_ids":
+        column = args[2]
+        swaps += [(0, "tuple", tuple(args[0])), (0, "None", None),
+                  (0, "too many", args[0] * 2), (1, "negative", -1),
+                  (1, "past the storage", 5), (1, "float", 2.0),
+                  (2, "short", column[:-1]), (2, "2-D", column.reshape(1, -1)),
+                  (2, "strided", column[::2]), (2, "None", None),
+                  (2, "read-only", read_only(column)),
+                  (2, "floats", np.zeros(len(column))), (2, "list", list(column))]
+        swaps += [(pos, "read-only", read_only(args[pos])) for pos in (4,)]
+        for slot in (N + 4, -1, 10**6):
+            bad = args[3].copy()
+            bad[2 + N // 2] = slot
+            swaps.append((3, f"handle {slot}", bad))
     else:
         lengths = args[1]
         swaps += [(2, "read-only", read_only(args[2])),
@@ -246,18 +267,24 @@ def intake_swaps(name, args):
     return swaps
 
 
-@pytest.mark.parametrize("name", ["pack_starts", "insert_routes"])
+def arrays_of(args):
+    """Every array of a call, as bytes (object arrays as a list)."""
+    return [a.tolist() if a.dtype == object else a.tobytes()
+            for a in args if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", ["pack_starts", "insert_routes",
+                                  "place_ids"])
 def test_the_churn_intake_rejects_every_bad_argument(name):
     made = 0
     for pos, label, value in intake_swaps(name, intake_calls()[name]):
         args = intake_calls()[name]
-        routes = args[2].copy() if name == "insert_routes" else None
         args[pos] = value
+        before = arrays_of(args)
         with pytest.raises(TYPED):
             getattr(lib, name)(*args)
             pytest.fail(f"{name}: arg {pos} {label} returned")
-        if routes is not None and pos != 2:
-            assert args[2].tobytes() == routes.tobytes(), label
+        assert arrays_of(args) == before, label
         made += 1
     with pytest.raises(TypeError):
         getattr(lib, name)(*intake_calls()[name][:-1])
@@ -273,6 +300,7 @@ def test_the_churn_intake_rejects_overlapping_outputs():
                          6: ints[:N].view(np.float64)}),
         ("insert_routes", {6: floats[:N], 5: floats[N - 1:N - 1 + BINS]}),
         ("insert_routes", {}),   # flat: a row of the storage it writes
+        ("place_ids", {4: ints[:N + 4], 3: ints[N + 3:2 * N + 7]}),
     ]
     for name, swap in cases:
         args = intake_calls()[name]
@@ -286,4 +314,142 @@ def test_the_churn_intake_rejects_overlapping_outputs():
             pytest.fail(f"{name}: {sorted(swap)}")
     for name, args in intake_calls().items():   # the valid calls pass
         assert (getattr(lib, name)(*args) is None) == (name != "pack_starts")
+    assert args[2].tolist() == [None] * 2 + args[0] + [None] * 2
+    assert args[4][args[3][2:N + 2]].tolist() == list(range(2, N + 2))
 
+
+
+def remove_calls(n=N):
+    """Valid swap_remove calls on an ``n``-row table of ``n + 4`` rows
+    (handle j at row j): the untangled chain of three removals, and
+    two net moves passed explicitly."""
+    cap = n + 4
+    rng = np.random.default_rng(5)
+    calls = []
+    for holes, movers in ((None, None),
+                          (np.array([3, 0]), np.array([n - 1, n - 2]))):
+        ids = np.empty(cap, dtype=object)
+        ids[:n] = [f"id{j}" for j in range(n)]
+        calls.append([[3, 0, 5], holes, movers, n,
+                      rng.integers(0, BINS, size=(WIDTH, cap)), BINS - 1,
+                      rng.random(cap), [rng.random(cap),
+                                        rng.random(cap) < 0.5,
+                                        np.arange(cap, dtype=np.int32)],
+                      ids, np.arange(cap), np.arange(cap)])
+    return calls
+
+
+def snapshot(args):
+    """Every array a swap_remove call holds, as bytes (ids as a list)."""
+    arrays = [a for a in args if isinstance(a, np.ndarray)] + [
+        a for a in args[7] if isinstance(a, np.ndarray)]
+    return [a.tolist() if a.dtype == object else a.tobytes()
+            for a in arrays]
+
+
+def remove_swaps(args):
+    """(position, label, value) swaps of one swap_remove call that must
+    raise; position 7.j swaps column j, and a callable edits a copy."""
+    n, cap = args[3], len(args[6])
+    explicit = args[1] is not None
+    vectors = {6: args[6], 9: args[9], 10: args[10]}
+    if explicit:
+        vectors.update({1: args[1], 2: args[2]})
+    swaps = [(pos, label, value) for pos, x in vectors.items()
+             for label, value in (
+                 ("short", x[:-1]), ("2-D", x.reshape(1, -1)),
+                 ("strided", x[::2]), ("list", x.tolist()), ("None", None),
+                 ("wrong dtype", x.astype(np.float64 if x.dtype == np.int64
+                                          else np.int64)))]
+    swaps += [(pos, "read-only", read_only(args[pos])) for pos in (6, 9, 10)]
+    swaps += [(8, "short", args[8][:-1]), (8, "float", np.zeros(cap)),
+              (8, "read-only", read_only(args[8])), (8, "None", None),
+              (4, "read-only", read_only(args[4])),
+              (4, "int32", args[4].astype(np.int32)),
+              (4, "short", args[4][:, :-1]), (4, "1-D", args[4][0]),
+              (4, "list", args[4].tolist())]
+    for j, x in enumerate(args[7]):
+        swaps += [(7, f"column {j} {label}", value) for label, value in (
+            ("short", x[:-1]), ("2-D", x.reshape(1, -1)),
+            ("read-only", read_only(x)), ("objects", x.astype(object)),
+            ("strided", np.repeat(x, 2)[::2]), ("list", x.tolist()))]
+    swaps += [(0, "tuple", tuple(args[0])), (0, "a str", ["3"]),
+              (0, "a float", [3.0]), (0, "past the table", [cap]),
+              (0, "negative", [-1]), (0, "huge", [2**70]),
+              (7, "a tuple of columns", tuple(args[7])),
+              (3, "negative n", -1), (3, "n past the table", cap + 1),
+              (3, "fewer rows than removals", 2), (3, "a float", float(n)),
+              (5, "a float pad", float(BINS - 1))]
+    if explicit:
+        swaps += [(1, "hole in the tail", np.array([3, n - 3])),
+                  (1, "negative hole", np.array([3, -1])),
+                  (2, "mover below the tail", np.array([n - 1, n - 4])),
+                  (2, "mover past n", np.array([n - 1, n])),
+                  (2, "longer than holes", np.array([n - 1, n - 2, n - 3])),
+                  (1, "more moves than removals", np.array([3, 0, 1, 2])),
+                  (2, "None", None)]
+    else:
+        swaps += [(1, "holes without movers", np.array([3, 0]))]
+    bad_rows = [("a mover's handle past the table", 9, n - 1, cap),
+                ("a mover's negative handle", 9, n - 2, -7)]
+    if not explicit:    # the chain reads each handle's row
+        bad_rows += [("a handle's row past n", 10, 3, n),
+                     ("a negative row", 10, 0, -1),
+                     ("a row past the table", 10, 5, 10**6)]
+    for label, pos, row, value in bad_rows:
+        def edit(x, row=row, value=value):
+            x = x.copy()
+            x[row] = value
+            return x
+        swaps.append((pos, label, edit(args[pos])))
+    return swaps
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_swap_remove_rejects_every_bad_argument(explicit):
+    made = 0
+    for pos, label, value in remove_swaps(remove_calls()[explicit]):
+        args = remove_calls()[explicit]
+        if label.startswith("column"):
+            args[7][int(label.split()[1])] = value
+        else:
+            args[pos] = value
+        before = snapshot(args)
+        with pytest.raises(TYPED):
+            lib.swap_remove(*args)
+            pytest.fail(f"arg {pos} {label} returned")
+        assert snapshot(args) == before, label
+        made += 1
+    with pytest.raises(TypeError):
+        lib.swap_remove(*remove_calls()[explicit][:-1])
+    assert made > 60, made
+
+
+def test_swap_remove_writes_nothing_on_a_tangled_chain():
+    args = remove_calls()[0]
+    args[0] = [3, N - 2, 0]          # row N - 2 lies in the freed tail
+    before = snapshot(args)
+    assert lib.swap_remove(*args) is False
+    assert snapshot(args) == before
+
+
+def test_swap_remove_rejects_overlapping_outputs():
+    cap = N + 4
+    ints = np.arange(3 * cap)
+    floats = np.random.default_rng(6).random(2 * cap)
+    cases = [{9: ints[:cap], 10: ints[cap - 1:2 * cap - 1]},
+             {6: floats[:cap], 7: [floats[:cap]]},
+             {7: [floats[:cap], floats[1:cap + 1]]},
+             {10: ints[:cap], 1: ints[:2], 2: ints[2:4]},
+             {9: ints[:cap], 4: ints[:WIDTH * cap].reshape(WIDTH, cap)}]
+    for swap in cases:
+        args = remove_calls()[1]
+        for pos, value in swap.items():
+            args[pos] = value
+        before = snapshot(args)
+        with pytest.raises(ValueError, match="overlaps"):
+            lib.swap_remove(*args)
+            pytest.fail(f"{sorted(swap)}")
+        assert snapshot(args) == before
+    for args in remove_calls():     # the valid calls pass
+        assert lib.swap_remove(*args) is True

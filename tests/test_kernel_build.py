@@ -3,7 +3,8 @@
 ``repro.core.kernels`` compiles ``_kernels.c`` at first import into
 ``__pycache__/`` beside it.  These tests run on copies of the package
 in a temp dir, so each starts from an empty cache: concurrent cold
-imports, the compiler flags, and the error without a compiler.
+imports, the compiler flags, a numpy upgrade, and the error without a
+compiler.
 
 The module imports nothing from ``repro`` at top level: the spawned
 children import it by name and must load the *copy*, not the checkout.
@@ -72,6 +73,45 @@ def test_build_flags_keep_the_float_order():
                    "-funsafe-math-optimizations"):
         assert banned not in command
     assert command[-3:] == ["k.c", "-o", "k.so"]
+
+
+def test_the_build_compiles_against_this_numpy():
+    import numpy as np
+
+    from repro.core import kernels
+
+    command = kernels.build_command("k.c", "k.so")
+    assert "-I" + np.get_include() in command
+
+
+def test_a_numpy_upgrade_builds_a_new_library(tmp_path, monkeypatch):
+    """The cache key hashes numpy's version and include directory: a
+    library built against one numpy is not loaded under another."""
+    root = copy_package(tmp_path)
+
+    def library(version):
+        stamp = f"numpy.__version__ = {version!r}; " if version else ""
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {str(root)!r}); import numpy; "
+             f"{stamp}from repro.core import kernels; "
+             "print(kernels._lib.__file__)"],
+            capture_output=True, text=True, timeout=120, check=True)
+        return done.stdout.strip()
+
+    first = library(None)
+    assert library(None) == first
+    upgraded = library("99.0.0")
+    assert upgraded != first
+    assert Path(first).exists() and Path(upgraded).exists()
+
+    import numpy as np
+
+    from repro.core import kernels
+
+    key = kernels.cache_key()
+    monkeypatch.setattr(np, "get_include", lambda: "/another/numpy/include")
+    assert kernels.cache_key() != key
 
 
 def test_missing_compiler_is_an_import_error(tmp_path):

@@ -3,7 +3,7 @@
 - **ThreadSanitizer.**  CPython itself is not instrumented, and
   preloading ``libtsan`` into it crashes, so a standalone harness
   ``#include``s ``_kernels.c``, is built with ``-fsanitize=thread``
-  against ``libpython``, and embeds the interpreter to run
+  against ``libpython`` (and numpy's headers, as the package is), and embeds the interpreter to run
   ``test_kernel_threads.py``'s comparison of every whole-table entry
   point at forced T = 1, 2, 3 and 7 on the instrumented module.  No
   ThreadSanitizer report may appear, and the bytes must equal T = 1's.
@@ -29,6 +29,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytestmark = pytest.mark.slow
@@ -125,7 +126,8 @@ def test_threaded_walk_is_race_free_under_tsan(tmp_path):
     subprocess.run(
         ["gcc", "-fsanitize=thread", "-g", "-O1", "-pthread",
          "-ffp-contract=off", f"-I{CORE}",
-         "-I" + sysconfig.get_paths()["include"], str(tmp_path / "harness.c"),
+         "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
+         str(tmp_path / "harness.c"),
          "-o", str(binary), f"-L{libdir}", f"-lpython{version}",
          f"-Wl,-rpath,{libdir}", "-lm"],
         check=True, capture_output=True, text=True)

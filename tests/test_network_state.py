@@ -211,7 +211,7 @@ class TestBatchRemove:
                 replace=False)]
             batched.remove_flows(ids)
             for flow_id in ids:
-                sequential.remove_flow(flow_id)
+                reference_remove_flow(sequential, flow_id)
             assert batched.flow_ids() == sequential.flow_ids()
             assert np.array_equal(batched.routes, sequential.routes)
             assert np.array_equal(batched.weights, sequential.weights)
@@ -278,7 +278,7 @@ class TestBatchRemove:
             : int(rng.integers(0, batched.n_flows + 1))]]
         batched.remove_flows(ids)
         for flow_id in ids:
-            sequential.remove_flow(flow_id)
+            reference_remove_flow(sequential, flow_id)
         assert batched.flow_ids() == sequential.flow_ids()
         assert np.array_equal(col_b.data, col_s.data)
 
@@ -451,7 +451,7 @@ class TestFlowIdArray:
         victims = [0, 7, 19, 3, 11]
         batched.remove_flows(victims)
         for victim in victims:
-            sequential.remove_flow(victim)
+            reference_remove_flow(sequential, victim)
         assert batched.flow_id_array().tolist() == \
             sequential.flow_id_array().tolist()
 
@@ -494,7 +494,8 @@ def victim_positions(order, n, k, rng):
 
 
 class ChurnTwins:
-    """A batched table and a twin driven one flow at a time."""
+    """A batched table and a twin driven one flow at a time (the
+    scalar swap-remove oracle, ``add_flow``)."""
 
     def __init__(self, id_kind, max_route_len=4):
         self.make_id = ID_KINDS[id_kind]
@@ -527,7 +528,7 @@ class ChurnTwins:
         else:
             batched.remove_flows(ends)
         for flow_id in ends:
-            twin.remove_flow(flow_id)
+            reference_remove_flow(twin, flow_id)
         for start in starts:
             twin.add_flow(*start)
         # give the new flows distinguishable column state
@@ -667,7 +668,7 @@ class TestBatchedEqualsSequential:
             with pytest.raises(error) as err:
                 batched.apply_churn(starts=fresh + bad, ends=[victim])
             assert text in str(err.value.args[0])
-            twins.tables[1].remove_flow(victim)
+            reference_remove_flow(twins.tables[1], victim)
             twins.check()
 
 
@@ -825,9 +826,10 @@ def pack_outcome(packer, starts):
             flat.tobytes(), None if weights is None else weights.tolist())
 
 
-#: The route forms the compiled pass packs itself.
+#: The route forms the compiled pass packs itself: exact ndarrays, read
+#: from numpy's array struct (a memoryview goes to the Python packer).
 COMPILED_FORMS = {"int64", "int64_one_hop", "int64_read_only", "uint32",
-                  "uint32_little_endian", "uint32_big_endian", "memoryview"}
+                  "uint32_little_endian", "uint32_big_endian"}
 PACK_WEIGHTS = (2, True, np.float64(2.0), float("nan"), 0.0, -0.0,
                 float("inf"), -1.0, "2", None, 1e-300)
 HOSTILE_CAPACITIES = (float("nan"), -float("nan"), 0.0, -0.0, float("inf"),
@@ -909,8 +911,8 @@ class TestRoutePacking:
 
     @pytest.mark.parametrize("form", sorted(ROUTE_FORMS))
     def test_the_compiled_pass_takes_exactly_the_common_forms(self, form):
-        """It packs a valid batch of int64 or uint32 buffers of a static
-        type, as the reference does, and hands anything else back."""
+        """It packs a valid batch of exact int64 or uint32 ndarrays, as
+        the reference does, and hands anything else back."""
         starts = [(j, ROUTE_FORMS[form]()) for j in range(3)]
         packed = kernels.pack_starts(starts, {"active": 0}, 4, 6)
         assert (packed is not None) == (form in COMPILED_FORMS)
@@ -1087,3 +1089,202 @@ class TestAddFlowOutcome:
                                     weight)
                         == add_outcome(reference_add_flow, flow_id, route(),
                                        weight)), (flow_id, weight)
+
+
+# ----------------------------------------------------------------------
+# remove_flow against the scalar swap-remove it was before it became a
+# batch of one
+# ----------------------------------------------------------------------
+def reference_remove_flow(table, flow_id):
+    """``FlowTable.remove_flow`` as a scalar swap-remove: the last row
+    moves into the hole, one array at a time.  The sequential oracle
+    the batched removal must land on exactly, row for row."""
+    handle = table._index_of.pop(flow_id)
+    idx = int(table._row_of[handle])
+    last = table._n - 1
+    if idx != last:
+        table._routes[:, idx] = table._routes[:, last]
+        table._weights[idx] = table._weights[last]
+        table._ids[idx] = table._ids[last]
+        moved = table._handle_at[last]
+        table._handle_at[idx] = moved
+        table._row_of[moved] = idx
+        for column in table._columns:
+            column._data[idx] = column._data[last]
+            if last >= column.stale_from:
+                column.stale_from = min(column.stale_from, idx)
+    table._handle_at[last] = handle
+    table._ids[last] = None
+    table._routes[:, last] = table.pad_link
+    table._n = last
+    table.version += 1
+    return idx
+
+
+REMOVE_IDS = ("first", "middle", ("tuple", 3), "last", "ghost",
+              ["unhashable"])
+
+
+def remove_outcome(remove, flow_id, stale_from):
+    """What one removal does to a 64-flow table with a float and a bool
+    column whose watermark is ``stale_from``: the exception type, or
+    the returned row, and every array's bytes."""
+    table = FlowTable(LinkSet([10.0, 4.0, 40.0, 7.0, 5.0, 2.5]),
+                      max_route_len=4)
+    floats = table.add_column(default=-2.0)
+    flags = table.add_column(default=False, dtype=bool)
+    ids = ["first"] + [j for j in range(30)] + ["middle"] + [
+        ("tuple", j) for j in range(31)] + ["last"]
+    table.apply_churn(starts=[(flow_id_, [j % 6, (j + 2) % 6][:1 + j % 2],
+                               1.0 + j) for j, flow_id_ in enumerate(ids)])
+    floats.data[:] = np.arange(table.n_flows) * 0.5
+    flags.data[:] = np.arange(table.n_flows) % 3 == 0
+    floats.stale_from = flags.stale_from = stale_from
+    try:
+        result = remove(table, flow_id)
+    except Exception as exc:  # the outcome under test
+        result = type(exc)
+    table.audit()
+    return (result, table._routes.tobytes(), table._weights.tobytes(),
+            table._ids.tolist(), table.bottleneck_capacity().tobytes(),
+            dict(table._index_of), table._handle_at.tobytes(),
+            table._row_of.tobytes(), floats._data.tobytes(),
+            flags._data.tobytes(), floats.stale_from, flags.stale_from,
+            table.version, table.n_flows)
+
+
+class TestRemoveFlowOutcome:
+    """``remove_flow`` keeps the scalar swap-remove's outcome for every
+    row the id sits in and every watermark: the same exception type,
+    or the same returned row and table bytes."""
+
+    @pytest.mark.parametrize("stale_from", [0, 1, 5, 31, 63, 64])
+    def test_every_row_and_watermark(self, stale_from):
+        for flow_id in REMOVE_IDS:
+            assert (remove_outcome(FlowTable.remove_flow, flow_id,
+                                   stale_from)
+                    == remove_outcome(reference_remove_flow, flow_id,
+                                      stale_from)), flow_id
+
+    def test_an_unknown_id_names_itself(self):
+        """The batch's message: ``dict.pop``'s bare repr of the key
+        became "flow ... is not active" when the scalar path went."""
+        table = make_table()
+        table.add_flow("a", [0])
+        with pytest.raises(KeyError) as err:
+            table.remove_flow("ghost")
+        assert err.value.args == ("flow 'ghost' is not active",)
+        assert table.flow_ids() == ["a"]
+        table.audit()
+
+
+# ----------------------------------------------------------------------
+# the compiled swap-remove against the scalar oracle
+# ----------------------------------------------------------------------
+COLUMN_DTYPES = (np.float64, np.bool_, np.float32, np.int32, np.int64,
+                 np.uint8)
+SWAP_ORDERS = ("fifo", "random", "tangled")
+
+
+def swap_twins(width):
+    """A table removed from in batches and its twin removed from by
+    ``reference_remove_flow``, each with a column of every dtype."""
+    tables = []
+    for _ in range(2):
+        table = FlowTable(LinkSet(np.arange(1.0, 8.0)), max_route_len=width)
+        for dtype in COLUMN_DTYPES:
+            table.add_column(default=np.array(7).astype(dtype), dtype=dtype)
+        tables.append(table)
+    return tables
+
+
+def table_bytes(table):
+    """A table's arrays as bytes: the routes, ids and handle stack over
+    the whole capacity, the weights, columns and ``_row_of`` entries of
+    the live flows (past them a batch and a sequence of swap-removes
+    leave different stale values, which nothing reads)."""
+    n = table.n_flows
+    return (table._routes.tobytes(), table._ids.tolist(),
+            table._handle_at.tobytes(), dict(table._index_of), n,
+            table._weights[:n].tobytes(),
+            table._row_of[table._handle_at[:n]].tobytes(),
+            [column._data[:n].tobytes() for column in table._columns])
+
+
+class TestSwapRemove:
+    """``remove_flows``' compiled pass lands on the scalar oracle's
+    bytes, whatever the batch's shape, the storage width and the
+    columns' dtypes, and keeps every id's reference count."""
+
+    @pytest.mark.parametrize("order", SWAP_ORDERS)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_batches_equal_the_scalar_swap_remove(self, width, order):
+        rng = np.random.default_rng(width * 10 + len(order))
+        tables = swap_twins(width)
+        alive, next_id = [], 0
+        for step in range(12):
+            starts = []
+            for _ in range(int(rng.integers(1, 30))):
+                route = rng.integers(0, 7, size=int(rng.integers(1, width + 1)))
+                starts.append((("f", next_id) if next_id % 3 else next_id,
+                               route, float(rng.integers(1, 9))))
+                alive.append(starts[-1][0])
+                next_id += 1
+            n = tables[0].n_flows
+            k = int(rng.integers(1, min(n, 12) + 1)) if n else 0
+            ids = tables[0].flow_ids()
+            if not k:
+                ends = []
+            elif order == "fifo":
+                ends = alive[:k]
+            elif order == "random":
+                ends = [ids[p] for p in rng.choice(n, size=k, replace=False)]
+            else:
+                ends = [ids[p] for p in victim_positions(
+                    ("head_then_tail", "tail_desc", "interleaved",
+                     "all")[step % 4], n, k, rng)]
+            watermark = int(rng.choice([0, n // 2, n]))
+            for table in tables:
+                for column in table._columns[1:]:
+                    column.stale_from = watermark
+            was_at = {flow_id: row for row, flow_id in enumerate(ids)}
+            tables[0].apply_churn(starts=starts, ends=ends)
+            for flow_id in ends:
+                reference_remove_flow(tables[1], flow_id)
+            tables[1].apply_churn(starts=starts)
+            alive = [i for i in alive if i not in set(ends)]
+            values = rng.integers(0, 200, size=len(starts))
+            for table in tables:
+                # The watermark's contract: every row below it holds a
+                # flow that sat below it before, none a fresh default.
+                # (A tangled chain may lower it further than the batch.)
+                for column in table._columns[1:]:
+                    assert all(was_at[flow_id] < watermark for flow_id
+                               in table.flow_ids()[:column.stale_from])
+                    column.data[table.n_flows - len(starts):] = values
+                table.audit()
+            assert table_bytes(tables[0]) == table_bytes(tables[1]), step
+
+    def test_no_id_reference_is_leaked_or_lost(self):
+        """1000 batches (random ones, mostly untangled, and tangled
+        ones; half of them with a watermark below n, which takes the
+        replayed moves) leave every id's reference count as it was."""
+        ids = [f"flow-{j}" for j in range(40)] + [("t", j) for j in range(20)]
+        table = make_table()
+        column = table.add_column(default=1.0)
+        route = np.array([0, 1])
+        table.apply_churn(starts=[(flow_id, route) for flow_id in ids])
+        counts = [sys.getrefcount(flow_id) for flow_id in ids]
+        rng = np.random.default_rng(8)
+        for b in range(1000):
+            order = ("random", "tail_desc", "head_then_tail")[b % 3]
+            rows = victim_positions(order, table.n_flows, 1 + b % 9, rng)
+            live = table.flow_ids()
+            batch = [live[p] for p in rows]
+            del live
+            column.stale_from = table.n_flows // 2 if b % 2 else table.n_flows
+            table.remove_flows(batch)
+            table.apply_churn(starts=[(flow_id, route) for flow_id in batch])
+        del batch
+        table.audit()
+        assert [sys.getrefcount(flow_id) for flow_id in ids] == counts

@@ -482,6 +482,32 @@ class TestPushUpdatesGrouping:
 
 
 class TestTwoProcess:
+    def test_the_cli_forwards_only_the_options_given(self, monkeypatch):
+        """``--resume-grace`` and ``--max-outbox`` left unset keep
+        ``FlowtuneService``'s defaults; given, they reach it."""
+        from repro.service import __main__ as cli
+
+        seen = []
+
+        class Recorder:
+            address = ("127.0.0.1", 0)
+
+            def __init__(self, topology, **options):
+                seen.append(options)
+
+            def run(self):
+                pass
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(cli, "FlowtuneService", Recorder)
+        monkeypatch.setenv("REPRO_SERVICE_TOKEN", "ab" * 16)
+        cli.main([])
+        cli.main(["--resume-grace", "0.5", "--max-outbox", "4096"])
+        assert not {"resume_grace", "max_outbox"} & set(seen[0])
+        assert (seen[1]["resume_grace"], seen[1]["max_outbox"]) == (0.5, 4096)
+
     def test_two_process_smoke(self, topo):
         """Spawn `python -m repro.service`, converge over the real
         socket, match the in-process allocator, shut down cleanly."""
